@@ -6,6 +6,13 @@ derivatives with respect to each nonlinear parameter.  Two models ship with
 the package: a multi-exponential decay test model and a Beer-law absorption
 model (polynomial surface reflectivity times solar spectrum times molecular
 transmission, convolved with a Gaussian instrument response).
+
+Each model evaluates a group of datasets that share one grid (and, for the
+Beer law, one slit width; ``group_key`` says which datasets may be grouped)
+in one pass: ``eval_group`` returns a :class:`GroupEval` computed with the
+grid axis last, building the grid-only pieces once and convolving every row
+of the stack in one call.  ``eval`` of one dataset is the one-dataset group,
+so it matches that dataset's slice of any group bit for bit.
 """
 
 from dataclasses import dataclass
@@ -98,6 +105,32 @@ class BasisEval:
             raise InvalidInputError("basis evaluation produced non-finite entries")
 
 
+@dataclass(frozen=True)
+class GroupEval:
+    """Stacked bases of datasets that share one grid, grid axis last.
+
+    ``stack`` has shape g x (1 + p) x n x m: for dataset i of the group,
+    stack[i, 0].T is its basis matrix and stack[i, 1 + l].T the derivative
+    in alpha_l.
+    """
+
+    stack: np.ndarray
+
+    @property
+    def phi(self):
+        return self.stack[:, 0]
+
+    @property
+    def dphi(self):
+        return self.stack[:, 1:]
+
+    def basis(self, i):
+        """The BasisEval of the group's i-th dataset, in row-major m x n
+        layout (products with it round as they did before grouping)."""
+        rows = np.ascontiguousarray(self.stack[i].transpose(0, 2, 1))
+        return BasisEval(phi=rows[0], dphi=tuple(rows[1:]))
+
+
 def normalize_abscissa(t):
     """Affine map of a strictly increasing grid onto [-1, 1]."""
     t = np.asarray(t, dtype=float)
@@ -107,23 +140,34 @@ def normalize_abscissa(t):
     return 2.0 * (t - lo) / (hi - lo) - 1.0
 
 
-def eval_exp_basis(alpha, dataset):
-    """Multi-exponential basis: column j is exp(-alpha_j * t).
-
-    The number of linear and nonlinear parameters coincide; the derivative
-    with respect to alpha_l is nonzero only in column l.
-    """
+def _finite_vector(alpha):
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim != 1 or not np.all(np.isfinite(alpha)):
         raise InvalidInputError("alpha must be a finite vector")
-    t = dataset.t
-    phi = np.exp(-np.outer(t, alpha))
-    dphi = []
+    return alpha
+
+
+def eval_exp_group(alpha, datasets):
+    """Multi-exponential basis of datasets sharing one grid: row j of each
+    dataset's block is exp(-alpha_j * t).
+
+    The number of linear and nonlinear parameters coincide; the derivative
+    with respect to alpha_l is nonzero only in row l.  Every dataset of the
+    group has the same basis, so the stack is a broadcast view.
+    """
+    alpha = _finite_vector(alpha)
+    t = datasets[0].t
+    stack = np.zeros((1 + alpha.size, alpha.size, t.size))
+    phi = stack[0]
+    np.exp(-np.outer(alpha, t), out=phi)
     for l in range(alpha.size):
-        d = np.zeros_like(phi)
-        d[:, l] = -t * phi[:, l]
-        dphi.append(d)
-    return BasisEval(phi=phi, dphi=tuple(dphi))
+        stack[1 + l, l] = -t * phi[l]
+    return GroupEval(np.broadcast_to(stack, (len(datasets),) + stack.shape))
+
+
+def eval_exp_basis(alpha, dataset):
+    """Multi-exponential basis of one dataset: column j is exp(-alpha_j * t)."""
+    return eval_exp_group(alpha, (dataset,)).basis(0)
 
 
 def gaussian_kernel(spacing, halfwidth):
@@ -143,53 +187,71 @@ def gaussian_kernel(spacing, halfwidth):
     return w / w.sum()
 
 
-def _convolve_columns(a, kernel):
-    if kernel.size == 1:
-        return a
-    return ndi.convolve1d(a, kernel, axis=0, mode="reflect")
-
-
-def eval_beer_basis(alpha, dataset, n_linear=1):
-    """Beer-law basis on the normalized grid.
-
-    Column j is the convolution of nu^j * mu_sun * I0 * exp(-sum_l alpha_l tau_l)
-    with the instrument response, nu being the abscissa normalized to [-1, 1].
-    Differentiation and convolution commute (the response does not depend on
-    alpha), so the derivative columns are the convolved products with -tau_l.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim != 1 or not np.all(np.isfinite(alpha)):
-        raise InvalidInputError("alpha must be a finite vector")
+def _beer_aux(dataset, p):
     aux = dataset.aux
     if not isinstance(aux, BeerAux):
         raise InvalidInputError("Beer-law model requires a BeerAux auxiliary record")
-    if aux.tau.shape[1] != alpha.size:
+    if aux.tau.shape[1] != p:
         raise InvalidInputError(
-            f"alpha has length {alpha.size} but tau has {aux.tau.shape[1]} species columns"
+            f"alpha has length {p} but tau has {aux.tau.shape[1]} species columns"
         )
+    return aux
 
-    exponent = -aux.tau @ alpha
-    worst = int(np.argmax(exponent))
-    if exponent[worst] > EXP_OVERFLOW_LIMIT:
+
+def eval_beer_group(alpha, datasets, n_linear=1):
+    """Beer-law basis of datasets sharing one grid and slit width.
+
+    Row j of each dataset's block is the convolution of
+    nu^j * mu_sun * I0 * exp(-sum_l alpha_l tau_l) with the instrument
+    response, nu being the abscissa normalized to [-1, 1].  Differentiation
+    and convolution commute (the response does not depend on alpha), so the
+    derivative rows are the convolved products with -tau_l.  The response
+    and the powers of nu are built once for the group, and one convolution
+    runs over every row of the stack.
+    """
+    alpha = _finite_vector(alpha)
+    auxes = [_beer_aux(ds, alpha.size) for ds in datasets]
+    neg_tau = np.stack([aux.tau.T for aux in auxes])  # g x p x m
+    np.negative(neg_tau, out=neg_tau)
+    exponent = alpha @ neg_tau
+    over = np.flatnonzero(np.max(exponent, axis=1) > EXP_OVERFLOW_LIMIT)
+    if over.size:
+        index = int(np.argmax(exponent[over[0]]))
         raise ModelOverflowError(
-            f"absorption exponent overflows at grid index {worst}", index=worst
+            f"absorption exponent overflows at grid index {index}", index=index
         )
-    base = aux.mu_sun * aux.i0 * np.exp(exponent)
-    return _assemble_beer(dataset, base, aux, n_linear)
-
-
-def _assemble_beer(dataset, base, aux, n):
-    nu = normalize_abscissa(dataset.t)
-    powers = nu[:, None] ** np.arange(n)
-    mono = base[:, None] * powers
-    spacing = float(np.mean(np.diff(dataset.t)))
-    kernel = gaussian_kernel(spacing, aux.slit_halfwidth)
-    phi = _convolve_columns(mono, kernel)
-    dphi = tuple(
-        _convolve_columns(-aux.tau[:, l : l + 1] * mono, kernel)
-        for l in range(aux.tau.shape[1])
+    scale = np.array([aux.mu_sun for aux in auxes])[:, None] * np.stack(
+        [aux.i0 for aux in auxes]
     )
-    return BasisEval(phi=phi, dphi=dphi)
+    base = scale * np.exp(exponent)
+
+    t = datasets[0].t
+    powers = normalize_abscissa(t) ** np.arange(n_linear)[:, None]
+    kernel = gaussian_kernel(float(np.mean(np.diff(t))), auxes[0].slit_halfwidth)
+    shape = (len(datasets), 1 + alpha.size, n_linear, t.size)
+    stack = np.empty(shape)
+    mono = stack[:, 0]  # g x n x m
+    np.multiply(base[:, None, :], powers, out=mono)
+    np.multiply(neg_tau[:, :, None, :], mono[:, None], out=stack[:, 1:])
+    if kernel.size == 1:
+        return GroupEval(stack)
+    # each dataset's m x n blocks are stored row-major, so basis() needs no copy
+    out = np.empty(shape[:2] + shape[:1:-1]).transpose(0, 1, 3, 2)
+    ndi.convolve1d(stack, kernel, axis=-1, mode="reflect", output=out)
+    return GroupEval(out)
+
+
+def eval_beer_basis(alpha, dataset, n_linear=1):
+    """Beer-law basis of one dataset: the one-dataset case of
+    :func:`eval_beer_group`."""
+    return eval_beer_group(alpha, (dataset,), n_linear).basis(0)
+
+
+def _checked_alpha(alpha, p):
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != (p,):
+        raise InvalidInputError(f"alpha must have length {p}, got {alpha.shape}")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -207,10 +269,15 @@ class ExpDecayModel:
         return self.n_terms
 
     def eval(self, alpha, dataset):
-        alpha = np.asarray(alpha, dtype=float)
-        if alpha.shape != (self.p,):
-            raise InvalidInputError(f"alpha must have length {self.p}, got {alpha.shape}")
-        return eval_exp_basis(alpha, dataset)
+        return self.eval_group(alpha, (dataset,)).basis(0)
+
+    def group_key(self, dataset):
+        """Datasets with equal keys can share one ``eval_group`` call."""
+        return dataset.t.tobytes()
+
+    def eval_group(self, alpha, datasets):
+        """Stacked bases of datasets that share one grid."""
+        return eval_exp_group(_checked_alpha(alpha, self.p), datasets)
 
 
 @dataclass(frozen=True)
@@ -229,14 +296,12 @@ class BeerLawModel:
         return self.p_species
 
     def eval(self, alpha, dataset):
-        alpha = np.asarray(alpha, dtype=float)
-        if alpha.shape != (self.p,):
-            raise InvalidInputError(f"alpha must have length {self.p}, got {alpha.shape}")
-        aux = dataset.aux
-        if not isinstance(aux, BeerAux):
-            raise InvalidInputError("Beer-law model requires a BeerAux auxiliary record")
-        if aux.tau.shape[1] != self.p:
-            raise InvalidInputError(
-                f"model declares {self.p} species but tau has {aux.tau.shape[1]} columns"
-            )
-        return eval_beer_basis(alpha, dataset, n_linear=self.n_linear)
+        return self.eval_group(alpha, (dataset,)).basis(0)
+
+    def group_key(self, dataset):
+        """Datasets with equal keys can share one ``eval_group`` call."""
+        return dataset.t.tobytes(), getattr(dataset.aux, "slit_halfwidth", None)
+
+    def eval_group(self, alpha, datasets):
+        """Stacked bases of datasets that share one grid and slit width."""
+        return eval_beer_group(_checked_alpha(alpha, self.p), datasets, self.n_linear)

@@ -107,8 +107,12 @@ def nls_full_jacobian(x, problem):
 
 
 class _CachedReduced:
-    """One reduced evaluation per alpha; the engine asks for residual and
-    Jacobian at the same point, so both come from a single pass."""
+    """One reduced evaluation per alpha.  The engine asks for the residual at
+    each trial point and for the Jacobian at each iterate it accepts, so the
+    cache keeps the latest evaluation and the one at the current iterate:
+    residual and Jacobian come from a single pass, a trial step too short to
+    move alpha costs nothing, and the final linear solve at the returned
+    iterate always finds its evaluation here."""
 
     def __init__(self, problem, method, element_budget):
         self.problem = problem
@@ -117,32 +121,35 @@ class _CachedReduced:
         else:
             base = _VP_EVALS[method]
             self._eval = lambda a: base(a, problem)
-        self._key = None
-        self._value = None
+        self._latest = (None, None)
+        self._iterate = (None, None)
 
     def at(self, alpha):
         key = np.asarray(alpha, dtype=float).tobytes()
-        if key != self._key:
-            self._value = self._eval(np.asarray(alpha, dtype=float))
-            self._key = key
-        return self._value
+        for cached_key, value in (self._latest, self._iterate):
+            if key == cached_key:
+                return value
+        value = self._eval(np.asarray(alpha, dtype=float))
+        self._latest = (key, value)
+        return value
 
     def residual(self, alpha):
         return self.at(alpha).z
 
     def jacobian(self, alpha):
-        return self.at(alpha).jac
+        red = self.at(alpha)
+        self._iterate = (np.asarray(alpha, dtype=float).tobytes(), red)
+        return red.jac
 
 
-def _final_linear_solve(problem, alpha_hat):
-    betas, residuals = [], []
-    for ds in problem.datasets:
-        be = problem.model.eval(alpha_hat, ds)
-        f = thin_qr(be.phi)
-        beta = pinv_apply(f, ds.y)
-        betas.append(beta)
-        residuals.append(ds.y - be.phi @ beta)
-    return betas, residuals
+def _final_linear_solve(problem, alpha_hat, cache):
+    """Linear parameters and joint residuals at alpha_hat, read from the
+    reduced evaluation the cache holds there."""
+    red = cache.at(alpha_hat)
+    residuals = [
+        ds.y - be.phi @ beta for ds, be, beta in zip(problem.datasets, red.bases, red.betas)
+    ]
+    return list(red.betas), residuals
 
 
 def fit(problem, cfg, alpha0):
@@ -168,7 +175,8 @@ def fit(problem, cfg, alpha0):
             cfg.lm,
         )
         alpha_hat = report.x_final[: problem.p]
-    betas, residuals = _final_linear_solve(problem, alpha_hat)
+        cache = _CachedReduced(problem, METHOD_VP_GL, cfg.naive_element_budget)
+    betas, residuals = _final_linear_solve(problem, alpha_hat, cache)
     wall = time.perf_counter() - t_start
     return FitResult(
         alpha_hat=alpha_hat,

@@ -4,6 +4,7 @@ import pytest
 
 import sepvar as sv
 from sepvar.exceptions import InvalidInputError
+from sepvar import solver
 from sepvar.solver import METHODS, SolverConfig, fit, initial_beta
 
 from conftest import central_diff_jacobian, make_exp_problem
@@ -147,6 +148,31 @@ class TestFitResult:
         prob, _ = make_exp_problem(rng, s=2, seed=13)
         with pytest.raises(InvalidInputError):
             fit(prob, SolverConfig(), np.zeros(prob.p + 1))
+
+
+class TestFinalLinearSolve:
+    @pytest.mark.parametrize("method", ["vp-gl", "vp-km", "vp-naive"])
+    @pytest.mark.parametrize("max_iter", [2, 3, 4, 200])
+    def test_reuses_the_evaluation_at_alpha_hat(self, method, max_iter, monkeypatch, rng):
+        """Jacobians and the final linear solve add no evaluation, whether
+        the last LM trial was accepted or rejected."""
+        prob, spec = make_exp_problem(rng, s=3, snr=100.0, seed=14)
+        points = []
+        inner = solver._VP_EVALS[method]
+
+        def counted(alpha, problem, **kwargs):
+            points.append(np.asarray(alpha, dtype=float).tobytes())
+            return inner(alpha, problem, **kwargs)
+
+        monkeypatch.setitem(solver._VP_EVALS, method, counted)
+        if method == "vp-naive":
+            monkeypatch.setattr(solver, "eval_naive", counted)
+        cfg = SolverConfig(method=method, lm=sv.LMConfig(max_iter=max_iter))
+        res = fit(prob, cfg, np.asarray(spec.alpha_true) * 1.3)
+        assert len(points) <= res.lm_report.n_feval
+        ref = initial_beta(prob, res.alpha_hat)
+        for got, want in zip(res.beta_hat, ref):
+            npt.assert_allclose(got, want, rtol=1e-10)
 
 
 class TestIterationEconomy:

@@ -4,8 +4,14 @@ import pytest
 import scipy.linalg as sl
 
 import sepvar as sv
-from sepvar.exceptions import InvalidInputError, ProblemTooLargeError, RankDeficiencyError
-from sepvar.model import Dataset, ExpDecayModel
+from sepvar.exceptions import (
+    InvalidInputError,
+    ModelOverflowError,
+    ProblemTooLargeError,
+    RankDeficiencyError,
+)
+from sepvar.factor import pinv_transpose_apply
+from sepvar.model import BeerAux, BeerLawModel, Dataset, ExpDecayModel
 from sepvar.vpcore import MultiProblem, build_block_diag, eval_gl, eval_km, eval_naive
 
 from conftest import central_diff_jacobian, make_exp_problem
@@ -23,6 +29,197 @@ def consistent_problem(rng, s=2, n=2):
         phi = model.eval(alpha, probe).phi
         datasets.append(Dataset(t=t, y=phi @ rng.uniform(0.5, 1.5, n)))
     return MultiProblem(datasets=tuple(datasets), model=model), alpha
+
+
+def frame_problem(soundings=4, seed=31):
+    """Beer frame layout: per sounding one 809- and one 651-point band, so
+    the datasets form two shared-grid groups of ``soundings`` each."""
+    grids = sv.frame_grids(n_soundings=soundings)
+    spec = sv.TruthSpec(
+        kind="beer", alpha_true=[1.0, 1.0],
+        beta_true=tuple(np.array([1.0, 0.1, -0.05]) for _ in grids),
+        grids=grids, snr=200.0, seed=seed,
+    )
+    return sv.generate(spec)
+
+
+def reference_eval(alpha, prob, form):
+    """Literal per-dataset reduction: model.eval, the pivoted thin_qr and the
+    factor helpers, dataset by dataset in problem order."""
+    z, jac, betas = [], [], []
+    for k, ds in enumerate(prob.datasets):
+        be = prob.model.eval(alpha, ds)
+        try:
+            f = sv.thin_qr(be.phi)
+        except RankDeficiencyError as err:
+            raise RankDeficiencyError("reference", rank=err.rank, dataset=k) from err
+        beta = sv.pinv_apply(f, ds.y)
+        if form == "gl":
+            r = sv.proj_perp_apply(f, ds.y)
+            jb = np.column_stack([
+                -(sv.proj_perp_apply(f, d @ beta) + pinv_transpose_apply(f, d.T @ r))
+                for d in be.dphi
+            ])
+        else:
+            tail = sv.q2t_apply(f, np.column_stack([ds.y] + [d @ beta for d in be.dphi]))
+            r, jb = tail[:, 0], -tail[:, 1:]
+        z.append(r)
+        jac.append(jb)
+        betas.append(beta)
+    return np.concatenate(z), np.vstack(jac), betas
+
+
+def beer_dataset(t, tau, halfwidth=1.0):
+    aux = BeerAux(mu_sun=0.8, i0=1.0 + 0.1 * np.sin(t / 30.0), tau=tau,
+                  slit_halfwidth=halfwidth)
+    return Dataset(t=t, y=1.0 + 0.01 * np.cos(t), aux=aux)
+
+
+def smooth_tau(t, rng, p=2):
+    tau = np.zeros((t.size, p))
+    for l in range(p):
+        for c in rng.uniform(t[0], t[-1], 4):
+            tau[:, l] += rng.uniform(0.3, 1.0) * np.exp(-0.5 * ((t - c) / 8.0) ** 2)
+    return tau
+
+
+def rank_two_tau(t):
+    """Absorption so strong everywhere but at two grid points that the
+    basis has numerical rank 2 under alpha = (1, -1)."""
+    tau = np.zeros((t.size, 2))
+    tau[:, 0] = 600.0
+    tau[[5, 25], 0] = 0.0
+    return tau
+
+
+def overflow_tau(t, rng, index=17):
+    """Overflows at ``index`` under alpha = (1, -1)."""
+    tau = smooth_tau(t, rng)
+    tau[index, 1] = 800.0
+    return tau
+
+
+def raised(fn, *args):
+    """The typed error fn raises, as (type, rank, dataset, index), or None."""
+    try:
+        fn(*args)
+    except (RankDeficiencyError, ModelOverflowError) as err:
+        return (type(err), getattr(err, "rank", None), getattr(err, "dataset", None),
+                getattr(err, "index", None))
+    return None
+
+
+class TestGroupedKernel:
+    ALPHA_FAIL = np.array([1.0, -1.0])
+
+    @pytest.mark.parametrize("form", ["gl", "km"])
+    def test_gl_km_match_per_dataset_reference(self, form):
+        prob = frame_problem()
+        assert [len(g.index) for g in prob.groups] == [4, 4]
+        ev = eval_gl if form == "gl" else eval_km
+        for alpha in (np.array([1.1, 0.9]), np.array([0.7, 1.4])):
+            red = ev(alpha, prob)
+            z, jac, betas = reference_eval(alpha, prob, form)
+
+            def close(a, b):
+                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+            if form == "gl":
+                close(red.z, z)
+                close(red.jac, jac)
+                for a, b in zip(red.betas, betas):
+                    close(a, b)
+            else:
+                # the trailing factor is fixed only up to an orthogonal
+                # change of basis, so compare what does not depend on it
+                npt.assert_allclose(np.linalg.norm(red.z), np.linalg.norm(z), rtol=1e-12)
+                close(red.jac.T @ red.z, jac.T @ z)
+                close(red.jac.T @ red.jac, jac.T @ jac)
+
+    def test_one_dataset_eval_is_its_group_slice(self):
+        prob = frame_problem()
+        alpha = np.array([1.1, 0.9])
+        for group in prob.groups:
+            ge = prob.model.eval_group(alpha, group.datasets)
+            for i, ds in enumerate(group.datasets):
+                be = prob.model.eval(alpha, ds)
+                assert np.array_equal(be.phi, ge.phi[i].T)
+                for l in range(prob.p):
+                    assert np.array_equal(be.dphi[l], ge.dphi[i, l].T)
+
+    @pytest.mark.parametrize("ev", [eval_gl, eval_km])
+    def test_grouping_does_not_change_results(self, ev):
+        """A dataset's blocks are the same in its group of 4 as alone."""
+        prob = frame_problem()
+        alpha = np.array([1.1, 0.9])
+        red = ev(alpha, prob)
+        bounds = np.concatenate([[0], np.cumsum(red.block_sizes)])
+        for k, ds in enumerate(prob.datasets):
+            alone = ev(alpha, MultiProblem(datasets=(ds,), model=prob.model))
+            rows = slice(bounds[k], bounds[k + 1])
+            assert np.array_equal(alone.z, red.z[rows])
+            assert np.array_equal(alone.jac, red.jac[rows])
+            assert np.array_equal(alone.betas[0], red.betas[k])
+
+    def test_bases_read_from_groups_in_problem_order(self):
+        prob = frame_problem(soundings=2)
+        alpha = np.array([1.1, 0.9])
+        red = eval_gl(alpha, prob)
+        for ds, be in zip(prob.datasets, red.bases):
+            assert np.array_equal(be.phi, prob.model.eval(alpha, ds).phi)
+
+    @pytest.mark.parametrize("bad", ["rank", "overflow"])
+    def test_non_first_dataset_of_group_fails(self, bad, rng):
+        t = np.linspace(6180.0, 6280.0, 40)
+        failing = rank_two_tau(t) if bad == "rank" else overflow_tau(t, rng)
+        taus = [smooth_tau(t, rng), failing, smooth_tau(t, rng)]
+        prob = MultiProblem(datasets=tuple(beer_dataset(t, tau) for tau in taus),
+                            model=BeerLawModel(n_linear=3, p_species=2))
+        assert [g.index for g in prob.groups] == [(0, 1, 2)]
+        expected = raised(reference_eval, self.ALPHA_FAIL, prob, "gl")
+        if bad == "rank":
+            assert expected == (RankDeficiencyError, 2, 1, None)
+        else:
+            assert expected == (ModelOverflowError, None, None, 17)
+        for ev in (eval_gl, eval_km):
+            assert raised(ev, self.ALPHA_FAIL, prob) == expected
+
+    @pytest.mark.parametrize("order", ["rank-first", "overflow-first"])
+    def test_first_failure_in_problem_order_across_groups(self, order, rng):
+        """Groups are evaluated one after the other, but the error raised is
+        that of the first failing dataset in problem order."""
+        ta = np.linspace(6180.0, 6280.0, 40)
+        tb = np.linspace(4950.0, 5050.0, 50)
+        ok_a, ok_b = beer_dataset(ta, smooth_tau(ta, rng)), beer_dataset(tb, smooth_tau(tb, rng))
+        over_a = beer_dataset(ta, overflow_tau(ta, rng))
+        rank_b = beer_dataset(tb, rank_two_tau(tb))
+        if order == "rank-first":
+            datasets = (ok_a, ok_b, rank_b, over_a)  # groups (0, 3) and (1, 2)
+            expected = (RankDeficiencyError, 2, 2, None)
+        else:
+            datasets = (ok_a, ok_b, over_a, rank_b)  # groups (0, 2) and (1, 3)
+            expected = (ModelOverflowError, None, None, 17)
+        prob = MultiProblem(datasets=datasets, model=BeerLawModel(n_linear=3, p_species=2))
+        assert len(prob.groups) == 2
+        assert raised(reference_eval, self.ALPHA_FAIL, prob, "gl") == expected
+        for ev in (eval_gl, eval_km):
+            assert raised(ev, self.ALPHA_FAIL, prob) == expected
+
+    def test_near_collinear_sweep_raises_exactly_when_thin_qr_does(self):
+        """alpha = (a, a + delta) with delta spaced across the thin_qr rank
+        threshold; a shared-grid group of two and a group of one."""
+        t1, t2 = np.linspace(0.0, 3.0, 12), np.linspace(0.0, 4.0, 15)
+        datasets = tuple(Dataset(t=t, y=np.exp(-0.5 * t)) for t in (t1, t1, t2))
+        prob = MultiProblem(datasets=datasets, model=ExpDecayModel(n_terms=2))
+        assert [g.index for g in prob.groups] == [(0, 1), (2,)]
+        outcomes = set()
+        for delta in np.logspace(-14, -5, 46):
+            alpha = np.array([0.7, 0.7 + delta])
+            expected = raised(reference_eval, alpha, prob, "gl")
+            outcomes.add(expected is None)
+            for ev in (eval_gl, eval_km):
+                assert raised(ev, alpha, prob) == expected, delta
+        assert outcomes == {True, False}
 
 
 class TestMultiProblem:
@@ -190,20 +387,24 @@ class TestCrossFormulation:
             npt.assert_allclose(g_km, g_gl, rtol=1e-10, atol=1e-14)
 
     def test_jacobian_block_locality(self, rng):
-        prob, _ = make_exp_problem(rng, s=3)
-        alpha = np.array([0.8, 0.3])
-        base = eval_gl(alpha, prob)
-        # perturb dataset 1's observations; blocks 0 and 2 must be bitwise equal
-        datasets = list(prob.datasets)
-        ds = datasets[1]
-        datasets[1] = Dataset(t=ds.t, y=ds.y + 0.5, aux=ds.aux, id=ds.id)
-        pert = eval_gl(alpha, MultiProblem(datasets=tuple(datasets), model=prob.model))
-        sizes = base.block_sizes
-        bounds = np.concatenate([[0], np.cumsum(sizes)])
-        for k in (0, 2):
-            sel = slice(bounds[k], bounds[k + 1])
-            assert np.array_equal(base.jac[sel], pert.jac[sel])
-            assert np.array_equal(base.z[sel], pert.z[sel])
+        exp_prob, _ = make_exp_problem(rng, s=3)
+        # the second input batches dataset 1 with datasets 3, 5 and 7
+        inputs = ((exp_prob, np.array([0.8, 0.3])), (frame_problem(), np.array([1.1, 0.9])))
+        for prob, alpha in inputs:
+            base = eval_gl(alpha, prob)
+            # perturb dataset 1's observations; every other block must be bitwise equal
+            datasets = list(prob.datasets)
+            ds = datasets[1]
+            datasets[1] = Dataset(t=ds.t, y=ds.y + 0.5, aux=ds.aux, id=ds.id)
+            pert = eval_gl(alpha, MultiProblem(datasets=tuple(datasets), model=prob.model))
+            sizes = base.block_sizes
+            bounds = np.concatenate([[0], np.cumsum(sizes)])
+            for k in range(prob.s):
+                if k == 1:
+                    continue
+                sel = slice(bounds[k], bounds[k + 1])
+                assert np.array_equal(base.jac[sel], pert.jac[sel])
+                assert np.array_equal(base.z[sel], pert.z[sel])
 
     def test_ap13_derivative_identity(self):
         """d(Q2^T) Phi == -Q2^T dPhi, finite-differencing an explicitly formed

@@ -1,16 +1,20 @@
 """Command-line harness: generate problem bundles, run fits, sweep benchmarks.
 
 Bundle layout: a directory with ``manifest.json`` (schema version, model
-kind, sizes, truth block, per-dataset metadata) plus one CSV per dataset.
-All floats are written with 17 significant digits so regeneration with the
-same seed is byte-identical.
+kind, sizes, truth block, per-dataset metadata) plus one CSV per dataset with
+the columns ``synth.model_kind`` names, written and read with one numpy call
+per file.  Floats carry 17 significant digits, so regeneration with the same
+seed is byte-identical and loading returns the generated arrays bit for bit.
+A bundle that cannot be read as written is a usage error.
+
+Every ``bench`` CSV row (fit, failed cell, mean/std summary) is a record
+printed by ``_record_to_row``.
 """
 
 import argparse
-import concurrent.futures
 import csv
+import itertools
 import json
-import os
 import sys
 import traceback
 from pathlib import Path
@@ -18,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import stats, synth
-from .exceptions import SepvarError
+from .exceptions import InvalidInputError, SepvarError
 from .lm import LMConfig
 from .model import BeerAux, Dataset
 from .solver import METHODS, SolverConfig, fit
@@ -132,38 +136,24 @@ def spec_from_config(cfg):
     )
 
 
-def _dataset_csv_rows(ds, kind):
-    if kind == synth.KIND_BEER:
-        aux = ds.aux
-        p = aux.tau.shape[1]
-        header = ["t", "y", "i0"] + [f"tau_{l + 1}" for l in range(p)]
-        rows = (
-            [_fmt(ds.t[i]), _fmt(ds.y[i]), _fmt(aux.i0[i])]
-            + [_fmt(aux.tau[i, l]) for l in range(p)]
-            for i in range(ds.m)
-        )
-    else:
-        header = ["t", "y"]
-        rows = ([_fmt(ds.t[i]), _fmt(ds.y[i])] for i in range(ds.m))
-    return header, rows
-
-
 def write_bundle(out_dir, spec, problem):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _, names = synth.model_kind(spec.kind, spec.n, spec.p)
     entries = []
     for k, ds in enumerate(problem.datasets):
         fname = f"dataset_{k:03d}.csv"
-        header, rows = _dataset_csv_rows(ds, spec.kind)
-        with open(out / fname, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for row in rows:
-                w.writerow(row)
+        columns = [ds.t, ds.y]
         entry = {"id": ds.id, "file": fname, "m": ds.m}
         if spec.kind == synth.KIND_BEER:
+            columns += [ds.aux.i0, ds.aux.tau]
             entry["mu_sun"] = ds.aux.mu_sun
             entry["slit_halfwidth"] = ds.aux.slit_halfwidth
+        with open(out / fname, "w", newline="") as fh:
+            np.savetxt(
+                fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                header=",".join(names), comments="", newline="\r\n",
+            )
         entries.append(entry)
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -183,49 +173,62 @@ def write_bundle(out_dir, spec, problem):
     write_json(out / "manifest.json", manifest)
 
 
+def _load_dataset(path, entry, kind, names):
+    """One dataset from its CSV; the columns ``names`` are picked by header name."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as err:
+        raise UsageError(f"cannot read {path}: {err}") from err
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise UsageError(f"{path} has no column {', '.join(missing)}")
+    m = int(entry["m"])
+    if data.shape != (m, len(header)):
+        raise UsageError(
+            f"{path} has {data.shape[0]} row(s) of {data.shape[1]} value(s), "
+            f"expected {m} of {len(header)}"
+        )
+    t, y, *extra = data[:, [header.index(name) for name in names]].T.copy()
+    try:
+        aux = None
+        if kind == synth.KIND_BEER:
+            aux = BeerAux(
+                mu_sun=float(entry["mu_sun"]),
+                i0=extra[0],
+                tau=np.column_stack(extra[1:]),
+                slit_halfwidth=float(entry["slit_halfwidth"]),
+            )
+        return Dataset(t=t, y=y, aux=aux, id=entry["id"])
+    except InvalidInputError as err:
+        raise UsageError(f"{path}: {err}") from err
+
+
 def load_bundle(bundle_dir):
     bundle = Path(bundle_dir)
     manifest_path = bundle / "manifest.json"
     if not manifest_path.is_file():
         raise UsageError(f"no manifest.json in {bundle_dir}")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("schema_version") != SCHEMA_VERSION:
-        raise UsageError(
-            f"unsupported bundle schema version {manifest.get('schema_version')}"
-        )
-    kind = manifest["model"]
-    n, p = int(manifest["n"]), int(manifest["p"])
-    datasets = []
-    for entry in manifest["datasets"]:
-        with open(bundle / entry["file"], newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            cols = {name: [] for name in header}
-            for row in reader:
-                for name, val in zip(header, row):
-                    cols[name].append(float(val))
-        t = np.asarray(cols["t"])
-        y = np.asarray(cols["y"])
-        if kind == synth.KIND_BEER:
-            tau = np.column_stack([cols[f"tau_{l + 1}"] for l in range(p)])
-            aux = BeerAux(
-                mu_sun=float(entry["mu_sun"]),
-                i0=np.asarray(cols["i0"]),
-                tau=tau,
-                slit_halfwidth=float(entry["slit_halfwidth"]),
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        if not isinstance(manifest, dict):
+            raise UsageError(f"{manifest_path} does not hold a JSON object")
+        if manifest.get("schema_version") != SCHEMA_VERSION:
+            raise UsageError(
+                f"unsupported bundle schema version {manifest.get('schema_version')}"
             )
-            datasets.append(Dataset(t=t, y=y, aux=aux, id=entry["id"]))
-        else:
-            datasets.append(Dataset(t=t, y=y, id=entry["id"]))
-    if kind == synth.KIND_BEER:
-        from .model import BeerLawModel
-
-        model = BeerLawModel(n_linear=n, p_species=p)
-    else:
-        from .model import ExpDecayModel
-
-        model = ExpDecayModel(n_terms=n)
-    problem = MultiProblem(datasets=tuple(datasets), model=model)
+        kind = manifest["model"]
+        model, names = synth.model_kind(kind, int(manifest["n"]), int(manifest["p"]))
+        problem = MultiProblem(
+            datasets=tuple(
+                _load_dataset(bundle / entry["file"], entry, kind, names)
+                for entry in manifest["datasets"]
+            ),
+            model=model,
+        )
+    except (OSError, ValueError, KeyError, TypeError, InvalidInputError) as err:
+        raise UsageError(f"{manifest_path}: {type(err).__name__}: {err}") from err
     return problem, manifest
 
 
@@ -285,8 +288,7 @@ def _write_residuals_csv(path, problem, result):
         w = csv.writer(fh)
         w.writerow(["dataset", "t", "residual"])
         for ds, r in zip(problem.datasets, result.residuals):
-            for i in range(ds.m):
-                w.writerow([ds.id, _fmt(ds.t[i]), _fmt(r[i])])
+            w.writerows([ds.id, _fmt(t), _fmt(v)] for t, v in zip(ds.t, r))
 
 
 def cmd_fit(args):
@@ -331,20 +333,38 @@ def _cell_seed(base_seed, index):
     return int(np.random.SeedSequence([base_seed, index]).generate_state(1)[0])
 
 
-BENCH_COLUMNS = [
-    "method",
-    "s",
-    "snr",
-    "seed",
-    "alpha_hat",
-    "relative_errors",
-    "sigma",
-    "r_score",
-    "conf_bound_alpha",
-    "wall_time_s",
-    "n_iter",
-    "status",
-]
+def _join(vals):
+    return ";".join(_fmt(v) for v in np.atleast_1d(vals))
+
+
+def _text(value):
+    return value if isinstance(value, str) else _fmt(value)
+
+
+# bench CSV column -> how a record's value prints; a summary record holds the
+# stat name in "seed" and "status" and the mean or std in the fit columns
+BENCH_FORMAT = {
+    "method": str,
+    "s": str,
+    "snr": _text,
+    "seed": str,
+    "alpha_hat": _join,
+    "relative_errors": _join,
+    "sigma": _fmt,
+    "r_score": _fmt,
+    "conf_bound_alpha": _join,
+    "wall_time_s": _fmt,
+    "n_iter": _fmt,
+    "status": str,
+}
+BENCH_COLUMNS = list(BENCH_FORMAT)
+CELL_COLUMNS = ("method", "s", "snr", "seed")
+# the fit columns, with the values of a cell whose fit raised
+NO_FIT = {
+    "alpha_hat": [], "relative_errors": [], "sigma": float("nan"),
+    "r_score": float("nan"), "conf_bound_alpha": [], "wall_time_s": float("nan"),
+    "n_iter": 0,
+}
 
 
 def _bench_cell(cfg, method, s, snr, seed):
@@ -368,23 +388,7 @@ def _bench_cell(cfg, method, s, snr, seed):
 
 
 def _record_to_row(record):
-    def join(vals):
-        return ";".join(_fmt(v) for v in np.atleast_1d(vals))
-
-    return [
-        record["method"],
-        str(record["s"]),
-        _fmt(record["snr"]) if not isinstance(record["snr"], str) else record["snr"],
-        str(record["seed"]),
-        join(record["alpha_hat"]),
-        join(record.get("relative_errors", [])),
-        _fmt(record["sigma"]),
-        _fmt(record["r_score"]),
-        join(record["conf_bound_alpha"]),
-        _fmt(record["wall_time_s"]),
-        str(record["n_iter"]),
-        record["status"],
-    ]
+    return [fmt(record[column]) for column, fmt in BENCH_FORMAT.items()]
 
 
 def cmd_bench(args):
@@ -397,69 +401,43 @@ def cmd_bench(args):
     snr_values = [_parse_snr(v) for v in cfg.get("snr_values", ["inf"])]
     n_seeds = int(cfg.get("n_seeds", 1))
     base_seed = int(cfg.get("base_seed", 0))
-    threads = args.threads or int(os.environ.get("SEPVAR_THREADS", "1"))
 
-    cells = []
-    index = 0
-    for method in methods:
-        for s in s_values:
-            for snr in snr_values:
-                for _ in range(n_seeds):
-                    cells.append((method, s, snr, _cell_seed(base_seed, index)))
-                    index += 1
-
-    def run_cell(cell):
-        method, s, snr, seed = cell
+    records = []
+    grid = itertools.product(methods, s_values, snr_values, range(n_seeds))
+    for index, (method, s, snr, _) in enumerate(grid):
+        cell = (method, s, snr, _cell_seed(base_seed, index))
         try:
-            return _bench_cell(cfg, method, s, snr, seed)
+            records.append(_bench_cell(cfg, *cell))
         except SepvarError as err:
-            return {
-                "method": method, "s": s, "snr": snr, "seed": seed,
-                "alpha_hat": [], "relative_errors": [], "sigma": float("nan"),
-                "r_score": float("nan"), "conf_bound_alpha": [],
-                "wall_time_s": float("nan"), "n_iter": 0,
-                "status": f"error:{type(err).__name__}",
-            }
+            records.append(
+                dict(zip(CELL_COLUMNS, cell), **NO_FIT, status=f"error:{type(err).__name__}")
+            )
 
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run_cell, cells))
-    else:
-        records = [run_cell(c) for c in cells]
-
-    rows = [_record_to_row(r) for r in records]
-    rows += _summary_rows(records)
+    rows = [_record_to_row(r) for r in records + _summary_records(records)]
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(BENCH_COLUMNS)
-        for row in rows:
-            w.writerow(row)
+        w.writerows(rows)
     print(f"wrote {len(rows)} row(s) to {args.out}")
     return EXIT_OK
 
 
-def _summary_rows(records):
+def _summary_records(records):
+    """Mean and std of every fit column over the fitted cells of each
+    (method, s, snr) group."""
     groups = {}
     for r in records:
         if r["status"].startswith("error:"):
             continue
         groups.setdefault((r["method"], r["s"], float(r["snr"])), []).append(r)
-    rows = []
-    for (method, s, snr), recs in sorted(groups.items(), key=lambda kv: str(kv[0])):
+    summary = []
+    for key, recs in sorted(groups.items(), key=lambda kv: str(kv[0])):
         for stat, fn in (("mean", np.mean), ("std", np.std)):
-            rel = [np.atleast_1d(r.get("relative_errors", [np.nan])) for r in recs]
-            rows.append([
-                method, str(s), _fmt(snr), stat,
-                ";".join(_fmt(v) for v in fn([r["alpha_hat"] for r in recs], axis=0)),
-                ";".join(_fmt(v) for v in fn(rel, axis=0)) if rel else "",
-                _fmt(fn([r["sigma"] for r in recs])),
-                _fmt(fn([r["r_score"] for r in recs])),
-                ";".join(_fmt(v) for v in fn([r["conf_bound_alpha"] for r in recs], axis=0)),
-                _fmt(fn([r["wall_time_s"] for r in recs])),
-                _fmt(fn([r["n_iter"] for r in recs])),
-                stat,
-            ])
-    return rows
+            summary.append({
+                **dict(zip(CELL_COLUMNS, key)), "seed": stat, "status": stat,
+                **{c: fn([r[c] for r in recs], axis=0) for c in NO_FIT},
+            })
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +467,6 @@ def build_parser():
     b = sub.add_parser("bench", help="run a benchmark sweep")
     b.add_argument("--config", required=True, help="JSON sweep config")
     b.add_argument("--out", required=True, help="output CSV path")
-    b.add_argument("--threads", type=int, default=None)
     b.set_defaults(func=cmd_bench)
     return parser
 

@@ -31,7 +31,6 @@ class QRFactors:
     qr_raw: np.ndarray = field(repr=False)
     householder_tau: np.ndarray = field(repr=False)
     rank: int = 0
-    rank_tol: float = DEFAULT_RANK_TOL
 
     @property
     def m(self):
@@ -42,11 +41,11 @@ class QRFactors:
         return self.q1.shape[1]
 
 
-def thin_qr(phi, rank_tol=DEFAULT_RANK_TOL):
+def thin_qr(phi):
     """Householder QR with column pivoting; raises on rank deficiency.
 
     The numerical rank is the number of diagonal entries of R with
-    |r_ii| > rank_tol * |r_00|.  Anything short of full column rank raises
+    |r_ii| > DEFAULT_RANK_TOL * |r_00|.  Anything short of full column rank raises
     :class:`RankDeficiencyError` carrying the detected rank.
     """
     phi = np.asarray(phi, dtype=float)
@@ -64,7 +63,7 @@ def thin_qr(phi, rank_tol=DEFAULT_RANK_TOL):
     if diag[0] == 0.0:
         rank = 0
     else:
-        rank = int(np.count_nonzero(diag > rank_tol * diag[0]))
+        rank = int(np.count_nonzero(diag > DEFAULT_RANK_TOL * diag[0]))
     if rank < n:
         raise RankDeficiencyError(
             f"matrix of shape {phi.shape} has numerical rank {rank} < {n}",
@@ -80,7 +79,6 @@ def thin_qr(phi, rank_tol=DEFAULT_RANK_TOL):
         qr_raw=qr_raw,
         householder_tau=tau,
         rank=rank,
-        rank_tol=rank_tol,
     )
 
 

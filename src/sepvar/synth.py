@@ -21,6 +21,23 @@ RNG_ALGORITHM = "numpy-pcg64"
 KIND_EXP = "exp"
 KIND_BEER = "beer"
 
+# kind -> (model from its sizes (n, p), column names of one dataset's table)
+MODEL_KINDS = {
+    KIND_EXP: (lambda n, p: ExpDecayModel(n_terms=n), lambda p: ["t", "y"]),
+    KIND_BEER: (
+        lambda n, p: BeerLawModel(n_linear=n, p_species=p),
+        lambda p: ["t", "y", "i0"] + [f"tau_{l + 1}" for l in range(p)],
+    ),
+}
+
+
+def model_kind(kind, n, p):
+    """The model of one kind and the column names of its dataset tables."""
+    if kind not in MODEL_KINDS:
+        raise InvalidInputError(f"unknown model kind {kind!r}")
+    make_model, columns = MODEL_KINDS[kind]
+    return make_model(n, p), columns(p)
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -57,7 +74,7 @@ class TruthSpec:
             self, "beta_true", tuple(np.asarray(b, dtype=float) for b in self.beta_true)
         )
         object.__setattr__(self, "grids", tuple(self.grids))
-        if self.kind not in (KIND_EXP, KIND_BEER):
+        if self.kind not in MODEL_KINDS:
             raise InvalidInputError(f"unknown model kind {self.kind!r}")
         if len(self.beta_true) != len(self.grids) or not self.grids:
             raise InvalidInputError("need one beta vector and one grid per dataset")
@@ -141,7 +158,7 @@ def gen_spectra(spec):
     if spec.kind != KIND_BEER:
         raise InvalidInputError("gen_spectra requires a beer-kind TruthSpec")
     rng = np.random.default_rng(spec.seed)
-    model = BeerLawModel(n_linear=spec.n, p_species=spec.p)
+    model, _ = model_kind(spec.kind, spec.n, spec.p)
     pieces = []
     # all structural draws happen before any noise draw, so one seed yields
     # the same instrument setup at every SNR
@@ -173,7 +190,7 @@ def gen_exp_problem(spec):
     if spec.kind != KIND_EXP:
         raise InvalidInputError("gen_exp_problem requires an exp-kind TruthSpec")
     rng = np.random.default_rng(spec.seed)
-    model = ExpDecayModel(n_terms=spec.n)
+    model, _ = model_kind(spec.kind, spec.n, spec.p)
     pieces = []
     for k, (g, beta) in enumerate(zip(spec.grids, spec.beta_true)):
         t = np.linspace(g.lo, g.hi, g.length)

@@ -5,7 +5,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sepvar import cli
+from sepvar import cli, synth
+from sepvar.model import BeerAux, BeerLawModel, Dataset, ExpDecayModel
+from sepvar.vpcore import MultiProblem
 
 
 def write_config(path, cfg):
@@ -86,13 +88,23 @@ class TestGenerate:
         assert (a / "dataset_000.csv").read_bytes() != (b / "dataset_000.csv").read_bytes()
 
     def test_beer_bundle_roundtrip(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json", beer_config(snr=200.0))
+        cfg_dict = beer_config(snr=200.0)
+        cfg = write_config(tmp_path / "cfg.json", cfg_dict)
         out = tmp_path / "bundle"
         cli.main(["generate", "--config", cfg, "--out", str(out)])
         problem, manifest = cli.load_bundle(out)
         assert problem.s == 2
         assert manifest["model"] == "beer"
         assert problem.datasets[0].aux.tau.shape == (120, 2)
+        generated = synth.generate(cli.spec_from_config(cfg_dict))
+        for want, got in zip(generated.datasets, problem.datasets):
+            for name in ("t", "y"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            for name in ("i0", "tau"):
+                assert getattr(got.aux, name).tobytes() == getattr(want.aux, name).tobytes()
+            assert got.aux.mu_sun == want.aux.mu_sun
+            assert got.aux.slit_halfwidth == want.aux.slit_halfwidth
+            assert got.id == want.id
 
     def test_missing_config_is_usage_error(self, tmp_path):
         rc = cli.main(
@@ -100,6 +112,157 @@ class TestGenerate:
              "--out", str(tmp_path / "o")]
         )
         assert rc == 2
+
+
+def _replace_line(name, index, text):
+    def edit(bundle):
+        path = bundle / name
+        lines = path.read_text().splitlines()
+        lines[index] = text
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    return edit
+
+
+def _drop_tau_2(bundle):
+    path = bundle / "dataset_000.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    path.write_text("".join(",".join(row[:-1]) + "\n" for row in rows))
+    return path
+
+
+def _drop_last_row(bundle):
+    path = bundle / "dataset_001.csv"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    return path
+
+
+def _edit_manifest(bundle, **changes):
+    path = bundle / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
+    return path
+
+
+MALFORMED = {
+    "missing-column": _drop_tau_2,
+    "ragged-row": _replace_line("dataset_000.csv", 5, "1,2,3"),
+    "non-numeric-row": _replace_line("dataset_001.csv", 2, "1,x,1,0,0"),
+    "row-count": _drop_last_row,
+    "unreadable-manifest": _replace_line("manifest.json", 0, "{not json"),
+    "manifest-not-object": _replace_line("manifest.json", 0, "[]"),
+    "unknown-model-kind": lambda b: _edit_manifest(b, model="bogus"),
+}
+
+
+class TestMalformedBundle:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_usage_error_names_file(self, tmp_path, capsys, case):
+        cfg = write_config(tmp_path / "cfg.json", beer_config(length=20))
+        bundle = tmp_path / "bundle"
+        assert cli.main(["generate", "--config", cfg, "--out", str(bundle)]) == 0
+        broken = MALFORMED[case](bundle)
+        capsys.readouterr()
+        rc = cli.main(
+            ["fit", str(bundle), "--method", "vp-gl", "--out", str(tmp_path / "o.json")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(broken) in err
+
+
+class TestFormats:
+    """Output bytes pinned to literals; inputs are literals too, not fits."""
+
+    def _dataset_000(self, tmp_path, spec, problem):
+        cli.write_bundle(tmp_path, spec, problem)
+        return (tmp_path / "dataset_000.csv").read_bytes()
+
+    def test_exp_dataset_csv_bytes(self, tmp_path):
+        t = np.array([0.0, 0.5, 1.25])
+        y = np.array([1.0, 0.1, -2.5e-7])
+        spec = synth.TruthSpec(
+            kind="exp", alpha_true=[1.2, 0.25], beta_true=(np.array([1.0, 0.8]),) * 2,
+            grids=(synth.GridSpec(3, 0.0, 1.25),) * 2, snr=100.0, seed=7,
+        )
+        problem = MultiProblem(
+            datasets=(Dataset(t=t, y=y, id="ds000"), Dataset(t=t, y=y, id="ds001")),
+            model=ExpDecayModel(n_terms=2),
+        )
+        assert self._dataset_000(tmp_path, spec, problem) == (
+            b"t,y\r\n0,1\r\n0.5,0.10000000000000001\r\n1.25,-2.4999999999999999e-07\r\n"
+        )
+
+    def test_beer_dataset_csv_bytes(self, tmp_path):
+        aux = BeerAux(
+            mu_sun=0.75, i0=np.array([1.0, 1.2, 0.9]),
+            tau=np.array([[0.0, 0.3], [1.5, 1e-3], [2.0 / 3.0, 0.1]]), slit_halfwidth=0.5,
+        )
+        ds = Dataset(
+            t=np.array([6180.0, 6180.1, 6180.2]), y=np.array([0.3, 1.0 / 3.0, 0.25]),
+            aux=aux, id="ds000",
+        )
+        spec = synth.TruthSpec(
+            kind="beer", alpha_true=[1.0, 1.0], beta_true=(np.array([1.0]),),
+            grids=(synth.GridSpec(3, 6180.0, 6180.2),), seed=3,
+        )
+        problem = MultiProblem(datasets=(ds,), model=BeerLawModel(n_linear=1, p_species=2))
+        assert self._dataset_000(tmp_path, spec, problem) == (
+            b"t,y,i0,tau_1,tau_2\r\n"
+            b"6180,0.29999999999999999,1,0,0.29999999999999999\r\n"
+            b"6180.1000000000004,0.33333333333333331,1.2,1.5,0.001\r\n"
+            b"6180.1999999999998,0.25,0.90000000000000002,0.66666666666666663,"
+            b"0.10000000000000001\r\n"
+        )
+
+    RECORDS = [
+        {"method": "vp-gl", "s": 2, "snr": 100.0, "seed": 11,
+         "alpha_hat": np.array([1.25, 0.2]), "relative_errors": np.array([-0.1, 0.2]),
+         "sigma": 0.01, "r_score": 0.999, "conf_bound_alpha": np.array([0.1, 0.03]),
+         "wall_time_s": 0.004, "n_iter": 4, "status": "converged-ftol"},
+        {"method": "vp-gl", "s": 2, "snr": 100.0, "seed": 12,
+         "alpha_hat": np.array([1.0, 0.3]), "relative_errors": np.array([0.3, -0.05]),
+         "sigma": 0.02, "r_score": 0.998, "conf_bound_alpha": np.array([0.2, 0.05]),
+         "wall_time_s": 0.006, "n_iter": 7, "status": "converged-xtol"},
+    ]
+
+    def test_bench_rows(self):
+        rows = [cli._record_to_row(r) for r in self.RECORDS]
+        rows += [cli._record_to_row(r) for r in cli._summary_records(self.RECORDS)]
+        assert rows == [
+            ["vp-gl", "2", "100", "11", "1.25;0.20000000000000001",
+             "-0.10000000000000001;0.20000000000000001", "0.01", "0.999",
+             "0.10000000000000001;0.029999999999999999", "0.0040000000000000001", "4",
+             "converged-ftol"],
+            ["vp-gl", "2", "100", "12", "1;0.29999999999999999",
+             "0.29999999999999999;-0.050000000000000003", "0.02", "0.998",
+             "0.20000000000000001;0.050000000000000003", "0.0060000000000000001", "7",
+             "converged-xtol"],
+            ["vp-gl", "2", "100", "mean", "1.125;0.25",
+             "0.099999999999999992;0.075000000000000011", "0.014999999999999999",
+             "0.99849999999999994", "0.15000000000000002;0.040000000000000001",
+             "0.0050000000000000001", "5.5", "mean"],
+            ["vp-gl", "2", "100", "std", "0.125;0.049999999999999989",
+             "0.20000000000000001;0.125", "0.0050000000000000001", "0.00050000000000000044",
+             "0.050000000000000003;0.010000000000000002", "0.001", "1.5", "std"],
+        ]
+
+    def test_bench_error_rows(self, tmp_path):
+        """Cells whose fit raises print empty fit columns and no summary."""
+        cfg = write_config(
+            tmp_path / "bench.json",
+            {"methods": ["vp-gl"], "s_values": [2], "snr_values": [100], "n_seeds": 2,
+             "base_seed": 1, "alpha0": [0.5, 0.5], "problem": exp_config(s=2)},
+        )
+        out = tmp_path / "bench.csv"
+        assert cli.main(["bench", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"method,s,snr,seed,alpha_hat,relative_errors,sigma,r_score,"
+            b"conf_bound_alpha,wall_time_s,n_iter,status\r\n"
+            b"vp-gl,2,100,1835504127,,,nan,nan,,nan,0,error:RankDeficiencyError\r\n"
+            b"vp-gl,2,100,1189033389,,,nan,nan,,nan,0,error:RankDeficiencyError\r\n"
+        )
 
 
 class TestFit:
@@ -203,7 +366,7 @@ class TestBench:
         c = cli._cell_seed(42, 4)
         assert a == b != c
 
-    def test_threads_give_same_rows(self, tmp_path):
+    def test_repeat_runs_give_same_rows(self, tmp_path):
         cfg_dict = {
             "methods": ["vp-gl"],
             "s_values": [2],
@@ -215,8 +378,8 @@ class TestBench:
         }
         cfg = write_config(tmp_path / "bench.json", cfg_dict)
         out1, out2 = tmp_path / "b1.csv", tmp_path / "b2.csv"
-        cli.main(["bench", "--config", cfg, "--out", str(out1), "--threads", "1"])
-        cli.main(["bench", "--config", cfg, "--out", str(out2), "--threads", "3"])
+        cli.main(["bench", "--config", cfg, "--out", str(out1)])
+        cli.main(["bench", "--config", cfg, "--out", str(out2)])
 
         def strip_times(text):
             rows = [line.split(",") for line in text.strip().splitlines()]

@@ -2,10 +2,11 @@
 
 Bundle layout: a directory with ``manifest.json`` (schema version, model
 kind, sizes, truth block, per-dataset metadata) plus one CSV per dataset with
-the columns ``synth.model_kind`` names, written and read with one numpy call
-per file.  Floats carry 17 significant digits, so regeneration with the same
-seed is byte-identical and loading returns the generated arrays bit for bit.
-A bundle that cannot be read as written is a usage error.
+the columns ``synth.model_kind`` names, written with one ``%`` format of the
+whole table and read with one ``np.loadtxt`` per file.  Floats carry 17
+significant digits, so regeneration with the same seed is byte-identical and
+loading returns the generated arrays bit for bit.  A bundle that cannot be
+read as written is a usage error; a bad value is named by its file line.
 
 Every ``bench`` CSV row (fit, failed cell, mean/std summary) is a record
 printed by ``_record_to_row``.
@@ -13,6 +14,7 @@ printed by ``_record_to_row``.
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import sys
@@ -149,11 +151,11 @@ def write_bundle(out_dir, spec, problem):
             columns += [ds.aux.i0, ds.aux.tau]
             entry["mu_sun"] = ds.aux.mu_sun
             entry["slit_halfwidth"] = ds.aux.slit_halfwidth
+        table = np.column_stack(columns)
+        row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
         with open(out / fname, "w", newline="") as fh:
-            np.savetxt(
-                fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
-                header=",".join(names), comments="", newline="\r\n",
-            )
+            fh.write(",".join(names) + "\r\n")
+            fh.write((row_fmt * table.shape[0]) % tuple(table.ravel().tolist()))
         entries.append(entry)
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -173,14 +175,39 @@ def write_bundle(out_dir, spec, problem):
     write_json(out / "manifest.json", manifest)
 
 
+def _bad_line(body, width):
+    """Where the data rows after the header line stop being ``width``
+    numbers, named by file line; None if they never do."""
+    for lineno, line in enumerate(body.splitlines(), start=2):
+        if not line.strip():
+            continue
+        values = line.split(",")
+        if len(values) != width:
+            return f"line {lineno} has {len(values)} value(s), expected {width}"
+        for v in values:
+            try:
+                float(v)
+            except ValueError:
+                return f"line {lineno}: {v.strip()!r} is not a number"
+    return None
+
+
 def _load_dataset(path, entry, kind, names):
     """One dataset from its CSV; the columns ``names`` are picked by header name."""
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            body = fh.read()
     except (OSError, ValueError) as err:
         raise UsageError(f"cannot read {path}: {err}") from err
+    if not body.strip():
+        data = np.empty((0, len(header)))
+    else:
+        try:
+            data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+        except ValueError as err:
+            reason = _bad_line(body, len(header)) or err
+            raise UsageError(f"cannot read {path}: {reason}") from err
     missing = [name for name in names if name not in header]
     if missing:
         raise UsageError(f"{path} has no column {', '.join(missing)}")

@@ -53,6 +53,9 @@ class FitResult:
     wall_time: float
     method: str
     diagnostics: Optional[object] = None
+    # the eval_gl evaluation at alpha_hat when the fit holds one (vp-gl and
+    # nls-full); diagnostics read the reduced Jacobian and bases from it
+    gl_eval: Optional[object] = field(default=None, repr=False)
 
     @property
     def cost(self):
@@ -121,6 +124,7 @@ class _CachedReduced:
         else:
             base = _VP_EVALS[method]
             self._eval = lambda a: base(a, problem)
+        self.method = method
         self._latest = (None, None)
         self._iterate = (None, None)
 
@@ -185,4 +189,5 @@ def fit(problem, cfg, alpha0):
         lm_report=report,
         wall_time=wall,
         method=cfg.method,
+        gl_eval=cache.at(alpha_hat) if cache.method == METHOD_VP_GL else None,
     )

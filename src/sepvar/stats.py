@@ -1,31 +1,95 @@
 """Post-fit diagnostics: regression sigma, R-score, covariance, confidence bounds.
 
-The covariance uses the mixed Jacobian H = [dz/dalpha, G] where the first
-block is the full (exact) reduced Jacobian at the solution and G is the
-block-diagonal linear-parameter Jacobian.  The full-form block is used
-regardless of which reduction solved the problem, so the statistics path does
-not inherit the one-term Jacobian approximation.
+The covariance is sigma^2 (H^T H)^-1 for the mixed Jacobian
+H = [J | blockdiag(phi_1, ..., phi_s)].  J is the full (exact) reduced
+Jacobian of ``eval_gl`` at the solution, whichever reduction solved the
+problem, so the statistics do not inherit the one-term Jacobian
+approximation; phi_k is the basis matrix of dataset k.
+
+H^T H is block-arrow.  With J_k the rows of J that belong to dataset k, its
+blocks are A = J^T J (p x p), B_k = J_k^T phi_k (p x n) and
+D_k = phi_k^T phi_k (n x n), and beta_k touches only B_k and D_k.  With
+F_k = B_k D_k^-1 and the p x p Schur complement S = A - sum_k F_k B_k^T,
+
+    (H^T H)^-1 = blockdiag(0, D_1^-1, ..., D_s^-1) + W^T S^-1 W,
+    W = [I, -F_1, ..., -F_s].
+
+``compute_diagnostics`` keeps S^-1, the D_k^-1 and the F_k (O(s n^2) memory,
+O(M (n + p)^2) time) and reads the variances off them: sigma^2 diag(S^-1)
+for alpha and sigma^2 diag(D_k^-1 + F_k^T S^-1 F_k) for beta_k.  The dense
+covariance is built only when ``Diagnostics.covariance`` is first read.
+H^T H is positive definite exactly when every D_k and S are, so a Cholesky
+factorization checks each of them; one that fails raises a RuntimeWarning
+and its pseudo-inverse takes the place of its inverse.
+
+The reduced Jacobian and bases come from the ``eval_gl`` evaluation at
+alpha_hat that a ``vp-gl`` or ``nls-full`` fit carries
+(``FitResult.gl_eval``); only other fits evaluate again.  ``build_H`` and
+``covariance`` are the dense reference of the same quantities.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sl
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .exceptions import InvalidInputError
 from .vpcore import build_block_diag, eval_gl
+
+_RANK_WARNING = "H^T H is numerically rank deficient; covariance uses a pseudo-inverse"
+
+
+@dataclass(frozen=True)
+class ArrowInverse:
+    """(H^T H)^-1 of a block-arrow Gram matrix, kept as its blocks.
+
+    ``s_inv`` is S^-1 (p x p); ``d_inv`` stacks the D_k^-1 (s x n x n) and
+    ``f`` the F_k = B_k D_k^-1 (s x p x n), in dataset order.
+    """
+
+    s_inv: np.ndarray
+    d_inv: np.ndarray
+    f: np.ndarray
+    rank_warning: bool = False
+
+    def diagonal(self):
+        """diag((H^T H)^-1): alpha first, then beta_1, ..., beta_s."""
+        beta = np.diagonal(self.d_inv, axis1=1, axis2=2) + np.sum(
+            (self.s_inv @ self.f) * self.f, axis=1
+        )
+        return np.concatenate([np.diag(self.s_inv), beta.ravel()])
+
+    def dense(self):
+        """blockdiag(0, D_1^-1, ..., D_s^-1) + W^T S^-1 W as one matrix."""
+        s, p, n = self.f.shape
+        w = np.hstack([np.eye(p), -self.f.transpose(1, 0, 2).reshape(p, s * n)])
+        inv = w.T @ self.s_inv @ w
+        for k in range(s):
+            block = slice(p + k * n, p + (k + 1) * n)
+            inv[block, block] += self.d_inv[k]
+        return inv
 
 
 @dataclass
 class Diagnostics:
     sigma: float
     r_score: float
-    covariance: np.ndarray
     conf_bounds: np.ndarray
     dof: int
-    rank_warning: bool = False
+    gram_inverse: ArrowInverse = field(repr=False)
+
+    @property
+    def rank_warning(self):
+        return self.gram_inverse.rank_warning
+
+    @cached_property
+    def covariance(self):
+        """sigma^2 (H^T H)^-1, alpha first; built on first read."""
+        C = self.sigma**2 * self.gram_inverse.dense()
+        return 0.5 * (C + C.T)
 
 
 def sigma_of_regression(residual, m_total, n, s, p):
@@ -55,7 +119,7 @@ def r_score(y_all, yhat_all):
 
 
 def build_H(result, problem):
-    """Mixed parameter Jacobian [dz/dalpha | G] at the fitted solution."""
+    """Mixed parameter Jacobian [dz/dalpha | G] at the fitted solution, dense."""
     alpha_hat = np.asarray(result.alpha_hat, dtype=float)
     if problem.p > 0:
         red = eval_gl(alpha_hat, problem)
@@ -69,8 +133,8 @@ def build_H(result, problem):
 
 
 def covariance(H, sigma):
-    """sigma^2 (H^T H)^(-1); falls back to a pseudo-inverse with a warning
-    when the Gram matrix is numerically singular."""
+    """sigma^2 (H^T H)^(-1) of a dense H; falls back to a pseudo-inverse with
+    a warning when the Gram matrix is numerically singular."""
     H = np.asarray(H, dtype=float)
     if not np.all(np.isfinite(H)) or not np.isfinite(sigma):
         raise InvalidInputError("non-finite inputs to covariance")
@@ -81,15 +145,78 @@ def covariance(H, sigma):
         inv = sl.cho_solve((c, low), np.eye(gram.shape[0]))
     except sl.LinAlgError:
         rank_warning = True
-        warnings.warn(
-            "H^T H is numerically rank deficient; covariance uses a pseudo-inverse",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn(_RANK_WARNING, RuntimeWarning, stacklevel=2)
         inv = np.linalg.pinv(gram)
     C = sigma**2 * inv
     C = 0.5 * (C + C.T)
     return C, rank_warning
+
+
+def _dataset_grams(jac, bases, problem):
+    """X_k^T X_k for X_k = [J_k | phi_k], stacked s x (p + n) x (p + n).
+
+    jac is the stacked reduced Jacobian (M x p), bases the per-dataset
+    BasisEval records; datasets with equal row counts are multiplied as
+    one batch.
+    """
+    p, n = problem.p, problem.n
+    sizes = [ds.m for ds in problem.datasets]
+    starts = np.cumsum([0] + sizes[:-1])
+    batches = {}
+    for k, m in enumerate(sizes):
+        batches.setdefault(m, []).append(k)
+    grams = np.empty((problem.s, p + n, p + n))
+    for m, index in batches.items():
+        x = np.empty((len(index), m, p + n))
+        for i, k in enumerate(index):
+            x[i, :, :p] = jac[starts[k] : starts[k] + m]
+            x[i, :, p:] = bases[k].phi
+        grams[index] = x.transpose(0, 2, 1) @ x
+    return grams
+
+
+def _spd_inverse(a):
+    """Inverse of a symmetric positive definite matrix, or of each in a
+    stack, by Cholesky factorization; None if one is not positive definite."""
+    try:
+        l_inv = np.linalg.inv(np.linalg.cholesky(a))
+    except np.linalg.LinAlgError:
+        return None
+    return np.swapaxes(l_inv, -1, -2) @ l_inv
+
+
+def arrow_inverse(grams, p):
+    """Blocks of (H^T H)^-1, where H^T H is the sum of the per-dataset Grams
+    ``grams`` (s x (p + n) x (p + n)) with each dataset's last n rows and
+    columns kept apart.
+
+    D_k and S are checked by Cholesky factorization; if one is not positive
+    definite, a RuntimeWarning is raised and pseudo-inverses are used.
+    """
+    b = grams[:, :p, p:]
+    d = grams[:, p:, p:]
+    d_inv = _spd_inverse(d)
+    rank_warning = d_inv is None
+    if rank_warning:
+        d_inv = np.linalg.pinv(d, hermitian=True)
+    f = b @ d_inv
+    schur = grams[:, :p, :p].sum(axis=0) - (f @ b.transpose(0, 2, 1)).sum(axis=0)
+    s_inv = _spd_inverse(schur)
+    if s_inv is None:
+        rank_warning = True
+        s_inv = np.linalg.pinv(schur, hermitian=True)
+    if rank_warning:
+        warnings.warn(_RANK_WARNING, RuntimeWarning, stacklevel=2)
+    return ArrowInverse(s_inv=s_inv, d_inv=d_inv, f=f, rank_warning=rank_warning)
+
+
+def _half_widths(variances, level):
+    if not np.all(np.isfinite(variances)):
+        raise InvalidInputError("covariance contains non-finite entries")
+    if not (0.0 < level < 1.0):
+        raise InvalidInputError(f"confidence level must be in (0, 1), got {level}")
+    q = ndtri(0.5 + level / 2.0)  # the standard normal quantile
+    return q * np.sqrt(np.clip(variances, 0.0, None))
 
 
 def confidence_bounds(C, level=0.95):
@@ -97,10 +224,7 @@ def confidence_bounds(C, level=0.95):
     C = np.asarray(C, dtype=float)
     if not np.all(np.isfinite(C)):
         raise InvalidInputError("covariance contains non-finite entries")
-    if not (0.0 < level < 1.0):
-        raise InvalidInputError(f"confidence level must be in (0, 1), got {level}")
-    q = norm.ppf(0.5 + level / 2.0)
-    return q * np.sqrt(np.clip(np.diag(C), 0.0, None))
+    return _half_widths(np.diag(C), level)
 
 
 def relative_error(alpha_true, alpha_fit):
@@ -115,21 +239,25 @@ def relative_error(alpha_true, alpha_fit):
 
 
 def compute_diagnostics(result, problem, level=0.95):
-    """Assemble the full diagnostics record for a converged fit."""
+    """Assemble the diagnostics record for a converged fit from the blocks of
+    (H^T H)^-1; the dense H and covariance are never formed here."""
     residual = np.concatenate(result.residuals)
     s, n, p = problem.s, problem.n, problem.p
     sigma = sigma_of_regression(residual, problem.m_total, n, s, p)
     y_all = np.concatenate([ds.y for ds in problem.datasets])
     yhat_all = y_all - residual
     score = r_score(y_all, yhat_all)
-    H = build_H(result, problem)
-    C, rank_warning = covariance(H, sigma)
-    bounds = confidence_bounds(C, level=level)
+    red = result.gl_eval
+    if red is None:
+        red = eval_gl(np.asarray(result.alpha_hat, dtype=float), problem)
+    grams = _dataset_grams(red.jac, red.bases, problem)
+    if not np.all(np.isfinite(grams)) or not np.isfinite(sigma):
+        raise InvalidInputError("non-finite inputs to covariance")
+    inverse = arrow_inverse(grams, p)
     return Diagnostics(
         sigma=sigma,
         r_score=score,
-        covariance=C,
-        conf_bounds=bounds,
+        conf_bounds=_half_widths(sigma**2 * inverse.diagonal(), level),
         dof=problem.m_total - s * n - p,
-        rank_warning=rank_warning,
+        gram_inverse=inverse,
     )

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,12 @@ def _drop_last_row(bundle):
     return path
 
 
+def _keep_header(bundle):
+    path = bundle / "dataset_000.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    return path
+
+
 def _edit_manifest(bundle, **changes):
     path = bundle / "manifest.json"
     path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
@@ -152,6 +159,14 @@ MALFORMED = {
     "unreadable-manifest": _replace_line("manifest.json", 0, "{not json"),
     "manifest-not-object": _replace_line("manifest.json", 0, "[]"),
     "unknown-model-kind": lambda b: _edit_manifest(b, model="bogus"),
+    "header-only": _keep_header,
+}
+
+# what the message must say besides the file name: the file line of the bad
+# value (the header is line 1), and the value count of the header
+MALFORMED_TEXT = {
+    "non-numeric-row": "line 3: 'x' is not a number",
+    "header-only": "has 0 row(s) of 5 value(s), expected 20 of 5",
 }
 
 
@@ -163,13 +178,17 @@ class TestMalformedBundle:
         assert cli.main(["generate", "--config", cfg, "--out", str(bundle)]) == 0
         broken = MALFORMED[case](bundle)
         capsys.readouterr()
-        rc = cli.main(
-            ["fit", str(bundle), "--method", "vp-gl", "--out", str(tmp_path / "o.json")]
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(
+                ["fit", str(bundle), "--method", "vp-gl", "--out", str(tmp_path / "o.json")]
+            )
         assert rc == 2
+        assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert str(broken) in err
+        assert MALFORMED_TEXT.get(case, "") in err
 
 
 class TestFormats:

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import sepvar as sv
+from sepvar import stats
 from sepvar.exceptions import InvalidInputError
 from sepvar.solver import SolverConfig, fit
 from sepvar.stats import (
+    arrow_inverse,
     build_H,
     compute_diagnostics,
     confidence_bounds,
@@ -229,3 +233,105 @@ class TestComputeDiagnostics:
             res = fit(prob, SolverConfig(), np.array([1.4, 0.3]))
             widths.append(compute_diagnostics(res, prob).conf_bounds[0])
         assert widths[1] < 0.05 * widths[0]
+
+
+def small_frame_problem(soundings, seed=41):
+    """Beer-law frame layout (two bands per sounding) on short grids."""
+    grids = sv.frame_grids(n_soundings=soundings, strong_length=160, weak_length=130)
+    beta = tuple(np.array([1.0, 0.1, -0.05]) for _ in grids)
+    spec = sv.TruthSpec(kind="beer", alpha_true=[1.0, 1.0], beta_true=beta,
+                        grids=grids, snr=200.0, seed=seed)
+    return sv.generate(spec)
+
+
+def assert_matches_dense(d, res, prob, rtol):
+    """Covariance entries relative to the root of their two variances, and
+    bounds relative to themselves, against the dense reference."""
+    C_ref, warn = covariance(build_H(res, prob), d.sigma)
+    assert warn == d.rank_warning
+    scale = np.sqrt(np.outer(np.diag(C_ref), np.diag(C_ref)))
+    assert np.max(np.abs(d.covariance - C_ref) / scale) <= rtol
+    npt.assert_allclose(d.conf_bounds, confidence_bounds(C_ref), rtol=rtol)
+
+
+class TestBlockArrowDiagnostics:
+    """The Schur-complement path against the dense H reference."""
+
+    @pytest.mark.parametrize("method", sv.METHODS)
+    def test_exp_matches_dense(self, rng, method):
+        prob, spec = make_exp_problem(rng, s=3, snr=50.0, seed=42)
+        res = fit(prob, SolverConfig(method=method), np.asarray(spec.alpha_true) * 1.1)
+        assert_matches_dense(compute_diagnostics(res, prob), res, prob, rtol=1e-10)
+
+    @pytest.mark.parametrize("method", sv.METHODS)
+    def test_beer_frame_matches_dense(self, method):
+        prob = small_frame_problem(soundings=2)
+        res = fit(prob, SolverConfig(method=method), np.array([1.1, 0.9]))
+        assert_matches_dense(compute_diagnostics(res, prob), res, prob, rtol=1e-10)
+
+    def test_kernel_matches_dense_inverse(self, rng):
+        s, m, n, p = 4, 9, 2, 3
+        jac = rng.normal(size=(s * m, p))
+        phis = [rng.normal(size=(m, n)) for _ in range(s)]
+        grams = np.stack([
+            np.hstack([jac[k * m:(k + 1) * m], phis[k]]).T
+            @ np.hstack([jac[k * m:(k + 1) * m], phis[k]])
+            for k in range(s)
+        ])
+        H = np.zeros((s * m, p + s * n))
+        H[:, :p] = jac
+        for k in range(s):
+            H[k * m:(k + 1) * m, p + k * n:p + (k + 1) * n] = phis[k]
+        inv = arrow_inverse(grams, p)
+        ref = np.linalg.inv(H.T @ H)
+        npt.assert_allclose(inv.dense(), ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max())
+        npt.assert_allclose(inv.diagonal(), np.diag(inv.dense()), rtol=1e-12)
+        assert not inv.rank_warning
+
+    @pytest.mark.parametrize("equal", ["alpha-columns", "basis-columns"])
+    def test_singular_block_warns(self, rng, equal):
+        """Two equal alpha columns of J make S singular while every D_k is
+        fine; two equal basis columns make D_k singular.  The Cholesky
+        checks on S and D_k catch either."""
+        s, m, n, p = 3, 10, 2, 2
+        grams = []
+        for _ in range(s):
+            x = rng.normal(size=(m, p + n))
+            if equal == "alpha-columns":
+                x[:, 1] = x[:, 0]
+            else:
+                x[:, p + 1] = x[:, p]
+            grams.append(x.T @ x)
+        with pytest.warns(RuntimeWarning, match="rank deficient"):
+            inv = arrow_inverse(np.stack(grams), p)
+        assert inv.rank_warning
+        assert np.all(np.isfinite(inv.diagonal()))
+        assert np.all(np.isfinite(inv.dense()))
+
+    @pytest.mark.parametrize(
+        "method, evals",
+        [("vp-gl", 0), ("nls-full", 0), ("vp-km", 1), ("vp-naive", 1)],
+    )
+    def test_reuses_fit_evaluation(self, rng, monkeypatch, method, evals):
+        prob, spec = make_exp_problem(rng, s=2, snr=50.0, seed=43)
+        res = fit(prob, SolverConfig(method=method), np.asarray(spec.alpha_true) * 1.1)
+        calls = []
+        inner = stats.eval_gl
+        monkeypatch.setattr(stats, "eval_gl", lambda *a: calls.append(a) or inner(*a))
+        d = compute_diagnostics(res, prob)
+        assert len(calls) == evals
+        assert_matches_dense(d, res, prob, rtol=1e-10)
+
+    @pytest.mark.parametrize("method", ["vp-gl", "vp-km"])
+    def test_memory_linear_in_datasets(self, method):
+        peaks = {}
+        for s in (32, 128):
+            prob = small_frame_problem(soundings=s // 2)
+            res = fit(prob, SolverConfig(method=method), np.array([1.1, 0.9]))
+            tracemalloc.start()
+            try:
+                compute_diagnostics(res, prob)
+                peaks[s] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[128] / peaks[32] < 6.0

@@ -15,6 +15,7 @@ import scipy.linalg as sl
 from .exceptions import EvaluationError, InvalidInputError
 
 LAMBDA_LIMIT = 1e12
+EPS = np.finfo(float).eps
 
 STATUS_FTOL = "converged-ftol"
 STATUS_XTOL = "converged-xtol"
@@ -61,7 +62,14 @@ def _checked(fn, x, what):
 
 
 def _damped_step(J, r, lam):
-    """Solve the damped least-squares subproblem; None signals a singular system."""
+    """Solve the damped least-squares subproblem.
+
+    Returns the step and the cost decrease the linear model predicts for it,
+    or None for a singular system.  With (J^T J + lam D^2) d = -J^T r the
+    prediction 0.5||J d||^2 + lam ||D d||^2 equals
+    0.5||Q^T b||^2 + 0.5 lam ||D d||^2, a sum of squares that the QR already
+    holds, so it is free of cancellation.
+    """
     d = np.sqrt(np.sum(J * J, axis=0))
     scale = np.max(d) if d.size else 0.0
     if scale == 0.0:
@@ -77,18 +85,31 @@ def _damped_step(J, r, lam):
     diag = np.abs(np.diag(rr))
     if diag.min() <= 1e-14 * diag.max():
         return None
-    step = sl.solve_triangular(rr, q.T @ b)
+    qtb = q.T @ b
+    step = sl.solve_triangular(rr, qtb)
     if not np.all(np.isfinite(step)):
         return None
-    return step
+    ds = d * step
+    return step, 0.5 * float(qtb @ qtb + lam * (ds @ ds))
 
 
 def lm_solve(residual_fn, jacobian_fn, x0, cfg=None):
     """Levenberg-Marquardt iteration with accepted-step monotone cost history.
 
-    Termination: relative cost decrease below ftol, step norm below
-    xtol*(xtol+||x||), max-norm of the gradient below gtol, iteration budget,
-    or a singular damped system that survives escalation past 1e12.
+    Termination:
+
+    * ``converged-ftol``: an accepted step decreased the cost by at most
+      ftol*cost; or the damped model predicts a decrease of at most
+      eps*cost (eps the machine epsilon), too small to resolve, so the
+      trial is not evaluated; or a rejected trial raised the cost by at
+      most ftol*cost while its predicted decrease was at most ftol*cost
+      (MINPACK's test, More 1978); or damping escalated past 1e12 without an
+      acceptable step (stagnation).
+    * ``converged-xtol``: step norm below xtol*(xtol+||x||).
+    * ``converged-gtol``: max-norm of the gradient below gtol.
+    * ``max-iter``: the iteration budget ran out.
+    * ``failed-linear-solve``: a singular damped system survived escalation
+      past 1e12.
     """
     cfg = cfg or LMConfig()
     x = np.asarray(x0, dtype=float).copy()
@@ -114,13 +135,18 @@ def lm_solve(residual_fn, jacobian_fn, x0, cfg=None):
     n_iter = 0
     while n_iter < cfg.max_iter:
         n_iter += 1
-        step = _damped_step(J, r, lam)
-        if step is None:
+        solved = _damped_step(J, r, lam)
+        if solved is None:
             lam = max(lam, 1e-12) * cfg.lambda_up
             if lam > LAMBDA_LIMIT:
                 status = STATUS_LINEAR_FAIL
                 break
             continue
+        step, predicted = solved
+        if predicted <= EPS * cost:
+            # no decrease the trial could show is above round-off
+            status = STATUS_FTOL
+            break
 
         x_new = x + step
         r_new = _checked(residual_fn, x_new, "residual")
@@ -144,9 +170,14 @@ def lm_solve(residual_fn, jacobian_fn, x0, cfg=None):
                 status = STATUS_GTOL
                 break
         else:
+            limit = cfg.ftol * cost
+            if predicted <= limit and cost_new - cost <= limit:
+                # predicted and actual change are both within ftol
+                status = STATUS_FTOL
+                break
             lam = max(lam, 1e-12) * cfg.lambda_up
             if lam > LAMBDA_LIMIT:
-                # no computable improvement left at machine scale
+                # stagnation: no damping gives an acceptable step
                 status = STATUS_FTOL
                 break
 

@@ -10,16 +10,16 @@ transmission, convolved with a Gaussian instrument response).
 Each model evaluates a group of datasets that share one grid (and, for the
 Beer law, one slit width; ``group_key`` says which datasets may be grouped)
 in one pass: ``eval_group`` returns a :class:`GroupEval` computed with the
-grid axis last, building the grid-only pieces once and convolving every row
-of the stack in one call.  ``eval`` of one dataset is the one-dataset group,
-so it matches that dataset's slice of any group bit for bit.
+grid axis last, building the grid-only pieces once and convolving the rows
+of the stack by matrix products, one pair per dataset
+(:func:`convolve_reflect`).  ``eval`` of one dataset is the one-dataset
+group, so it matches that dataset's slice of any group bit for bit.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.ndimage as ndi
 
 from .exceptions import InvalidInputError, ModelOverflowError
 
@@ -187,6 +187,44 @@ def gaussian_kernel(spacing, halfwidth):
     return w / w.sum()
 
 
+def convolve_reflect(x, kernel, out):
+    """Convolve each row of ``x`` (grid axis last) with an odd-length
+    ``kernel`` into ``out``, extending the rows by reflection about their
+    edges (ndimage's ``reflect``, numpy's ``symmetric`` padding, repeated
+    when the kernel is wider than the grid).
+
+    With h the kernel half-width, the padded row is cut into tiles of width
+    b = 2h.  Output tile j then reads input tiles j and j + 1 only, through
+    the two b x b blocks of the banded Toeplitz matrix:
+    Y_j = X_j T0 + X_{j+1} T1.  Laid end to end, the tiles of all rows form
+    one matrix, and X_j, X_{j+1} are that matrix and its view one tile on,
+    so the convolution is two matrix products with no window copies.  An
+    output meets a tile of the next row (or none, at the very end) only
+    through exact zeros of T1.
+
+    The products run once per entry of the leading axis (one dataset of a
+    group), so an entry's result is the same bit for bit whatever else is
+    in ``x``: BLAS may round differently for other matrix shapes.
+    """
+    taps = kernel.size
+    h = taps // 2
+    b = 2 * h
+    band = np.zeros((2 * b, b))
+    cols = np.arange(b)
+    band[cols + np.arange(taps)[:, None], cols] = kernel[::-1, None]
+    t0, t1 = band[:b], band[b:]
+    m = x.shape[-1]
+    n_tiles = -(-(m + 2 * h) // b)
+    widths = [(0, 0)] * (x.ndim - 2) + [(h, n_tiles * b - m - h)]
+    for part, dest in zip(x, out):
+        padded = np.pad(part, widths, mode="symmetric")
+        tiles = padded.reshape(-1, b)
+        y = tiles @ t0
+        y[:-1] += tiles[1:] @ t1
+        dest[...] = y.reshape(padded.shape)[..., :m]
+    return out
+
+
 def _beer_aux(dataset, p):
     aux = dataset.aux
     if not isinstance(aux, BeerAux):
@@ -206,8 +244,8 @@ def eval_beer_group(alpha, datasets, n_linear=1):
     response, nu being the abscissa normalized to [-1, 1].  Differentiation
     and convolution commute (the response does not depend on alpha), so the
     derivative rows are the convolved products with -tau_l.  The response
-    and the powers of nu are built once for the group, and one convolution
-    runs over every row of the stack.
+    and the powers of nu are built once for the group, and
+    :func:`convolve_reflect` convolves the stack one dataset at a time.
     """
     alpha = _finite_vector(alpha)
     auxes = [_beer_aux(ds, alpha.size) for ds in datasets]
@@ -237,7 +275,7 @@ def eval_beer_group(alpha, datasets, n_linear=1):
         return GroupEval(stack)
     # each dataset's m x n blocks are stored row-major, so basis() needs no copy
     out = np.empty(shape[:2] + shape[:1:-1]).transpose(0, 1, 3, 2)
-    ndi.convolve1d(stack, kernel, axis=-1, mode="reflect", output=out)
+    convolve_reflect(stack, kernel, out)
     return GroupEval(out)
 
 

@@ -147,6 +147,47 @@ class TestTermination:
         assert rep.status in (STATUS_FTOL, STATUS_XTOL, STATUS_GTOL)
 
 
+class TestRoundOffStop:
+    """Exits for steps whose cost change cannot be resolved."""
+
+    def test_unresolvable_predicted_decrease_is_not_evaluated(self, rng):
+        # an undamped step solves the linear problem; the next step's
+        # predicted decrease is round-off, so no trial is evaluated for it
+        A = rng.normal(size=(12, 3))
+        b = rng.normal(size=12)
+        calls = []
+
+        def residual(x):
+            calls.append(x.copy())
+            return A @ x - b
+
+        cfg = LMConfig(lambda0=0.0, xtol=1e-300, gtol=1e-300)
+        rep = lm_solve(residual, lambda x: A, np.zeros(3), cfg)
+        assert rep.status == STATUS_FTOL
+        assert rep.n_feval == len(calls) == 2
+        assert len(rep.cost_history) == 2
+        npt.assert_allclose(rep.x_final, np.linalg.lstsq(A, b, rcond=None)[0], rtol=1e-12)
+
+    def test_rejected_trial_at_cost_floor_stops_without_escalation(self):
+        # r = (max(x, 1e-6), 1): the cost has a floor the linear model does
+        # not see, as round-off gives an evaluated residual.  Two accepted
+        # steps reach the floor; the third trial predicts a decrease of
+        # about 1e-12 of the cost and changes nothing, so the fit stops
+        # there instead of raising lambda through a run of rejected trials
+        def residual(x):
+            return np.array([max(x[0], 1e-6), 1.0])
+
+        def jacobian(x):
+            return np.array([[1.0], [0.0]])
+
+        rep = lm_solve(residual, jacobian, np.array([1.0]))
+        assert rep.status == STATUS_FTOL
+        assert len(rep.cost_history) == 3
+        assert rep.n_feval == 4 and rep.n_iter == 3
+        assert rep.cost_history[-1] == 0.5 * (1e-12 + 1.0)
+        assert 0.0 < rep.x_final[0] < 1e-6
+
+
 class TestRobustness:
     def test_nonfinite_residual_raises_with_location(self):
         def residual(x):

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.ndimage as ndi
 
 from sepvar.exceptions import InvalidInputError, ModelOverflowError
 from sepvar.model import (
@@ -8,10 +9,13 @@ from sepvar.model import (
     BeerLawModel,
     Dataset,
     ExpDecayModel,
+    convolve_reflect,
     eval_beer_basis,
     eval_exp_basis,
+    gaussian_kernel,
     normalize_abscissa,
 )
+from sepvar.synth import TruthSpec, frame_grids, generate
 
 from conftest import central_diff_jacobian
 
@@ -107,10 +111,6 @@ class TestBeerBasis:
         be = eval_beer_basis(np.zeros(2), ds, n_linear=n)
         # transmission == 1: columns are the convolved polynomial-times-continuum
         aux = ds.aux
-        import scipy.ndimage as ndi
-
-        from sepvar.model import gaussian_kernel
-
         nu = normalize_abscissa(ds.t)
         spacing = float(np.mean(np.diff(ds.t)))
         kernel = gaussian_kernel(spacing, aux.slit_halfwidth)
@@ -150,6 +150,65 @@ class TestBeerBasis:
     def test_nonpositive_i0_rejected(self):
         with pytest.raises(InvalidInputError):
             BeerAux(mu_sun=1.0, i0=np.array([1.0, -1.0]), tau=np.zeros((2, 1)))
+
+
+class TestConvolveReflect:
+    """The blocked Toeplitz product against ndimage's reflecting convolution."""
+
+    @pytest.mark.parametrize("m", [5, 10, 33, 651, 809])
+    @pytest.mark.parametrize("taps", [3, 5, 17, 65, 129, 193])
+    def test_matches_ndimage(self, m, taps, rng):
+        # asymmetric positive weights catch a flipped kernel; for m = 5 and
+        # 10 most kernels are wider than the grid, so the rows are reflected
+        # repeatedly; most (m, taps) pairs leave a partial last tile
+        kernel = rng.uniform(0.1, 1.0, taps)
+        kernel /= kernel.sum()
+        x = np.empty((3, 2, m))
+        x[:, 0] = rng.uniform(0.5, 1.5, (3, m))
+        x[:, 1] = np.linspace(-1.0, 1.0, m) * rng.uniform(0.5, 2.0, (3, 1))
+        out = convolve_reflect(x, kernel, np.empty_like(x))
+        ref = ndi.convolve1d(x, kernel, axis=-1, mode="reflect")
+        row_max = np.max(np.abs(ref), axis=-1, keepdims=True)
+        assert np.all(np.abs(out - ref) <= 1e-14 * row_max)
+
+    def test_gaussian_response_into_strided_output(self, rng):
+        kernel = gaussian_kernel(1.0, 8.0)  # 65 taps, as on the frame grids
+        x = rng.uniform(0.5, 1.5, (3, 4, 2, 809))
+        out = np.empty((3, 4, 809, 2)).transpose(0, 1, 3, 2)
+        convolve_reflect(x, kernel, out)
+        ref = ndi.convolve1d(x, kernel, axis=-1, mode="reflect")
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_large_group_slices_are_one_dataset_evals(self):
+        # 32 datasets per grid, as in the s = 64 frame layout, with 65- and
+        # 53-tap responses: BLAS rounds products of other shapes
+        # differently, so products over a whole group, or over one slice of
+        # it, would not reproduce each dataset's own evaluation
+        grids = frame_grids(n_soundings=32)
+        spec = TruthSpec(kind="beer", alpha_true=[1.0, 1.0],
+                         beta_true=tuple(np.ones(3) for _ in grids),
+                         grids=grids, snr=200.0, seed=11)
+        prob = generate(spec)
+        alpha = np.array([1.1, 0.9])
+        for group in prob.groups:
+            assert len(group.datasets) == 32
+            ge = prob.model.eval_group(alpha, group.datasets)
+            for i, ds in enumerate(group.datasets):
+                be = prob.model.eval(alpha, ds)
+                assert np.array_equal(be.phi, ge.phi[i].T)
+                for l in range(prob.p):
+                    assert np.array_equal(be.dphi[l], ge.dphi[i, l].T)
+
+    @pytest.mark.parametrize("m, taps", [(5, 193), (33, 17), (809, 65)])
+    def test_zero_rows_stay_exactly_zero(self, m, taps, rng):
+        kernel = rng.uniform(0.1, 1.0, taps)
+        x = rng.uniform(0.5, 1.5, (2, 4, m))
+        x[0, 1] = 0.0
+        x[1, 2] = -0.0
+        x[1, 3] = 0.0
+        out = convolve_reflect(x, kernel, np.full_like(x, np.nan))
+        assert np.all(out[0, 1] == 0.0) and np.all(out[1, 2:] == 0.0)
+        assert np.all(out[0, 2] > 0.0)
 
 
 class TestDerivativeProperty:

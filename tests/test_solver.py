@@ -5,6 +5,7 @@ import pytest
 import sepvar as sv
 from sepvar.exceptions import InvalidInputError
 from sepvar import solver
+from sepvar.cli import spec_from_config
 from sepvar.solver import METHODS, SolverConfig, fit, initial_beta
 
 from conftest import central_diff_jacobian, make_exp_problem
@@ -175,7 +176,32 @@ class TestFinalLinearSolve:
             npt.assert_allclose(got, want, rtol=1e-10)
 
 
+def frame_problem(soundings, seed):
+    """A ``sepvar generate`` frame-layout problem: 2 * soundings spectra on
+    809- and 651-point bands, n = 3, p = 2, SNR 200."""
+    cfg = {"model": "beer", "n": 3, "p": 2, "seed": seed, "snr": 200,
+           "alpha_true": [1.0, 1.0], "frame": {"soundings": soundings}}
+    return sv.generate(spec_from_config(cfg))
+
+
 class TestIterationEconomy:
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_frame_fits_take_four_evaluations(self, seed):
+        """s = 64 frame fits converge in three steps; the fourth step's
+        predicted decrease is round-off, so it costs no evaluation."""
+        prob = frame_problem(32, seed)
+        for method in ("vp-gl", "vp-km"):
+            res = fit(prob, SolverConfig(method=method), np.array([1.1, 0.9]))
+            assert res.lm_report.status == "converged-ftol"
+            assert res.lm_report.n_feval <= 4, method
+            npt.assert_allclose(res.alpha_hat, [1.0, 1.0], rtol=1e-3)
+
+    def test_naive_stops_after_a_round_off_rejection(self):
+        prob = frame_problem(8, 23)
+        res = fit(prob, SolverConfig(method="vp-naive"), np.array([1.1, 0.9]))
+        assert res.lm_report.status == "converged-ftol"
+        assert res.lm_report.n_feval <= 5
+
     def test_vp_converges_in_reasonable_iterations(self, rng):
         """Guards against regressions that would silently turn the reduced
         iteration into something much slower."""

@@ -53,9 +53,10 @@ class FitResult:
     wall_time: float
     method: str
     diagnostics: Optional[object] = None
-    # the eval_gl evaluation at alpha_hat when the fit holds one (vp-gl and
-    # nls-full); diagnostics read the reduced Jacobian and bases from it
-    gl_eval: Optional[object] = field(default=None, repr=False)
+    # the reduced evaluation at alpha_hat when the fit holds one: eval_gl's
+    # for vp-gl and nls-full, eval_km's (with its factors) for vp-km;
+    # diagnostics read the GL Jacobian and the bases from it
+    final_eval: Optional[object] = field(default=None, repr=False)
 
     @property
     def cost(self):
@@ -151,7 +152,7 @@ def _final_linear_solve(problem, alpha_hat, cache):
     reduced evaluation the cache holds there."""
     red = cache.at(alpha_hat)
     residuals = [
-        ds.y - be.phi @ beta for ds, be, beta in zip(problem.datasets, red.bases, red.betas)
+        ds.y - phi @ beta for ds, phi, beta in zip(problem.datasets, red.phis, red.betas)
     ]
     return list(red.betas), residuals
 
@@ -189,5 +190,5 @@ def fit(problem, cfg, alpha0):
         lm_report=report,
         wall_time=wall,
         method=cfg.method,
-        gl_eval=cache.at(alpha_hat) if cache.method == METHOD_VP_GL else None,
+        final_eval=None if cache.method == METHOD_VP_NAIVE else cache.at(alpha_hat),
     )

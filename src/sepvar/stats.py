@@ -22,10 +22,13 @@ H^T H is positive definite exactly when every D_k and S are, so a Cholesky
 factorization checks each of them; one that fails raises a RuntimeWarning
 and its pseudo-inverse takes the place of its inverse.
 
-The reduced Jacobian and bases come from the ``eval_gl`` evaluation at
-alpha_hat that a ``vp-gl`` or ``nls-full`` fit carries
-(``FitResult.gl_eval``); only other fits evaluate again.  ``build_H`` and
-``covariance`` are the dense reference of the same quantities.
+The reduced Jacobian and bases come from the evaluation at alpha_hat that
+the fit carries (``FitResult.final_eval``): a ``vp-gl`` or ``nls-full`` fit
+holds the ``eval_gl`` evaluation itself, and a ``vp-km`` fit an ``eval_km``
+evaluation whose kept factors give the GL form without evaluating or
+factoring again (``vpcore.gl_from_km``).  Only ``vp-naive`` fits evaluate
+again.  ``build_H`` and ``covariance`` are the dense reference of the same
+quantities.
 """
 
 import warnings
@@ -37,7 +40,7 @@ import scipy.linalg as sl
 from scipy.special import ndtri
 
 from .exceptions import InvalidInputError
-from .vpcore import build_block_diag, eval_gl
+from .vpcore import build_block_diag, eval_gl, gl_from_km
 
 _RANK_WARNING = "H^T H is numerically rank deficient; covariance uses a pseudo-inverse"
 
@@ -152,12 +155,11 @@ def covariance(H, sigma):
     return C, rank_warning
 
 
-def _dataset_grams(jac, bases, problem):
+def _dataset_grams(jac, phis, problem):
     """X_k^T X_k for X_k = [J_k | phi_k], stacked s x (p + n) x (p + n).
 
-    jac is the stacked reduced Jacobian (M x p), bases the per-dataset
-    BasisEval records; datasets with equal row counts are multiplied as
-    one batch.
+    jac is the stacked reduced Jacobian (M x p), phis the per-dataset basis
+    matrices; datasets with equal row counts are multiplied as one batch.
     """
     p, n = problem.p, problem.n
     sizes = [ds.m for ds in problem.datasets]
@@ -170,7 +172,7 @@ def _dataset_grams(jac, bases, problem):
         x = np.empty((len(index), m, p + n))
         for i, k in enumerate(index):
             x[i, :, :p] = jac[starts[k] : starts[k] + m]
-            x[i, :, p:] = bases[k].phi
+            x[i, :, p:] = phis[k]
         grams[index] = x.transpose(0, 2, 1) @ x
     return grams
 
@@ -247,10 +249,12 @@ def compute_diagnostics(result, problem, level=0.95):
     y_all = np.concatenate([ds.y for ds in problem.datasets])
     yhat_all = y_all - residual
     score = r_score(y_all, yhat_all)
-    red = result.gl_eval
+    red = result.final_eval
     if red is None:
         red = eval_gl(np.asarray(result.alpha_hat, dtype=float), problem)
-    grams = _dataset_grams(red.jac, red.bases, problem)
+    elif red.factors:
+        red = gl_from_km(red, problem)
+    grams = _dataset_grams(red.jac, red.phis, problem)
     if not np.all(np.isfinite(grams)) or not np.isfinite(sigma):
         raise InvalidInputError("non-finite inputs to covariance")
     inverse = arrow_inverse(grams, p)

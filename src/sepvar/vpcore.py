@@ -18,12 +18,18 @@ provided:
 (an identical abscissa grid and, for the Beer law, slit width) into one
 group, once per problem and in order of each group's first dataset.  A
 frame layout of 32 soundings gives two groups of 32; datasets on distinct
-grids are groups of one.  Per group the model evaluates the stacked bases
-(grid axis last), one stacked Householder QR factors them, and batched
-products give the linear parameters, residuals and Jacobian blocks.  Every
-product is computed dataset by dataset within the stack, so the results do
-not depend on the grouping, and the rank decisions and typed errors are
-those of the pivoted per-dataset ``thin_qr``.
+grids are groups of one.  Each group goes through two steps.  The factor
+step evaluates the stacked bases (grid axis last), factors them by one
+stacked Householder QR, screens the rank and forms the compact WY
+representation (:class:`GroupFactors`).  The form step turns these into
+the linear parameters, residuals and Jacobian blocks of the ``gl`` or
+``km`` form by batched products.  An ``eval_km`` evaluation keeps its
+groups' factors, so :func:`gl_from_km` gives the ``eval_gl`` evaluation at
+the same alpha with no model evaluation or QR; a ``vp-km`` fit's
+diagnostics use it.  Every product is computed dataset by dataset within
+the stack, so the results do not depend on the grouping, and the rank
+decisions and typed errors are those of the pivoted per-dataset
+``thin_qr``.
 
 The three residuals always share the same 2-norm; projectors are never
 materialized except inside ``eval_naive``, which is deliberately literal so
@@ -121,11 +127,24 @@ class MultiProblem:
 
 
 @dataclass(frozen=True)
+class GroupFactors:
+    """One group's basis evaluation and its stacked QR in compact WY form,
+    Q = I - V T V^T (see :func:`_wy`), with R the leading n x n block."""
+
+    ge: object  # the model's GroupEval
+    r: np.ndarray  # g x n x n
+    vt: np.ndarray  # g x n x m
+    t: np.ndarray  # g x n x n
+
+
+@dataclass(frozen=True)
 class ReducedEval:
     """Residual, Jacobian and per-dataset intermediates at one alpha.
 
     ``basis_source`` returns the per-dataset BasisEval records in problem
-    order; ``bases`` calls it once, on first read.
+    order and ``phi_source`` their basis matrices; ``bases`` and ``phis``
+    call them once, on first read.  An ``eval_km`` evaluation keeps its
+    groups' ``factors`` (DatasetGroup, GroupFactors) for :func:`gl_from_km`.
     """
 
     z: np.ndarray
@@ -133,10 +152,19 @@ class ReducedEval:
     betas: tuple = field(repr=False)
     block_sizes: tuple = ()
     basis_source: object = field(default=tuple, repr=False)
+    phi_source: object = field(default=None, repr=False)
+    factors: tuple = field(default=(), repr=False)
 
     @cached_property
     def bases(self):
         return tuple(self.basis_source())
+
+    @cached_property
+    def phis(self):
+        """Each dataset's m x n basis matrix, in problem order."""
+        if self.phi_source is None:
+            return tuple(be.phi for be in self.bases)
+        return tuple(self.phi_source())
 
 
 def _factor_dataset(problem, basis, k):
@@ -183,12 +211,11 @@ def _wy(h, tau):
     return vt, t
 
 
-def _reduce_group(alpha, problem, group, form):
-    """Residual and Jacobian blocks of one group, grid axis last.
-
-    Returns (z, jac, beta, ge): z is g x m (``gl``) or g x (m - n)
-    (``km``), jac g x p x rows, beta g x n, and ge the group's GroupEval.
-    """
+def _factor_group(alpha, problem, group):
+    """The factor step of one group: the model's stacked bases, one stacked
+    Householder QR without pivoting and the compact WY form.  A basis whose
+    R is near singular goes through the pivoted thin_qr for the rank
+    decision."""
     ge = problem.model.eval_group(alpha, group.datasets)
     if not np.all(np.isfinite(ge.stack)):
         raise InvalidInputError("basis evaluation produced non-finite entries")
@@ -200,6 +227,18 @@ def _reduce_group(alpha, problem, group, form):
     for i in np.flatnonzero(sv[:, -1] <= RANK_SCREEN * sv[:, 0]):
         thin_qr(a[i])  # the pivoted rank decision; raises if deficient
     vt, t = _wy(h, tau)
+    return GroupFactors(ge, r, vt, t)
+
+
+def _form_group(group, f, form):
+    """The form step of one group: residual and Jacobian blocks in the
+    ``gl`` or ``km`` form, grid axis last.
+
+    Returns (z, jac, beta): z is g x m (``gl``) or g x (m - n) (``km``),
+    jac g x p x rows and beta g x n.
+    """
+    r, vt, t, ge = f.r, f.vt, f.t, f.ge
+    n = r.shape[-1]
     y = group.y
     if form == FORM_GL:
         # rows of Q1^T = E^T Q^T are E^T - V[:n] T^T V^T
@@ -223,39 +262,57 @@ def _reduce_group(alpha, problem, group, form):
         beta = np.linalg.solve(r, qty[:, :n, None])[:, :, 0]
         u = (beta[:, None, None, :] @ ge.dphi)[:, :, 0]
         jac = -qt(u)[:, :, n:]
-    return z, jac, beta, ge
+    return z, jac, beta
 
 
-def _reduce(alpha, problem, form):
-    """The grouped kernel behind eval_gl and eval_km.
-
-    Each group of datasets on a shared grid is evaluated, factored (one
-    stacked Householder QR without pivoting) and reduced in one pass.  A
-    basis whose R is near singular goes through the pivoted thin_qr for the
-    rank decision.  On any error the datasets are re-run one by one in
-    problem order, so the error raised is that of the first failing dataset,
-    as the per-dataset formulation would raise it.
-    """
+def _factor_groups(alpha, problem):
+    """(group, GroupFactors) for each group in turn.  On any error the
+    datasets are re-run one by one in problem order, so the error raised is
+    that of the first failing dataset, as the per-dataset formulation would
+    raise it."""
     alpha = _check_alpha(alpha, problem)
-    s = problem.s
-    z_parts, jac_parts, betas, evals = [None] * s, [None] * s, [None] * s, []
     try:
         for group in problem.groups:
-            z, jac, beta, ge = _reduce_group(alpha, problem, group, form)
-            evals.append((group.index, ge))
-            for i, k in enumerate(group.index):
-                z_parts[k] = z[i]
-                jac_parts[k] = jac[i].T
-                betas[k] = beta[i]
+            yield group, _factor_group(alpha, problem, group)
     except SepvarError:
         _raise_first_failure(alpha, problem)
         raise
+
+
+def _reduce(problem, factored, form):
+    """The grouped kernel behind eval_gl, eval_km and gl_from_km.
+
+    ``factored`` gives each group with its GroupFactors.  Each group is
+    formed as it arrives, and its factors and blocks are released before
+    the next group is factored; only the ``km`` form keeps the factors.
+    """
+    s = problem.s
+    z_parts, jac_parts, betas = [None] * s, [None] * s, [None] * s
+    evals, kept = [], []
+    for group, f in factored:
+        z, jac, beta = _form_group(group, f, form)
+        evals.append((group.index, f.ge))
+        if form == FORM_KM:
+            kept.append((group, f))
+        for i, k in enumerate(group.index):
+            z_parts[k] = z[i]
+            jac_parts[k] = jac[i].T
+            betas[k] = beta[i]
+        del f, z, jac, beta
 
     def bases():
         out = [None] * s
         for index, ge in evals:
             for i, k in enumerate(index):
                 out[k] = ge.basis(i)
+        return out
+
+    def phis():
+        # the layout basis() gives, without copying the derivative blocks
+        out = [None] * s
+        for index, ge in evals:
+            for i, k in enumerate(index):
+                out[k] = np.ascontiguousarray(ge.phi[i].T)
         return out
 
     trim = problem.n if form == FORM_KM else 0
@@ -265,6 +322,8 @@ def _reduce(alpha, problem, form):
         betas=tuple(betas),
         block_sizes=tuple(ds.m - trim for ds in problem.datasets),
         basis_source=bases,
+        phi_source=phis,
+        factors=tuple(kept),
     )
 
 
@@ -275,13 +334,24 @@ def eval_gl(alpha, problem):
     -(P_perp dphi_l beta + pinv^T dphi_l^T r) with beta the linear solution
     and r the projected residual of dataset k.
     """
-    return _reduce(alpha, problem, FORM_GL)
+    return _reduce(problem, _factor_groups(alpha, problem), FORM_GL)
 
 
 def eval_km(alpha, problem):
     """Kaufman reduction: shorter residual, one-term (approximate) Jacobian
-    -Q2^T dphi_l beta, with Q2 the trailing orthogonal factor."""
-    return _reduce(alpha, problem, FORM_KM)
+    -Q2^T dphi_l beta, with Q2 the trailing orthogonal factor.  The result
+    keeps its groups' factors for :func:`gl_from_km`."""
+    return _reduce(problem, _factor_groups(alpha, problem), FORM_KM)
+
+
+def gl_from_km(red, problem):
+    """The ``eval_gl`` evaluation at the alpha of the ``eval_km`` evaluation
+    ``red``, formed from the group factors it keeps: the model is not
+    evaluated and nothing is factored again, and every result is the same
+    bit for bit as that of ``eval_gl``."""
+    if not red.factors:
+        raise InvalidInputError("only an eval_km evaluation keeps its factors")
+    return _reduce(problem, red.factors, FORM_GL)
 
 
 def build_block_diag(problem, alpha=None, bases=None):

@@ -199,6 +199,30 @@ class TestConvolveReflect:
                 for l in range(prob.p):
                     assert np.array_equal(be.dphi[l], ge.dphi[i, l].T)
 
+    @pytest.mark.parametrize(
+        "m, halfwidth",
+        [(40, 1.5), (40, 12.0), (651, 8.0), (809, 6.5)],
+    )
+    def test_group_slices_across_chunk_boundaries(self, m, halfwidth, rng):
+        # group sizes 1-9 end on a full chunk (4, 8) or a partial one (the
+        # rest); on m = 40 a 12-unit half-width gives a 97-tap response,
+        # wider than the grid, whose tails are reflected more than once
+        t = np.linspace(0.0, m - 1.0, m)
+        datasets = []
+        for _ in range(9):
+            aux = BeerAux(mu_sun=0.8, i0=rng.uniform(0.9, 1.1, m),
+                          tau=rng.uniform(0.0, 1.0, (m, 2)), slit_halfwidth=halfwidth)
+            datasets.append(Dataset(t=t, y=np.ones(m), aux=aux))
+        model = BeerLawModel(n_linear=3, p_species=2)
+        alpha = np.array([1.1, 0.9])
+        alone = [model.eval(alpha, ds) for ds in datasets]
+        for size in range(1, 10):
+            ge = model.eval_group(alpha, datasets[:size])
+            for i, be in enumerate(alone[:size]):
+                assert np.array_equal(be.phi, ge.phi[i].T)
+                for l in range(model.p):
+                    assert np.array_equal(be.dphi[l], ge.dphi[i, l].T)
+
     @pytest.mark.parametrize("m, taps", [(5, 193), (33, 17), (809, 65)])
     def test_zero_rows_stay_exactly_zero(self, m, taps, rng):
         kernel = rng.uniform(0.1, 1.0, taps)

@@ -12,7 +12,14 @@ from sepvar.exceptions import (
 )
 from sepvar.factor import pinv_transpose_apply
 from sepvar.model import BeerAux, BeerLawModel, Dataset, ExpDecayModel
-from sepvar.vpcore import MultiProblem, build_block_diag, eval_gl, eval_km, eval_naive
+from sepvar.vpcore import (
+    MultiProblem,
+    build_block_diag,
+    eval_gl,
+    eval_km,
+    eval_naive,
+    gl_from_km,
+)
 
 from conftest import central_diff_jacobian, make_exp_problem
 
@@ -165,8 +172,31 @@ class TestGroupedKernel:
         prob = frame_problem(soundings=2)
         alpha = np.array([1.1, 0.9])
         red = eval_gl(alpha, prob)
-        for ds, be in zip(prob.datasets, red.bases):
+        for ds, be, phi in zip(prob.datasets, red.bases, red.phis):
             assert np.array_equal(be.phi, prob.model.eval(alpha, ds).phi)
+            assert np.array_equal(phi, be.phi)
+
+    @pytest.mark.parametrize("kind", ["exp", "frame"])
+    def test_gl_from_km_factors_is_eval_gl(self, kind, rng):
+        if kind == "exp":
+            prob, _ = make_exp_problem(rng, s=3, snr=50.0, seed=51)
+            alpha = np.array([1.0, 0.3])
+        else:
+            prob, alpha = frame_problem(soundings=3), np.array([1.1, 0.9])
+        km = eval_km(alpha, prob)
+        assert len(km.factors) == len(prob.groups)
+        derived = gl_from_km(km, prob)
+        fresh = eval_gl(alpha, prob)
+        assert not fresh.factors and not derived.factors
+        assert np.array_equal(derived.z, fresh.z)
+        assert np.array_equal(derived.jac, fresh.jac)
+        assert derived.block_sizes == fresh.block_sizes
+        for a, b in zip(derived.betas, fresh.betas):
+            assert np.array_equal(a, b)
+        for a, b in zip(derived.phis, fresh.phis):
+            assert np.array_equal(a, b)
+        with pytest.raises(InvalidInputError):
+            gl_from_km(fresh, prob)
 
     @pytest.mark.parametrize("bad", ["rank", "overflow"])
     def test_non_first_dataset_of_group_fails(self, bad, rng):

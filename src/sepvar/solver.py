@@ -16,7 +16,7 @@ import numpy as np
 from .exceptions import InvalidInputError
 from .factor import pinv_apply, thin_qr
 from .lm import LMConfig, lm_solve
-from .vpcore import DEFAULT_ELEMENT_BUDGET, eval_gl, eval_km, eval_naive
+from .vpcore import eval_gl, eval_km, eval_naive
 
 METHOD_VP_GL = "vp-gl"
 METHOD_VP_KM = "vp-km"
@@ -35,7 +35,6 @@ _VP_EVALS = {
 class SolverConfig:
     method: str = METHOD_VP_GL
     lm: LMConfig = field(default_factory=LMConfig)
-    naive_element_budget: float = DEFAULT_ELEMENT_BUDGET
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -53,9 +52,10 @@ class FitResult:
     wall_time: float
     method: str
     diagnostics: Optional[object] = None
-    # the reduced evaluation at alpha_hat when the fit holds one: eval_gl's
-    # for vp-gl and nls-full, eval_km's (with its factors) for vp-km;
-    # diagnostics read the GL Jacobian and the bases from it
+    # the reduced evaluation at alpha_hat that gave beta_hat and residuals:
+    # eval_gl's for vp-gl and nls-full, eval_km's (with its factors) for
+    # vp-km, None for vp-naive; diagnostics read the GL Jacobian and the
+    # basis matrices from it
     final_eval: Optional[object] = field(default=None, repr=False)
 
     @property
@@ -115,17 +115,15 @@ class _CachedReduced:
     each trial point and for the Jacobian at each iterate it accepts, so the
     cache keeps the latest evaluation and the one at the current iterate:
     residual and Jacobian come from a single pass, a trial step too short to
-    move alpha costs nothing, and the final linear solve at the returned
-    iterate always finds its evaluation here."""
+    move alpha costs nothing, and the evaluation at the returned iterate is
+    always here for ``fit`` to read once."""
 
-    def __init__(self, problem, method, element_budget):
-        self.problem = problem
+    def __init__(self, problem, method):
         if method == METHOD_VP_NAIVE:
-            self._eval = lambda a: eval_naive(a, problem, element_budget=element_budget)
+            self._eval = lambda a: eval_naive(a, problem)
         else:
             base = _VP_EVALS[method]
             self._eval = lambda a: base(a, problem)
-        self.method = method
         self._latest = (None, None)
         self._iterate = (None, None)
 
@@ -147,10 +145,9 @@ class _CachedReduced:
         return red.jac
 
 
-def _final_linear_solve(problem, alpha_hat, cache):
-    """Linear parameters and joint residuals at alpha_hat, read from the
-    reduced evaluation the cache holds there."""
-    red = cache.at(alpha_hat)
+def _final_linear_solve(problem, red):
+    """Linear parameters and joint residuals, read from the reduced
+    evaluation ``red`` at alpha_hat."""
     residuals = [
         ds.y - phi @ beta for ds, phi, beta in zip(problem.datasets, red.phis, red.betas)
     ]
@@ -167,9 +164,10 @@ def fit(problem, cfg, alpha0):
         )
     t_start = time.perf_counter()
     if cfg.method in _VP_EVALS:
-        cache = _CachedReduced(problem, cfg.method, cfg.naive_element_budget)
+        cache = _CachedReduced(problem, cfg.method)
         report = lm_solve(cache.residual, cache.jacobian, alpha0, cfg.lm)
         alpha_hat = report.x_final
+        red = cache.at(alpha_hat)
     else:
         beta0 = initial_beta(problem, alpha0)
         x0 = np.concatenate([alpha0] + beta0)
@@ -180,8 +178,8 @@ def fit(problem, cfg, alpha0):
             cfg.lm,
         )
         alpha_hat = report.x_final[: problem.p]
-        cache = _CachedReduced(problem, METHOD_VP_GL, cfg.naive_element_budget)
-    betas, residuals = _final_linear_solve(problem, alpha_hat, cache)
+        red = _VP_EVALS[METHOD_VP_GL](alpha_hat, problem)
+    betas, residuals = _final_linear_solve(problem, red)
     wall = time.perf_counter() - t_start
     return FitResult(
         alpha_hat=alpha_hat,
@@ -190,5 +188,5 @@ def fit(problem, cfg, alpha0):
         lm_report=report,
         wall_time=wall,
         method=cfg.method,
-        final_eval=None if cache.method == METHOD_VP_NAIVE else cache.at(alpha_hat),
+        final_eval=None if cfg.method == METHOD_VP_NAIVE else red,
     )

@@ -22,13 +22,14 @@ H^T H is positive definite exactly when every D_k and S are, so a Cholesky
 factorization checks each of them; one that fails raises a RuntimeWarning
 and its pseudo-inverse takes the place of its inverse.
 
-The reduced Jacobian and bases come from the evaluation at alpha_hat that
-the fit carries (``FitResult.final_eval``): a ``vp-gl`` or ``nls-full`` fit
-holds the ``eval_gl`` evaluation itself, and a ``vp-km`` fit an ``eval_km``
+The reduced Jacobian and basis matrices (``ReducedEval.jac`` and
+``phis``) come from the evaluation at alpha_hat that the fit carries
+(``FitResult.final_eval``): a ``vp-gl`` or ``nls-full`` fit holds the
+``eval_gl`` evaluation itself, and a ``vp-km`` fit an ``eval_km``
 evaluation whose kept factors give the GL form without evaluating or
 factoring again (``vpcore.gl_from_km``).  Only ``vp-naive`` fits evaluate
 again.  ``build_H`` and ``covariance`` are the dense reference of the same
-quantities.
+quantities; ``build_H`` evaluates everything afresh at alpha_hat.
 """
 
 import warnings
@@ -122,16 +123,15 @@ def r_score(y_all, yhat_all):
 
 
 def build_H(result, problem):
-    """Mixed parameter Jacobian [dz/dalpha | G] at the fitted solution, dense."""
+    """Mixed parameter Jacobian [dz/dalpha | G] at the fitted solution, dense.
+
+    The dense reference of the diagnostics: a fresh ``eval_gl`` at alpha_hat
+    gives dz/dalpha, and ``build_block_diag`` evaluates the model again for
+    G = blockdiag(phi_1, ..., phi_s).
+    """
     alpha_hat = np.asarray(result.alpha_hat, dtype=float)
-    if problem.p > 0:
-        red = eval_gl(alpha_hat, problem)
-        dz = red.jac
-        bases = red.bases
-    else:
-        dz = np.zeros((problem.m_total, 0))
-        bases = None
-    big, _, _ = build_block_diag(problem, alpha=alpha_hat, bases=bases)
+    dz = eval_gl(alpha_hat, problem).jac
+    big, _, _ = build_block_diag(problem, alpha_hat)
     return np.hstack([dz, big])
 
 

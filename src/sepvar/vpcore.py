@@ -23,13 +23,16 @@ step evaluates the stacked bases (grid axis last), factors them by one
 stacked Householder QR, screens the rank and forms the compact WY
 representation (:class:`GroupFactors`).  The form step turns these into
 the linear parameters, residuals and Jacobian blocks of the ``gl`` or
-``km`` form by batched products.  An ``eval_km`` evaluation keeps its
-groups' factors, so :func:`gl_from_km` gives the ``eval_gl`` evaluation at
-the same alpha with no model evaluation or QR; a ``vp-km`` fit's
-diagnostics use it.  Every product is computed dataset by dataset within
-the stack, so the results do not depend on the grouping, and the rank
-decisions and typed errors are those of the pivoted per-dataset
-``thin_qr``.
+``km`` form by batched products.  Every evaluation is a plain
+:class:`ReducedEval` record, filled as its groups are formed: residual,
+Jacobian, and each dataset's linear parameters and basis matrix, which the
+final linear solve and the diagnostics read.  An ``eval_km`` evaluation
+also keeps its groups' factors, so :func:`gl_from_km` gives the
+``eval_gl`` evaluation at the same alpha with no model evaluation or QR; a
+``vp-km`` fit's diagnostics use it.  Every product is computed dataset by
+dataset within the stack, so the results do not depend on the grouping,
+and the rank decisions and typed errors are those of the pivoted
+per-dataset ``thin_qr``.
 
 The three residuals always share the same 2-norm; projectors are never
 materialized except inside ``eval_naive``, which is deliberately literal so
@@ -54,6 +57,7 @@ from .factor import (
     q2t_apply,  # noqa: F401  (a patch point of the benchmark tracer)
     thin_qr,
 )
+from .model import _checked_alpha
 
 DEFAULT_ELEMENT_BUDGET = 1e8
 # Above this ratio sigma_min(R) / sigma_max(R) the pivoted rank check of
@@ -141,55 +145,31 @@ class GroupFactors:
 class ReducedEval:
     """Residual, Jacobian and per-dataset intermediates at one alpha.
 
-    ``basis_source`` returns the per-dataset BasisEval records in problem
-    order and ``phi_source`` their basis matrices; ``bases`` and ``phis``
-    call them once, on first read.  An ``eval_km`` evaluation keeps its
+    ``betas`` and ``phis`` hold each dataset's linear parameters and m x n
+    basis matrix, in problem order.  An ``eval_km`` evaluation keeps its
     groups' ``factors`` (DatasetGroup, GroupFactors) for :func:`gl_from_km`.
     """
 
     z: np.ndarray
     jac: np.ndarray
     betas: tuple = field(repr=False)
-    block_sizes: tuple = ()
-    basis_source: object = field(default=tuple, repr=False)
-    phi_source: object = field(default=None, repr=False)
+    block_sizes: tuple
+    phis: tuple = field(repr=False)
     factors: tuple = field(default=(), repr=False)
-
-    @cached_property
-    def bases(self):
-        return tuple(self.basis_source())
-
-    @cached_property
-    def phis(self):
-        """Each dataset's m x n basis matrix, in problem order."""
-        if self.phi_source is None:
-            return tuple(be.phi for be in self.bases)
-        return tuple(self.phi_source())
-
-
-def _factor_dataset(problem, basis, k):
-    try:
-        return thin_qr(basis.phi)
-    except RankDeficiencyError as err:
-        raise RankDeficiencyError(
-            f"basis matrix of dataset {k} is rank deficient (rank {err.rank})",
-            rank=err.rank,
-            dataset=k,
-        ) from err
-
-
-def _check_alpha(alpha, problem):
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (problem.p,):
-        raise InvalidInputError(f"alpha must have length {problem.p}, got {alpha.shape}")
-    return alpha
 
 
 def _raise_first_failure(alpha, problem):
     """Evaluate and factor dataset by dataset, in problem order, so the
     error raised is the one of the first failing dataset."""
     for k, ds in enumerate(problem.datasets):
-        _factor_dataset(problem, problem.model.eval(alpha, ds), k)
+        try:
+            thin_qr(problem.model.eval(alpha, ds).phi)
+        except RankDeficiencyError as err:
+            raise RankDeficiencyError(
+                f"basis matrix of dataset {k} is rank deficient (rank {err.rank})",
+                rank=err.rank,
+                dataset=k,
+            ) from err
 
 
 def _wy(h, tau):
@@ -270,7 +250,7 @@ def _factor_groups(alpha, problem):
     datasets are re-run one by one in problem order, so the error raised is
     that of the first failing dataset, as the per-dataset formulation would
     raise it."""
-    alpha = _check_alpha(alpha, problem)
+    alpha = _checked_alpha(alpha, problem.p)
     try:
         for group in problem.groups:
             yield group, _factor_group(alpha, problem, group)
@@ -284,36 +264,24 @@ def _reduce(problem, factored, form):
 
     ``factored`` gives each group with its GroupFactors.  Each group is
     formed as it arrives, and its factors and blocks are released before
-    the next group is factored; only the ``km`` form keeps the factors.
+    the next group is factored; only the ``km`` form keeps the factors,
+    and every form keeps each dataset's basis matrix.
     """
     s = problem.s
-    z_parts, jac_parts, betas = [None] * s, [None] * s, [None] * s
-    evals, kept = [], []
+    z_parts, jac_parts, betas, phis = [None] * s, [None] * s, [None] * s, [None] * s
+    kept = []
     for group, f in factored:
         z, jac, beta = _form_group(group, f, form)
-        evals.append((group.index, f.ge))
         if form == FORM_KM:
             kept.append((group, f))
         for i, k in enumerate(group.index):
             z_parts[k] = z[i]
             jac_parts[k] = jac[i].T
             betas[k] = beta[i]
+            # model.eval's m x n layout; a view of the group's stack where
+            # the model stores Phi that way (the Beer law does)
+            phis[k] = np.ascontiguousarray(f.ge.phi[i].T)
         del f, z, jac, beta
-
-    def bases():
-        out = [None] * s
-        for index, ge in evals:
-            for i, k in enumerate(index):
-                out[k] = ge.basis(i)
-        return out
-
-    def phis():
-        # the layout basis() gives, without copying the derivative blocks
-        out = [None] * s
-        for index, ge in evals:
-            for i, k in enumerate(index):
-                out[k] = np.ascontiguousarray(ge.phi[i].T)
-        return out
 
     trim = problem.n if form == FORM_KM else 0
     return ReducedEval(
@@ -321,8 +289,7 @@ def _reduce(problem, factored, form):
         jac=np.concatenate(jac_parts),
         betas=tuple(betas),
         block_sizes=tuple(ds.m - trim for ds in problem.datasets),
-        basis_source=bases,
-        phi_source=phis,
+        phis=tuple(phis),
         factors=tuple(kept),
     )
 
@@ -354,14 +321,15 @@ def gl_from_km(red, problem):
     return _reduce(problem, red.factors, FORM_GL)
 
 
-def build_block_diag(problem, alpha=None, bases=None):
-    """Dense block-diagonal basis matrix and its derivatives.
+def build_block_diag(problem, alpha):
+    """Dense block-diagonal basis matrix at alpha, its derivatives and the
+    per-dataset BasisEval records they are built from.
 
-    Deliberately explicit (zero-filled) so the naive formulation keeps its
+    The model is evaluated dataset by dataset, and the matrices are
+    deliberately explicit (zero-filled), so the naive formulation keeps its
     literal cost profile.
     """
-    if bases is None:
-        bases = [problem.model.eval(alpha, ds) for ds in problem.datasets]
+    bases = [problem.model.eval(alpha, ds) for ds in problem.datasets]
     m_total = problem.m_total
     n_total = problem.n * problem.s
     big = np.zeros((m_total, n_total))
@@ -379,7 +347,7 @@ def build_block_diag(problem, alpha=None, bases=None):
 
 def eval_naive(alpha, problem, element_budget=DEFAULT_ELEMENT_BUDGET):
     """Naive reduction: single-RHS formulas on the explicit block-diagonal matrix."""
-    alpha = _check_alpha(alpha, problem)
+    alpha = _checked_alpha(alpha, problem.p)
     m_total = problem.m_total
     n_total = problem.n * problem.s
     if m_total * n_total > element_budget:
@@ -387,7 +355,7 @@ def eval_naive(alpha, problem, element_budget=DEFAULT_ELEMENT_BUDGET):
             f"block-diagonal matrix would hold {m_total * n_total:.3g} elements, "
             f"budget is {element_budget:.3g}"
         )
-    big, dbig, bases = build_block_diag(problem, alpha=alpha)
+    big, dbig, bases = build_block_diag(problem, alpha)
     y_all = np.concatenate([ds.y for ds in problem.datasets])
     try:
         f = thin_qr(big)
@@ -411,5 +379,5 @@ def eval_naive(alpha, problem, element_budget=DEFAULT_ELEMENT_BUDGET):
         jac=jac,
         betas=betas,
         block_sizes=tuple(ds.m for ds in problem.datasets),
-        basis_source=lambda: bases,
+        phis=tuple(be.phi for be in bases),
     )

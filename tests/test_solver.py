@@ -175,6 +175,27 @@ class TestFinalLinearSolve:
         for got, want in zip(res.beta_hat, ref):
             npt.assert_allclose(got, want, rtol=1e-10)
 
+    def test_nls_full_evaluates_once_at_alpha_hat(self, monkeypatch, rng):
+        """The joint reference reduces once, at alpha_hat, and the final
+        linear solve and the diagnostics share that evaluation."""
+        prob, spec = make_exp_problem(rng, s=3, snr=100.0, seed=14)
+        calls = []
+        inner = solver._VP_EVALS["vp-gl"]
+
+        def counted(alpha, problem):
+            red = inner(alpha, problem)
+            calls.append((np.array(alpha, dtype=float), red))
+            return red
+
+        monkeypatch.setitem(solver._VP_EVALS, "vp-gl", counted)
+        res = fit(prob, SolverConfig(method="nls-full"), np.asarray(spec.alpha_true) * 1.3)
+        assert len(calls) == 1
+        alpha, red = calls[0]
+        assert np.array_equal(alpha, res.alpha_hat)
+        assert res.final_eval is red
+        for got, beta in zip(res.beta_hat, red.betas):
+            assert np.array_equal(got, beta)
+
 
 def frame_problem(soundings, seed):
     """A ``sepvar generate`` frame-layout problem: 2 * soundings spectra on

@@ -168,13 +168,25 @@ class TestGroupedKernel:
             assert np.array_equal(alone.jac, red.jac[rows])
             assert np.array_equal(alone.betas[0], red.betas[k])
 
-    def test_bases_read_from_groups_in_problem_order(self):
-        prob = frame_problem(soundings=2)
-        alpha = np.array([1.1, 0.9])
-        red = eval_gl(alpha, prob)
-        for ds, be, phi in zip(prob.datasets, red.bases, red.phis):
-            assert np.array_equal(be.phi, prob.model.eval(alpha, ds).phi)
-            assert np.array_equal(phi, be.phi)
+    @pytest.mark.parametrize(
+        "ev",
+        [eval_gl, eval_km, lambda a, prob: gl_from_km(eval_km(a, prob), prob), eval_naive],
+        ids=["eval_gl", "eval_km", "gl_from_km", "eval_naive"],
+    )
+    @pytest.mark.parametrize("kind", ["exp", "frame"])
+    def test_phis_are_model_bases_in_problem_order(self, ev, kind, rng):
+        """Each phis[k] is model.eval's basis matrix in its row-major layout,
+        whether the group stack holds it as a view (Beer) or not (exp)."""
+        if kind == "exp":
+            prob, _ = make_exp_problem(rng, s=3, snr=50.0, seed=51)
+            alpha = np.array([1.0, 0.3])
+        else:
+            prob, alpha = frame_problem(soundings=2), np.array([1.1, 0.9])
+        red = ev(alpha, prob)
+        assert len(red.phis) == prob.s
+        for ds, phi in zip(prob.datasets, red.phis):
+            assert phi.flags.c_contiguous
+            assert np.array_equal(phi, prob.model.eval(alpha, ds).phi)
 
     @pytest.mark.parametrize("kind", ["exp", "frame"])
     def test_gl_from_km_factors_is_eval_gl(self, kind, rng):

@@ -275,20 +275,17 @@ def cmd_generate(args):
 
 
 def _lm_config_from(cfg_dict):
-    if not cfg_dict:
-        return LMConfig()
-    allowed = {
-        k: cfg_dict[k]
-        for k in ("max_iter", "ftol", "xtol", "gtol", "lambda0", "lambda_up", "lambda_down")
-        if k in cfg_dict
-    }
-    return LMConfig(**allowed)
+    """The LMConfig of a bench config's ``lm`` block; a key LMConfig does not
+    have or a value it rejects is a usage error."""
+    try:
+        return LMConfig(**(cfg_dict or {}))
+    except (InvalidInputError, TypeError) as err:
+        raise UsageError(f"lm block {_jsonify(cfg_dict)}: {err}") from err
 
 
 def run_record(problem, manifest, method, alpha0, lm_cfg=None):
     result = fit(problem, SolverConfig(method=method, lm=lm_cfg or LMConfig()), alpha0)
     diag = stats.compute_diagnostics(result, problem)
-    result.diagnostics = diag
     record = {
         "schema_version": SCHEMA_VERSION,
         "method": method,
@@ -394,7 +391,7 @@ NO_FIT = {
 }
 
 
-def _bench_cell(cfg, method, s, snr, seed):
+def _bench_cell(cfg, lm_cfg, method, s, snr, seed):
     base = dict(cfg.get("problem", {}))
     base["snr"] = snr
     base["seed"] = seed
@@ -408,7 +405,6 @@ def _bench_cell(cfg, method, s, snr, seed):
     spec = spec_from_config(base)
     problem = synth.generate(spec)
     alpha0 = np.asarray(cfg.get("alpha0", np.ones(spec.p)), dtype=float)
-    lm_cfg = _lm_config_from(cfg.get("lm"))
     manifest = {"snr": snr, "seed": seed, "truth": {"alpha_true": spec.alpha_true.tolist()}}
     record, _ = run_record(problem, manifest, method, alpha0, lm_cfg)
     return record
@@ -428,13 +424,14 @@ def cmd_bench(args):
     snr_values = [_parse_snr(v) for v in cfg.get("snr_values", ["inf"])]
     n_seeds = int(cfg.get("n_seeds", 1))
     base_seed = int(cfg.get("base_seed", 0))
+    lm_cfg = _lm_config_from(cfg.get("lm"))
 
     records = []
     grid = itertools.product(methods, s_values, snr_values, range(n_seeds))
     for index, (method, s, snr, _) in enumerate(grid):
         cell = (method, s, snr, _cell_seed(base_seed, index))
         try:
-            records.append(_bench_cell(cfg, *cell))
+            records.append(_bench_cell(cfg, lm_cfg, *cell))
         except SepvarError as err:
             records.append(
                 dict(zip(CELL_COLUMNS, cell), **NO_FIT, status=f"error:{type(err).__name__}")

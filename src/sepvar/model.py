@@ -117,9 +117,10 @@ class BasisEval:
 class GroupEval:
     """Stacked bases of datasets that share one grid, grid axis last.
 
-    ``stack`` has shape g x (1 + p) x n x m: for dataset i of the group,
-    stack[i, 0].T is its basis matrix and stack[i, 1 + l].T the derivative
-    in alpha_l.
+    ``stack`` has shape g x (1 + p) x n x m, and every model and slit stores
+    each dataset's (1 + p) x n x m block C-contiguous: for dataset i of the
+    group, the view stack[i, 0].T is its basis matrix and stack[i, 1 + l].T
+    the derivative in alpha_l.
     """
 
     stack: np.ndarray
@@ -285,7 +286,8 @@ def eval_beer_group(alpha, datasets, n_linear=1):
     derivative rows are the convolved products with -tau_l.  The response
     and the powers of nu are built once for the group; the unconvolved rows
     are written into the padded buffer of the chunked slit convolution, so
-    no unconvolved stack of the whole group is formed.
+    no unconvolved stack of the whole group is formed; a delta slit fills
+    the same C-contiguous output stack directly.
     """
     alpha = _finite_vector(alpha)
     auxes = [_beer_aux(ds, alpha.size) for ds in datasets]
@@ -312,14 +314,11 @@ def eval_beer_group(alpha, datasets, n_linear=1):
         np.multiply(base[rows, None, :], powers, out=mono)
         np.multiply(neg_tau[rows, :, None, :], mono[:, None], out=dest[:, 1:])
 
-    shape = (len(datasets), 1 + alpha.size, n_linear, t.size)
+    stack = np.empty((len(datasets), 1 + alpha.size, n_linear, t.size))
     if kernel.size == 1:
-        stack = np.empty(shape)
         fill(slice(None), stack)
         return GroupEval(stack)
-    # each dataset's m x n blocks are stored row-major, so basis() needs no copy
-    out = np.empty(shape[:2] + shape[:1:-1]).transpose(0, 1, 3, 2)
-    return GroupEval(_convolve_chunked(fill, kernel, out))
+    return GroupEval(_convolve_chunked(fill, kernel, stack))
 
 
 def eval_beer_basis(alpha, dataset, n_linear=1):

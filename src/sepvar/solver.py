@@ -9,7 +9,6 @@ solution at the initial nonlinear guess.
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -51,12 +50,11 @@ class FitResult:
     lm_report: object
     wall_time: float
     method: str
-    diagnostics: Optional[object] = None
     # the reduced evaluation at alpha_hat that gave beta_hat and residuals:
     # eval_gl's for vp-gl and nls-full, eval_km's (with its factors) for
-    # vp-km, None for vp-naive; diagnostics read the GL Jacobian and the
-    # basis matrices from it
-    final_eval: Optional[object] = field(default=None, repr=False)
+    # vp-km and eval_naive's for vp-naive; diagnostics read the GL Jacobian
+    # and the basis matrices from it
+    final_eval: object = field(repr=False)
 
     @property
     def cost(self):
@@ -147,7 +145,7 @@ class _CachedReduced:
 
 def _final_linear_solve(problem, red):
     """Linear parameters and joint residuals, read from the reduced
-    evaluation ``red`` at alpha_hat."""
+    evaluation ``red`` at alpha_hat, whatever the strides of its phis."""
     residuals = [
         ds.y - phi @ beta for ds, phi, beta in zip(problem.datasets, red.phis, red.betas)
     ]
@@ -188,5 +186,5 @@ def fit(problem, cfg, alpha0):
         lm_report=report,
         wall_time=wall,
         method=cfg.method,
-        final_eval=None if cfg.method == METHOD_VP_NAIVE else red,
+        final_eval=red,
     )

@@ -23,13 +23,15 @@ factorization checks each of them; one that fails raises a RuntimeWarning
 and its pseudo-inverse takes the place of its inverse.
 
 The reduced Jacobian and basis matrices (``ReducedEval.jac`` and
-``phis``) come from the evaluation at alpha_hat that the fit carries
-(``FitResult.final_eval``): a ``vp-gl`` or ``nls-full`` fit holds the
-``eval_gl`` evaluation itself, and a ``vp-km`` fit an ``eval_km``
-evaluation whose kept factors give the GL form without evaluating or
-factoring again (``vpcore.gl_from_km``).  Only ``vp-naive`` fits evaluate
-again.  ``build_H`` and ``covariance`` are the dense reference of the same
-quantities; ``build_H`` evaluates everything afresh at alpha_hat.
+``phis``, which may be strided views) come from the evaluation at
+alpha_hat that every fit carries (``FitResult.final_eval``), so the
+diagnostics never evaluate the model: a ``vp-gl`` or ``nls-full`` fit holds
+the ``eval_gl`` evaluation itself, a ``vp-naive`` fit the literal
+``eval_naive`` one, and a ``vp-km`` fit an ``eval_km`` evaluation whose kept
+factors give the GL form without evaluating or factoring again
+(``vpcore.gl_from_km``).  ``build_H`` and ``covariance`` are the dense
+reference of the same quantities; ``build_H`` evaluates everything afresh
+at alpha_hat.
 """
 
 import warnings
@@ -250,9 +252,7 @@ def compute_diagnostics(result, problem, level=0.95):
     yhat_all = y_all - residual
     score = r_score(y_all, yhat_all)
     red = result.final_eval
-    if red is None:
-        red = eval_gl(np.asarray(result.alpha_hat, dtype=float), problem)
-    elif red.factors:
+    if red.factors:
         red = gl_from_km(red, problem)
     grams = _dataset_grams(red.jac, red.phis, problem)
     if not np.all(np.isfinite(grams)) or not np.isfinite(sigma):

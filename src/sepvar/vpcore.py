@@ -19,20 +19,20 @@ provided:
 group, once per problem and in order of each group's first dataset.  A
 frame layout of 32 soundings gives two groups of 32; datasets on distinct
 grids are groups of one.  Each group goes through two steps.  The factor
-step evaluates the stacked bases (grid axis last), factors them by one
-stacked Householder QR, screens the rank and forms the compact WY
-representation (:class:`GroupFactors`).  The form step turns these into
-the linear parameters, residuals and Jacobian blocks of the ``gl`` or
-``km`` form by batched products.  Every evaluation is a plain
+step evaluates the stacked bases (the model's one layout, grid axis last),
+factors them by one stacked Householder QR, screens the rank and forms the
+compact WY representation (:class:`GroupFactors`).  The form step turns
+these into the linear parameters, residuals and Jacobian blocks of the
+``gl`` or ``km`` form by batched products.  Every evaluation is a plain
 :class:`ReducedEval` record, filled as its groups are formed: residual,
-Jacobian, and each dataset's linear parameters and basis matrix, which the
-final linear solve and the diagnostics read.  An ``eval_km`` evaluation
-also keeps its groups' factors, so :func:`gl_from_km` gives the
-``eval_gl`` evaluation at the same alpha with no model evaluation or QR; a
-``vp-km`` fit's diagnostics use it.  Every product is computed dataset by
-dataset within the stack, so the results do not depend on the grouping,
-and the rank decisions and typed errors are those of the pivoted
-per-dataset ``thin_qr``.
+Jacobian, each dataset's linear parameters and its basis matrix as a view
+of the stack, which the final linear solve and the diagnostics read.  An
+``eval_km`` evaluation also keeps its groups' factors, so
+:func:`gl_from_km` gives the ``eval_gl`` evaluation at the same alpha with
+no model evaluation or QR; a ``vp-km`` fit's diagnostics use it.  Every
+product is computed dataset by dataset within the stack, so the results do
+not depend on the grouping, and the rank decisions and typed errors are
+those of the pivoted per-dataset ``thin_qr``.
 
 The three residuals always share the same 2-norm; projectors are never
 materialized except inside ``eval_naive``, which is deliberately literal so
@@ -146,8 +146,9 @@ class ReducedEval:
     """Residual, Jacobian and per-dataset intermediates at one alpha.
 
     ``betas`` and ``phis`` hold each dataset's linear parameters and m x n
-    basis matrix, in problem order.  An ``eval_km`` evaluation keeps its
-    groups' ``factors`` (DatasetGroup, GroupFactors) for :func:`gl_from_km`.
+    basis matrix, in problem order; a grouped kernel's phis are transposed
+    views of its group's stack.  An ``eval_km`` evaluation keeps its groups'
+    ``factors`` (DatasetGroup, GroupFactors) for :func:`gl_from_km`.
     """
 
     z: np.ndarray
@@ -265,7 +266,7 @@ def _reduce(problem, factored, form):
     ``factored`` gives each group with its GroupFactors.  Each group is
     formed as it arrives, and its factors and blocks are released before
     the next group is factored; only the ``km`` form keeps the factors,
-    and every form keeps each dataset's basis matrix.
+    and every form keeps a view of each dataset's basis matrix.
     """
     s = problem.s
     z_parts, jac_parts, betas, phis = [None] * s, [None] * s, [None] * s, [None] * s
@@ -278,9 +279,7 @@ def _reduce(problem, factored, form):
             z_parts[k] = z[i]
             jac_parts[k] = jac[i].T
             betas[k] = beta[i]
-            # model.eval's m x n layout; a view of the group's stack where
-            # the model stores Phi that way (the Beer law does)
-            phis[k] = np.ascontiguousarray(f.ge.phi[i].T)
+            phis[k] = f.ge.phi[i].T
         del f, z, jac, beta
 
     trim = problem.n if form == FORM_KM else 0

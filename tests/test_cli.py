@@ -417,6 +417,20 @@ class TestBench:
         rc = cli.main(["bench", "--config", cfg, "--out", str(tmp_path / "b.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("lm, key", [({"max_iters": 1}, "max_iters"),
+                                         ({"max_iter": 0}, "max_iter")])
+    def test_bad_lm_block_is_usage_error(self, tmp_path, capsys, lm, key):
+        """An unknown key or an invalid value stops the sweep before any
+        cell runs, and the message names the key."""
+        cfg = write_config(
+            tmp_path / "bench.json",
+            {"methods": ["vp-gl"], "s_values": [2], "lm": lm, "problem": exp_config()},
+        )
+        out = tmp_path / "b.csv"
+        assert cli.main(["bench", "--config", cfg, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_sweep_header_only(self, tmp_path):
         cfg = write_config(
             tmp_path / "bench.json",

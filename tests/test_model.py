@@ -201,12 +201,13 @@ class TestConvolveReflect:
 
     @pytest.mark.parametrize(
         "m, halfwidth",
-        [(40, 1.5), (40, 12.0), (651, 8.0), (809, 6.5)],
+        [(40, 0.0), (40, 1.5), (40, 12.0), (651, 8.0), (809, 6.5)],
     )
     def test_group_slices_across_chunk_boundaries(self, m, halfwidth, rng):
         # group sizes 1-9 end on a full chunk (4, 8) or a partial one (the
         # rest); on m = 40 a 12-unit half-width gives a 97-tap response,
-        # wider than the grid, whose tails are reflected more than once
+        # wider than the grid, whose tails are reflected more than once, and
+        # a zero half-width is the delta slit, which is not convolved
         t = np.linspace(0.0, m - 1.0, m)
         datasets = []
         for _ in range(9):
@@ -218,6 +219,7 @@ class TestConvolveReflect:
         alone = [model.eval(alpha, ds) for ds in datasets]
         for size in range(1, 10):
             ge = model.eval_group(alpha, datasets[:size])
+            assert ge.stack.flags.c_contiguous
             for i, be in enumerate(alone[:size]):
                 assert np.array_equal(be.phi, ge.phi[i].T)
                 for l in range(model.p):

@@ -175,8 +175,8 @@ class TestGroupedKernel:
     )
     @pytest.mark.parametrize("kind", ["exp", "frame"])
     def test_phis_are_model_bases_in_problem_order(self, ev, kind, rng):
-        """Each phis[k] is model.eval's basis matrix in its row-major layout,
-        whether the group stack holds it as a view (Beer) or not (exp)."""
+        """Each phis[k] equals model.eval's basis matrix; the grouped
+        kernels read it as a view of the group's stack, not a copy."""
         if kind == "exp":
             prob, _ = make_exp_problem(rng, s=3, snr=50.0, seed=51)
             alpha = np.array([1.0, 0.3])
@@ -185,8 +185,10 @@ class TestGroupedKernel:
         red = ev(alpha, prob)
         assert len(red.phis) == prob.s
         for ds, phi in zip(prob.datasets, red.phis):
-            assert phi.flags.c_contiguous
             assert np.array_equal(phi, prob.model.eval(alpha, ds).phi)
+        for group, f in red.factors:
+            for i, k in enumerate(group.index):
+                assert np.shares_memory(red.phis[k], f.ge.phi[i])
 
     @pytest.mark.parametrize("kind", ["exp", "frame"])
     def test_gl_from_km_factors_is_eval_gl(self, kind, rng):

@@ -54,12 +54,9 @@ from .synth import (
     GridSpec,
     TruthSpec,
     frame_grids,
-    gen_exp_problem,
-    gen_spectra,
     gen_tau_profiles,
     generate,
     regenerate_noise,
-    replace_snr,
 )
 from .vpcore import MultiProblem, ReducedEval, eval_gl, eval_km, eval_naive
 

@@ -77,9 +77,12 @@ def _parse_snr(value):
 
 def load_config(path):
     try:
-        return json.loads(Path(path).read_text())
+        cfg = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise UsageError(f"cannot read config {path}: {err}") from err
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config {path} does not hold a JSON object")
+    return cfg
 
 
 class UsageError(Exception):
@@ -89,53 +92,44 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # generate
 
+CONFIG_KEYS = {"model", "n", "p", "seed", "snr", "alpha_true", "beta_true", "frame", "grids"}
+
 
 def spec_from_config(cfg):
-    kind = cfg.get("model", synth.KIND_BEER)
-    n = int(cfg["n"])
-    p = int(cfg["p"])
-    seed = int(cfg.get("seed", 0))
-    snr = _parse_snr(cfg.get("snr", "inf"))
-    alpha_true = np.asarray(cfg["alpha_true"], dtype=float)
-    if alpha_true.size != p:
-        raise UsageError(f"alpha_true must have length p={p}")
-
-    if "frame" in cfg:
-        fr = cfg["frame"]
-        grids = synth.frame_grids(
-            n_soundings=int(fr.get("soundings", 8)),
-            strong_length=int(fr.get("strong_length", 809)),
-            weak_length=int(fr.get("weak_length", 651)),
-            strong_range=tuple(fr.get("strong_range", (6180.0, 6280.0))),
-            weak_range=tuple(fr.get("weak_range", (4950.0, 5050.0))),
-            strong_i0=float(fr.get("strong_i0", 1.0)),
-            weak_i0=float(fr.get("weak_i0", 1.0)),
+    """The TruthSpec of a ``generate`` config.  The ``frame`` block holds
+    ``synth.frame_grids`` arguments (``soundings`` is ``n_soundings``) and
+    each ``grids`` entry ``synth.GridSpec`` fields, so those records alone
+    read their keys and hold their defaults; a key nothing reads, or a value
+    a record rejects, is a usage error that names it."""
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise UsageError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
+    if "frame" in cfg and "grids" in cfg:
+        raise UsageError("config gives both 'frame' and 'grids'")
+    try:
+        n, p, seed = int(cfg["n"]), int(cfg["p"]), int(cfg.get("seed", 0))
+        alpha_true = np.asarray(cfg["alpha_true"], dtype=float)
+        if alpha_true.size != p:
+            raise ValueError(f"alpha_true must have length p={p}")
+        if "frame" in cfg:
+            frame = dict(cfg["frame"])
+            grids = synth.frame_grids(n_soundings=int(frame.pop("soundings", 8)), **frame)
+        else:
+            grids = tuple(synth.GridSpec(**entry) for entry in cfg["grids"])
+        if "beta_true" in cfg:
+            beta_true = cfg["beta_true"]
+            if len(beta_true) != len(grids):
+                raise ValueError("beta_true must list one vector per dataset")
+        else:
+            rng = np.random.default_rng(seed + 1)
+            beta_true = tuple(rng.uniform(0.5, 1.5, size=n) for _ in grids)
+        return synth.TruthSpec(
+            kind=cfg.get("model", synth.KIND_BEER), alpha_true=alpha_true,
+            beta_true=beta_true, grids=grids, snr=_parse_snr(cfg.get("snr", "inf")),
+            seed=seed,
         )
-    else:
-        grids = tuple(
-            synth.GridSpec(
-                length=int(g["length"]),
-                lo=float(g["lo"]),
-                hi=float(g["hi"]),
-                i0_scale=float(g.get("i0_scale", 1.0)),
-                tau_scale=tuple(g["tau_scale"]) if g.get("tau_scale") else None,
-                slit_halfwidth=g.get("slit_halfwidth"),
-            )
-            for g in cfg["grids"]
-        )
-
-    if "beta_true" in cfg:
-        beta_true = tuple(np.asarray(b, dtype=float) for b in cfg["beta_true"])
-        if len(beta_true) != len(grids):
-            raise UsageError("beta_true must list one vector per dataset")
-    else:
-        rng = np.random.default_rng(seed + 1)
-        beta_true = tuple(rng.uniform(0.5, 1.5, size=n) for _ in grids)
-
-    return synth.TruthSpec(
-        kind=kind, alpha_true=alpha_true, beta_true=beta_true, grids=grids,
-        snr=snr, seed=seed,
-    )
+    except (KeyError, TypeError, ValueError) as err:
+        raise UsageError(f"config: {type(err).__name__}: {err}") from err
 
 
 def write_bundle(out_dir, spec, problem):
@@ -391,21 +385,27 @@ NO_FIT = {
 }
 
 
-def _bench_cell(cfg, lm_cfg, method, s, snr, seed):
-    base = dict(cfg.get("problem", {}))
-    base["snr"] = snr
-    base["seed"] = seed
+def _bench_spec(problem, s, snr, seed):
+    """The TruthSpec of one bench cell: the ``problem`` config cut to ``s``
+    datasets, at ``snr`` and ``seed``."""
+    base = dict(problem, snr=snr, seed=seed)
     if "frame" in base:
-        base["frame"] = dict(base["frame"])
-        base["frame"]["soundings"] = max(1, s // 2)
-    else:
-        base["grids"] = base["grids"][:s]
-        if "beta_true" in base:
-            base["beta_true"] = base["beta_true"][:s]
-    spec = spec_from_config(base)
+        if s < 2 or s % 2:
+            raise UsageError(f"s={s}: a frame problem needs an even s >= 2")
+        base["frame"] = {**base["frame"], "soundings": s // 2}
+    for key in ("grids", "beta_true"):
+        if key in base:
+            if not 1 <= s <= len(base[key]):
+                raise UsageError(f"s={s} is not in 1..{len(base[key])}, the problem's {key}")
+            base[key] = base[key][:s]
+    return spec_from_config(base)
+
+
+def _bench_cell(cfg, lm_cfg, method, spec):
     problem = synth.generate(spec)
     alpha0 = np.asarray(cfg.get("alpha0", np.ones(spec.p)), dtype=float)
-    manifest = {"snr": snr, "seed": seed, "truth": {"alpha_true": spec.alpha_true.tolist()}}
+    truth = {"alpha_true": spec.alpha_true.tolist()}
+    manifest = {"snr": spec.snr, "seed": spec.seed, "truth": truth}
     record, _ = run_record(problem, manifest, method, alpha0, lm_cfg)
     return record
 
@@ -426,12 +426,18 @@ def cmd_bench(args):
     base_seed = int(cfg.get("base_seed", 0))
     lm_cfg = _lm_config_from(cfg.get("lm"))
 
-    records = []
     grid = itertools.product(methods, s_values, snr_values, range(n_seeds))
-    for index, (method, s, snr, _) in enumerate(grid):
-        cell = (method, s, snr, _cell_seed(base_seed, index))
+    cells = [(method, s, snr, _cell_seed(base_seed, index))
+             for index, (method, s, snr, _) in enumerate(grid)]
+    try:
+        specs = [_bench_spec(cfg.get("problem", {}), *cell[1:]) for cell in cells]
+    except (KeyError, TypeError, ValueError) as err:
+        raise UsageError(f"problem: {type(err).__name__}: {err}") from err
+
+    records = []
+    for cell, spec in zip(cells, specs):
         try:
-            records.append(_bench_cell(cfg, lm_cfg, *cell))
+            records.append(_bench_cell(cfg, lm_cfg, cell[0], spec))
         except SepvarError as err:
             records.append(
                 dict(zip(CELL_COLUMNS, cell), **NO_FIT, status=f"error:{type(err).__name__}")

@@ -55,6 +55,8 @@ class BeerAux:
         object.__setattr__(self, "tau", np.asarray(self.tau, dtype=float))
         if not (0.0 < self.mu_sun <= 1.0):
             raise InvalidInputError(f"mu_sun must be in (0, 1], got {self.mu_sun}")
+        if not all(np.isfinite(v).all() for v in (self.i0, self.tau, self.slit_halfwidth)):
+            raise InvalidInputError("i0, tau and slit_halfwidth must be finite")
         if np.any(self.i0 <= 0.0):
             raise InvalidInputError("solar spectrum samples must all be positive")
         if self.tau.ndim != 2 or self.tau.shape[0] != self.i0.shape[0]:
@@ -83,6 +85,8 @@ class Dataset:
             raise InvalidInputError(
                 f"t and y must share a positive length, got {self.t.size} and {self.y.size}"
             )
+        if not (np.isfinite(self.t).all() and np.isfinite(self.y).all()):
+            raise InvalidInputError("t and y must be finite")
         if np.any(np.diff(self.t) <= 0.0):
             raise InvalidInputError("abscissa grid must be strictly increasing")
 

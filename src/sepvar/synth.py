@@ -1,19 +1,24 @@
 """Reproducible synthetic problem generation.
 
 Exponential test instances and Beer-law spectra with a satellite-like frame
-layout (several soundings, two spectral bands of different lengths).  Noise is
-multiplicative: y = eta * (1 + g / SNR) with g standard normal, so the
-regression sigma scales with 1/SNR by construction.  All randomness flows
+layout (several soundings, two spectral bands of different lengths).  Each
+input record reads its own fields and holds its own defaults: a
+:class:`GridSpec` per dataset, :func:`frame_grids` for the frame layout, and
+:class:`TruthSpec` for the whole problem; ``sepvar generate`` passes its
+config blocks to them as keyword arguments.  :func:`generate` builds every
+problem with one loop, drawing a Beer dataset's auxiliaries before any noise.
+Noise is multiplicative: y = eta * (1 + g / SNR) with g standard normal, so
+the regression sigma scales with 1/SNR by construction.  All randomness flows
 from one 64-bit seed through numpy's PCG64 generator.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .exceptions import GenerationError, InvalidInputError
-from .model import BeerAux, BeerLawModel, Dataset, ExpDecayModel
+from .model import BeerAux, BeerLawModel, Dataset, ExpDecayModel, normalize_abscissa
 from .vpcore import MultiProblem
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -51,10 +56,18 @@ class GridSpec:
     slit_halfwidth: Optional[float] = None  # defaults to 1% of the span
 
     def __post_init__(self):
-        if self.length < 2 or not self.hi > self.lo:
-            raise InvalidInputError("grid needs length >= 2 and hi > lo")
-        if self.i0_scale <= 0.0:
-            raise InvalidInputError("i0_scale must be positive")
+        if not isinstance(self.length, (int, np.integer)) or self.length < 2:
+            raise InvalidInputError(f"grid length must be an integer >= 2, got {self.length!r}")
+        if not -np.inf < self.lo < self.hi < np.inf:
+            raise InvalidInputError("grid needs finite lo < hi")
+        if not 0.0 < self.i0_scale < np.inf:
+            raise InvalidInputError("i0_scale must be positive and finite")
+        if self.tau_scale is not None:
+            object.__setattr__(self, "tau_scale", tuple(self.tau_scale))
+            if not all(0.0 <= v < np.inf for v in self.tau_scale):
+                raise InvalidInputError("tau_scale entries must be nonnegative and finite")
+        if self.slit_halfwidth is not None and not 0.0 <= self.slit_halfwidth < np.inf:
+            raise InvalidInputError("slit_halfwidth must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -83,6 +96,8 @@ class TruthSpec:
             raise InvalidInputError("all beta vectors must share one length")
         if self.kind == KIND_EXP and n != self.alpha_true.size:
             raise InvalidInputError("exponential model requires n == p")
+        if any(g.tau_scale is not None and len(g.tau_scale) != self.p for g in self.grids):
+            raise InvalidInputError(f"tau_scale must have one entry per species, p={self.p}")
         if not self.snr > 0.0:
             raise InvalidInputError("snr must be positive (or infinite)")
 
@@ -149,65 +164,41 @@ def _noisy(eta, snr, rng):
     return eta * (1.0 + g / snr)
 
 
-def gen_spectra(spec):
-    """Beer-law problem from a truth specification.
+def _beer_aux(grid, t, p, rng):
+    """The Beer auxiliaries of one dataset on grid ``t``, drawn from ``rng``
+    in a fixed order: the tau seed, the solar background, then mu_sun."""
+    tau = gen_tau_profiles(t, p, int(rng.integers(0, 2**63 - 1)))
+    if grid.tau_scale is not None:
+        tau = tau * np.asarray(grid.tau_scale)
+    i0 = _solar_background(normalize_abscissa(t), grid.i0_scale, rng)
+    mu = float(rng.uniform(0.5, 1.0))
+    halfwidth = grid.slit_halfwidth
+    if halfwidth is None:
+        halfwidth = 0.01 * (grid.hi - grid.lo)
+    return BeerAux(mu_sun=mu, i0=i0, tau=tau, slit_halfwidth=halfwidth)
+
+
+def generate(spec):
+    """The problem of a truth specification, for either model kind.
 
     Dataset construction order is fixed, so a given seed is bitwise
     reproducible.  SNR = inf yields exact model values.
     """
-    if spec.kind != KIND_BEER:
-        raise InvalidInputError("gen_spectra requires a beer-kind TruthSpec")
     rng = np.random.default_rng(spec.seed)
     model, _ = model_kind(spec.kind, spec.n, spec.p)
     pieces = []
     # all structural draws happen before any noise draw, so one seed yields
     # the same instrument setup at every SNR
-    for k, (g, beta) in enumerate(zip(spec.grids, spec.beta_true)):
+    for g, beta in zip(spec.grids, spec.beta_true):
         t = np.linspace(g.lo, g.hi, g.length)
-        tau_seed = int(rng.integers(0, 2**63 - 1))
-        tau = gen_tau_profiles(t, spec.p, tau_seed)
-        if g.tau_scale is not None:
-            tau = tau * np.asarray(g.tau_scale, dtype=float)[None, :]
-        t_norm = 2.0 * (t - t[0]) / (t[-1] - t[0]) - 1.0
-        i0 = _solar_background(t_norm, g.i0_scale, rng)
-        mu = float(rng.uniform(0.5, 1.0))
-        halfwidth = g.slit_halfwidth
-        if halfwidth is None:
-            halfwidth = 0.01 * (g.hi - g.lo)
-        aux = BeerAux(mu_sun=mu, i0=i0, tau=tau, slit_halfwidth=halfwidth)
-        probe = Dataset(t=t, y=np.ones_like(t), aux=aux, id=f"ds{k:03d}")
-        eta = model.eval(spec.alpha_true, probe).phi @ beta
-        pieces.append((t, aux, eta, f"ds{k:03d}"))
-    datasets = [
-        Dataset(t=t, y=_noisy(eta, spec.snr, rng), aux=aux, id=label)
-        for t, aux, eta, label in pieces
-    ]
-    return MultiProblem(datasets=tuple(datasets), model=model)
-
-
-def gen_exp_problem(spec):
-    """Exponential-model problem from a truth specification; same noise law."""
-    if spec.kind != KIND_EXP:
-        raise InvalidInputError("gen_exp_problem requires an exp-kind TruthSpec")
-    rng = np.random.default_rng(spec.seed)
-    model, _ = model_kind(spec.kind, spec.n, spec.p)
-    pieces = []
-    for k, (g, beta) in enumerate(zip(spec.grids, spec.beta_true)):
-        t = np.linspace(g.lo, g.hi, g.length)
-        probe = Dataset(t=t, y=np.ones_like(t), id=f"ds{k:03d}")
-        eta = model.eval(spec.alpha_true, probe).phi @ beta
-        pieces.append((t, eta, f"ds{k:03d}"))
-    datasets = [
-        Dataset(t=t, y=_noisy(eta, spec.snr, rng), id=label) for t, eta, label in pieces
-    ]
-    return MultiProblem(datasets=tuple(datasets), model=model)
-
-
-def generate(spec):
-    """Dispatch on the model kind."""
-    if spec.kind == KIND_BEER:
-        return gen_spectra(spec)
-    return gen_exp_problem(spec)
+        aux = _beer_aux(g, t, spec.p, rng) if spec.kind == KIND_BEER else None
+        eta = model.eval(spec.alpha_true, Dataset(t=t, y=np.ones_like(t), aux=aux)).phi @ beta
+        pieces.append((t, aux, eta))
+    datasets = tuple(
+        Dataset(t=t, y=_noisy(eta, spec.snr, rng), aux=aux, id=f"ds{k:03d}")
+        for k, (t, aux, eta) in enumerate(pieces)
+    )
+    return MultiProblem(datasets=datasets, model=model)
 
 
 def regenerate_noise(spec, noise_seed):
@@ -217,24 +208,13 @@ def regenerate_noise(spec, noise_seed):
     noise with an independent generator; useful for Monte-Carlo sweeps where
     the instrument setup stays fixed across realizations.
     """
-    exact = generate(replace_snr(spec, np.inf))
+    exact = generate(replace(spec, snr=np.inf))
     rng = np.random.default_rng(noise_seed)
     noisy = [
         Dataset(t=ds.t, y=_noisy(ds.y, spec.snr, rng), aux=ds.aux, id=ds.id)
         for ds in exact.datasets
     ]
     return MultiProblem(datasets=tuple(noisy), model=exact.model)
-
-
-def replace_snr(spec, snr):
-    return TruthSpec(
-        kind=spec.kind,
-        alpha_true=spec.alpha_true,
-        beta_true=spec.beta_true,
-        grids=spec.grids,
-        snr=snr,
-        seed=spec.seed,
-    )
 
 
 def frame_grids(
@@ -247,10 +227,6 @@ def frame_grids(
     weak_i0=1.0,
 ):
     """Satellite-like frame layout: per sounding one strong and one weak band."""
-    grids = []
-    for _ in range(n_soundings):
-        grids.append(
-            GridSpec(strong_length, strong_range[0], strong_range[1], i0_scale=strong_i0)
-        )
-        grids.append(GridSpec(weak_length, weak_range[0], weak_range[1], i0_scale=weak_i0))
-    return tuple(grids)
+    strong = GridSpec(strong_length, *strong_range, i0_scale=strong_i0)
+    weak = GridSpec(weak_length, *weak_range, i0_scale=weak_i0)
+    return (strong, weak) * n_soundings

@@ -32,7 +32,7 @@ def make_exp_problem(rng, s=3, n=2, m_range=(8, 16), t_max=3.0, snr=np.inf, seed
         snr=snr,
         seed=int(rng.integers(2**31)) if seed is None else seed,
     )
-    return sv.gen_exp_problem(spec), spec
+    return sv.generate(spec), spec
 
 
 @pytest.fixture

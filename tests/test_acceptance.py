@@ -6,6 +6,7 @@ they complete.
 """
 
 import contextlib
+import dataclasses
 import time
 
 import numpy as np
@@ -89,7 +90,7 @@ def snr_sweep():
     cfg = SolverConfig(method="vp-gl")
     out = {"single_std": [], "mrhs_std": [], "mean_sigma": [], "mean_r": []}
     for snr in SNRS:
-        spec = sv.replace_snr(base, snr)
+        spec = dataclasses.replace(base, snr=snr)
         singles, mrhs, sigmas, rs = [], [], [], []
         for i in range(N_SNR_SEEDS):
             prob = sv.regenerate_noise(spec, noise_seed=1000 + i)
@@ -196,7 +197,7 @@ class TestAcceptance:
                     ),
                     snr=50.0, seed=int(rng.integers(2**31)),
                 )
-                prob = sv.gen_exp_problem(spec)
+                prob = sv.generate(spec)
                 alpha = spec.alpha_true * rng.uniform(0.85, 1.15, 2)
 
                 for ev in (eval_gl, eval_naive):
@@ -358,7 +359,7 @@ class TestAcceptance:
             with pytest.raises(InvalidInputError):
                 sigma_of_regression(np.zeros(4), 4, n=1, s=3, p=1)
             spec = exp_spec(3, seed=99, snr=50.0)
-            prob = sv.gen_exp_problem(spec)
+            prob = sv.generate(spec)
             res = fit(prob, SolverConfig(), spec.alpha_true * 1.1)
             diag = compute_diagnostics(res, prob)
             assert diag.dof == prob.m_total - prob.s * prob.n - prob.p

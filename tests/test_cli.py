@@ -160,6 +160,7 @@ MALFORMED = {
     "manifest-not-object": _replace_line("manifest.json", 0, "[]"),
     "unknown-model-kind": lambda b: _edit_manifest(b, model="bogus"),
     "header-only": _keep_header,
+    "non-finite-value": _replace_line("dataset_000.csv", 1, "6180,nan,1,0,0"),
 }
 
 # what the message must say besides the file name: the file line of the bad
@@ -167,6 +168,7 @@ MALFORMED = {
 MALFORMED_TEXT = {
     "non-numeric-row": "line 3: 'x' is not a number",
     "header-only": "has 0 row(s) of 5 value(s), expected 20 of 5",
+    "non-finite-value": "t and y must be finite",
 }
 
 
@@ -189,6 +191,90 @@ class TestMalformedBundle:
         assert err.startswith("error: ")
         assert str(broken) in err
         assert MALFORMED_TEXT.get(case, "") in err
+
+
+def frame_config(**frame):
+    return {"model": "beer", "n": 3, "p": 2, "seed": 4, "alpha_true": [1.0, 1.0],
+            "frame": frame}
+
+
+def _without(cfg, key):
+    return {k: v for k, v in cfg.items() if k != key}
+
+
+def _bench(problem, s):
+    return {"methods": ["vp-gl"], "s_values": [s], "problem": problem}
+
+
+# command, config and the text the usage error must name
+CONFIG_ERRORS = {
+    "frame-key-typo": ("generate", frame_config(sounding=2), "'sounding'"),
+    "grid-key-typo": (
+        "generate",
+        {**exp_config(), "grids": [{"length": 40, "lo": 0.0, "hi": 4.0, "slit_half_width": 0}] * 2},
+        "'slit_half_width'",
+    ),
+    "top-level-typo": ("generate", {**exp_config(), "sed": 3}, "'sed'"),
+    "frame-and-grids": ("generate", {**exp_config(), "frame": {}}, "both 'frame' and 'grids'"),
+    "missing-p": ("generate", _without(exp_config(), "p"), "KeyError: 'p'"),
+    "missing-alpha_true": (
+        "generate", _without(exp_config(), "alpha_true"), "KeyError: 'alpha_true'"
+    ),
+    "missing-grids": ("generate", _without(exp_config(), "grids"), "KeyError: 'grids'"),
+    "generate-non-object": ("generate", [], "does not hold a JSON object"),
+    "bench-non-object": ("bench", [], "does not hold a JSON object"),
+    "bench-odd-frame-s": ("bench", _bench(frame_config(), 3), "s=3"),
+    "bench-s-beyond-grids": ("bench", _bench(exp_config(s=2), 4), "s=4"),
+}
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+    def test_usage_error_names_key(self, tmp_path, capsys, case):
+        command, cfg_dict, text = CONFIG_ERRORS[case]
+        cfg = write_config(tmp_path / "cfg.json", cfg_dict)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert text in err
+        if "non-object" in case:
+            assert cfg in err
+        assert not out.exists()
+
+    def test_blocks_build_the_records_they_name(self):
+        """Every frame_grids argument and every GridSpec field set in a
+        config gives the records the per-key reader built."""
+        frame = cli.spec_from_config(frame_config(
+            soundings=2, strong_length=300, weak_length=200, strong_range=[6100.0, 6300.0],
+            weak_range=[4900.0, 5100.0], strong_i0=1.5, weak_i0=0.5,
+        ))
+        assert frame.grids == (
+            synth.GridSpec(300, 6100.0, 6300.0, i0_scale=1.5),
+            synth.GridSpec(200, 4900.0, 5100.0, i0_scale=0.5),
+        ) * 2
+        grids = cli.spec_from_config({
+            "model": "beer", "n": 3, "p": 2, "seed": 4, "snr": 50, "alpha_true": [1.0, 1.0],
+            "beta_true": [[1.0, 0.1, -0.05], [0.9, 0.2, 0.0]],
+            "grids": [{"length": 150, "lo": 6180.0, "hi": 6280.0, "i0_scale": 1.3,
+                       "tau_scale": [2.0, 0.5], "slit_halfwidth": 0.0},
+                      {"length": 110, "lo": 4950, "hi": 5050, "i0_scale": 1,
+                       "tau_scale": [1, 1.5], "slit_halfwidth": 3.5}],
+        })
+        assert grids.grids == (
+            synth.GridSpec(150, 6180.0, 6280.0, i0_scale=1.3, tau_scale=(2.0, 0.5),
+                           slit_halfwidth=0.0),
+            synth.GridSpec(110, 4950.0, 5050.0, i0_scale=1.0, tau_scale=(1.0, 1.5),
+                           slit_halfwidth=3.5),
+        )
+        assert (grids.kind, grids.snr, grids.seed) == ("beer", 50.0, 4)
+        npt.assert_array_equal(grids.alpha_true, [1.0, 1.0])
+        npt.assert_array_equal(np.stack(grids.beta_true), [[1.0, 0.1, -0.05], [0.9, 0.2, 0.0]])
+
+    def test_config_is_not_modified(self):
+        cfg = frame_config(soundings=1)
+        cli.spec_from_config(cfg)
+        assert cfg == frame_config(soundings=1)
 
 
 class TestFormats:

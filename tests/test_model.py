@@ -51,6 +51,21 @@ class TestDataset:
         with pytest.raises(InvalidInputError):
             BeerAux(mu_sun=1.5, i0=[1.0, 1.0], tau=np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("t, y", [([0.0, np.nan], [1.0, 1.0]), ([0.0, 1.0], [np.nan, 1.0]),
+                                      ([0.0, np.inf], [1.0, 1.0]), ([0.0, 1.0], [1.0, -np.inf])])
+    def test_non_finite_data_rejected(self, t, y):
+        """NaN passes every ordering check, so it is refused by name."""
+        with pytest.raises(InvalidInputError, match="finite"):
+            Dataset(t=t, y=y)
+
+    @pytest.mark.parametrize("field, value", [("i0", [1.0, np.nan]), ("i0", [np.inf, 1.0]),
+                                              ("tau", [[np.nan], [0.0]]),
+                                              ("slit_halfwidth", np.nan)])
+    def test_non_finite_beer_aux_rejected(self, field, value):
+        fields = {"mu_sun": 0.5, "i0": [1.0, 1.0], "tau": np.zeros((2, 1)), field: value}
+        with pytest.raises(InvalidInputError, match="finite"):
+            BeerAux(**fields)
+
 
 class TestNormalizeAbscissa:
     def test_symmetric_map(self):

@@ -56,7 +56,7 @@ class TestNoiselessRecovery:
 
     def test_methods_agree_with_noise(self):
         spec = sep_rate_spec(s=3, snr=100.0, seed=2718)
-        prob = sv.gen_exp_problem(spec)
+        prob = sv.generate(spec)
         alpha0 = np.asarray(spec.alpha_true) * 1.2
         sols = [
             fit(prob, SolverConfig(method=m), alpha0).alpha_hat for m in METHODS
@@ -68,7 +68,7 @@ class TestNoiselessRecovery:
 class TestSingleDataset:
     def test_s1_reduces_to_classic_varpro(self):
         spec = sep_rate_spec(s=1, snr=200.0, seed=11)
-        prob = sv.gen_exp_problem(spec)
+        prob = sv.generate(spec)
         alpha0 = np.asarray(spec.alpha_true) * 1.25
         gl = fit(prob, SolverConfig(method="vp-gl"), alpha0)
         km = fit(prob, SolverConfig(method="vp-km"), alpha0)

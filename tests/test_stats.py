@@ -191,7 +191,7 @@ class TestComputeDiagnostics:
         beta = tuple(rng.uniform(0.8, 1.5, 2) for _ in range(2))
         spec = sv.TruthSpec(kind="exp", alpha_true=[1.2, 0.25], beta_true=beta,
                             grids=grids, snr=50.0, seed=32)
-        prob = sv.gen_exp_problem(spec)
+        prob = sv.generate(spec)
         sigmas = []
         for m in sv.METHODS:
             res = fit(prob, SolverConfig(method=m), np.asarray(spec.alpha_true) * 1.1)
@@ -229,7 +229,7 @@ class TestComputeDiagnostics:
         for snr in (20.0, 2000.0):
             spec = sv.TruthSpec(kind="exp", alpha_true=[1.2, 0.25],
                                 beta_true=beta, grids=grids, snr=snr, seed=35)
-            prob = sv.gen_exp_problem(spec)
+            prob = sv.generate(spec)
             res = fit(prob, SolverConfig(), np.array([1.4, 0.3]))
             widths.append(compute_diagnostics(res, prob).conf_bounds[0])
         assert widths[1] < 0.05 * widths[0]

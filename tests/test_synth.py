@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,12 +10,9 @@ from sepvar.synth import (
     GridSpec,
     TruthSpec,
     frame_grids,
-    gen_exp_problem,
-    gen_spectra,
     gen_tau_profiles,
     generate,
     regenerate_noise,
-    replace_snr,
 )
 
 
@@ -48,6 +47,21 @@ class TestSpecValidation:
             GridSpec(1, 0.0, 1.0)
         with pytest.raises(InvalidInputError):
             GridSpec(10, 1.0, 1.0)
+
+    @pytest.mark.parametrize("fields", [
+        {"length": 40.0}, {"length": "40"}, {"lo": np.nan}, {"hi": np.inf},
+        {"i0_scale": np.nan}, {"tau_scale": [1.0, -1.0]}, {"slit_halfwidth": -0.5},
+        {"slit_halfwidth": np.nan},
+    ])
+    def test_bad_grid_field_rejected(self, fields):
+        with pytest.raises(InvalidInputError):
+            GridSpec(**{"length": 40, "lo": 0.0, "hi": 1.0, **fields})
+
+    def test_tau_scale_is_a_tuple_of_one_entry_per_species(self):
+        assert GridSpec(40, 0.0, 1.0, tau_scale=[2.0, 0.5]).tau_scale == (2.0, 0.5)
+        with pytest.raises(InvalidInputError, match="tau_scale"):
+            TruthSpec(kind="beer", alpha_true=[1.0, 1.0], beta_true=([1.0],),
+                      grids=(GridSpec(40, 0.0, 1.0, tau_scale=[2.0]),))
 
     def test_nonpositive_snr_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -93,15 +107,15 @@ class TestNoiseLaw:
             kind="exp", alpha_true=[0.5], beta_true=([1.0],),
             grids=(GridSpec(n_pts, 0.0, 2.0),), snr=100.0, seed=77,
         )
-        noisy = gen_exp_problem(spec)
-        exact = gen_exp_problem(replace_snr(spec, np.inf))
+        noisy = generate(spec)
+        exact = generate(replace(spec, snr=np.inf))
         rel = noisy.datasets[0].y / exact.datasets[0].y - 1.0
         npt.assert_allclose(rel.std(), 1.0 / 100.0, rtol=0.02)
         npt.assert_allclose(rel.mean(), 0.0, atol=3.0 / (100.0 * np.sqrt(n_pts)))
 
     def test_infinite_snr_exact(self):
         spec = beer_spec(snr=np.inf)
-        prob = gen_spectra(spec)
+        prob = generate(spec)
         model = prob.model
         for ds, beta in zip(prob.datasets, spec.beta_true):
             eta = model.eval(spec.alpha_true, ds).phi @ beta
@@ -110,22 +124,22 @@ class TestNoiseLaw:
 
 class TestReproducibility:
     def test_bitwise_identical_for_same_seed(self):
-        a = gen_spectra(beer_spec(snr=50.0, seed=11))
-        b = gen_spectra(beer_spec(snr=50.0, seed=11))
+        a = generate(beer_spec(snr=50.0, seed=11))
+        b = generate(beer_spec(snr=50.0, seed=11))
         for da, db in zip(a.datasets, b.datasets):
             assert np.array_equal(da.y, db.y)
             assert np.array_equal(da.aux.tau, db.aux.tau)
             assert np.array_equal(da.aux.i0, db.aux.i0)
 
     def test_different_seed_different_noise(self):
-        a = gen_spectra(beer_spec(snr=50.0, seed=11))
-        b = gen_spectra(beer_spec(snr=50.0, seed=12))
+        a = generate(beer_spec(snr=50.0, seed=11))
+        b = generate(beer_spec(snr=50.0, seed=12))
         assert not np.array_equal(a.datasets[0].y, b.datasets[0].y)
 
     def test_structure_invariant_under_snr(self):
         """One seed fixes the instrument setup regardless of noise level."""
-        a = gen_spectra(beer_spec(snr=20.0, seed=13))
-        b = gen_spectra(beer_spec(snr=np.inf, seed=13))
+        a = generate(beer_spec(snr=20.0, seed=13))
+        b = generate(beer_spec(snr=np.inf, seed=13))
         for da, db in zip(a.datasets, b.datasets):
             assert np.array_equal(da.aux.tau, db.aux.tau)
             assert np.array_equal(da.aux.i0, db.aux.i0)
@@ -133,7 +147,7 @@ class TestReproducibility:
 
     def test_regenerate_noise_keeps_structure(self):
         spec = beer_spec(snr=30.0, seed=14)
-        base = gen_spectra(spec)
+        base = generate(spec)
         alt = regenerate_noise(spec, noise_seed=999)
         for da, db in zip(base.datasets, alt.datasets):
             assert np.array_equal(da.aux.tau, db.aux.tau)
@@ -179,12 +193,3 @@ class TestDispatch:
                              grids=(GridSpec(10, 0.0, 1.0),), seed=1)
         assert generate(exp_spec).model.p == 1
         assert generate(beer_spec()).model.p == 2
-
-    def test_kind_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            gen_spectra(
-                TruthSpec(kind="exp", alpha_true=[0.5], beta_true=([1.0],),
-                          grids=(GridSpec(10, 0.0, 1.0),))
-            )
-        with pytest.raises(InvalidInputError):
-            gen_exp_problem(beer_spec())

@@ -300,7 +300,7 @@ class TestEvalGL:
         beta = tuple(rng.uniform(0.5, 1.5, 2) for _ in grids)
         spec = sv.TruthSpec(kind="exp", alpha_true=[1.0, 0.3], beta_true=beta,
                             grids=grids, snr=50.0, seed=17)
-        prob = sv.gen_exp_problem(spec)
+        prob = sv.generate(spec)
         alpha = rng.uniform(0.3, 1.2, 2)
         red = eval_gl(alpha, prob)
         fd = central_diff_jacobian(lambda a: eval_gl(a, prob).z, alpha)
@@ -377,7 +377,7 @@ class TestEvalNaive:
         beta = tuple(rng.uniform(0.5, 1.5, 2) for _ in grids)
         spec = sv.TruthSpec(kind="exp", alpha_true=[1.0, 0.3], beta_true=beta,
                             grids=grids, snr=30.0, seed=23)
-        prob = sv.gen_exp_problem(spec)
+        prob = sv.generate(spec)
         alpha = rng.uniform(0.3, 1.2, 2)
         red = eval_naive(alpha, prob)
         fd = central_diff_jacobian(lambda a: eval_naive(a, prob).z, alpha)

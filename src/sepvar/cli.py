@@ -401,9 +401,9 @@ def _bench_spec(problem, s, snr, seed):
     return spec_from_config(base)
 
 
-def _bench_cell(cfg, lm_cfg, method, spec):
+def _bench_cell(lm_cfg, method, spec, alpha0):
     problem = synth.generate(spec)
-    alpha0 = np.asarray(cfg.get("alpha0", np.ones(spec.p)), dtype=float)
+    alpha0 = np.ones(spec.p) if alpha0 is None else alpha0
     truth = {"alpha_true": spec.alpha_true.tolist()}
     manifest = {"snr": spec.snr, "seed": spec.seed, "truth": truth}
     record, _ = run_record(problem, manifest, method, alpha0, lm_cfg)
@@ -414,16 +414,33 @@ def _record_to_row(record):
     return [fmt(record[column]) for column, fmt in BENCH_FORMAT.items()]
 
 
+BENCH_KEYS = {"methods", "s_values", "snr_values", "n_seeds", "base_seed", "alpha0", "lm",
+              "problem"}
+
+
+def _bench_key(cfg, key, read, default):
+    """``read`` of the bench config's ``key`` (``default`` when absent); a
+    value ``read`` rejects is a usage error that names the key."""
+    try:
+        return read(cfg.get(key, default))
+    except (TypeError, ValueError) as err:
+        raise UsageError(f"bench config key {key!r}: {type(err).__name__}: {err}") from err
+
+
 def cmd_bench(args):
     cfg = load_config(args.config)
-    methods = cfg.get("methods", list(METHODS))
+    unknown = sorted(set(cfg) - BENCH_KEYS)
+    if unknown:
+        raise UsageError(f"unknown bench config key(s) {', '.join(map(repr, unknown))}")
+    methods = _bench_key(cfg, "methods", list, METHODS)
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r} in bench config")
-    s_values = [int(v) for v in cfg.get("s_values", [2, 4, 8, 16])]
-    snr_values = [_parse_snr(v) for v in cfg.get("snr_values", ["inf"])]
-    n_seeds = int(cfg.get("n_seeds", 1))
-    base_seed = int(cfg.get("base_seed", 0))
+    s_values = _bench_key(cfg, "s_values", lambda v: [int(x) for x in v], [2, 4, 8, 16])
+    snr_values = _bench_key(cfg, "snr_values", lambda v: [_parse_snr(x) for x in v], ["inf"])
+    n_seeds = _bench_key(cfg, "n_seeds", int, 1)
+    base_seed = _bench_key(cfg, "base_seed", int, 0)
+    alpha0 = _bench_key(cfg, "alpha0", lambda v: v if v is None else np.asarray(v, float), None)
     lm_cfg = _lm_config_from(cfg.get("lm"))
 
     grid = itertools.product(methods, s_values, snr_values, range(n_seeds))
@@ -433,11 +450,14 @@ def cmd_bench(args):
         specs = [_bench_spec(cfg.get("problem", {}), *cell[1:]) for cell in cells]
     except (KeyError, TypeError, ValueError) as err:
         raise UsageError(f"problem: {type(err).__name__}: {err}") from err
+    if alpha0 is not None and any(alpha0.shape != (spec.p,) for spec in specs):
+        raise UsageError(f"bench config key 'alpha0' needs {specs[0].p} values, "
+                         f"one per nonlinear parameter")
 
     records = []
     for cell, spec in zip(cells, specs):
         try:
-            records.append(_bench_cell(cfg, lm_cfg, cell[0], spec))
+            records.append(_bench_cell(lm_cfg, cell[0], spec, alpha0))
         except SepvarError as err:
             records.append(
                 dict(zip(CELL_COLUMNS, cell), **NO_FIT, status=f"error:{type(err).__name__}")

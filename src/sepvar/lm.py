@@ -5,6 +5,12 @@ damped step solves (J^T J + lambda * diag(J^T J)) d = -J^T r, realized as a
 least-squares solve of the augmented system [J; sqrt(lambda) D] via QR, so
 normal equations are never formed explicitly.  Marquardt scaling by the
 Gram-matrix diagonal keeps mixed parameter scales usable.
+
+J is factored once per iterate, as in MINPACK's lmder (More 1978): one
+Householder QR of [J | r] gives the triangle R and c = Q^T r, and since
+[J; sqrt(lambda) D] and [R; sqrt(lambda) D] have the same least-squares
+solution for -r and -c, each damping value tried at that iterate solves a
+2p x p system instead of refactoring the M rows of J.
 """
 
 from dataclasses import dataclass
@@ -61,27 +67,49 @@ def _checked(fn, x, what):
     return val
 
 
-def _damped_step(J, r, lam):
+def _factor(J, r):
+    """The triangle R and c = Q^T r of one Householder QR of [J | r].
+
+    LAPACK's geqrf runs on one Fortran-ordered copy, and Q is never formed.
+    R has min(M, p) rows, c as many entries; both are copies, so the M-row
+    work array is freed on return.
+    """
+    m, p = J.shape
+    a = np.empty((m, p + 1), order="F")
+    a[:, :p] = J
+    a[:, p] = r
+    lwork = int(sl.lapack.dgeqrf_lwork(m, p + 1)[0])
+    qr = sl.lapack.dgeqrf(a, lwork=lwork, overwrite_a=True)[0]
+    return np.triu(qr[:p, :p]), qr[:p, p].copy()
+
+
+def _damped_step(R, c, lam):
     """Solve the damped least-squares subproblem.
+
+    J is factored once per iterate; each damping value solves a 2p x p
+    system.  ``R`` and ``c = Q^T r`` come from ``_factor``, and the
+    subproblem min ||J d + r||^2 + lam ||D d||^2 is solved as the QR of
+    [R; sqrt(lam) D] with right-hand side [-c; 0].  D holds R's column
+    norms, which are J's.
 
     Returns the step and the cost decrease the linear model predicts for it,
     or None for a singular system.  With (J^T J + lam D^2) d = -J^T r the
     prediction 0.5||J d||^2 + lam ||D d||^2 equals
-    0.5||Q^T b||^2 + 0.5 lam ||D d||^2, a sum of squares that the QR already
-    holds, so it is free of cancellation.
+    0.5||Q'^T b'||^2 + 0.5 lam ||D d||^2, a sum of squares that the small QR
+    already holds, so it is free of cancellation.
     """
-    d = np.sqrt(np.sum(J * J, axis=0))
+    d = np.sqrt(np.sum(R * R, axis=0))
     scale = np.max(d) if d.size else 0.0
     if scale == 0.0:
         return None
     d = np.maximum(d, 1e-14 * scale)
     if lam > 0.0:
-        A = np.vstack([J, np.sqrt(lam) * np.diag(d)])
-        b = np.concatenate([-r, np.zeros(J.shape[1])])
+        A = np.vstack([R, np.sqrt(lam) * np.diag(d)])
+        b = np.concatenate([-c, np.zeros(R.shape[1])])
     else:
-        A = J
-        b = -r
-    q, rr = sl.qr(A, mode="economic")
+        A = R
+        b = -c
+    q, rr = np.linalg.qr(A)
     diag = np.abs(np.diag(rr))
     if diag.min() <= 1e-14 * diag.max():
         return None
@@ -122,6 +150,7 @@ def lm_solve(residual_fn, jacobian_fn, x0, cfg=None):
         raise InvalidInputError(
             f"jacobian shape {J.shape} does not match residual {r.size} x {x.size}"
         )
+    R, c = _factor(J, r)
     cost = 0.5 * float(r @ r)
     cost_history = [cost]
     n_feval = 1
@@ -135,7 +164,7 @@ def lm_solve(residual_fn, jacobian_fn, x0, cfg=None):
     n_iter = 0
     while n_iter < cfg.max_iter:
         n_iter += 1
-        solved = _damped_step(J, r, lam)
+        solved = _damped_step(R, c, lam)
         if solved is None:
             lam = max(lam, 1e-12) * cfg.lambda_up
             if lam > LAMBDA_LIMIT:
@@ -165,6 +194,7 @@ def lm_solve(residual_fn, jacobian_fn, x0, cfg=None):
                 status = STATUS_XTOL
                 break
             J = _checked(jacobian_fn, x, "jacobian")
+            R, c = _factor(J, r)
             grad = J.T @ r
             if np.max(np.abs(grad), initial=0.0) < cfg.gtol:
                 status = STATUS_GTOL

@@ -225,6 +225,17 @@ CONFIG_ERRORS = {
     "bench-non-object": ("bench", [], "does not hold a JSON object"),
     "bench-odd-frame-s": ("bench", _bench(frame_config(), 3), "s=3"),
     "bench-s-beyond-grids": ("bench", _bench(exp_config(s=2), 4), "s=4"),
+    "bench-key-typo": ("bench", {"s_value": [2], "problem": exp_config(s=2)}, "'s_value'"),
+    "bench-bad-n_seeds": ("bench", {**_bench(exp_config(s=2), 2), "n_seeds": "x"}, "'n_seeds'"),
+    "bench-bad-s_values": ("bench", {**_bench(exp_config(s=2), 2), "s_values": 2}, "'s_values'"),
+    "bench-bad-snr": ("bench", {**_bench(exp_config(s=2), 2), "snr_values": ["loud"]},
+                      "'snr_values'"),
+    "bench-methods-not-list": ("bench", {**_bench(exp_config(s=2), 2), "methods": 3},
+                               "'methods'"),
+    "bench-alpha0-length": ("bench", {**_bench(exp_config(s=2), 2), "alpha0": [1.4]},
+                            "'alpha0'"),
+    "bench-alpha0-text": ("bench", {**_bench(exp_config(s=2), 2), "alpha0": ["a", "b"]},
+                          "'alpha0'"),
 }
 
 

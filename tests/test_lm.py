@@ -1,7 +1,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg as sl
 
+from sepvar import lm
 from sepvar.exceptions import EvaluationError, InvalidInputError
 from sepvar.lm import (
     STATUS_FTOL,
@@ -145,6 +147,85 @@ class TestTermination:
         )
         npt.assert_allclose(np.cos(rep.x_final[0]), 0.0, atol=1e-5)
         assert rep.status in (STATUS_FTOL, STATUS_XTOL, STATUS_GTOL)
+
+
+def dense_damped_step(J, r, lam):
+    """The damped step from one QR of the whole system [J; sqrt(lam) D]."""
+    d = np.sqrt(np.sum(J * J, axis=0))
+    scale = np.max(d) if d.size else 0.0
+    if scale == 0.0:
+        return None
+    d = np.maximum(d, 1e-14 * scale)
+    if lam > 0.0:
+        A = np.vstack([J, np.sqrt(lam) * np.diag(d)])
+        b = np.concatenate([-r, np.zeros(J.shape[1])])
+    else:
+        A = J
+        b = -r
+    q, rr = sl.qr(A, mode="economic")
+    diag = np.abs(np.diag(rr))
+    if diag.min() <= 1e-14 * diag.max():
+        return None
+    qtb = q.T @ b
+    step = sl.solve_triangular(rr, qtb)
+    if not np.all(np.isfinite(step)):
+        return None
+    ds = d * step
+    return step, 0.5 * float(qtb @ qtb + lam * (ds @ ds))
+
+
+class TestFactoredStep:
+    """Each damping value solves a 2p x p system from one factorization of
+    [J | r] per iterate."""
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 1e3])
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    @pytest.mark.parametrize("rows", ["p", "p+1", 40, 5000])
+    def test_matches_dense_step(self, rows, p, lam):
+        m = {"p": p, "p+1": p + 1}.get(rows, rows)
+        rng = np.random.default_rng([p, m, int(lam * 1e3)])
+        # columns of mixed scale, so that the Marquardt scales matter
+        J = rng.normal(size=(m, p)) * np.logspace(0, 2, p)
+        r = rng.normal(size=m)
+        want_step, want_pred = dense_damped_step(J, r, lam)
+        step, pred = lm._damped_step(*lm._factor(J, r), lam)
+        assert np.linalg.norm(step - want_step) <= 1e-12 * np.linalg.norm(want_step)
+        assert abs(pred - want_pred) <= 1e-12 * want_pred
+
+    def test_rank_deficient_undamped_is_singular(self, rng):
+        J = rng.normal(size=(30, 3))
+        J[:, 2] = J[:, 0] - 2.0 * J[:, 1]
+        r = rng.normal(size=30)
+        assert dense_damped_step(J, r, 0.0) is None
+        assert lm._damped_step(*lm._factor(J, r), 0.0) is None
+
+    def test_one_factorization_per_jacobian(self, monkeypatch):
+        """Rosenbrock from (-1.2, 1) rejects trial steps; they reuse the
+        iterate's factors, so J is factored once per evaluation of it."""
+        events = []
+        factor = lm._factor
+
+        def counting_factor(J, r):
+            events.append("factor")
+            return factor(J, r)
+
+        def residual(x):
+            events.append("residual")
+            return TestRosenbrock.residual(x)
+
+        def jacobian(x):
+            events.append("jacobian")
+            return TestRosenbrock.jacobian(x)
+
+        monkeypatch.setattr(lm, "_factor", counting_factor)
+        rep = lm_solve(residual, jacobian, np.array([-1.2, 1.0]))
+        accepted = len(rep.cost_history) - 1
+        assert rep.n_feval - 1 > accepted  # some trials were rejected
+        assert events.count("factor") == events.count("jacobian")
+        # each factorization directly follows the Jacobian it factors
+        for i, event in enumerate(events):
+            if event == "factor":
+                assert events[i - 1] == "jacobian"
 
 
 class TestRoundOffStop:

@@ -75,6 +75,16 @@ def _parse_snr(value):
     return float(value)
 
 
+def _config_int(value, key):
+    """A config integer: a JSON number with no fractional part.  A bool, a
+    string or a fractional number raises ValueError naming ``key``, where
+    ``int`` would read ``true`` as 1 and truncate 2.9 to 2."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_config(path):
     try:
         cfg = json.loads(Path(path).read_text())
@@ -107,13 +117,15 @@ def spec_from_config(cfg):
     if "frame" in cfg and "grids" in cfg:
         raise UsageError("config gives both 'frame' and 'grids'")
     try:
-        n, p, seed = int(cfg["n"]), int(cfg["p"]), int(cfg.get("seed", 0))
+        n, p = _config_int(cfg["n"], "n"), _config_int(cfg["p"], "p")
+        seed = _config_int(cfg.get("seed", 0), "seed")
         alpha_true = np.asarray(cfg["alpha_true"], dtype=float)
         if alpha_true.size != p:
             raise ValueError(f"alpha_true must have length p={p}")
         if "frame" in cfg:
             frame = dict(cfg["frame"])
-            grids = synth.frame_grids(n_soundings=int(frame.pop("soundings", 8)), **frame)
+            soundings = _config_int(frame.pop("soundings", 8), "soundings")
+            grids = synth.frame_grids(n_soundings=soundings, **frame)
         else:
             grids = tuple(synth.GridSpec(**entry) for entry in cfg["grids"])
         if "beta_true" in cfg:
@@ -436,10 +448,11 @@ def cmd_bench(args):
     for m in methods:
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r} in bench config")
-    s_values = _bench_key(cfg, "s_values", lambda v: [int(x) for x in v], [2, 4, 8, 16])
+    s_values = _bench_key(cfg, "s_values", lambda v: [_config_int(x, "s_values") for x in v],
+                          [2, 4, 8, 16])
     snr_values = _bench_key(cfg, "snr_values", lambda v: [_parse_snr(x) for x in v], ["inf"])
-    n_seeds = _bench_key(cfg, "n_seeds", int, 1)
-    base_seed = _bench_key(cfg, "base_seed", int, 0)
+    n_seeds = _bench_key(cfg, "n_seeds", lambda v: _config_int(v, "n_seeds"), 1)
+    base_seed = _bench_key(cfg, "base_seed", lambda v: _config_int(v, "base_seed"), 0)
     alpha0 = _bench_key(cfg, "alpha0", lambda v: v if v is None else np.asarray(v, float), None)
     lm_cfg = _lm_config_from(cfg.get("lm"))
 

@@ -9,14 +9,25 @@ transmission, convolved with a Gaussian instrument response).
 
 Each model evaluates a group of datasets that share one grid (and, for the
 Beer law, one slit width; ``group_key`` says which datasets may be grouped)
-in one pass: ``eval_group`` returns a :class:`GroupEval` computed with the
-grid axis last, building the grid-only pieces once.  The Beer law writes
-the rows of CHUNK datasets at a time straight into one reusable padded
-buffer, fills the reflected tails by slice copies and convolves the chunk by
-two stacked matrix products, which BLAS carries out one dataset at a time
-(:func:`convolve_reflect` shares this kernel).  ``eval`` of one dataset is
-the one-dataset group, so it matches that dataset's slice of any group bit
-for bit.
+in one pass.  ``prepare_group`` builds what such an evaluation reads that
+does not depend on alpha, once per group: for the Beer law the checked
+auxiliaries, the powers of nu, the slit kernel's two Toeplitz blocks and
+the padded buffer of the chunked convolution (:class:`BeerGroup`).
+``eval_group(alpha, group, out=None)`` returns a :class:`GroupEval`
+computed with the grid axis last.  The Beer law writes the rows of CHUNK
+datasets at a time straight into the group's padded buffer, fills the
+reflected tails by slice copies and convolves the chunk by two stacked
+matrix products, which BLAS carries out one dataset at a time
+(:func:`convolve_reflect` shares this kernel).  Because the buffer is
+reused, one group's inputs serve one thread at a time.
+
+Who owns a stack: ``eval_group`` writes a Beer group's (g, 1 + p, n, m)
+stack into ``out`` when the caller passes one, overwriting every entry, and
+otherwise allocates it; the caller that passes ``out`` decides when it is
+written again.  The exp model's stack is a read-only broadcast view of one
+small array, so it never takes ``out``.  ``eval`` of one dataset is the
+one-dataset group with a fresh stack, so it matches that dataset's slice of
+any group bit for bit.
 """
 
 from dataclasses import dataclass
@@ -214,37 +225,46 @@ def _reflect_tails(buf, h, m):
     buf[..., h + m :] = buf[..., h + m - 1 : h + m - 1 - right : -1]
 
 
-def _convolve_chunked(fill, kernel, out):
-    """The chunk kernel of :func:`convolve_reflect`: entries of the leading
-    axis of ``out`` are reflected and convolved CHUNK at a time in one
-    reusable buffer.
+class SlitConvolution:
+    """The chunk kernel of :func:`convolve_reflect`, built for one kernel and
+    one output shape: the two Toeplitz blocks and the padded buffer in which
+    entries of the output's leading axis are reflected and convolved CHUNK at
+    a time.
 
-    ``fill(rows, dest)`` writes the samples of the entries in slice ``rows``
-    into ``dest``, the buffer's interior, shaped like ``out[rows]``.  The
-    two Toeplitz products run as stacked products over the chunk, which
-    numpy carries out as one BLAS call per entry with that entry's own
-    shape, so each entry rounds exactly as it would alone.
+    ``apply(fill, out)`` runs the kernel.  ``fill(rows, dest)`` writes the
+    samples of the entries in slice ``rows`` into ``dest``, the buffer's
+    interior, shaped like ``out[rows]``.  The two Toeplitz products run as
+    stacked products over the chunk, which numpy carries out as one BLAS call
+    per entry with that entry's own shape, so each entry rounds exactly as it
+    would alone.  Every call overwrites the whole buffer before reading it,
+    so one instance serves any number of calls, one thread at a time.
     """
-    taps = kernel.size
-    h = taps // 2
-    b = 2 * h
-    band = np.zeros((2 * b, b))
-    cols = np.arange(b)
-    band[cols + np.arange(taps)[:, None], cols] = kernel[::-1, None]
-    t0, t1 = band[:b], band[b:]
-    count, m = len(out), out.shape[-1]
-    width = -(-(m + 2 * h) // b) * b
-    buf = np.empty((min(CHUNK, count),) + out.shape[1:-1] + (width,))
-    for start in range(0, count, CHUNK):
-        rows = slice(start, min(start + CHUNK, count))
-        part = buf[: rows.stop - start]
-        fill(rows, part[..., h : h + m])
-        _reflect_tails(part, h, m)
-        tiles = part.reshape(part.shape[0], -1, b)
-        y = tiles @ t0
-        y[:, :-1] += tiles[:, 1:] @ t1
-        out[rows] = y.reshape(part.shape)[..., :m]
-    return out
+
+    def __init__(self, kernel, shape):
+        taps = kernel.size
+        self.h = taps // 2
+        b = 2 * self.h
+        band = np.zeros((2 * b, b))
+        cols = np.arange(b)
+        band[cols + np.arange(taps)[:, None], cols] = kernel[::-1, None]
+        self.t0, self.t1 = band[:b], band[b:]
+        count, m = shape[0], shape[-1]
+        width = -(-(m + 2 * self.h) // b) * b
+        self.buf = np.empty((min(CHUNK, count),) + tuple(shape[1:-1]) + (width,))
+
+    def apply(self, fill, out):
+        h, b = self.h, self.t0.shape[0]
+        count, m = len(out), out.shape[-1]
+        for start in range(0, count, CHUNK):
+            rows = slice(start, min(start + CHUNK, count))
+            part = self.buf[: rows.stop - start]
+            fill(rows, part[..., h : h + m])
+            _reflect_tails(part, h, m)
+            tiles = part.reshape(part.shape[0], -1, b)
+            y = tiles @ self.t0
+            y[:, :-1] += tiles[:, 1:] @ self.t1
+            out[rows] = y.reshape(part.shape)[..., :m]
+        return out
 
 
 def convolve_reflect(x, kernel, out):
@@ -266,7 +286,8 @@ def convolve_reflect(x, kernel, out):
     group), so an entry's result is the same bit for bit whatever else is
     in ``x``: BLAS may round differently for other matrix shapes.
     """
-    return _convolve_chunked(lambda rows, dest: np.copyto(dest, x[rows]), kernel, out)
+    slit = SlitConvolution(kernel, out.shape)
+    return slit.apply(lambda rows, dest: np.copyto(dest, x[rows]), out)
 
 
 def _beer_aux(dataset, p):
@@ -280,21 +301,49 @@ def _beer_aux(dataset, p):
     return aux
 
 
-def eval_beer_group(alpha, datasets, n_linear=1):
-    """Beer-law basis of datasets sharing one grid and slit width.
+@dataclass(frozen=True, eq=False)
+class BeerGroup:
+    """What an evaluation of Beer-law datasets sharing one grid and slit
+    width reads that does not depend on alpha: the checked auxiliaries, the
+    powers of nu (n x m) and, unless the slit is a delta, the slit
+    convolution with its Toeplitz blocks and padded chunk buffer.  A
+    problem builds one per group and reuses it in every evaluation, so a
+    problem is evaluated by one thread at a time."""
+
+    shape: tuple  # of the group's stack, g x (1 + p) x n x m
+    auxes: tuple
+    powers: np.ndarray
+    slit: Optional[SlitConvolution]
+
+
+def prepare_beer_group(datasets, n_linear, p):
+    """The :class:`BeerGroup` of datasets sharing one grid and slit width,
+    for n_linear reflectivity coefficients and p species."""
+    auxes = tuple(_beer_aux(ds, p) for ds in datasets)
+    t = datasets[0].t
+    powers = normalize_abscissa(t) ** np.arange(n_linear)[:, None]
+    kernel = gaussian_kernel(float(np.mean(np.diff(t))), auxes[0].slit_halfwidth)
+    shape = (len(auxes), 1 + p, n_linear, t.size)
+    slit = SlitConvolution(kernel, shape) if kernel.size > 1 else None
+    return BeerGroup(shape, auxes, powers, slit)
+
+
+def eval_beer_group(alpha, group, out=None):
+    """Beer-law basis of the datasets of a :class:`BeerGroup`.
 
     Row j of each dataset's block is the convolution of
     nu^j * mu_sun * I0 * exp(-sum_l alpha_l tau_l) with the instrument
     response, nu being the abscissa normalized to [-1, 1].  Differentiation
     and convolution commute (the response does not depend on alpha), so the
-    derivative rows are the convolved products with -tau_l.  The response
-    and the powers of nu are built once for the group; the unconvolved rows
-    are written into the padded buffer of the chunked slit convolution, so
-    no unconvolved stack of the whole group is formed; a delta slit fills
-    the same C-contiguous output stack directly.
+    derivative rows are the convolved products with -tau_l.  The unconvolved
+    rows are written into the padded buffer of the group's slit
+    convolution, so no unconvolved stack of the whole group is formed; a
+    delta slit fills the C-contiguous output stack directly.  The stack is
+    ``out`` when given (a C-contiguous array of ``group.shape``, every entry
+    of which is overwritten), else a new array.
     """
     alpha = _finite_vector(alpha)
-    auxes = [_beer_aux(ds, alpha.size) for ds in datasets]
+    auxes = group.auxes
     neg_tau = np.stack([aux.tau.T for aux in auxes])  # g x p x m
     np.negative(neg_tau, out=neg_tau)
     exponent = alpha @ neg_tau
@@ -304,31 +353,31 @@ def eval_beer_group(alpha, datasets, n_linear=1):
         raise ModelOverflowError(
             f"absorption exponent overflows at grid index {index}", index=index
         )
-    scale = np.array([aux.mu_sun for aux in auxes])[:, None] * np.stack(
-        [aux.i0 for aux in auxes]
-    )
-    base = scale * np.exp(exponent)
-
-    t = datasets[0].t
-    powers = normalize_abscissa(t) ** np.arange(n_linear)[:, None]
-    kernel = gaussian_kernel(float(np.mean(np.diff(t))), auxes[0].slit_halfwidth)
+    scale = np.stack([aux.i0 for aux in auxes])
+    scale *= np.array([aux.mu_sun for aux in auxes])[:, None]
+    base = np.exp(exponent)
+    base *= scale
+    del exponent, scale  # released before the stack is filled
+    powers = group.powers
 
     def fill(rows, dest):
         mono = dest[:, 0]  # len x n x m
         np.multiply(base[rows, None, :], powers, out=mono)
         np.multiply(neg_tau[rows, :, None, :], mono[:, None], out=dest[:, 1:])
 
-    stack = np.empty((len(datasets), 1 + alpha.size, n_linear, t.size))
-    if kernel.size == 1:
+    stack = np.empty(group.shape) if out is None else out
+    if group.slit is None:
         fill(slice(None), stack)
         return GroupEval(stack)
-    return GroupEval(_convolve_chunked(fill, kernel, stack))
+    return GroupEval(group.slit.apply(fill, stack))
 
 
 def eval_beer_basis(alpha, dataset, n_linear=1):
     """Beer-law basis of one dataset: the one-dataset case of
     :func:`eval_beer_group`."""
-    return eval_beer_group(alpha, (dataset,), n_linear).basis(0)
+    alpha = _finite_vector(alpha)
+    group = prepare_beer_group((dataset,), n_linear, alpha.size)
+    return eval_beer_group(alpha, group).basis(0)
 
 
 def _checked_alpha(alpha, p):
@@ -353,15 +402,20 @@ class ExpDecayModel:
         return self.n_terms
 
     def eval(self, alpha, dataset):
-        return self.eval_group(alpha, (dataset,)).basis(0)
+        return self.eval_group(alpha, self.prepare_group((dataset,))).basis(0)
 
     def group_key(self, dataset):
         """Datasets with equal keys can share one ``eval_group`` call."""
         return dataset.t.tobytes()
 
-    def eval_group(self, alpha, datasets):
-        """Stacked bases of datasets that share one grid."""
-        return eval_exp_group(_checked_alpha(alpha, self.p), datasets)
+    def prepare_group(self, datasets):
+        """The alpha-free inputs of ``eval_group``: the datasets themselves."""
+        return tuple(datasets)
+
+    def eval_group(self, alpha, group, out=None):
+        """Stacked bases of datasets that share one grid.  The stack is a
+        read-only broadcast view, so ``out`` is never written."""
+        return eval_exp_group(_checked_alpha(alpha, self.p), group)
 
 
 @dataclass(frozen=True)
@@ -380,12 +434,17 @@ class BeerLawModel:
         return self.p_species
 
     def eval(self, alpha, dataset):
-        return self.eval_group(alpha, (dataset,)).basis(0)
+        return self.eval_group(alpha, self.prepare_group((dataset,))).basis(0)
 
     def group_key(self, dataset):
         """Datasets with equal keys can share one ``eval_group`` call."""
         return dataset.t.tobytes(), getattr(dataset.aux, "slit_halfwidth", None)
 
-    def eval_group(self, alpha, datasets):
-        """Stacked bases of datasets that share one grid and slit width."""
-        return eval_beer_group(_checked_alpha(alpha, self.p), datasets, self.n_linear)
+    def prepare_group(self, datasets):
+        """The alpha-free inputs of ``eval_group`` (a :class:`BeerGroup`)."""
+        return prepare_beer_group(datasets, self.n_linear, self.p)
+
+    def eval_group(self, alpha, group, out=None):
+        """Stacked bases of the datasets of ``group``, written into ``out``
+        when it is given."""
+        return eval_beer_group(_checked_alpha(alpha, self.p), group, out)

@@ -53,7 +53,8 @@ class FitResult:
     # the reduced evaluation at alpha_hat that gave beta_hat and residuals:
     # eval_gl's for vp-gl and nls-full, eval_km's (with its factors) for
     # vp-km and eval_naive's for vp-naive; diagnostics read the GL Jacobian
-    # and the basis matrices from it
+    # and the basis matrices from it.  Its phis view a model stack that only
+    # this result holds: the fit that wrote it has ended
     final_eval: object = field(repr=False)
 
     @property
@@ -114,32 +115,47 @@ class _CachedReduced:
     cache keeps the latest evaluation and the one at the current iterate:
     residual and Jacobian come from a single pass, a trial step too short to
     move alpha costs nothing, and the evaluation at the returned iterate is
-    always here for ``fit`` to read once."""
+    always here for ``fit`` to read once.
+
+    Since it never holds more than those two evaluations, the cache owns two
+    slots of model stacks, one stack per group each (see ``vpcore``), and a
+    new ``vp-gl``/``vp-km`` evaluation writes into the slot that does not
+    hold the iterate's; the latest evaluation, whose slot that is, is
+    dropped first.  The slots fill on the first two evaluations and are
+    reused for the rest of the fit; ``eval_naive`` takes none.  The cache
+    belongs to one fit, and the evaluation at alpha_hat leaves with the
+    ``FitResult``."""
 
     def __init__(self, problem, method):
         if method == METHOD_VP_NAIVE:
-            self._eval = lambda a: eval_naive(a, problem)
+            self._eval = lambda a, out: eval_naive(a, problem)
         else:
             base = _VP_EVALS[method]
-            self._eval = lambda a: base(a, problem)
-        self._latest = (None, None)
-        self._iterate = (None, None)
+            self._eval = lambda a, out: base(a, problem, out=out)
+        self._slots = ({}, {})
+        self._latest = (None, None, 0)  # (alpha bytes, evaluation, slot)
+        self._iterate = (None, None, 1)  # so the first evaluation takes slot 0
 
     def at(self, alpha):
-        key = np.asarray(alpha, dtype=float).tobytes()
-        for cached_key, value in (self._latest, self._iterate):
+        alpha = np.asarray(alpha, dtype=float)
+        key = alpha.tobytes()
+        for cached_key, value, _ in (self._latest, self._iterate):
             if key == cached_key:
                 return value
-        value = self._eval(np.asarray(alpha, dtype=float))
-        self._latest = (key, value)
-        return value
+        slot = 1 - self._iterate[2]
+        # no entry may name stacks that are being written, even if this
+        # evaluation raises
+        self._latest = (None, None, slot)
+        self._latest = (key, self._eval(alpha, self._slots[slot]), slot)
+        return self._latest[1]
 
     def residual(self, alpha):
         return self.at(alpha).z
 
     def jacobian(self, alpha):
         red = self.at(alpha)
-        self._iterate = (np.asarray(alpha, dtype=float).tobytes(), red)
+        if self._latest[1] is red:
+            self._iterate = self._latest
         return red.jac
 
 
@@ -154,7 +170,9 @@ def _final_linear_solve(problem, red):
 
 def fit(problem, cfg, alpha0):
     """Run one fit; linear parameters are always the exact linear minimizers
-    at the returned nonlinear solution."""
+    at the returned nonlinear solution.  A problem reuses buffers across
+    evaluations (``MultiProblem.groups``), so it is fitted by one thread at
+    a time."""
     alpha0 = np.asarray(alpha0, dtype=float)
     if alpha0.shape != (problem.p,):
         raise InvalidInputError(

@@ -16,29 +16,40 @@ provided:
 ``eval_gl`` and ``eval_km`` are two residual forms of one grouped kernel.
 ``MultiProblem.groups`` puts datasets that the model can evaluate together
 (an identical abscissa grid and, for the Beer law, slit width) into one
-group, once per problem and in order of each group's first dataset.  A
-frame layout of 32 soundings gives two groups of 32; datasets on distinct
-grids are groups of one.  Each group goes through two steps.  The factor
-step evaluates the stacked bases (the model's one layout, grid axis last),
-factors them by one stacked Householder QR, screens the rank and forms the
-compact WY representation (:class:`GroupFactors`).  The form step turns
-these into the linear parameters, residuals and Jacobian blocks of the
-``gl`` or ``km`` form by batched products.  Every evaluation is a plain
-:class:`ReducedEval` record, filled as its groups are formed: residual,
-Jacobian, each dataset's linear parameters and its basis matrix as a view
-of the stack, which the final linear solve and the diagnostics read.  An
-``eval_km`` evaluation also keeps its groups' factors, so
-:func:`gl_from_km` gives the ``eval_gl`` evaluation at the same alpha with
-no model evaluation or QR; a ``vp-km`` fit's diagnostics use it.  Every
-product is computed dataset by dataset within the stack, so the results do
-not depend on the grouping, and the rank decisions and typed errors are
-those of the pivoted per-dataset ``thin_qr``.
+group, once per problem and in order of each group's first dataset, with
+the model's alpha-free inputs of the group (``model.prepare_group``) and
+the residual block sizes of each form.  A frame layout of 32 soundings
+gives two groups of 32; datasets on distinct grids are groups of one.  Each
+group goes through two steps.  The factor step evaluates the stacked bases
+(the model's one layout, grid axis last), factors them by one stacked
+Householder QR, screens the rank and forms the compact WY representation
+(:class:`GroupFactors`).  The form step turns these into the linear
+parameters, residuals and Jacobian blocks of the ``gl`` or ``km`` form by
+batched products.  Every evaluation is a plain :class:`ReducedEval` record,
+filled as its groups are formed: residual, Jacobian, each dataset's linear
+parameters and its basis matrix as a view of the stack, which the final
+linear solve and the diagnostics read.  An ``eval_km`` evaluation also
+keeps its groups' factors, so :func:`gl_from_km` gives the ``eval_gl``
+evaluation at the same alpha with no model evaluation or QR; a ``vp-km``
+fit's diagnostics use it.  Every product is computed dataset by dataset
+within the stack, so the results do not depend on the grouping, and the
+rank decisions and typed errors are those of the pivoted per-dataset
+``thin_qr``.
+
+Who owns a model stack: by default each evaluation allocates its own, and
+its ``phis`` (and an ``eval_km`` evaluation's factors) keep it alive.  A
+caller may pass ``out``, a dict of one stack per group, to ``eval_gl`` or
+``eval_km``; the evaluation then writes over those stacks, so every earlier
+evaluation that was given the same dict is overwritten.  A ``vp-gl`` or
+``vp-km`` fit passes two such dicts in turn (``solver._CachedReduced``);
+every other caller passes none.
 
 The three residuals always share the same 2-norm; projectors are never
 materialized except inside ``eval_naive``, which is deliberately literal so
 its cost profile reflects the formulation it implements.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -70,11 +81,13 @@ FORM_KM = "km"
 
 @dataclass(frozen=True)
 class DatasetGroup:
-    """Datasets of one problem that share a grid and a slit width."""
+    """Datasets of one problem that share a grid and a slit width, with
+    what every evaluation of them reads that does not depend on alpha."""
 
     index: tuple  # positions of the datasets in the problem, ascending
     datasets: tuple
     y: np.ndarray  # g x m stacked observations
+    inputs: object = field(repr=False)  # the model's prepare_group(datasets)
 
 
 @dataclass(frozen=True)
@@ -118,7 +131,9 @@ class MultiProblem:
     @cached_property
     def groups(self):
         """Datasets with equal ``model.group_key``, grouped in order of their
-        first member."""
+        first member, each with its ``model.prepare_group`` inputs.  Those
+        hold reused buffers, so a problem is evaluated, and fitted, by one
+        thread at a time."""
         members = {}
         for k, ds in enumerate(self.datasets):
             members.setdefault(self.model.group_key(ds), []).append(k)
@@ -126,8 +141,22 @@ class MultiProblem:
         for index in members.values():
             datasets = tuple(self.datasets[k] for k in index)
             y = np.stack([ds.y for ds in datasets])
-            groups.append(DatasetGroup(tuple(index), datasets, y))
+            inputs = self.model.prepare_group(datasets)
+            groups.append(DatasetGroup(tuple(index), datasets, y, inputs))
         return tuple(groups)
+
+    @cached_property
+    def block_sizes(self):
+        """Rows of each dataset's residual block, per form."""
+        m = tuple(ds.m for ds in self.datasets)
+        return {FORM_GL: m, FORM_KM: tuple(m_k - self.n for m_k in m)}
+
+    @cached_property
+    def block_starts(self):
+        """First row of each dataset's residual block, and the total row
+        count last, per form."""
+        return {form: (0, *itertools.accumulate(sizes))
+                for form, sizes in self.block_sizes.items()}
 
 
 @dataclass(frozen=True)
@@ -176,13 +205,16 @@ def _raise_first_failure(alpha, problem):
 def _wy(h, tau):
     """Compact WY form Q = I - V T V^T of stacked Householder factors.
 
-    h (g x n x m) and tau (g x n) are the raw output of np.linalg.qr.
-    Returns V^T (g x n x m; reflector i is row i, with a unit entry at i)
-    and the upper triangular T (g x n x n), built as LAPACK's dlarft does.
+    h (g x n x m) and tau (g x n) are the raw output of np.linalg.qr, and
+    h is overwritten.  Returns V^T (g x n x m, in h's memory; reflector i is
+    row i, with a unit entry at i) and the upper triangular T (g x n x n),
+    built as LAPACK's dlarft does.
     """
     n = tau.shape[1]
     diag = (slice(None), range(n), range(n))
-    vt = np.triu(h, 1)
+    vt = h
+    for i in range(n):
+        vt[:, i, : i + 1] = 0.0
     vt[diag] = 1.0
     gram = vt @ vt.transpose(0, 2, 1)
     t = np.zeros((tau.shape[0], n, n))
@@ -192,13 +224,14 @@ def _wy(h, tau):
     return vt, t
 
 
-def _factor_group(alpha, problem, group):
-    """The factor step of one group: the model's stacked bases, one stacked
-    Householder QR without pivoting and the compact WY form.  A basis whose
-    R is near singular goes through the pivoted thin_qr for the rank
-    decision."""
-    ge = problem.model.eval_group(alpha, group.datasets)
-    if not np.all(np.isfinite(ge.stack)):
+def _factor_group(alpha, problem, group, out=None):
+    """The factor step of one group: the model's stacked bases (written into
+    ``out`` when given), one stacked Householder QR without pivoting and the
+    compact WY form.  A basis whose R is near singular goes through the
+    pivoted thin_qr for the rank decision."""
+    ge = problem.model.eval_group(alpha, group.inputs, out=out)
+    # min and max are NaN if any entry is, and infinite if any entry is
+    if not (np.isfinite(ge.stack.min()) and np.isfinite(ge.stack.max())):
         raise InvalidInputError("basis evaluation produced non-finite entries")
     n = problem.n
     a = ge.phi.transpose(0, 2, 1)  # g x m x n
@@ -246,15 +279,24 @@ def _form_group(group, f, form):
     return z, jac, beta
 
 
-def _factor_groups(alpha, problem):
+def _factor_groups(alpha, problem, out=None):
     """(group, GroupFactors) for each group in turn.  On any error the
     datasets are re-run one by one in problem order, so the error raised is
     that of the first failing dataset, as the per-dataset formulation would
-    raise it."""
+    raise it.
+
+    ``out``, when given, is a dict from group position to a model stack
+    that this evaluation overwrites.  A group without an entry gets a new
+    stack, which is entered when it is writable; the exp model's read-only
+    broadcast view is not, so that model keeps allocating its small array.
+    """
     alpha = _checked_alpha(alpha, problem.p)
     try:
-        for group in problem.groups:
-            yield group, _factor_group(alpha, problem, group)
+        for i, group in enumerate(problem.groups):
+            f = _factor_group(alpha, problem, group, None if out is None else out.get(i))
+            if out is not None and f.ge.stack.flags.writeable:
+                out[i] = f.ge.stack
+            yield group, f
     except SepvarError:
         _raise_first_failure(alpha, problem)
         raise
@@ -264,50 +306,59 @@ def _reduce(problem, factored, form):
     """The grouped kernel behind eval_gl, eval_km and gl_from_km.
 
     ``factored`` gives each group with its GroupFactors.  Each group is
-    formed as it arrives, and its factors and blocks are released before
-    the next group is factored; only the ``km`` form keeps the factors,
-    and every form keeps a view of each dataset's basis matrix.
+    formed as it arrives, its blocks are copied into the evaluation's
+    residual and Jacobian, which are allocated first, and its factors and
+    blocks are released before the next group is factored; only the ``km``
+    form keeps the factors, and every form keeps a view of each dataset's
+    basis matrix.
     """
     s = problem.s
-    z_parts, jac_parts, betas, phis = [None] * s, [None] * s, [None] * s, [None] * s
+    starts = problem.block_starts[form]
+    z_all = np.empty(starts[-1])
+    # column-major, like the transposed p x rows blocks copied into it
+    jac_all = np.empty((problem.p, starts[-1])).T
+    betas, phis = [None] * s, [None] * s
     kept = []
     for group, f in factored:
         z, jac, beta = _form_group(group, f, form)
         if form == FORM_KM:
             kept.append((group, f))
         for i, k in enumerate(group.index):
-            z_parts[k] = z[i]
-            jac_parts[k] = jac[i].T
+            rows = slice(starts[k], starts[k + 1])
+            z_all[rows] = z[i]
+            jac_all[rows] = jac[i].T
             betas[k] = beta[i]
             phis[k] = f.ge.phi[i].T
         del f, z, jac, beta
 
-    trim = problem.n if form == FORM_KM else 0
     return ReducedEval(
-        z=np.concatenate(z_parts),
-        jac=np.concatenate(jac_parts),
+        z=z_all,
+        jac=jac_all,
         betas=tuple(betas),
-        block_sizes=tuple(ds.m - trim for ds in problem.datasets),
+        block_sizes=problem.block_sizes[form],
         phis=tuple(phis),
         factors=tuple(kept),
     )
 
 
-def eval_gl(alpha, problem):
+def eval_gl(alpha, problem, out=None):
     """Golub-LeVeque reduction: projected residuals with the full Jacobian.
 
     Block k of the l-th Jacobian column is
     -(P_perp dphi_l beta + pinv^T dphi_l^T r) with beta the linear solution
-    and r the projected residual of dataset k.
+    and r the projected residual of dataset k.  ``out`` is an optional dict
+    of reused model stacks (see :func:`_factor_groups`); the result's phis
+    are views of them.
     """
-    return _reduce(problem, _factor_groups(alpha, problem), FORM_GL)
+    return _reduce(problem, _factor_groups(alpha, problem, out), FORM_GL)
 
 
-def eval_km(alpha, problem):
+def eval_km(alpha, problem, out=None):
     """Kaufman reduction: shorter residual, one-term (approximate) Jacobian
     -Q2^T dphi_l beta, with Q2 the trailing orthogonal factor.  The result
-    keeps its groups' factors for :func:`gl_from_km`."""
-    return _reduce(problem, _factor_groups(alpha, problem), FORM_KM)
+    keeps its groups' factors for :func:`gl_from_km`; ``out`` is as for
+    :func:`eval_gl`."""
+    return _reduce(problem, _factor_groups(alpha, problem, out), FORM_KM)
 
 
 def gl_from_km(red, problem):
@@ -377,6 +428,6 @@ def eval_naive(alpha, problem, element_budget=DEFAULT_ELEMENT_BUDGET):
         z=r,
         jac=jac,
         betas=betas,
-        block_sizes=tuple(ds.m for ds in problem.datasets),
+        block_sizes=problem.block_sizes[FORM_GL],
         phis=tuple(be.phi for be in bases),
     )

@@ -236,6 +236,21 @@ CONFIG_ERRORS = {
                             "'alpha0'"),
     "bench-alpha0-text": ("bench", {**_bench(exp_config(s=2), 2), "alpha0": ["a", "b"]},
                           "'alpha0'"),
+    # config integers are read strictly: int() would truncate 2.9 to 2 and
+    # read true as 1
+    "fractional-n": ("generate", {**exp_config(), "n": 2.5}, "'n' must be an integer"),
+    "bool-p": ("generate", {**exp_config(), "p": True}, "'p' must be an integer"),
+    "text-seed": ("generate", {**exp_config(), "seed": "7"}, "'seed' must be an integer"),
+    "frame-fractional-soundings": ("generate", frame_config(soundings=1.5),
+                                   "'soundings' must be an integer"),
+    "bench-fractional-s_values": ("bench", {**_bench(exp_config(s=2), 2), "s_values": [2.9]},
+                                  "'s_values' must be an integer"),
+    "bench-fractional-n_seeds": ("bench", {**_bench(exp_config(s=2), 2), "n_seeds": 1.7},
+                                 "'n_seeds' must be an integer"),
+    "bench-bool-base_seed": ("bench", {**_bench(exp_config(s=2), 2), "base_seed": True},
+                             "'base_seed' must be an integer"),
+    "bench-problem-fractional-p": ("bench", _bench({**exp_config(s=2), "p": 2.5}, 2),
+                                   "'p' must be an integer"),
 }
 
 
@@ -281,6 +296,14 @@ class TestConfigErrors:
         assert (grids.kind, grids.snr, grids.seed) == ("beer", 50.0, 4)
         npt.assert_array_equal(grids.alpha_true, [1.0, 1.0])
         npt.assert_array_equal(np.stack(grids.beta_true), [[1.0, 0.1, -0.05], [0.9, 0.2, 0.0]])
+
+    def test_integral_numbers_are_integers(self):
+        """A JSON number with no fractional part reads as that integer."""
+        spec = cli.spec_from_config({**frame_config(soundings=1.0), "n": 3.0, "seed": 4.0})
+        ref = cli.spec_from_config(frame_config(soundings=1))
+        assert type(spec.seed) is int and spec.seed == ref.seed
+        assert spec.grids == ref.grids
+        npt.assert_array_equal(np.stack(spec.beta_true), np.stack(ref.beta_true))
 
     def test_config_is_not_modified(self):
         cfg = frame_config(soundings=1)

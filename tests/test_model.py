@@ -207,7 +207,7 @@ class TestConvolveReflect:
         alpha = np.array([1.1, 0.9])
         for group in prob.groups:
             assert len(group.datasets) == 32
-            ge = prob.model.eval_group(alpha, group.datasets)
+            ge = prob.model.eval_group(alpha, group.inputs)
             for i, ds in enumerate(group.datasets):
                 be = prob.model.eval(alpha, ds)
                 assert np.array_equal(be.phi, ge.phi[i].T)
@@ -233,7 +233,7 @@ class TestConvolveReflect:
         alpha = np.array([1.1, 0.9])
         alone = [model.eval(alpha, ds) for ds in datasets]
         for size in range(1, 10):
-            ge = model.eval_group(alpha, datasets[:size])
+            ge = model.eval_group(alpha, model.prepare_group(datasets[:size]))
             assert ge.stack.flags.c_contiguous
             for i, be in enumerate(alone[:size]):
                 assert np.array_equal(be.phi, ge.phi[i].T)

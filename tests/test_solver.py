@@ -7,6 +7,7 @@ from sepvar.exceptions import InvalidInputError
 from sepvar import solver
 from sepvar.cli import spec_from_config
 from sepvar.solver import METHODS, SolverConfig, fit, initial_beta
+from sepvar.vpcore import eval_gl, gl_from_km
 
 from conftest import central_diff_jacobian, make_exp_problem
 
@@ -246,3 +247,84 @@ class TestIterationEconomy:
         for method in ("vp-gl", "nls-full"):
             res = fit(prob, SolverConfig(method=method), np.array([1.4, 0.7]))
             npt.assert_allclose(res.alpha_hat, [1.0, 1.0], rtol=5e-3)
+
+
+class TestStackReuse:
+    """A vp-gl/vp-km fit writes its model stacks into two slots that the
+    fit owns; reuse must not reach a result that has left the fit."""
+
+    ALPHA0 = np.array([1.1, 0.9])
+
+    @staticmethod
+    def snapshot(res, prob):
+        red = res.final_eval
+        diag = sv.compute_diagnostics(res, prob)
+        return [np.array(a) for a in (*red.phis, *red.betas, red.jac, red.z, *res.residuals,
+                                      diag.conf_bounds, diag.gram_inverse.s_inv,
+                                      diag.gram_inverse.d_inv, diag.gram_inverse.f)]
+
+    @pytest.mark.parametrize("method", ["vp-gl", "vp-km"])
+    def test_result_survives_a_second_fit(self, method):
+        prob = frame_problem(2, 11)
+        first = fit(prob, SolverConfig(method=method), self.ALPHA0)
+        before = self.snapshot(first, prob)
+        fit(prob, SolverConfig(method=method), np.array([1.5, 1.5]))
+        after = self.snapshot(first, prob)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    @pytest.mark.parametrize("method", ["vp-gl", "vp-km"])
+    def test_final_eval_is_the_iterate_after_a_rejected_trial(self, method, monkeypatch):
+        """Here the last trial is rejected, so the evaluation at alpha_hat
+        sits in the slot the latest evaluation did not overwrite."""
+        prob = frame_problem(2, 11)
+        points = []
+        inner = solver._VP_EVALS[method]
+
+        def recorded(alpha, problem, **kwargs):
+            points.append(np.array(alpha, dtype=float))
+            return inner(alpha, problem, **kwargs)
+
+        monkeypatch.setitem(solver._VP_EVALS, method, recorded)
+        res = fit(prob, SolverConfig(method=method), self.ALPHA0)
+        assert len(points) > 2 and not np.array_equal(points[-1], res.alpha_hat)
+        red = res.final_eval
+        for ds, phi in zip(prob.datasets, red.phis):
+            assert np.array_equal(phi, prob.model.eval(res.alpha_hat, ds).phi)
+        if method == "vp-km":
+            derived, fresh = gl_from_km(red, prob), eval_gl(res.alpha_hat, prob)
+            assert np.array_equal(derived.z, fresh.z)
+            assert np.array_equal(derived.jac, fresh.jac)
+            assert all(np.array_equal(a, b) for a, b in zip(derived.betas, fresh.betas))
+
+    @pytest.mark.parametrize("method", ["vp-gl", "vp-km"])
+    def test_iterate_survives_rejected_trials(self, method):
+        """The engine's calls after two rejected trials in a row: neither
+        trial may write over the iterate's stacks."""
+        prob = frame_problem(2, 11)
+        cache = solver._CachedReduced(prob, method)
+        iterate = self.ALPHA0
+        cache.residual(iterate)
+        cache.jacobian(iterate)
+        for trial in ([1.5, 0.5], [1.2, 0.8], [0.7, 1.3]):
+            cache.residual(np.array(trial))
+        red = cache.at(iterate)
+        for ds, phi in zip(prob.datasets, red.phis):
+            assert np.array_equal(phi, prob.model.eval(iterate, ds).phi)
+
+    @pytest.mark.parametrize("method", ["vp-gl", "vp-km"])
+    def test_two_stacks_per_group(self, method, monkeypatch):
+        prob = frame_problem(2, 11)
+        stacks = [[] for _ in prob.groups]
+        inner = solver._VP_EVALS[method]
+
+        def recorded(alpha, problem, **kwargs):
+            red = inner(alpha, problem, **kwargs)
+            for g, group in enumerate(problem.groups):
+                stacks[g].append(red.phis[group.index[0]].base)  # kept alive
+            return red
+
+        monkeypatch.setitem(solver._VP_EVALS, method, recorded)
+        fit(prob, SolverConfig(method=method), self.ALPHA0)
+        for per_group in stacks:
+            assert len(per_group) > 2
+            assert len({id(stack) for stack in per_group}) == 2

@@ -147,7 +147,7 @@ class TestGroupedKernel:
         prob = frame_problem()
         alpha = np.array([1.1, 0.9])
         for group in prob.groups:
-            ge = prob.model.eval_group(alpha, group.datasets)
+            ge = prob.model.eval_group(alpha, group.inputs)
             for i, ds in enumerate(group.datasets):
                 be = prob.model.eval(alpha, ds)
                 assert np.array_equal(be.phi, ge.phi[i].T)

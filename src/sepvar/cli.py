@@ -217,7 +217,7 @@ def _load_dataset(path, entry, kind, names):
     missing = [name for name in names if name not in header]
     if missing:
         raise UsageError(f"{path} has no column {', '.join(missing)}")
-    m = int(entry["m"])
+    m = _config_int(entry["m"], "m")
     if data.shape != (m, len(header)):
         raise UsageError(
             f"{path} has {data.shape[0]} row(s) of {data.shape[1]} value(s), "
@@ -252,7 +252,8 @@ def load_bundle(bundle_dir):
                 f"unsupported bundle schema version {manifest.get('schema_version')}"
             )
         kind = manifest["model"]
-        model, names = synth.model_kind(kind, int(manifest["n"]), int(manifest["p"]))
+        n, p = _config_int(manifest["n"], "n"), _config_int(manifest["p"], "p")
+        model, names = synth.model_kind(kind, n, p)
         problem = MultiProblem(
             datasets=tuple(
                 _load_dataset(bundle / entry["file"], entry, kind, names)

@@ -7,27 +7,32 @@ the package: a multi-exponential decay test model and a Beer-law absorption
 model (polynomial surface reflectivity times solar spectrum times molecular
 transmission, convolved with a Gaussian instrument response).
 
-Each model evaluates a group of datasets that share one grid (and, for the
-Beer law, one slit width; ``group_key`` says which datasets may be grouped)
-in one pass.  ``prepare_group`` builds what such an evaluation reads that
-does not depend on alpha, once per group: for the Beer law the checked
-auxiliaries, the powers of nu, the slit kernel's two Toeplitz blocks and
-the padded buffer of the chunked convolution (:class:`BeerGroup`).
-``eval_group(alpha, group, out=None)`` returns a :class:`GroupEval`
-computed with the grid axis last.  The Beer law writes the rows of CHUNK
-datasets at a time straight into the group's padded buffer, fills the
-reflected tails by slice copies and convolves the chunk by two stacked
-matrix products, which BLAS carries out one dataset at a time
+Each model evaluates a group of datasets in one pass, and ``group_key``
+says which datasets may share a group: what the batched arithmetic needs,
+not the grid.  The exp model keys a dataset by the power-of-two bucket of
+its length and pads each dataset of a group to the group's longest one
+with zero rows.  The Beer law keys a dataset by its length and its slit's
+tap count; each dataset keeps its own grid, auxiliaries and slit kernel.
+``prepare_group`` builds what such an evaluation reads that does not
+depend on alpha, once per group: for the exp model the padded abscissae
+(:class:`ExpGroup`), for the Beer law the checked auxiliaries, each
+dataset's powers of nu and slit Toeplitz blocks and the padded buffer of
+the chunked convolution (:class:`BeerGroup`).  Per-dataset inputs that are
+the same bit for bit in every dataset of a group are one broadcast view, so
+a group on one grid stores them once.  ``eval_group(alpha, group,
+out=None)`` returns a :class:`GroupEval` computed with the grid axis last.
+The Beer law writes the rows of CHUNK datasets at a time straight into the
+group's padded buffer, fills the reflected tails by slice copies and
+convolves the chunk by two stacked matrix products, which BLAS carries out
+one dataset at a time with that dataset's own Toeplitz blocks
 (:func:`convolve_reflect` shares this kernel).  Because the buffer is
 reused, one group's inputs serve one thread at a time.
 
-Who owns a stack: ``eval_group`` writes a Beer group's (g, 1 + p, n, m)
-stack into ``out`` when the caller passes one, overwriting every entry, and
+Who owns a stack: ``eval_group`` writes a group's (g, 1 + p, n, m) stack
+into ``out`` when the caller passes one, overwriting every entry, and
 otherwise allocates it; the caller that passes ``out`` decides when it is
-written again.  The exp model's stack is a read-only broadcast view of one
-small array, so it never takes ``out``.  ``eval`` of one dataset is the
-one-dataset group with a fresh stack, so it matches that dataset's slice of
-any group bit for bit.
+written again.  ``eval`` of one dataset is the one-dataset group with a
+fresh stack, so it matches that dataset's slice of any group bit for bit.
 """
 
 from dataclasses import dataclass
@@ -130,12 +135,14 @@ class BasisEval:
 
 @dataclass(frozen=True)
 class GroupEval:
-    """Stacked bases of datasets that share one grid, grid axis last.
+    """Stacked bases of the datasets of one group, grid axis last.
 
-    ``stack`` has shape g x (1 + p) x n x m, and every model and slit stores
-    each dataset's (1 + p) x n x m block C-contiguous: for dataset i of the
-    group, the view stack[i, 0].T is its basis matrix and stack[i, 1 + l].T
-    the derivative in alpha_l.
+    ``stack`` has shape g x (1 + p) x n x m, m the length of the group's
+    longest dataset, and every model and slit stores each dataset's
+    (1 + p) x n x m block C-contiguous: for dataset i of the group, of
+    length m_i, the view stack[i, 0, :, :m_i].T is its basis matrix and
+    stack[i, 1 + l, :, :m_i].T the derivative in alpha_l.  Entries past
+    m_i are zero.
     """
 
     stack: np.ndarray
@@ -150,9 +157,26 @@ class GroupEval:
 
     def basis(self, i):
         """The BasisEval of the group's i-th dataset, in row-major m x n
-        layout (products with it round as they did before grouping)."""
+        layout (products with it round as they did before grouping).  Its
+        rows span the group's full length, so it is the basis of a dataset
+        as long as the group, such as the only one of a one-dataset group."""
         rows = np.ascontiguousarray(self.stack[i].transpose(0, 2, 1))
         return BasisEval(phi=rows[0], dphi=tuple(rows[1:]))
+
+
+def _per_dataset(sources, build):
+    """build(x) for each 1-d array x of ``sources``, stacked on a new first
+    axis.  When every source is the same bit for bit, the stack is one
+    view of build(sources[0]), so datasets on one grid (or with one slit
+    kernel) share it and a one-dataset group, which ``eval`` builds on
+    every call, copies nothing."""
+    one = build(sources[0])
+    if len(sources) == 1:
+        return one[None]
+    head = sources[0].tobytes()
+    if all(x.tobytes() == head for x in sources[1:]):
+        return np.broadcast_to(one, (len(sources),) + one.shape)
+    return np.stack([one] + [build(x) for x in sources[1:]])
 
 
 def normalize_abscissa(t):
@@ -171,27 +195,71 @@ def _finite_vector(alpha):
     return alpha
 
 
-def eval_exp_group(alpha, datasets):
-    """Multi-exponential basis of datasets sharing one grid: row j of each
-    dataset's block is exp(-alpha_j * t).
+@dataclass(frozen=True, eq=False)
+class ExpGroup:
+    """What an evaluation of exp-model datasets reads that does not depend
+    on alpha: the negated abscissae of each dataset, zero-padded to the
+    longest one, and a 0/1 mask of the rows that hold data (None when no
+    dataset is padded)."""
+
+    shape: tuple  # of the group's stack, g x (1 + n) x n x m
+    neg_t: np.ndarray  # g x m
+    valid: Optional[np.ndarray]  # g x 1 x m
+
+
+def prepare_exp_group(datasets, n_terms):
+    """The :class:`ExpGroup` of datasets of any lengths, for n_terms
+    exponentials."""
+    lengths = [ds.m for ds in datasets]
+    m = max(lengths)
+    neg_t = np.zeros((len(datasets), m))
+    for row, ds in zip(neg_t, datasets):
+        np.negative(ds.t, out=row[: ds.m])
+    valid = None
+    if min(lengths) < m:
+        valid = (np.arange(m) < np.array(lengths)[:, None]).astype(float)[:, None, :]
+    return ExpGroup((len(datasets), 1 + n_terms, n_terms, m), neg_t, valid)
+
+
+def eval_exp_group(alpha, group, out=None):
+    """Multi-exponential basis of the datasets of an :class:`ExpGroup`: row
+    j of each dataset's block is exp(-alpha_j * t), and zero past the
+    dataset's length.
 
     The number of linear and nonlinear parameters coincide; the derivative
-    with respect to alpha_l is nonzero only in row l.  Every dataset of the
-    group has the same basis, so the stack is a broadcast view.
+    with respect to alpha_l is nonzero only in row l.  The stack is ``out``
+    when given (a C-contiguous array of ``group.shape``, every entry of
+    which is overwritten), else a new array.
     """
     alpha = _finite_vector(alpha)
-    t = datasets[0].t
-    stack = np.zeros((1 + alpha.size, alpha.size, t.size))
-    phi = stack[0]
-    np.exp(-np.outer(alpha, t), out=phi)
+    stack = np.empty(group.shape) if out is None else out
+    phi = stack[:, 0]
+    np.multiply(alpha[:, None], group.neg_t[:, None, :], out=phi)
+    np.exp(phi, out=phi)
+    if group.valid is not None:
+        phi *= group.valid
+    stack[:, 1:] = 0.0
     for l in range(alpha.size):
-        stack[1 + l, l] = -t * phi[l]
-    return GroupEval(np.broadcast_to(stack, (len(datasets),) + stack.shape))
+        np.multiply(group.neg_t, phi[:, l], out=stack[:, 1 + l, l])
+    return GroupEval(stack)
 
 
 def eval_exp_basis(alpha, dataset):
     """Multi-exponential basis of one dataset: column j is exp(-alpha_j * t)."""
-    return eval_exp_group(alpha, (dataset,)).basis(0)
+    alpha = _finite_vector(alpha)
+    return eval_exp_group(alpha, prepare_exp_group((dataset,), alpha.size)).basis(0)
+
+
+def _half_taps(spacing, halfwidth):
+    """Taps on either side of the centre of gaussian_kernel(spacing,
+    halfwidth); 0 for the delta response."""
+    if halfwidth <= 0.0 or spacing <= 0.0:
+        return 0
+    return int(np.floor(4.0 * halfwidth / spacing))
+
+
+def _grid_spacing(t):
+    return float(np.mean(np.diff(t)))
 
 
 def gaussian_kernel(spacing, halfwidth):
@@ -201,9 +269,7 @@ def gaussian_kernel(spacing, halfwidth):
     nonpositive half-width (or one below the grid spacing scale) degenerates
     to a discrete delta.
     """
-    if halfwidth <= 0.0 or spacing <= 0.0:
-        return np.array([1.0])
-    nh = int(np.floor(4.0 * halfwidth / spacing))
+    nh = _half_taps(spacing, halfwidth)
     if nh < 1:
         return np.array([1.0])
     x = np.arange(-nh, nh + 1) * spacing
@@ -226,34 +292,43 @@ def _reflect_tails(buf, h, m):
 
 
 class SlitConvolution:
-    """The chunk kernel of :func:`convolve_reflect`, built for one kernel and
-    one output shape: the two Toeplitz blocks and the padded buffer in which
-    entries of the output's leading axis are reflected and convolved CHUNK at
-    a time.
+    """The chunk kernel of :func:`convolve_reflect`, built for one kernel per
+    entry of the output's leading axis (all of one length) and one output
+    shape: each entry's two Toeplitz blocks (one broadcast pair when every
+    kernel is the same) and the padded buffer in which entries are reflected
+    and convolved CHUNK at a time.
 
     ``apply(fill, out)`` runs the kernel.  ``fill(rows, dest)`` writes the
     samples of the entries in slice ``rows`` into ``dest``, the buffer's
     interior, shaped like ``out[rows]``.  The two Toeplitz products run as
     stacked products over the chunk, which numpy carries out as one BLAS call
-    per entry with that entry's own shape, so each entry rounds exactly as it
-    would alone.  Every call overwrites the whole buffer before reading it,
-    so one instance serves any number of calls, one thread at a time.
+    per entry with that entry's own shape and blocks, so each entry rounds
+    exactly as it would alone.  Every call overwrites the whole buffer
+    before reading it, so one instance serves any number of calls, one
+    thread at a time.
     """
 
-    def __init__(self, kernel, shape):
-        taps = kernel.size
+    def __init__(self, kernels, shape):
+        taps = kernels[0].size
+        if any(kernel.size != taps for kernel in kernels):
+            raise InvalidInputError("the kernels of one convolution need one tap count")
         self.h = taps // 2
         b = 2 * self.h
-        band = np.zeros((2 * b, b))
         cols = np.arange(b)
-        band[cols + np.arange(taps)[:, None], cols] = kernel[::-1, None]
-        self.t0, self.t1 = band[:b], band[b:]
+
+        def band(kernel):
+            out = np.zeros((2 * b, b))
+            out[cols + np.arange(taps)[:, None], cols] = kernel[::-1, None]
+            return out
+
+        bands = _per_dataset(kernels, band)  # count x 2b x b
+        self.t0, self.t1 = bands[:, :b], bands[:, b:]
         count, m = shape[0], shape[-1]
         width = -(-(m + 2 * self.h) // b) * b
         self.buf = np.empty((min(CHUNK, count),) + tuple(shape[1:-1]) + (width,))
 
     def apply(self, fill, out):
-        h, b = self.h, self.t0.shape[0]
+        h, b = self.h, self.t0.shape[-1]
         count, m = len(out), out.shape[-1]
         for start in range(0, count, CHUNK):
             rows = slice(start, min(start + CHUNK, count))
@@ -261,8 +336,8 @@ class SlitConvolution:
             fill(rows, part[..., h : h + m])
             _reflect_tails(part, h, m)
             tiles = part.reshape(part.shape[0], -1, b)
-            y = tiles @ self.t0
-            y[:, :-1] += tiles[:, 1:] @ self.t1
+            y = tiles @ self.t0[rows]
+            y[:, :-1] += tiles[:, 1:] @ self.t1[rows]
             out[rows] = y.reshape(part.shape)[..., :m]
         return out
 
@@ -286,7 +361,7 @@ def convolve_reflect(x, kernel, out):
     group), so an entry's result is the same bit for bit whatever else is
     in ``x``: BLAS may round differently for other matrix shapes.
     """
-    slit = SlitConvolution(kernel, out.shape)
+    slit = SlitConvolution((kernel,) * len(out), out.shape)
     return slit.apply(lambda rows, dest: np.copyto(dest, x[rows]), out)
 
 
@@ -301,14 +376,36 @@ def _beer_aux(dataset, p):
     return aux
 
 
+def _slit_taps(dataset):
+    """Tap count of a Beer dataset's slit kernel, without its weights."""
+    halfwidth = getattr(dataset.aux, "slit_halfwidth", 0.0)
+    return 2 * _half_taps(_grid_spacing(dataset.t), halfwidth) + 1
+
+
+def _nu_powers(t, n_linear):
+    """nu ** j for j < n_linear (n_linear x m), nu the normalized grid.  The
+    powers 0 and 1 are exactly 1 and nu, so only the higher ones call pow,
+    which is most of what building a one-dataset group costs."""
+    nu = normalize_abscissa(t)
+    powers = np.ones((n_linear, nu.size))
+    powers[1:2] = nu
+    for j in range(2, n_linear):
+        # a vector of exponents: numpy takes a single exponent 2 as x * x,
+        # which rounds differently from pow
+        np.power(nu, np.full(nu.size, float(j)), out=powers[j])
+    return powers
+
+
 @dataclass(frozen=True, eq=False)
 class BeerGroup:
-    """What an evaluation of Beer-law datasets sharing one grid and slit
-    width reads that does not depend on alpha: the checked auxiliaries, the
-    powers of nu (n x m) and, unless the slit is a delta, the slit
-    convolution with its Toeplitz blocks and padded chunk buffer.  A
-    problem builds one per group and reuses it in every evaluation, so a
-    problem is evaluated by one thread at a time."""
+    """What an evaluation of Beer-law datasets of one length and slit tap
+    count reads that does not depend on alpha: the checked auxiliaries,
+    each dataset's powers of nu (g x n x m) and, unless the slit is a
+    delta, the slit convolution with each dataset's Toeplitz blocks and the
+    padded chunk buffer.  Powers and blocks that are the same for every
+    dataset are one broadcast view.  A problem builds one per group and
+    reuses it in every evaluation, so a problem is evaluated by one thread
+    at a time."""
 
     shape: tuple  # of the group's stack, g x (1 + p) x n x m
     auxes: tuple
@@ -317,14 +414,18 @@ class BeerGroup:
 
 
 def prepare_beer_group(datasets, n_linear, p):
-    """The :class:`BeerGroup` of datasets sharing one grid and slit width,
-    for n_linear reflectivity coefficients and p species."""
+    """The :class:`BeerGroup` of datasets of one length and slit tap count,
+    each on its own grid, for n_linear reflectivity coefficients and p
+    species."""
     auxes = tuple(_beer_aux(ds, p) for ds in datasets)
-    t = datasets[0].t
-    powers = normalize_abscissa(t) ** np.arange(n_linear)[:, None]
-    kernel = gaussian_kernel(float(np.mean(np.diff(t))), auxes[0].slit_halfwidth)
-    shape = (len(auxes), 1 + p, n_linear, t.size)
-    slit = SlitConvolution(kernel, shape) if kernel.size > 1 else None
+    m = datasets[0].m
+    if any(ds.m != m for ds in datasets):
+        raise InvalidInputError("the datasets of one Beer group need one length")
+    powers = _per_dataset([ds.t for ds in datasets], lambda t: _nu_powers(t, n_linear))
+    kernels = [gaussian_kernel(_grid_spacing(ds.t), aux.slit_halfwidth)
+               for ds, aux in zip(datasets, auxes)]
+    shape = (len(auxes), 1 + p, n_linear, m)
+    slit = SlitConvolution(kernels, shape) if kernels[0].size > 1 else None
     return BeerGroup(shape, auxes, powers, slit)
 
 
@@ -362,7 +463,7 @@ def eval_beer_group(alpha, group, out=None):
 
     def fill(rows, dest):
         mono = dest[:, 0]  # len x n x m
-        np.multiply(base[rows, None, :], powers, out=mono)
+        np.multiply(base[rows, None, :], powers[rows], out=mono)
         np.multiply(neg_tau[rows, :, None, :], mono[:, None], out=dest[:, 1:])
 
     stack = np.empty(group.shape) if out is None else out
@@ -405,17 +506,19 @@ class ExpDecayModel:
         return self.eval_group(alpha, self.prepare_group((dataset,))).basis(0)
 
     def group_key(self, dataset):
-        """Datasets with equal keys can share one ``eval_group`` call."""
-        return dataset.t.tobytes()
+        """Datasets with equal keys can share one ``eval_group`` call: the
+        power-of-two bucket of the length, so that padding a dataset to the
+        longest of its group at most doubles it."""
+        return (dataset.m - 1).bit_length()
 
     def prepare_group(self, datasets):
-        """The alpha-free inputs of ``eval_group``: the datasets themselves."""
-        return tuple(datasets)
+        """The alpha-free inputs of ``eval_group`` (an :class:`ExpGroup`)."""
+        return prepare_exp_group(datasets, self.n_terms)
 
     def eval_group(self, alpha, group, out=None):
-        """Stacked bases of datasets that share one grid.  The stack is a
-        read-only broadcast view, so ``out`` is never written."""
-        return eval_exp_group(_checked_alpha(alpha, self.p), group)
+        """Stacked bases of the datasets of ``group``, written into ``out``
+        when it is given."""
+        return eval_exp_group(_checked_alpha(alpha, self.p), group, out)
 
 
 @dataclass(frozen=True)
@@ -437,8 +540,9 @@ class BeerLawModel:
         return self.eval_group(alpha, self.prepare_group((dataset,))).basis(0)
 
     def group_key(self, dataset):
-        """Datasets with equal keys can share one ``eval_group`` call."""
-        return dataset.t.tobytes(), getattr(dataset.aux, "slit_halfwidth", None)
+        """Datasets with equal keys can share one ``eval_group`` call: the
+        length and the slit kernel's tap count."""
+        return dataset.m, _slit_taps(dataset)
 
     def prepare_group(self, datasets):
         """The alpha-free inputs of ``eval_group`` (a :class:`BeerGroup`)."""

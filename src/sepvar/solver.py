@@ -122,7 +122,8 @@ class _CachedReduced:
     new ``vp-gl``/``vp-km`` evaluation writes into the slot that does not
     hold the iterate's; the latest evaluation, whose slot that is, is
     dropped first.  The slots fill on the first two evaluations and are
-    reused for the rest of the fit; ``eval_naive`` takes none.  The cache
+    reused for the rest of the fit, for either model family, since every
+    model's stack is writable; ``eval_naive`` takes none.  The cache
     belongs to one fit, and the evaluation at alpha_hat leaves with the
     ``FitResult``."""
 

@@ -15,26 +15,35 @@ provided:
 
 ``eval_gl`` and ``eval_km`` are two residual forms of one grouped kernel.
 ``MultiProblem.groups`` puts datasets that the model can evaluate together
-(an identical abscissa grid and, for the Beer law, slit width) into one
-group, once per problem and in order of each group's first dataset, with
-the model's alpha-free inputs of the group (``model.prepare_group``) and
-the residual block sizes of each form.  A frame layout of 32 soundings
-gives two groups of 32; datasets on distinct grids are groups of one.  Each
-group goes through two steps.  The factor step evaluates the stacked bases
-(the model's one layout, grid axis last), factors them by one stacked
+(equal ``model.group_key``: for the exp model the power-of-two bucket of
+the length, for the Beer law the length and slit tap count, whatever the
+grids) into one group, once per problem and in order of each group's first
+dataset, with the model's alpha-free inputs of the group
+(``model.prepare_group``) and the observations, zero-padded to the group's
+longest dataset.  A frame layout of 32 soundings gives two groups of 32,
+also when each sounding's grids are shifted; the exp quick-start problem
+of 40 and 50 points is one group.  Each group goes through two steps.  The
+factor step evaluates the stacked bases (the model's one layout, grid axis
+last, zero past each dataset's length), factors them by one stacked
 Householder QR, screens the rank and forms the compact WY representation
-(:class:`GroupFactors`).  The form step turns these into the linear
-parameters, residuals and Jacobian blocks of the ``gl`` or ``km`` form by
-batched products.  Every evaluation is a plain :class:`ReducedEval` record,
-filled as its groups are formed: residual, Jacobian, each dataset's linear
-parameters and its basis matrix as a view of the stack, which the final
-linear solve and the diagnostics read.  An ``eval_km`` evaluation also
-keeps its groups' factors, so :func:`gl_from_km` gives the ``eval_gl``
-evaluation at the same alpha with no model evaluation or QR; a ``vp-km``
-fit's diagnostics use it.  Every product is computed dataset by dataset
-within the stack, so the results do not depend on the grouping, and the
-rank decisions and typed errors are those of the pivoted per-dataset
-``thin_qr``.
+(:class:`GroupFactors`).  Zero rows leave R, the linear parameters and the
+projected residual unchanged in exact arithmetic, and the padded rows of
+the Householder vectors, residuals and Jacobian blocks come out zero.  The
+form step turns these into the linear parameters, residuals and Jacobian
+blocks of the ``gl`` or ``km`` form by batched products.  Every evaluation
+is a plain :class:`ReducedEval` record, filled as its groups are formed:
+residual, Jacobian, each dataset's linear parameters and its basis matrix
+as a view of the stack, which the final linear solve and the diagnostics
+read.  Each block holds its dataset's own rows only
+(``MultiProblem.block_sizes``), and each basis matrix is the unpadded
+view.  An ``eval_km`` evaluation also keeps its groups' factors, so
+:func:`gl_from_km` gives the ``eval_gl`` evaluation at the same alpha with
+no model evaluation or QR; a ``vp-km`` fit's diagnostics use it.  Every
+product is computed dataset by dataset within the stack, so a group of
+equal-length datasets gives the results of each dataset alone; a padded
+dataset's match them to rounding.  The rank decisions, made on each
+dataset's unpadded rows, and the typed errors are those of the pivoted
+per-dataset ``thin_qr``.
 
 Who owns a model stack: by default each evaluation allocates its own, and
 its ``phis`` (and an ``eval_km`` evaluation's factors) keep it alive.  A
@@ -81,12 +90,13 @@ FORM_KM = "km"
 
 @dataclass(frozen=True)
 class DatasetGroup:
-    """Datasets of one problem that share a grid and a slit width, with
-    what every evaluation of them reads that does not depend on alpha."""
+    """Datasets of one problem with equal ``model.group_key``, with what
+    every evaluation of them reads that does not depend on alpha.  The
+    group's length m is that of its longest dataset."""
 
     index: tuple  # positions of the datasets in the problem, ascending
     datasets: tuple
-    y: np.ndarray  # g x m stacked observations
+    y: np.ndarray  # g x m stacked observations, zero past each dataset's length
     inputs: object = field(repr=False)  # the model's prepare_group(datasets)
 
 
@@ -140,7 +150,9 @@ class MultiProblem:
         groups = []
         for index in members.values():
             datasets = tuple(self.datasets[k] for k in index)
-            y = np.stack([ds.y for ds in datasets])
+            y = np.zeros((len(datasets), max(ds.m for ds in datasets)))
+            for row, ds in zip(y, datasets):
+                row[: ds.m] = ds.y
             inputs = self.model.prepare_group(datasets)
             groups.append(DatasetGroup(tuple(index), datasets, y, inputs))
         return tuple(groups)
@@ -228,18 +240,19 @@ def _factor_group(alpha, problem, group, out=None):
     """The factor step of one group: the model's stacked bases (written into
     ``out`` when given), one stacked Householder QR without pivoting and the
     compact WY form.  A basis whose R is near singular goes through the
-    pivoted thin_qr for the rank decision."""
+    pivoted thin_qr of its dataset's own rows for the rank decision."""
     ge = problem.model.eval_group(alpha, group.inputs, out=out)
     # min and max are NaN if any entry is, and infinite if any entry is
     if not (np.isfinite(ge.stack.min()) and np.isfinite(ge.stack.max())):
         raise InvalidInputError("basis evaluation produced non-finite entries")
     n = problem.n
-    a = ge.phi.transpose(0, 2, 1)  # g x m x n
+    a = ge.phi.transpose(0, 2, 1)  # g x m x n, zero rows past each length
     h, tau = np.linalg.qr(a, mode="raw")
     r = np.triu(h[:, :, :n].transpose(0, 2, 1))
     sv = np.linalg.svd(r, compute_uv=False)
     for i in np.flatnonzero(sv[:, -1] <= RANK_SCREEN * sv[:, 0]):
-        thin_qr(a[i])  # the pivoted rank decision; raises if deficient
+        # the pivoted rank decision on the dataset's own rows; raises if deficient
+        thin_qr(a[i, : group.datasets[i].m])
     vt, t = _wy(h, tau)
     return GroupFactors(ge, r, vt, t)
 
@@ -249,7 +262,8 @@ def _form_group(group, f, form):
     ``gl`` or ``km`` form, grid axis last.
 
     Returns (z, jac, beta): z is g x m (``gl``) or g x (m - n) (``km``),
-    jac g x p x rows and beta g x n.
+    jac g x p x rows and beta g x n.  Dataset i's block is its first m_i
+    (``gl``) or m_i - n (``km``) rows; the rows past it are zero.
     """
     r, vt, t, ge = f.r, f.vt, f.t, f.ge
     n = r.shape[-1]
@@ -287,14 +301,13 @@ def _factor_groups(alpha, problem, out=None):
 
     ``out``, when given, is a dict from group position to a model stack
     that this evaluation overwrites.  A group without an entry gets a new
-    stack, which is entered when it is writable; the exp model's read-only
-    broadcast view is not, so that model keeps allocating its small array.
+    stack, which is entered for the next evaluation given the same dict.
     """
     alpha = _checked_alpha(alpha, problem.p)
     try:
         for i, group in enumerate(problem.groups):
             f = _factor_group(alpha, problem, group, None if out is None else out.get(i))
-            if out is not None and f.ge.stack.flags.writeable:
+            if out is not None:
                 out[i] = f.ge.stack
             yield group, f
     except SepvarError:
@@ -310,7 +323,8 @@ def _reduce(problem, factored, form):
     residual and Jacobian, which are allocated first, and its factors and
     blocks are released before the next group is factored; only the ``km``
     form keeps the factors, and every form keeps a view of each dataset's
-    basis matrix.
+    basis matrix.  Of each dataset's padded blocks, only its own rows are
+    read.
     """
     s = problem.s
     starts = problem.block_starts[form]
@@ -324,11 +338,12 @@ def _reduce(problem, factored, form):
         if form == FORM_KM:
             kept.append((group, f))
         for i, k in enumerate(group.index):
+            size = starts[k + 1] - starts[k]
             rows = slice(starts[k], starts[k + 1])
-            z_all[rows] = z[i]
-            jac_all[rows] = jac[i].T
+            z_all[rows] = z[i, :size]
+            jac_all[rows] = jac[i, :, :size].T
             betas[k] = beta[i]
-            phis[k] = f.ge.phi[i].T
+            phis[k] = f.ge.phi[i, :, : group.datasets[i].m].T
         del f, z, jac, beta
 
     return ReducedEval(

@@ -151,6 +151,15 @@ def _edit_manifest(bundle, **changes):
     return path
 
 
+def _edit_entry(bundle, **changes):
+    """Change the manifest entry of dataset 0."""
+    path = bundle / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["datasets"][0].update(changes)
+    path.write_text(json.dumps(manifest))
+    return path
+
+
 MALFORMED = {
     "missing-column": _drop_tau_2,
     "ragged-row": _replace_line("dataset_000.csv", 5, "1,2,3"),
@@ -161,6 +170,14 @@ MALFORMED = {
     "unknown-model-kind": lambda b: _edit_manifest(b, model="bogus"),
     "header-only": _keep_header,
     "non-finite-value": _replace_line("dataset_000.csv", 1, "6180,nan,1,0,0"),
+    # manifest integers are read strictly: int() would load a 2-coefficient
+    # model from "n": 2.9
+    "manifest-fractional-n": lambda b: _edit_manifest(b, n=2.9),
+    "manifest-bool-p": lambda b: _edit_manifest(b, p=True),
+    "manifest-text-n": lambda b: _edit_manifest(b, n="3"),
+    "manifest-fractional-m": lambda b: _edit_entry(b, m=19.5),
+    "manifest-bool-m": lambda b: _edit_entry(b, m=True),
+    "manifest-text-m": lambda b: _edit_entry(b, m="20"),
 }
 
 # what the message must say besides the file name: the file line of the bad
@@ -169,6 +186,12 @@ MALFORMED_TEXT = {
     "non-numeric-row": "line 3: 'x' is not a number",
     "header-only": "has 0 row(s) of 5 value(s), expected 20 of 5",
     "non-finite-value": "t and y must be finite",
+    "manifest-fractional-n": "'n' must be an integer, got 2.9",
+    "manifest-bool-p": "'p' must be an integer, got True",
+    "manifest-text-n": "'n' must be an integer, got '3'",
+    "manifest-fractional-m": "'m' must be an integer, got 19.5",
+    "manifest-bool-m": "'m' must be an integer, got True",
+    "manifest-text-m": "'m' must be an integer, got '20'",
 }
 
 

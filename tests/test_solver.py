@@ -206,6 +206,12 @@ def frame_problem(soundings, seed):
     return sv.generate(spec_from_config(cfg))
 
 
+# the README quick-start problem: datasets of 40 and 50 points
+README_EXP = {"model": "exp", "n": 2, "p": 2, "seed": 7, "snr": 100, "alpha_true": [1.2, 0.25],
+              "grids": [{"length": 40, "lo": 0.0, "hi": 4.0},
+                        {"length": 50, "lo": 0.0, "hi": 5.0}]}
+
+
 class TestIterationEconomy:
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_frame_fits_take_four_evaluations(self, seed):
@@ -311,9 +317,9 @@ class TestStackReuse:
         for ds, phi in zip(prob.datasets, red.phis):
             assert np.array_equal(phi, prob.model.eval(iterate, ds).phi)
 
-    @pytest.mark.parametrize("method", ["vp-gl", "vp-km"])
-    def test_two_stacks_per_group(self, method, monkeypatch):
-        prob = frame_problem(2, 11)
+    @staticmethod
+    def stacks_per_group(prob, method, alpha0, monkeypatch):
+        """The distinct stacks each group's phis viewed during one fit."""
         stacks = [[] for _ in prob.groups]
         inner = solver._VP_EVALS[method]
 
@@ -324,7 +330,20 @@ class TestStackReuse:
             return red
 
         monkeypatch.setitem(solver._VP_EVALS, method, recorded)
-        fit(prob, SolverConfig(method=method), self.ALPHA0)
+        fit(prob, SolverConfig(method=method), alpha0)
         for per_group in stacks:
             assert len(per_group) > 2
-            assert len({id(stack) for stack in per_group}) == 2
+        return [len({id(stack) for stack in per_group}) for per_group in stacks]
+
+    @pytest.mark.parametrize("method", ["vp-gl", "vp-km"])
+    def test_two_stacks_per_group(self, method, monkeypatch):
+        prob = frame_problem(2, 11)
+        assert self.stacks_per_group(prob, method, self.ALPHA0, monkeypatch) == [2, 2]
+
+    @pytest.mark.parametrize("method", ["vp-gl", "vp-km"])
+    def test_exp_fit_reuses_two_stacks(self, method, monkeypatch):
+        """The exp model's stack is writable too; the problem's 40- and
+        50-point datasets are one padded group."""
+        prob = sv.generate(spec_from_config(README_EXP))
+        assert [g.index for g in prob.groups] == [(0, 1)]
+        assert self.stacks_per_group(prob, method, np.array([1.0, 0.3]), monkeypatch) == [2]

@@ -14,6 +14,8 @@ from sepvar.factor import pinv_transpose_apply
 from sepvar.model import BeerAux, BeerLawModel, Dataset, ExpDecayModel
 from sepvar.vpcore import (
     MultiProblem,
+    _factor_group,
+    _form_group,
     build_block_diag,
     eval_gl,
     eval_km,
@@ -116,6 +118,40 @@ def raised(fn, *args):
     return None
 
 
+def assert_matches_reference(ev, alpha, prob, form):
+    """The grouped ``ev`` agrees with reference_eval to 1e-12."""
+    red = ev(alpha, prob)
+    z, jac, betas = reference_eval(alpha, prob, form)
+
+    def close(a, b):
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    for a, b in zip(red.betas, betas):
+        close(a, b)
+    if form == "gl":
+        close(red.z, z)
+        close(red.jac, jac)
+    else:
+        # the trailing factor is fixed only up to an orthogonal change of
+        # basis, so compare what does not depend on it
+        npt.assert_allclose(np.linalg.norm(red.z), np.linalg.norm(z), rtol=1e-12)
+        close(red.jac.T @ red.z, jac.T @ z)
+        close(red.jac.T @ red.jac, jac.T @ jac)
+
+
+def assert_blocks_as_alone(ev, alpha, prob):
+    """Each dataset's blocks are the same bit for bit in its group as in a
+    problem of that dataset alone."""
+    red = ev(alpha, prob)
+    bounds = np.concatenate([[0], np.cumsum(red.block_sizes)])
+    for k, ds in enumerate(prob.datasets):
+        alone = ev(alpha, MultiProblem(datasets=(ds,), model=prob.model))
+        rows = slice(bounds[k], bounds[k + 1])
+        assert np.array_equal(alone.z, red.z[rows])
+        assert np.array_equal(alone.jac, red.jac[rows])
+        assert np.array_equal(alone.betas[0], red.betas[k])
+
+
 class TestGroupedKernel:
     ALPHA_FAIL = np.array([1.0, -1.0])
 
@@ -125,23 +161,7 @@ class TestGroupedKernel:
         assert [len(g.index) for g in prob.groups] == [4, 4]
         ev = eval_gl if form == "gl" else eval_km
         for alpha in (np.array([1.1, 0.9]), np.array([0.7, 1.4])):
-            red = ev(alpha, prob)
-            z, jac, betas = reference_eval(alpha, prob, form)
-
-            def close(a, b):
-                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
-
-            if form == "gl":
-                close(red.z, z)
-                close(red.jac, jac)
-                for a, b in zip(red.betas, betas):
-                    close(a, b)
-            else:
-                # the trailing factor is fixed only up to an orthogonal
-                # change of basis, so compare what does not depend on it
-                npt.assert_allclose(np.linalg.norm(red.z), np.linalg.norm(z), rtol=1e-12)
-                close(red.jac.T @ red.z, jac.T @ z)
-                close(red.jac.T @ red.jac, jac.T @ jac)
+            assert_matches_reference(ev, alpha, prob, form)
 
     def test_one_dataset_eval_is_its_group_slice(self):
         prob = frame_problem()
@@ -157,16 +177,7 @@ class TestGroupedKernel:
     @pytest.mark.parametrize("ev", [eval_gl, eval_km])
     def test_grouping_does_not_change_results(self, ev):
         """A dataset's blocks are the same in its group of 4 as alone."""
-        prob = frame_problem()
-        alpha = np.array([1.1, 0.9])
-        red = ev(alpha, prob)
-        bounds = np.concatenate([[0], np.cumsum(red.block_sizes)])
-        for k, ds in enumerate(prob.datasets):
-            alone = ev(alpha, MultiProblem(datasets=(ds,), model=prob.model))
-            rows = slice(bounds[k], bounds[k + 1])
-            assert np.array_equal(alone.z, red.z[rows])
-            assert np.array_equal(alone.jac, red.jac[rows])
-            assert np.array_equal(alone.betas[0], red.betas[k])
+        assert_blocks_as_alone(ev, np.array([1.1, 0.9]), frame_problem())
 
     @pytest.mark.parametrize(
         "ev",
@@ -251,11 +262,11 @@ class TestGroupedKernel:
 
     def test_near_collinear_sweep_raises_exactly_when_thin_qr_does(self):
         """alpha = (a, a + delta) with delta spaced across the thin_qr rank
-        threshold; a shared-grid group of two and a group of one."""
+        threshold; one group of lengths 12, 12 and 15, padded to 15."""
         t1, t2 = np.linspace(0.0, 3.0, 12), np.linspace(0.0, 4.0, 15)
         datasets = tuple(Dataset(t=t, y=np.exp(-0.5 * t)) for t in (t1, t1, t2))
         prob = MultiProblem(datasets=datasets, model=ExpDecayModel(n_terms=2))
-        assert [g.index for g in prob.groups] == [(0, 1), (2,)]
+        assert [g.index for g in prob.groups] == [(0, 1, 2)]
         outcomes = set()
         for delta in np.logspace(-14, -5, 46):
             alpha = np.array([0.7, 0.7 + delta])
@@ -264,6 +275,123 @@ class TestGroupedKernel:
             for ev in (eval_gl, eval_km):
                 assert raised(ev, alpha, prob) == expected, delta
         assert outcomes == {True, False}
+
+
+def ragged_exp_problem(bad=()):
+    """Exp datasets of 12, 15 and 16 points, one length bucket, so one group
+    padded to 16 rows.  The datasets in ``bad`` sit on a grid 1e-11 wide,
+    where the two exponentials are numerically parallel."""
+    datasets = []
+    for k, (m, hi) in enumerate(((12, 3.0), (15, 4.0), (16, 3.5))):
+        t = np.linspace(1.0, 1.0 + 1e-11, m) if k in bad else np.linspace(0.0, hi, m)
+        datasets.append(Dataset(t=t, y=np.exp(-0.5 * t) + 0.01 * np.cos(3.0 * t)))
+    return MultiProblem(datasets=tuple(datasets), model=ExpDecayModel(n_terms=2))
+
+
+def shifted_beer_problem(rng, taus=None):
+    """Beer datasets of one length, each on its own grid (lo and hi shifted
+    per dataset) with its own nonzero slit width of one tap count: one
+    group, with per-dataset powers of nu and Toeplitz blocks."""
+    datasets = []
+    for k in range(3):
+        t = np.linspace(6180.0 + 0.37 * k, 6280.0 + 0.41 * k, 40)
+        tau = smooth_tau(t, rng) if taus is None else taus[k](t)
+        datasets.append(beer_dataset(t, tau, halfwidth=6.0 + 0.1 * k))
+    return MultiProblem(datasets=tuple(datasets), model=BeerLawModel(n_linear=3, p_species=2))
+
+
+class TestShapeGroups:
+    """Datasets are grouped by shape, not by grid: ragged exp lengths of one
+    bucket are padded with zero rows, and Beer datasets of one length keep
+    their own grids and slit kernels."""
+
+    ALPHA_EXP = np.array([1.1, 0.3])
+    ALPHA_BEER = np.array([1.1, 0.9])
+
+    def problems(self, rng):
+        return ((ragged_exp_problem(), self.ALPHA_EXP),
+                (shifted_beer_problem(rng), self.ALPHA_BEER))
+
+    def test_one_group_each(self, rng):
+        (exp_prob, _), (beer_prob, _) = self.problems(rng)
+        for prob in (exp_prob, beer_prob):
+            assert [g.index for g in prob.groups] == [(0, 1, 2)]
+        [group] = exp_prob.groups
+        assert group.y.shape == (3, 16)
+        assert np.all(group.y[0, 12:] == 0.0) and np.all(group.y[1, 15:] == 0.0)
+        # distinct grids and kernels are stacked, not one broadcast row
+        beer = beer_prob.groups[0].inputs
+        assert beer.powers.strides[0] != 0 and beer.slit.t0.strides[0] != 0
+
+    @pytest.mark.parametrize("form", ["gl", "km"])
+    def test_gl_km_match_per_dataset_reference(self, form, rng):
+        ev = eval_gl if form == "gl" else eval_km
+        for prob, alpha in self.problems(rng):
+            assert_matches_reference(ev, alpha, prob, form)
+
+    @pytest.mark.parametrize(
+        "ev",
+        [eval_gl, eval_km, lambda a, prob: gl_from_km(eval_km(a, prob), prob)],
+        ids=["eval_gl", "eval_km", "gl_from_km"],
+    )
+    def test_blocks_and_phis_are_each_datasets_own(self, ev, rng):
+        for prob, alpha in self.problems(rng):
+            red = ev(alpha, prob)
+            sizes = red.block_sizes
+            assert red.z.shape == (sum(sizes),)
+            assert red.jac.shape == (sum(sizes), prob.p)
+            assert sizes in (tuple(ds.m for ds in prob.datasets),
+                             tuple(ds.m - prob.n for ds in prob.datasets))
+            for ds, phi in zip(prob.datasets, red.phis):
+                assert phi.shape == (ds.m, prob.n)
+                assert np.array_equal(phi, prob.model.eval(alpha, ds).phi)
+
+    @pytest.mark.parametrize("form", ["gl", "km"])
+    def test_padded_rows_are_zero(self, form):
+        """The form step's rows past each dataset's length are exact zeros,
+        in the stacked basis, the residual and the Jacobian blocks."""
+        prob = ragged_exp_problem()
+        [group] = prob.groups
+        f = _factor_group(self.ALPHA_EXP, prob, group)
+        z, jac, _ = _form_group(group, f, form)
+        for i, ds in enumerate(group.datasets):
+            rows = ds.m - (prob.n if form == "km" else 0)
+            assert np.all(f.ge.stack[i, :, :, ds.m:] == 0.0)
+            assert np.all(z[i, rows:] == 0.0) and np.all(jac[i, :, rows:] == 0.0)
+
+    def test_beer_grouping_does_not_change_results(self, rng):
+        """Each Beer dataset's blocks are the same in the shifted-grid group
+        as alone, bit for bit: every product keeps the dataset's shape."""
+        prob = shifted_beer_problem(rng)
+        for ev in (eval_gl, eval_km):
+            assert_blocks_as_alone(ev, self.ALPHA_BEER, prob)
+
+    @pytest.mark.parametrize("bad, expected", [
+        ((1,), (RankDeficiencyError, 1, 1, None)),
+        ((2,), (RankDeficiencyError, 1, 2, None)),
+        ((1, 2), (RankDeficiencyError, 1, 1, None)),
+    ])
+    def test_rank_deficient_exp_dataset_in_padded_group(self, bad, expected):
+        prob = ragged_exp_problem(bad)
+        assert [g.index for g in prob.groups] == [(0, 1, 2)]
+        assert raised(reference_eval, self.ALPHA_EXP, prob, "gl") == expected
+        for ev in (eval_gl, eval_km):
+            assert raised(ev, self.ALPHA_EXP, prob) == expected
+
+    @pytest.mark.parametrize("order", ["rank-first", "overflow-first"])
+    def test_first_failure_in_shifted_beer_group(self, order, rng):
+        alpha = TestGroupedKernel.ALPHA_FAIL
+        ok = lambda t: smooth_tau(t, rng)  # noqa: E731
+        over = lambda t: overflow_tau(t, rng)  # noqa: E731
+        if order == "rank-first":
+            taus, expected = (ok, rank_two_tau, over), (RankDeficiencyError, 2, 1, None)
+        else:
+            taus, expected = (ok, over, rank_two_tau), (ModelOverflowError, None, None, 17)
+        prob = shifted_beer_problem(rng, taus)
+        assert [g.index for g in prob.groups] == [(0, 1, 2)]
+        assert raised(reference_eval, alpha, prob, "gl") == expected
+        for ev in (eval_gl, eval_km):
+            assert raised(ev, alpha, prob) == expected
 
 
 class TestMultiProblem:

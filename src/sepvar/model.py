@@ -172,6 +172,8 @@ def _per_dataset(sources, build):
     every call, copies nothing."""
     one = build(sources[0])
     if len(sources) == 1:
+        # the same view as broadcast_to, at a small part of its call cost;
+        # eval builds a one-dataset group, twice over, on every call
         return one[None]
     head = sources[0].tobytes()
     if all(x.tobytes() == head for x in sources[1:]):
@@ -390,8 +392,9 @@ def _nu_powers(t, n_linear):
     powers = np.ones((n_linear, nu.size))
     powers[1:2] = nu
     for j in range(2, n_linear):
-        # a vector of exponents: numpy takes a single exponent 2 as x * x,
-        # which rounds differently from pow
+        # a full vector of exponents: given a lone exponent 2 (nu ** 2, or
+        # nu ** np.arange(2, 3)[:, None] when n_linear = 3) numpy computes
+        # nu * nu, which rounds differently from pow
         np.power(nu, np.full(nu.size, float(j)), out=powers[j])
     return powers
 

@@ -69,12 +69,6 @@ def write_json(path, obj):
     Path(path).write_text(_jsonify(obj) + "\n")
 
 
-def _parse_snr(value):
-    if isinstance(value, str) and value.lower() in ("inf", "infinity"):
-        return float("inf")
-    return float(value)
-
-
 def _config_int(value, key):
     """A config integer: a JSON number with no fractional part.  A bool, a
     string or a fractional number raises ValueError naming ``key``, where
@@ -83,6 +77,18 @@ def _config_int(value, key):
     if isinstance(value, bool) or not integral:
         raise ValueError(f"{key!r} must be an integer, got {value!r}")
     return int(value)
+
+
+def _config_float(value, key, inf_text=False):
+    """A config or manifest float: a JSON number, or with ``inf_text`` also
+    the text "inf" or "infinity" in any case.  Anything else raises
+    ValueError naming ``key``, where ``float`` would read ``true`` as 1.0
+    and "0.7" as 0.7."""
+    if isinstance(value, str) and inf_text and value.lower() in ("inf", "infinity"):
+        return float("inf")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key!r} must be a number, got {value!r}")
+    return float(value)
 
 
 def load_config(path):
@@ -137,8 +143,8 @@ def spec_from_config(cfg):
             beta_true = tuple(rng.uniform(0.5, 1.5, size=n) for _ in grids)
         return synth.TruthSpec(
             kind=cfg.get("model", synth.KIND_BEER), alpha_true=alpha_true,
-            beta_true=beta_true, grids=grids, snr=_parse_snr(cfg.get("snr", "inf")),
-            seed=seed,
+            beta_true=beta_true, grids=grids,
+            snr=_config_float(cfg.get("snr", "inf"), "snr", inf_text=True), seed=seed,
         )
     except (KeyError, TypeError, ValueError) as err:
         raise UsageError(f"config: {type(err).__name__}: {err}") from err
@@ -228,10 +234,10 @@ def _load_dataset(path, entry, kind, names):
         aux = None
         if kind == synth.KIND_BEER:
             aux = BeerAux(
-                mu_sun=float(entry["mu_sun"]),
+                mu_sun=_config_float(entry["mu_sun"], "mu_sun"),
                 i0=extra[0],
                 tau=np.column_stack(extra[1:]),
-                slit_halfwidth=float(entry["slit_halfwidth"]),
+                slit_halfwidth=_config_float(entry["slit_halfwidth"], "slit_halfwidth"),
             )
         return Dataset(t=t, y=y, aux=aux, id=entry["id"])
     except InvalidInputError as err:
@@ -451,7 +457,9 @@ def cmd_bench(args):
             raise UsageError(f"unknown method {m!r} in bench config")
     s_values = _bench_key(cfg, "s_values", lambda v: [_config_int(x, "s_values") for x in v],
                           [2, 4, 8, 16])
-    snr_values = _bench_key(cfg, "snr_values", lambda v: [_parse_snr(x) for x in v], ["inf"])
+    snr_values = _bench_key(
+        cfg, "snr_values", lambda v: [_config_float(x, "snr_values", inf_text=True) for x in v],
+        ["inf"])
     n_seeds = _bench_key(cfg, "n_seeds", lambda v: _config_int(v, "n_seeds"), 1)
     base_seed = _bench_key(cfg, "base_seed", lambda v: _config_int(v, "base_seed"), 0)
     alpha0 = _bench_key(cfg, "alpha0", lambda v: v if v is None else np.asarray(v, float), None)

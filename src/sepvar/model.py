@@ -155,12 +155,12 @@ class GroupEval:
     def dphi(self):
         return self.stack[:, 1:]
 
-    def basis(self, i):
-        """The BasisEval of the group's i-th dataset, in row-major m x n
-        layout (products with it round as they did before grouping).  Its
-        rows span the group's full length, so it is the basis of a dataset
-        as long as the group, such as the only one of a one-dataset group."""
-        rows = np.ascontiguousarray(self.stack[i].transpose(0, 2, 1))
+    def basis(self, i, m=None):
+        """The BasisEval of the group's i-th dataset, of length ``m`` (by
+        default the group's length, as for the only dataset of a one-dataset
+        group), copied out in row-major m x n layout: products with it round
+        as they did before grouping."""
+        rows = np.ascontiguousarray(self.stack[i, :, :, :m].transpose(0, 2, 1))
         return BasisEval(phi=rows[0], dphi=tuple(rows[1:]))
 
 
@@ -168,13 +168,8 @@ def _per_dataset(sources, build):
     """build(x) for each 1-d array x of ``sources``, stacked on a new first
     axis.  When every source is the same bit for bit, the stack is one
     view of build(sources[0]), so datasets on one grid (or with one slit
-    kernel) share it and a one-dataset group, which ``eval`` builds on
-    every call, copies nothing."""
+    kernel) share it and a one-dataset group copies nothing."""
     one = build(sources[0])
-    if len(sources) == 1:
-        # the same view as broadcast_to, at a small part of its call cost;
-        # eval builds a one-dataset group, twice over, on every call
-        return one[None]
     head = sources[0].tobytes()
     if all(x.tobytes() == head for x in sources[1:]):
         return np.broadcast_to(one, (len(sources),) + one.shape)

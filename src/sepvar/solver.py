@@ -4,7 +4,9 @@ VP methods minimize the reduced residual over the nonlinear parameters only
 and recover each dataset's linear parameters by one exact linear solve at the
 optimum.  The reference method stacks all linear parameters into the iterate
 and solves the joint problem, warm-starting the linear part from the linear
-solution at the initial nonlinear guess.
+solution at the initial nonlinear guess.  Its residual, Jacobian and warm
+start read each dataset's basis from one model evaluation per group
+(``vpcore.dataset_bases``); the joint formulation itself stays literal.
 """
 
 import time
@@ -15,7 +17,7 @@ import numpy as np
 from .exceptions import InvalidInputError
 from .factor import pinv_apply, thin_qr
 from .lm import LMConfig, lm_solve
-from .vpcore import eval_gl, eval_km, eval_naive
+from .vpcore import dataset_bases, eval_gl, eval_km, eval_naive
 
 METHOD_VP_GL = "vp-gl"
 METHOD_VP_KM = "vp-km"
@@ -64,43 +66,42 @@ class FitResult:
 
 
 def initial_beta(problem, alpha0):
-    """Per-dataset linear solutions at the initial nonlinear guess."""
-    alpha0 = np.asarray(alpha0, dtype=float)
-    betas = []
-    for ds in problem.datasets:
-        be = problem.model.eval(alpha0, ds)
-        betas.append(pinv_apply(thin_qr(be.phi), ds.y))
-    return betas
+    """Per-dataset linear solutions at the initial nonlinear guess: one
+    pivoted QR per dataset of its basis, which comes from one model
+    evaluation per group (``vpcore.dataset_bases``)."""
+    bases = dataset_bases(alpha0, problem)
+    return [pinv_apply(thin_qr(be.phi), ds.y) for ds, be in zip(problem.datasets, bases)]
+
+
+def _joint_split(x, problem):
+    """Each dataset's beta of the joint iterate x = (alpha, beta_1, ...,
+    beta_s) and its basis at alpha, from one model evaluation per group
+    (``vpcore.dataset_bases``)."""
+    x = np.asarray(x, dtype=float)
+    p, n, s = problem.p, problem.n, problem.s
+    if x.shape != (p + s * n,):
+        raise InvalidInputError(f"x must have length {p + s * n}, got {x.shape}")
+    betas = [x[p + k * n : p + (k + 1) * n] for k in range(s)]
+    return betas, dataset_bases(x[:p], problem)
 
 
 def nls_full_residual(x, problem):
-    """Stacked joint residual; x = (alpha, beta_1, ..., beta_s)."""
-    x = np.asarray(x, dtype=float)
-    p, n, s = problem.p, problem.n, problem.s
-    if x.shape != (p + s * n,):
-        raise InvalidInputError(f"x must have length {p + s * n}, got {x.shape}")
-    alpha = x[:p]
-    blocks = []
-    for k, ds in enumerate(problem.datasets):
-        beta = x[p + k * n : p + (k + 1) * n]
-        be = problem.model.eval(alpha, ds)
-        blocks.append(ds.y - be.phi @ beta)
-    return np.concatenate(blocks)
+    """Stacked joint residual y_k - phi_k(alpha) beta_k, dataset by dataset;
+    x = (alpha, beta_1, ..., beta_s)."""
+    betas, bases = _joint_split(x, problem)
+    return np.concatenate(
+        [ds.y - be.phi @ beta for ds, beta, be in zip(problem.datasets, betas, bases)]
+    )
 
 
 def nls_full_jacobian(x, problem):
-    """Jacobian of the stacked joint residual; exact block sparsity."""
-    x = np.asarray(x, dtype=float)
-    p, n, s = problem.p, problem.n, problem.s
-    if x.shape != (p + s * n,):
-        raise InvalidInputError(f"x must have length {p + s * n}, got {x.shape}")
-    alpha = x[:p]
-    M = problem.m_total
-    J = np.zeros((M, p + s * n))
+    """Jacobian of the stacked joint residual, dense with its exact block
+    sparsity: the alpha columns -dphi_l beta_k and each dataset's -phi_k."""
+    betas, bases = _joint_split(x, problem)
+    p, n = problem.p, problem.n
+    J = np.zeros((problem.m_total, p + problem.s * n))
     row = 0
-    for k, ds in enumerate(problem.datasets):
-        beta = x[p + k * n : p + (k + 1) * n]
-        be = problem.model.eval(alpha, ds)
+    for k, (ds, beta, be) in enumerate(zip(problem.datasets, betas, bases)):
         rows = slice(row, row + ds.m)
         for l in range(p):
             J[rows, l] = -(be.dphi[l] @ beta)

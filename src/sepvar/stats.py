@@ -128,8 +128,8 @@ def build_H(result, problem):
     """Mixed parameter Jacobian [dz/dalpha | G] at the fitted solution, dense.
 
     The dense reference of the diagnostics: a fresh ``eval_gl`` at alpha_hat
-    gives dz/dalpha, and ``build_block_diag`` evaluates the model again for
-    G = blockdiag(phi_1, ..., phi_s).
+    gives dz/dalpha, and ``build_block_diag`` evaluates the model again, once
+    per group, for G = blockdiag(phi_1, ..., phi_s).
     """
     alpha_hat = np.asarray(result.alpha_hat, dtype=float)
     dz = eval_gl(alpha_hat, problem).jac

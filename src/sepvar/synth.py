@@ -19,7 +19,7 @@ import numpy as np
 
 from .exceptions import GenerationError, InvalidInputError
 from .model import BeerAux, BeerLawModel, Dataset, ExpDecayModel, normalize_abscissa
-from .vpcore import MultiProblem
+from .vpcore import MultiProblem, dataset_bases
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -182,21 +182,24 @@ def generate(spec):
     """The problem of a truth specification, for either model kind.
 
     Dataset construction order is fixed, so a given seed is bitwise
-    reproducible.  SNR = inf yields exact model values.
+    reproducible.  The datasets are first built with a placeholder y, and
+    their exact model values come from one model evaluation per group
+    (``vpcore.dataset_bases``), the same bit for bit as one dataset at a
+    time.  SNR = inf yields exact model values.
     """
     rng = np.random.default_rng(spec.seed)
     model, _ = model_kind(spec.kind, spec.n, spec.p)
-    pieces = []
     # all structural draws happen before any noise draw, so one seed yields
     # the same instrument setup at every SNR
-    for g, beta in zip(spec.grids, spec.beta_true):
+    drafts = []
+    for g in spec.grids:
         t = np.linspace(g.lo, g.hi, g.length)
         aux = _beer_aux(g, t, spec.p, rng) if spec.kind == KIND_BEER else None
-        eta = model.eval(spec.alpha_true, Dataset(t=t, y=np.ones_like(t), aux=aux)).phi @ beta
-        pieces.append((t, aux, eta))
+        drafts.append(Dataset(t=t, y=np.ones_like(t), aux=aux))
+    bases = dataset_bases(spec.alpha_true, MultiProblem(datasets=drafts, model=model))
     datasets = tuple(
-        Dataset(t=t, y=_noisy(eta, spec.snr, rng), aux=aux, id=f"ds{k:03d}")
-        for k, (t, aux, eta) in enumerate(pieces)
+        Dataset(t=ds.t, y=_noisy(be.phi @ beta, spec.snr, rng), aux=ds.aux, id=f"ds{k:03d}")
+        for k, (ds, be, beta) in enumerate(zip(drafts, bases, spec.beta_true))
     )
     return MultiProblem(datasets=datasets, model=model)
 

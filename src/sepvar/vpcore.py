@@ -55,7 +55,11 @@ every other caller passes none.
 
 The three residuals always share the same 2-norm; projectors are never
 materialized except inside ``eval_naive``, which is deliberately literal so
-its cost profile reflects the formulation it implements.
+its cost profile reflects the formulation it implements.  Only its model
+evaluation is shared: :func:`dataset_bases` evaluates each group of
+``MultiProblem.groups`` once and copies out every dataset's own rows, the
+same bit for bit as ``model.eval`` of that dataset, for the block-diagonal
+basis and for the joint reference fit and the synthetic generator.
 """
 
 import itertools
@@ -386,15 +390,39 @@ def gl_from_km(red, problem):
     return _reduce(problem, red.factors, FORM_GL)
 
 
+def dataset_bases(alpha, problem):
+    """Each dataset's BasisEval at alpha, in problem order, from one
+    ``model.eval_group`` per group of ``problem.groups``.
+
+    Each basis is a C-contiguous row-major copy of its dataset's own rows of
+    the group stack, so it is the same bit for bit as ``model.eval`` of that
+    dataset.  On any error the datasets are evaluated one by one in problem
+    order, so the error raised is that of the first failing dataset, as
+    ``model.eval`` would raise it.
+    """
+    model = problem.model
+    try:
+        bases = [None] * problem.s
+        for group in problem.groups:
+            ge = model.eval_group(alpha, group.inputs)
+            for i, k in enumerate(group.index):
+                bases[k] = ge.basis(i, group.datasets[i].m)
+        return bases
+    except SepvarError:
+        for ds in problem.datasets:
+            model.eval(alpha, ds)
+        raise
+
+
 def build_block_diag(problem, alpha):
     """Dense block-diagonal basis matrix at alpha, its derivatives and the
     per-dataset BasisEval records they are built from.
 
-    The model is evaluated dataset by dataset, and the matrices are
-    deliberately explicit (zero-filled), so the naive formulation keeps its
-    literal cost profile.
+    The bases come from one model evaluation per group
+    (:func:`dataset_bases`); the matrices are deliberately explicit
+    (zero-filled), so the naive formulation keeps its literal cost profile.
     """
-    bases = [problem.model.eval(alpha, ds) for ds in problem.datasets]
+    bases = dataset_bases(alpha, problem)
     m_total = problem.m_total
     n_total = problem.n * problem.s
     big = np.zeros((m_total, n_total))

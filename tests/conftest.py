@@ -35,6 +35,20 @@ def make_exp_problem(rng, s=3, n=2, m_range=(8, 16), t_max=3.0, snr=np.inf, seed
     return sv.generate(spec), spec
 
 
+def interleaved_exp_problem(lengths=(40, 70, 45, 90), snr=100.0, seed=17):
+    """Exp datasets whose two length buckets (up to 64 and up to 128 points)
+    interleave in problem order: groups (0, 2) and (1, 3), each padded."""
+    spec = sv.TruthSpec(
+        kind="exp",
+        alpha_true=[1.2, 0.25],
+        beta_true=tuple(np.array([1.0, 0.8]) + 0.05 * k for k in range(len(lengths))),
+        grids=tuple(sv.GridSpec(m, 0.0, m / 10.0) for m in lengths),
+        snr=snr,
+        seed=seed,
+    )
+    return sv.generate(spec)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -178,6 +178,10 @@ MALFORMED = {
     "manifest-fractional-m": lambda b: _edit_entry(b, m=19.5),
     "manifest-bool-m": lambda b: _edit_entry(b, m=True),
     "manifest-text-m": lambda b: _edit_entry(b, m="20"),
+    # manifest floats are read strictly: float() would load true as 1.0
+    "manifest-bool-mu_sun": lambda b: _edit_entry(b, mu_sun=True),
+    "manifest-text-mu_sun": lambda b: _edit_entry(b, mu_sun="0.7"),
+    "manifest-bool-slit_halfwidth": lambda b: _edit_entry(b, slit_halfwidth=True),
 }
 
 # what the message must say besides the file name: the file line of the bad
@@ -192,6 +196,9 @@ MALFORMED_TEXT = {
     "manifest-fractional-m": "'m' must be an integer, got 19.5",
     "manifest-bool-m": "'m' must be an integer, got True",
     "manifest-text-m": "'m' must be an integer, got '20'",
+    "manifest-bool-mu_sun": "'mu_sun' must be a number, got True",
+    "manifest-text-mu_sun": "'mu_sun' must be a number, got '0.7'",
+    "manifest-bool-slit_halfwidth": "'slit_halfwidth' must be a number, got True",
 }
 
 
@@ -274,6 +281,11 @@ CONFIG_ERRORS = {
                              "'base_seed' must be an integer"),
     "bench-problem-fractional-p": ("bench", _bench({**exp_config(s=2), "p": 2.5}, 2),
                                    "'p' must be an integer"),
+    # so are config floats: float() would read true as SNR 1.0
+    "bool-snr": ("generate", {**exp_config(), "snr": True}, "'snr' must be a number"),
+    "text-snr": ("generate", {**exp_config(), "snr": "100"}, "'snr' must be a number"),
+    "bench-bool-snr_values": ("bench", {**_bench(exp_config(s=2), 2), "snr_values": [False]},
+                              "'snr_values' must be a number"),
 }
 
 
@@ -327,6 +339,13 @@ class TestConfigErrors:
         assert type(spec.seed) is int and spec.seed == ref.seed
         assert spec.grids == ref.grids
         npt.assert_array_equal(np.stack(spec.beta_true), np.stack(ref.beta_true))
+
+    def test_snr_reads_a_number_or_infinity_text(self):
+        """snr is a JSON number, an integer one too, or "inf"/"infinity" in
+        any case."""
+        for snr, want in ((50, 50.0), (50.5, 50.5), ("inf", np.inf), ("Infinity", np.inf)):
+            spec = cli.spec_from_config({**exp_config(), "snr": snr})
+            assert type(spec.snr) is float and spec.snr == want
 
     def test_config_is_not_modified(self):
         cfg = frame_config(soundings=1)

@@ -4,12 +4,12 @@ import pytest
 
 import sepvar as sv
 from sepvar.exceptions import InvalidInputError
-from sepvar import solver
+from sepvar import solver, stats
 from sepvar.cli import spec_from_config
 from sepvar.solver import METHODS, SolverConfig, fit, initial_beta
 from sepvar.vpcore import eval_gl, gl_from_km
 
-from conftest import central_diff_jacobian, make_exp_problem
+from conftest import central_diff_jacobian, interleaved_exp_problem, make_exp_problem
 
 
 def noiseless_problem(rng, s=3):
@@ -253,6 +253,72 @@ class TestIterationEconomy:
         for method in ("vp-gl", "nls-full"):
             res = fit(prob, SolverConfig(method=method), np.array([1.4, 0.7]))
             npt.assert_allclose(res.alpha_hat, [1.0, 1.0], rtol=5e-3)
+
+
+def literal_joint(x, prob):
+    """The joint residual and Jacobian built dataset by dataset from
+    model.eval, and the linear solutions at x's alpha by each dataset's
+    pivoted QR."""
+    p, n = prob.p, prob.n
+    alpha = x[:p]
+    z, betas = [], []
+    J = np.zeros((prob.m_total, p + prob.s * n))
+    row = 0
+    for k, ds in enumerate(prob.datasets):
+        beta = x[p + k * n : p + (k + 1) * n]
+        be = prob.model.eval(alpha, ds)
+        z.append(ds.y - be.phi @ beta)
+        rows = slice(row, row + ds.m)
+        for l in range(p):
+            J[rows, l] = -(be.dphi[l] @ beta)
+        J[rows, p + k * n : p + (k + 1) * n] = -be.phi
+        betas.append(sv.pinv_apply(sv.thin_qr(be.phi), ds.y))
+        row += ds.m
+    return np.concatenate(z), J, betas
+
+
+class TestReferencePaths:
+    """The block-diagonal and joint reference formulations evaluate the
+    model once per group, and give what dataset-by-dataset evaluation
+    gives, bit for bit."""
+
+    @staticmethod
+    def problems():
+        # groups (0, 2) and (1, 3) for both: frame bands alternate, and so
+        # do the exp length buckets
+        return ((frame_problem(2, 21), np.array([1.1, 0.9])),
+                (interleaved_exp_problem(), np.array([1.1, 0.3])))
+
+    def test_joint_residual_jacobian_and_warm_start_are_literal(self):
+        for prob, alpha in self.problems():
+            assert [g.index for g in prob.groups] == [(0, 2), (1, 3)]
+            betas = initial_beta(prob, alpha)
+            x = np.concatenate([alpha] + [1.1 * b for b in betas])
+            z, J, ref_betas = literal_joint(x, prob)
+            assert np.array_equal(sv.nls_full_residual(x, prob), z)
+            assert np.array_equal(sv.nls_full_jacobian(x, prob), J)
+            for got, want in zip(betas, ref_betas):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("method", ["vp-naive", "nls-full"])
+    def test_fit_makes_no_one_dataset_eval(self, method, monkeypatch):
+        """Neither the fit nor its diagnostics, nor the dense H of
+        ``stats.build_H``, evaluate the model one dataset at a time."""
+        for prob, alpha in self.problems():
+            calls = []
+            cls = type(prob.model)
+            inner = cls.eval
+
+            def counted(model, a, dataset, inner=inner):
+                calls.append(dataset)
+                return inner(model, a, dataset)
+
+            monkeypatch.setattr(cls, "eval", counted)
+            res = fit(prob, SolverConfig(method=method), alpha)
+            sv.compute_diagnostics(res, prob)
+            stats.build_H(res, prob)
+            assert res.lm_report.n_feval >= 2
+            assert calls == []
 
 
 class TestStackReuse:

@@ -121,6 +121,22 @@ class TestNoiseLaw:
             eta = model.eval(spec.alpha_true, ds).phi @ beta
             npt.assert_allclose(ds.y, eta, rtol=1e-12)
 
+    def test_exact_values_are_model_eval_without_calling_it(self, monkeypatch):
+        """Noiseless observations are model.eval(alpha_true) @ beta bit for
+        bit, for interleaved Beer groups, yet generate evaluates the model
+        once per group, not one dataset at a time."""
+        spec = TruthSpec(kind="beer", alpha_true=[1.0, 1.0],
+                         beta_true=tuple(np.array([1.0, 0.1, -0.05]) for _ in range(4)),
+                         grids=frame_grids(n_soundings=2, strong_length=90, weak_length=70))
+        model_cls = type(generate(spec).model)
+        inner = model_cls.eval
+        calls = []
+        monkeypatch.setattr(model_cls, "eval", lambda *a: calls.append(a) or inner(*a))
+        prob = generate(spec)
+        assert calls == [] and [g.index for g in prob.groups] == [(0, 2), (1, 3)]
+        for ds, beta in zip(prob.datasets, spec.beta_true):
+            assert np.array_equal(ds.y, inner(prob.model, spec.alpha_true, ds).phi @ beta)
+
 
 class TestReproducibility:
     def test_bitwise_identical_for_same_seed(self):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -17,13 +19,14 @@ from sepvar.vpcore import (
     _factor_group,
     _form_group,
     build_block_diag,
+    dataset_bases,
     eval_gl,
     eval_km,
     eval_naive,
     gl_from_km,
 )
 
-from conftest import central_diff_jacobian, make_exp_problem
+from conftest import central_diff_jacobian, interleaved_exp_problem, make_exp_problem
 
 
 def consistent_problem(rng, s=2, n=2):
@@ -392,6 +395,99 @@ class TestShapeGroups:
         assert raised(reference_eval, alpha, prob, "gl") == expected
         for ev in (eval_gl, eval_km):
             assert raised(ev, alpha, prob) == expected
+
+
+def delta_beer_problem(rng):
+    """Two Beer datasets on one grid with a delta slit: no convolution."""
+    t = np.linspace(6180.0, 6280.0, 40)
+    datasets = tuple(beer_dataset(t, smooth_tau(t, rng), halfwidth=0.0) for _ in range(2))
+    return MultiProblem(datasets=datasets, model=BeerLawModel(n_linear=3, p_species=2))
+
+
+def literal_block_diag(prob, alpha):
+    """The dense block-diagonal basis and its derivatives, zero-filled and
+    built dataset by dataset from model.eval."""
+    n = prob.n
+    big = np.zeros((prob.m_total, prob.s * n))
+    dbig = [np.zeros_like(big) for _ in range(prob.p)]
+    row = 0
+    for k, ds in enumerate(prob.datasets):
+        be = prob.model.eval(alpha, ds)
+        rows, cols = slice(row, row + ds.m), slice(k * n, (k + 1) * n)
+        big[rows, cols] = be.phi
+        for l, d in enumerate(be.dphi):
+            dbig[l][rows, cols] = d
+        row += ds.m
+    return big, dbig
+
+
+class TestDatasetBases:
+    """dataset_bases evaluates the model once per group and hands each
+    dataset its basis as model.eval of that dataset gives it."""
+
+    def problems(self, rng):
+        beer_alpha = np.array([1.1, 0.9])
+        return (
+            (frame_problem(soundings=2), beer_alpha),
+            (shifted_beer_problem(rng), beer_alpha),
+            (delta_beer_problem(rng), beer_alpha),
+            (interleaved_exp_problem(), np.array([1.1, 0.3])),
+        )
+
+    def test_layouts(self, rng):
+        """Two interleaved Beer groups, a shifted-grid Beer group, an
+        unconvolved group and two interleaved padded exp buckets."""
+        frame, shifted, delta, exp = (prob for prob, _ in self.problems(rng))
+        assert [g.index for g in frame.groups] == [(0, 2), (1, 3)]
+        assert [g.index for g in shifted.groups] == [(0, 1, 2)]
+        assert [g.index for g in delta.groups] == [(0, 1)]
+        assert delta.groups[0].inputs.slit is None
+        assert [g.index for g in exp.groups] == [(0, 2), (1, 3)]
+        assert all(g.inputs.valid is not None for g in exp.groups)
+
+    def test_bases_are_model_eval_bit_for_bit(self, rng):
+        for prob, alpha in self.problems(rng):
+            bases = dataset_bases(alpha, prob)
+            assert len(bases) == prob.s
+            for ds, be in zip(prob.datasets, bases):
+                ref = prob.model.eval(alpha, ds)
+                assert len(be.dphi) == prob.p
+                for got, want in zip((be.phi, *be.dphi), (ref.phi, *ref.dphi)):
+                    assert got.shape == (ds.m, prob.n) and got.flags.c_contiguous
+                    assert np.array_equal(got, want)
+            for a, b in itertools.combinations(bases, 2):
+                assert not np.shares_memory(a.phi, b.phi)
+
+    def test_block_diag_is_the_literal_per_dataset_one(self, rng):
+        for prob, alpha in self.problems(rng):
+            big, dbig, bases = build_block_diag(prob, alpha)
+            ref_big, ref_dbig = literal_block_diag(prob, alpha)
+            assert np.array_equal(big, ref_big)
+            assert len(dbig) == prob.p
+            for got, want in zip(dbig, ref_dbig):
+                assert np.array_equal(got, want)
+            for got, want in zip(bases, dataset_bases(alpha, prob)):
+                assert np.array_equal(got.phi, want.phi)
+
+    def test_first_failure_in_problem_order_across_groups(self, rng):
+        """Datasets 2 and 3 overflow at different grid points; dataset 3's
+        group is evaluated first, yet dataset 2's error is raised, as
+        model.eval dataset by dataset raises it."""
+        ta = np.linspace(6180.0, 6280.0, 40)
+        tb = np.linspace(4950.0, 5050.0, 50)
+        datasets = (
+            beer_dataset(ta, smooth_tau(ta, rng)),
+            beer_dataset(tb, smooth_tau(tb, rng)),
+            beer_dataset(tb, overflow_tau(tb, rng, index=9)),
+            beer_dataset(ta, overflow_tau(ta, rng, index=17)),
+        )
+        prob = MultiProblem(datasets=datasets, model=BeerLawModel(n_linear=3, p_species=2))
+        assert [g.index for g in prob.groups] == [(0, 3), (1, 2)]
+        alpha = TestGroupedKernel.ALPHA_FAIL
+        expected = (ModelOverflowError, None, None, 9)
+        assert raised(lambda: [prob.model.eval(alpha, ds) for ds in datasets]) == expected
+        assert raised(dataset_bases, alpha, prob) == expected
+        assert raised(build_block_diag, prob, alpha) == expected
 
 
 class TestMultiProblem:

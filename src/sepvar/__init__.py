@@ -23,8 +23,6 @@ from .model import (
     BeerLawModel,
     Dataset,
     ExpDecayModel,
-    eval_beer_basis,
-    eval_exp_basis,
     normalize_abscissa,
 )
 from .solver import (

@@ -91,6 +91,13 @@ def _config_float(value, key, inf_text=False):
     return float(value)
 
 
+def _config_floats(values, key):
+    """A config vector: a JSON list, each entry read by ``_config_float``."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{key!r} must be a list of numbers, got {values!r}")
+    return np.array([_config_float(v, key) for v in values])
+
+
 def load_config(path):
     try:
         cfg = json.loads(Path(path).read_text())
@@ -125,7 +132,7 @@ def spec_from_config(cfg):
     try:
         n, p = _config_int(cfg["n"], "n"), _config_int(cfg["p"], "p")
         seed = _config_int(cfg.get("seed", 0), "seed")
-        alpha_true = np.asarray(cfg["alpha_true"], dtype=float)
+        alpha_true = _config_floats(cfg["alpha_true"], "alpha_true")
         if alpha_true.size != p:
             raise ValueError(f"alpha_true must have length p={p}")
         if "frame" in cfg:
@@ -135,7 +142,7 @@ def spec_from_config(cfg):
         else:
             grids = tuple(synth.GridSpec(**entry) for entry in cfg["grids"])
         if "beta_true" in cfg:
-            beta_true = cfg["beta_true"]
+            beta_true = [_config_floats(b, "beta_true") for b in cfg["beta_true"]]
             if len(beta_true) != len(grids):
                 raise ValueError("beta_true must list one vector per dataset")
         else:
@@ -462,7 +469,8 @@ def cmd_bench(args):
         ["inf"])
     n_seeds = _bench_key(cfg, "n_seeds", lambda v: _config_int(v, "n_seeds"), 1)
     base_seed = _bench_key(cfg, "base_seed", lambda v: _config_int(v, "base_seed"), 0)
-    alpha0 = _bench_key(cfg, "alpha0", lambda v: v if v is None else np.asarray(v, float), None)
+    alpha0 = _bench_key(cfg, "alpha0", lambda v: v if v is None else _config_floats(v, "alpha0"),
+                        None)
     lm_cfg = _lm_config_from(cfg.get("lm"))
 
     grid = itertools.product(methods, s_values, snr_values, range(n_seeds))

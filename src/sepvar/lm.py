@@ -103,12 +103,10 @@ def _damped_step(R, c, lam):
     if scale == 0.0:
         return None
     d = np.maximum(d, 1e-14 * scale)
-    if lam > 0.0:
-        A = np.vstack([R, np.sqrt(lam) * np.diag(d)])
-        b = np.concatenate([-c, np.zeros(R.shape[1])])
-    else:
-        A = R
-        b = -c
+    # at lam = 0 the QR of [R; 0] applies no reflections (R is upper
+    # triangular), so the step is R's own triangular solve bit for bit
+    A = np.vstack([R, np.sqrt(lam) * np.diag(d)])
+    b = np.concatenate([-c, np.zeros(R.shape[1])])
     q, rr = np.linalg.qr(A)
     diag = np.abs(np.diag(rr))
     if diag.min() <= 1e-14 * diag.max():

@@ -7,26 +7,27 @@ the package: a multi-exponential decay test model and a Beer-law absorption
 model (polynomial surface reflectivity times solar spectrum times molecular
 transmission, convolved with a Gaussian instrument response).
 
-Each model evaluates a group of datasets in one pass, and ``group_key``
-says which datasets may share a group: what the batched arithmetic needs,
-not the grid.  The exp model keys a dataset by the power-of-two bucket of
-its length and pads each dataset of a group to the group's longest one
-with zero rows.  The Beer law keys a dataset by its length and its slit's
-tap count; each dataset keeps its own grid, auxiliaries and slit kernel.
-``prepare_group`` builds what such an evaluation reads that does not
-depend on alpha, once per group: for the exp model the padded abscissae
-(:class:`ExpGroup`), for the Beer law the checked auxiliaries, each
-dataset's powers of nu and slit Toeplitz blocks and the padded buffer of
-the chunked convolution (:class:`BeerGroup`).  Per-dataset inputs that are
-the same bit for bit in every dataset of a group are one broadcast view, so
-a group on one grid stores them once.  ``eval_group(alpha, group,
-out=None)`` returns a :class:`GroupEval` computed with the grid axis last.
-The Beer law writes the rows of CHUNK datasets at a time straight into the
-group's padded buffer, fills the reflected tails by slice copies and
-convolves the chunk by two stacked matrix products, which BLAS carries out
-one dataset at a time with that dataset's own Toeplitz blocks
-(:func:`convolve_reflect` shares this kernel).  Because the buffer is
-reused, one group's inputs serve one thread at a time.
+Each model class holds its group kernel as three methods: ``group_key``
+says which datasets may share a group (what the batched arithmetic needs,
+not the grid), ``prepare_group`` builds what an evaluation of a group reads
+that does not depend on alpha, once per group, and ``eval_group(alpha,
+group, out=None)`` checks alpha (its length, then that it is finite) and
+returns a :class:`GroupEval` computed with the grid axis last.
+:class:`ExpDecayModel` keys a dataset by the power-of-two bucket of its
+length, and its :class:`ExpGroup` holds the abscissae padded with zero
+rows to the group's longest dataset.  :class:`BeerLawModel` keys a dataset
+by its length and its slit's tap count; each dataset keeps its own grid,
+auxiliaries and slit kernel, and its :class:`BeerGroup` holds the checked
+auxiliaries, each dataset's powers of nu and slit Toeplitz blocks and the
+padded buffer of the chunked convolution.  Per-dataset inputs that are the
+same bit for bit in every dataset of a group are one broadcast view, so a
+group on one grid stores them once.  The Beer law writes the rows of CHUNK
+datasets at a time straight into the group's padded buffer, fills the
+reflected tails by slice copies and convolves the chunk by two stacked
+matrix products, which BLAS carries out one dataset at a time with that
+dataset's own Toeplitz blocks (:func:`convolve_reflect` shares this
+kernel).  Because the buffer is reused, one group's inputs serve one thread
+at a time.
 
 Who owns a stack: ``eval_group`` writes a group's (g, 1 + p, n, m) stack
 into ``out`` when the caller passes one, overwriting every entry, and
@@ -185,66 +186,26 @@ def normalize_abscissa(t):
     return 2.0 * (t - lo) / (hi - lo) - 1.0
 
 
-def _finite_vector(alpha):
+def _checked_alpha(alpha, p):
+    """alpha as a float vector of length p, all of it finite."""
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim != 1 or not np.all(np.isfinite(alpha)):
+    if alpha.shape != (p,):
+        raise InvalidInputError(f"alpha must have length {p}, got {alpha.shape}")
+    if not np.isfinite(alpha).all():
         raise InvalidInputError("alpha must be a finite vector")
     return alpha
 
 
 @dataclass(frozen=True, eq=False)
 class ExpGroup:
-    """What an evaluation of exp-model datasets reads that does not depend
-    on alpha: the negated abscissae of each dataset, zero-padded to the
-    longest one, and a 0/1 mask of the rows that hold data (None when no
-    dataset is padded)."""
+    """What ``ExpDecayModel.eval_group`` reads that does not depend on
+    alpha, built by ``ExpDecayModel.prepare_group``: the negated abscissae
+    of each dataset, zero-padded to the longest one, and a 0/1 mask of the
+    rows that hold data (None when no dataset is padded)."""
 
     shape: tuple  # of the group's stack, g x (1 + n) x n x m
     neg_t: np.ndarray  # g x m
     valid: Optional[np.ndarray]  # g x 1 x m
-
-
-def prepare_exp_group(datasets, n_terms):
-    """The :class:`ExpGroup` of datasets of any lengths, for n_terms
-    exponentials."""
-    lengths = [ds.m for ds in datasets]
-    m = max(lengths)
-    neg_t = np.zeros((len(datasets), m))
-    for row, ds in zip(neg_t, datasets):
-        np.negative(ds.t, out=row[: ds.m])
-    valid = None
-    if min(lengths) < m:
-        valid = (np.arange(m) < np.array(lengths)[:, None]).astype(float)[:, None, :]
-    return ExpGroup((len(datasets), 1 + n_terms, n_terms, m), neg_t, valid)
-
-
-def eval_exp_group(alpha, group, out=None):
-    """Multi-exponential basis of the datasets of an :class:`ExpGroup`: row
-    j of each dataset's block is exp(-alpha_j * t), and zero past the
-    dataset's length.
-
-    The number of linear and nonlinear parameters coincide; the derivative
-    with respect to alpha_l is nonzero only in row l.  The stack is ``out``
-    when given (a C-contiguous array of ``group.shape``, every entry of
-    which is overwritten), else a new array.
-    """
-    alpha = _finite_vector(alpha)
-    stack = np.empty(group.shape) if out is None else out
-    phi = stack[:, 0]
-    np.multiply(alpha[:, None], group.neg_t[:, None, :], out=phi)
-    np.exp(phi, out=phi)
-    if group.valid is not None:
-        phi *= group.valid
-    stack[:, 1:] = 0.0
-    for l in range(alpha.size):
-        np.multiply(group.neg_t, phi[:, l], out=stack[:, 1 + l, l])
-    return GroupEval(stack)
-
-
-def eval_exp_basis(alpha, dataset):
-    """Multi-exponential basis of one dataset: column j is exp(-alpha_j * t)."""
-    alpha = _finite_vector(alpha)
-    return eval_exp_group(alpha, prepare_exp_group((dataset,), alpha.size)).basis(0)
 
 
 def _half_taps(spacing, halfwidth):
@@ -396,94 +357,19 @@ def _nu_powers(t, n_linear):
 
 @dataclass(frozen=True, eq=False)
 class BeerGroup:
-    """What an evaluation of Beer-law datasets of one length and slit tap
-    count reads that does not depend on alpha: the checked auxiliaries,
-    each dataset's powers of nu (g x n x m) and, unless the slit is a
-    delta, the slit convolution with each dataset's Toeplitz blocks and the
-    padded chunk buffer.  Powers and blocks that are the same for every
-    dataset are one broadcast view.  A problem builds one per group and
-    reuses it in every evaluation, so a problem is evaluated by one thread
-    at a time."""
+    """What ``BeerLawModel.eval_group`` reads of datasets of one length and
+    slit tap count that does not depend on alpha, built by
+    ``BeerLawModel.prepare_group``: the checked auxiliaries, each dataset's
+    powers of nu (g x n x m) and, unless the slit is a delta, the slit
+    convolution with each dataset's Toeplitz blocks and the padded chunk
+    buffer.  Powers and blocks that are the same for every dataset are one
+    broadcast view.  A problem builds one per group and reuses it in every
+    evaluation, so a problem is evaluated by one thread at a time."""
 
     shape: tuple  # of the group's stack, g x (1 + p) x n x m
     auxes: tuple
     powers: np.ndarray
     slit: Optional[SlitConvolution]
-
-
-def prepare_beer_group(datasets, n_linear, p):
-    """The :class:`BeerGroup` of datasets of one length and slit tap count,
-    each on its own grid, for n_linear reflectivity coefficients and p
-    species."""
-    auxes = tuple(_beer_aux(ds, p) for ds in datasets)
-    m = datasets[0].m
-    if any(ds.m != m for ds in datasets):
-        raise InvalidInputError("the datasets of one Beer group need one length")
-    powers = _per_dataset([ds.t for ds in datasets], lambda t: _nu_powers(t, n_linear))
-    kernels = [gaussian_kernel(_grid_spacing(ds.t), aux.slit_halfwidth)
-               for ds, aux in zip(datasets, auxes)]
-    shape = (len(auxes), 1 + p, n_linear, m)
-    slit = SlitConvolution(kernels, shape) if kernels[0].size > 1 else None
-    return BeerGroup(shape, auxes, powers, slit)
-
-
-def eval_beer_group(alpha, group, out=None):
-    """Beer-law basis of the datasets of a :class:`BeerGroup`.
-
-    Row j of each dataset's block is the convolution of
-    nu^j * mu_sun * I0 * exp(-sum_l alpha_l tau_l) with the instrument
-    response, nu being the abscissa normalized to [-1, 1].  Differentiation
-    and convolution commute (the response does not depend on alpha), so the
-    derivative rows are the convolved products with -tau_l.  The unconvolved
-    rows are written into the padded buffer of the group's slit
-    convolution, so no unconvolved stack of the whole group is formed; a
-    delta slit fills the C-contiguous output stack directly.  The stack is
-    ``out`` when given (a C-contiguous array of ``group.shape``, every entry
-    of which is overwritten), else a new array.
-    """
-    alpha = _finite_vector(alpha)
-    auxes = group.auxes
-    neg_tau = np.stack([aux.tau.T for aux in auxes])  # g x p x m
-    np.negative(neg_tau, out=neg_tau)
-    exponent = alpha @ neg_tau
-    over = np.flatnonzero(np.max(exponent, axis=1) > EXP_OVERFLOW_LIMIT)
-    if over.size:
-        index = int(np.argmax(exponent[over[0]]))
-        raise ModelOverflowError(
-            f"absorption exponent overflows at grid index {index}", index=index
-        )
-    scale = np.stack([aux.i0 for aux in auxes])
-    scale *= np.array([aux.mu_sun for aux in auxes])[:, None]
-    base = np.exp(exponent)
-    base *= scale
-    del exponent, scale  # released before the stack is filled
-    powers = group.powers
-
-    def fill(rows, dest):
-        mono = dest[:, 0]  # len x n x m
-        np.multiply(base[rows, None, :], powers[rows], out=mono)
-        np.multiply(neg_tau[rows, :, None, :], mono[:, None], out=dest[:, 1:])
-
-    stack = np.empty(group.shape) if out is None else out
-    if group.slit is None:
-        fill(slice(None), stack)
-        return GroupEval(stack)
-    return GroupEval(group.slit.apply(fill, stack))
-
-
-def eval_beer_basis(alpha, dataset, n_linear=1):
-    """Beer-law basis of one dataset: the one-dataset case of
-    :func:`eval_beer_group`."""
-    alpha = _finite_vector(alpha)
-    group = prepare_beer_group((dataset,), n_linear, alpha.size)
-    return eval_beer_group(alpha, group).basis(0)
-
-
-def _checked_alpha(alpha, p):
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (p,):
-        raise InvalidInputError(f"alpha must have length {p}, got {alpha.shape}")
-    return alpha
 
 
 @dataclass(frozen=True)
@@ -510,13 +396,36 @@ class ExpDecayModel:
         return (dataset.m - 1).bit_length()
 
     def prepare_group(self, datasets):
-        """The alpha-free inputs of ``eval_group`` (an :class:`ExpGroup`)."""
-        return prepare_exp_group(datasets, self.n_terms)
+        """The :class:`ExpGroup` of datasets of any lengths."""
+        lengths = [ds.m for ds in datasets]
+        m = max(lengths)
+        neg_t = np.zeros((len(datasets), m))
+        for row, ds in zip(neg_t, datasets):
+            np.negative(ds.t, out=row[: ds.m])
+        valid = None
+        if min(lengths) < m:
+            valid = (np.arange(m) < np.array(lengths)[:, None]).astype(float)[:, None, :]
+        return ExpGroup((len(datasets), 1 + self.n_terms, self.n_terms, m), neg_t, valid)
 
     def eval_group(self, alpha, group, out=None):
-        """Stacked bases of the datasets of ``group``, written into ``out``
-        when it is given."""
-        return eval_exp_group(_checked_alpha(alpha, self.p), group, out)
+        """Multi-exponential basis of the datasets of an :class:`ExpGroup`:
+        row j of each dataset's block is exp(-alpha_j * t), and zero past
+        the dataset's length.  The derivative with respect to alpha_l is
+        nonzero only in row l.  The stack is ``out`` when given (a
+        C-contiguous array of ``group.shape``, every entry of which is
+        overwritten), else a new array.
+        """
+        alpha = _checked_alpha(alpha, self.p)
+        stack = np.empty(group.shape) if out is None else out
+        phi = stack[:, 0]
+        np.multiply(alpha[:, None], group.neg_t[:, None, :], out=phi)
+        np.exp(phi, out=phi)
+        if group.valid is not None:
+            phi *= group.valid
+        stack[:, 1:] = 0.0
+        for l in range(alpha.size):
+            np.multiply(group.neg_t, phi[:, l], out=stack[:, 1 + l, l])
+        return GroupEval(stack)
 
 
 @dataclass(frozen=True)
@@ -543,10 +452,60 @@ class BeerLawModel:
         return dataset.m, _slit_taps(dataset)
 
     def prepare_group(self, datasets):
-        """The alpha-free inputs of ``eval_group`` (a :class:`BeerGroup`)."""
-        return prepare_beer_group(datasets, self.n_linear, self.p)
+        """The :class:`BeerGroup` of datasets of one length and slit tap
+        count, each on its own grid."""
+        auxes = tuple(_beer_aux(ds, self.p) for ds in datasets)
+        m = datasets[0].m
+        if any(ds.m != m for ds in datasets):
+            raise InvalidInputError("the datasets of one Beer group need one length")
+        powers = _per_dataset([ds.t for ds in datasets],
+                              lambda t: _nu_powers(t, self.n_linear))
+        kernels = [gaussian_kernel(_grid_spacing(ds.t), aux.slit_halfwidth)
+                   for ds, aux in zip(datasets, auxes)]
+        shape = (len(auxes), 1 + self.p, self.n_linear, m)
+        slit = SlitConvolution(kernels, shape) if kernels[0].size > 1 else None
+        return BeerGroup(shape, auxes, powers, slit)
 
     def eval_group(self, alpha, group, out=None):
-        """Stacked bases of the datasets of ``group``, written into ``out``
-        when it is given."""
-        return eval_beer_group(_checked_alpha(alpha, self.p), group, out)
+        """Beer-law basis of the datasets of a :class:`BeerGroup`.
+
+        Row j of each dataset's block is the convolution of
+        nu^j * mu_sun * I0 * exp(-sum_l alpha_l tau_l) with the instrument
+        response, nu being the abscissa normalized to [-1, 1].
+        Differentiation and convolution commute (the response does not
+        depend on alpha), so the derivative rows are the convolved products
+        with -tau_l.  The unconvolved rows are written into the padded
+        buffer of the group's slit convolution, so no unconvolved stack of
+        the whole group is formed; a delta slit fills the C-contiguous output
+        stack directly.  The stack is ``out`` when given (a C-contiguous
+        array of ``group.shape``, every entry of which is overwritten), else
+        a new array.
+        """
+        alpha = _checked_alpha(alpha, self.p)
+        auxes = group.auxes
+        neg_tau = np.stack([aux.tau.T for aux in auxes])  # g x p x m
+        np.negative(neg_tau, out=neg_tau)
+        exponent = alpha @ neg_tau
+        over = np.flatnonzero(np.max(exponent, axis=1) > EXP_OVERFLOW_LIMIT)
+        if over.size:
+            index = int(np.argmax(exponent[over[0]]))
+            raise ModelOverflowError(
+                f"absorption exponent overflows at grid index {index}", index=index
+            )
+        scale = np.stack([aux.i0 for aux in auxes])
+        scale *= np.array([aux.mu_sun for aux in auxes])[:, None]
+        base = np.exp(exponent)
+        base *= scale
+        del exponent, scale  # released before the stack is filled
+        powers = group.powers
+
+        def fill(rows, dest):
+            mono = dest[:, 0]  # len x n x m
+            np.multiply(base[rows, None, :], powers[rows], out=mono)
+            np.multiply(neg_tau[rows, :, None, :], mono[:, None], out=dest[:, 1:])
+
+        stack = np.empty(group.shape) if out is None else out
+        if group.slit is None:
+            fill(slice(None), stack)
+            return GroupEval(stack)
+        return GroupEval(group.slit.apply(fill, stack))

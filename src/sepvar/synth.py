@@ -13,6 +13,7 @@ from one 64-bit seed through numpy's PCG64 generator.
 """
 
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -58,14 +59,22 @@ class GridSpec:
     def __post_init__(self):
         if not isinstance(self.length, (int, np.integer)) or self.length < 2:
             raise InvalidInputError(f"grid length must be an integer >= 2, got {self.length!r}")
+        if self.tau_scale is not None:
+            object.__setattr__(self, "tau_scale", tuple(self.tau_scale))
+        numbers = [("lo", self.lo), ("hi", self.hi), ("i0_scale", self.i0_scale)]
+        numbers += [("tau_scale", v) for v in self.tau_scale or ()]
+        if self.slit_halfwidth is not None:
+            numbers.append(("slit_halfwidth", self.slit_halfwidth))
+        for field, value in numbers:
+            # a bool is an int, which the range checks below would read as 0 or 1
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise InvalidInputError(f"grid {field!r} must be a number, got {value!r}")
         if not -np.inf < self.lo < self.hi < np.inf:
             raise InvalidInputError("grid needs finite lo < hi")
         if not 0.0 < self.i0_scale < np.inf:
             raise InvalidInputError("i0_scale must be positive and finite")
-        if self.tau_scale is not None:
-            object.__setattr__(self, "tau_scale", tuple(self.tau_scale))
-            if not all(0.0 <= v < np.inf for v in self.tau_scale):
-                raise InvalidInputError("tau_scale entries must be nonnegative and finite")
+        if not all(0.0 <= v < np.inf for v in self.tau_scale or ()):
+            raise InvalidInputError("tau_scale entries must be nonnegative and finite")
         if self.slit_halfwidth is not None and not 0.0 <= self.slit_halfwidth < np.inf:
             raise InvalidInputError("slit_halfwidth must be nonnegative and finite")
 

@@ -83,7 +83,8 @@ from .factor import (
 )
 from .model import _checked_alpha
 
-DEFAULT_ELEMENT_BUDGET = 1e8
+# the most elements eval_naive's dense block-diagonal matrix may hold
+ELEMENT_BUDGET = 1e8
 # Above this ratio sigma_min(R) / sigma_max(R) the pivoted rank check of
 # thin_qr cannot fire: its |r_ii| >= sigma_min and |r_00| <= sigma_max.
 RANK_SCREEN = 1e-8
@@ -438,15 +439,15 @@ def build_block_diag(problem, alpha):
     return big, dbig, bases
 
 
-def eval_naive(alpha, problem, element_budget=DEFAULT_ELEMENT_BUDGET):
+def eval_naive(alpha, problem):
     """Naive reduction: single-RHS formulas on the explicit block-diagonal matrix."""
     alpha = _checked_alpha(alpha, problem.p)
     m_total = problem.m_total
     n_total = problem.n * problem.s
-    if m_total * n_total > element_budget:
+    if m_total * n_total > ELEMENT_BUDGET:
         raise ProblemTooLargeError(
             f"block-diagonal matrix would hold {m_total * n_total:.3g} elements, "
-            f"budget is {element_budget:.3g}"
+            f"budget is {ELEMENT_BUDGET:.3g}"
         )
     big, dbig, bases = build_block_diag(problem, alpha)
     y_all = np.concatenate([ds.y for ds in problem.datasets])

@@ -286,6 +286,32 @@ CONFIG_ERRORS = {
     "text-snr": ("generate", {**exp_config(), "snr": "100"}, "'snr' must be a number"),
     "bench-bool-snr_values": ("bench", {**_bench(exp_config(s=2), 2), "snr_values": [False]},
                               "'snr_values' must be a number"),
+    # and so are the truth vectors, entry by entry, and every GridSpec number:
+    # np.asarray(..., float) read "1.2" as 1.2 and true as 1.0
+    "text-alpha_true": ("generate", {**exp_config(), "alpha_true": ["1.2", True]},
+                        "'alpha_true' must be a number, got '1.2'"),
+    "bool-beta_true": ("generate", {**exp_config(), "beta_true": [[True, "0.8"], [0.9, 1.1]]},
+                       "'beta_true' must be a number, got True"),
+    "bench-bool-alpha0": ("bench", {**_bench(exp_config(s=2), 2), "alpha0": [1.4, True]},
+                          "'alpha0' must be a number, got True"),
+    "grid-bool-lo": (
+        "generate", {**exp_config(), "grids": [{"length": 40, "lo": True, "hi": 4.0}] * 2},
+        "'lo' must be a number, got True",
+    ),
+    "grid-bool-slit_halfwidth": (
+        "generate",
+        {**beer_config(), "grids": [{"length": 120, "lo": 6180.0, "hi": 6280.0,
+                                     "slit_halfwidth": True}] * 2},
+        "'slit_halfwidth' must be a number, got True",
+    ),
+    "grid-bool-tau_scale": (
+        "generate",
+        {**beer_config(), "grids": [{"length": 120, "lo": 6180.0, "hi": 6280.0,
+                                     "tau_scale": [True, 1.0]}] * 2},
+        "'tau_scale' must be a number, got True",
+    ),
+    "frame-bool-strong_i0": ("generate", frame_config(soundings=1, strong_i0=True),
+                             "'i0_scale' must be a number, got True"),
 }
 
 

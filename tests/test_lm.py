@@ -192,6 +192,19 @@ class TestFactoredStep:
         assert np.linalg.norm(step - want_step) <= 1e-12 * np.linalg.norm(want_step)
         assert abs(pred - want_pred) <= 1e-12 * want_pred
 
+    @pytest.mark.parametrize("p", [1, 2, 5, 8])
+    @pytest.mark.parametrize("rows", ["p", 40])
+    def test_undamped_step_is_the_triangular_solve(self, rows, p):
+        """At lam = 0 the QR of [R; 0] applies no reflections, so the step
+        is R's own triangular solve bit for bit."""
+        m = p if rows == "p" else rows
+        rng = np.random.default_rng([p, m])
+        J = rng.normal(size=(m, p)) * np.logspace(0, 2, p)
+        R, c = lm._factor(J, rng.normal(size=m))
+        step, pred = lm._damped_step(R, c, 0.0)
+        assert step.tobytes() == sl.solve_triangular(R, -c).tobytes()
+        assert pred == 0.5 * float(c @ c)
+
     def test_rank_deficient_undamped_is_singular(self, rng):
         J = rng.normal(size=(30, 3))
         J[:, 2] = J[:, 0] - 2.0 * J[:, 1]

@@ -10,8 +10,6 @@ from sepvar.model import (
     Dataset,
     ExpDecayModel,
     convolve_reflect,
-    eval_beer_basis,
-    eval_exp_basis,
     gaussian_kernel,
     normalize_abscissa,
 )
@@ -87,29 +85,30 @@ class TestNormalizeAbscissa:
 class TestExpBasis:
     def test_zero_alpha_all_ones(self):
         ds = Dataset(t=[1.0, 2.0], y=[0.0, 0.0])
-        be = eval_exp_basis(np.zeros(2), ds)
+        be = ExpDecayModel(n_terms=2).eval(np.zeros(2), ds)
         npt.assert_allclose(be.phi, np.ones((2, 2)))
 
     def test_zero_time_kills_derivative(self):
         ds = Dataset(t=[0.0], y=[0.0])
-        be = eval_exp_basis(np.array([1.0]), ds)
+        be = ExpDecayModel(n_terms=1).eval(np.array([1.0]), ds)
         npt.assert_allclose(be.phi, [[1.0]])
         npt.assert_allclose(be.dphi[0], [[0.0]])
 
     def test_single_point_derivative(self):
         ds = Dataset(t=[2.0], y=[0.0])
-        be = eval_exp_basis(np.array([0.5]), ds)
+        model = ExpDecayModel(n_terms=1)
+        be = model.eval(np.array([0.5]), ds)
         npt.assert_allclose(be.phi, [[np.exp(-1.0)]], rtol=1e-15)
         npt.assert_allclose(be.dphi[0], [[-2.0 * np.exp(-1.0)]], rtol=1e-15)
         # independent oracle: central finite difference
         fd = central_diff_jacobian(
-            lambda a: eval_exp_basis(a, ds).phi.ravel(), np.array([0.5])
+            lambda a: model.eval(a, ds).phi.ravel(), np.array([0.5])
         )
         npt.assert_allclose(be.dphi[0].ravel(), fd[:, 0], rtol=1e-8)
 
     def test_cross_terms_zero(self):
         ds = Dataset(t=[0.5, 1.5, 2.5], y=np.zeros(3))
-        be = eval_exp_basis(np.array([0.3, 0.9]), ds)
+        be = ExpDecayModel(n_terms=2).eval(np.array([0.3, 0.9]), ds)
         npt.assert_allclose(be.dphi[0][:, 1], 0.0)
         npt.assert_allclose(be.dphi[1][:, 0], 0.0)
 
@@ -123,7 +122,7 @@ class TestBeerBasis:
     def test_zero_alpha_unit_transmission(self, rng):
         ds = make_beer_dataset(rng, m=30)
         n = 3
-        be = eval_beer_basis(np.zeros(2), ds, n_linear=n)
+        be = BeerLawModel(n_linear=n, p_species=2).eval(np.zeros(2), ds)
         # transmission == 1: columns are the convolved polynomial-times-continuum
         aux = ds.aux
         nu = normalize_abscissa(ds.t)
@@ -138,7 +137,7 @@ class TestBeerBasis:
         t = np.linspace(6140.0, 6280.0, m)
         aux = BeerAux(mu_sun=1.0, i0=np.ones(m), tau=np.zeros((m, p)), slit_halfwidth=0.0)
         ds = Dataset(t=t, y=np.ones(m), aux=aux)
-        be = eval_beer_basis(np.zeros(p), ds, n_linear=n)
+        be = BeerLawModel(n_linear=n, p_species=p).eval(np.zeros(p), ds)
         nu = normalize_abscissa(t)
         npt.assert_allclose(be.phi, nu[:, None] ** np.arange(n), rtol=1e-14)
 
@@ -152,14 +151,14 @@ class TestBeerBasis:
 
     def test_zero_tau_zero_derivative(self, rng):
         ds = make_beer_dataset(rng, m=20, tau=np.zeros((20, 2)))
-        be = eval_beer_basis(np.array([0.7, 1.3]), ds, n_linear=2)
+        be = BeerLawModel(n_linear=2, p_species=2).eval(np.array([0.7, 1.3]), ds)
         for d in be.dphi:
             npt.assert_allclose(d, 0.0, atol=1e-15)
 
     def test_overflow_reported_with_index(self, rng):
         ds = make_beer_dataset(rng, m=20)
         with pytest.raises(ModelOverflowError) as exc:
-            eval_beer_basis(np.array([-4000.0, 0.0]), ds, n_linear=2)
+            BeerLawModel(n_linear=2, p_species=2).eval(np.array([-4000.0, 0.0]), ds)
         assert exc.value.index is not None
 
     def test_nonpositive_i0_rejected(self):

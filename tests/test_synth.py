@@ -57,6 +57,21 @@ class TestSpecValidation:
         with pytest.raises(InvalidInputError):
             GridSpec(**{"length": 40, "lo": 0.0, "hi": 1.0, **fields})
 
+    @pytest.mark.parametrize("field, value", [
+        ("lo", True), ("hi", "1.0"), ("i0_scale", True), ("tau_scale", [1.0, False]),
+        ("tau_scale", ["2.0", 1.0]), ("slit_halfwidth", True), ("slit_halfwidth", "0.5"),
+    ])
+    def test_bool_or_text_grid_number_rejected(self, field, value):
+        """The range checks read a bool as 0 or 1, so a number field takes a
+        number only, and the error names the field."""
+        with pytest.raises(InvalidInputError, match=f"grid '{field}' must be a number"):
+            GridSpec(**{"length": 40, "lo": 0.0, "hi": 1.0, field: value})
+
+    def test_numpy_numbers_are_numbers(self):
+        grid = GridSpec(40, np.float64(0.0), np.int64(2), i0_scale=np.float32(1.5),
+                        tau_scale=np.array([1.0, 0.5]), slit_halfwidth=np.float64(0.1))
+        assert grid.tau_scale == (1.0, 0.5)
+
     def test_tau_scale_is_a_tuple_of_one_entry_per_species(self):
         assert GridSpec(40, 0.0, 1.0, tau_scale=[2.0, 0.5]).tau_scale == (2.0, 0.5)
         with pytest.raises(InvalidInputError, match="tau_scale"):

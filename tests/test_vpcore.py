@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg as sl
 
 import sepvar as sv
+from sepvar import vpcore
 from sepvar.exceptions import (
     InvalidInputError,
     ModelOverflowError,
@@ -609,10 +610,11 @@ class TestEvalNaive:
             err = np.linalg.norm(red.jac[:, l] - fd[:, l])
             assert err <= 1e-6 * max(np.linalg.norm(fd[:, l]), 1e-10)
 
-    def test_element_budget_guard(self, rng):
+    def test_element_budget_guard(self, rng, monkeypatch):
         prob, _ = make_exp_problem(rng, s=3)
+        monkeypatch.setattr(vpcore, "ELEMENT_BUDGET", 10)
         with pytest.raises(ProblemTooLargeError):
-            eval_naive(np.array([1.0, 0.4]), prob, element_budget=10)
+            eval_naive(np.array([1.0, 0.4]), prob)
 
     def test_block_diag_structure(self, rng):
         prob, _ = make_exp_problem(rng, s=3)
@@ -629,6 +631,35 @@ class TestEvalNaive:
             mask[k * prob.n:(k + 1) * prob.n] = False
             npt.assert_allclose(block[:, mask], 0.0, atol=0.0)
             row += m
+
+
+ALPHA_ENTRY_POINTS = {
+    "eval": lambda a, prob: prob.model.eval(a, prob.datasets[0]),
+    "eval_group": lambda a, prob: prob.model.eval_group(a, prob.groups[0].inputs),
+    "eval_gl": eval_gl,
+    "eval_km": eval_km,
+    "eval_naive": eval_naive,
+}
+
+
+class TestAlphaCheck:
+    """One check refuses a bad alpha on every way into a model: its length
+    first, then that it is finite."""
+
+    @pytest.mark.parametrize("alpha, message", [
+        ([1.0], "alpha must have length 2, got (1,)"),
+        ([np.nan], "alpha must have length 2, got (1,)"),
+        ([1.0, 0.4, 0.2], "alpha must have length 2, got (3,)"),
+        ([1.0, np.nan], "alpha must be a finite vector"),
+        ([np.inf, 0.4], "alpha must be a finite vector"),
+    ])
+    @pytest.mark.parametrize("entry", sorted(ALPHA_ENTRY_POINTS))
+    @pytest.mark.parametrize("kind", ["exp", "beer"])
+    def test_bad_alpha_is_refused(self, kind, entry, alpha, message, rng):
+        prob = make_exp_problem(rng, s=2)[0] if kind == "exp" else frame_problem(soundings=1)
+        with pytest.raises(InvalidInputError) as exc:
+            ALPHA_ENTRY_POINTS[entry](np.array(alpha), prob)
+        assert str(exc.value) == message
 
 
 class TestCrossFormulation:

@@ -304,6 +304,15 @@ def _lm_config_from(cfg_dict):
 
 
 def run_record(problem, manifest, method, alpha0, lm_cfg=None):
+    truth = (manifest or {}).get("truth")
+    alpha_true = None
+    if truth and truth.get("alpha_true"):
+        try:
+            alpha_true = _config_floats(truth["alpha_true"], "alpha_true")
+        except ValueError as err:
+            raise UsageError(f"manifest truth: {err}") from err
+        if alpha_true.size != problem.p:
+            raise UsageError(f"manifest truth: 'alpha_true' must have length p={problem.p}")
     result = fit(problem, SolverConfig(method=method, lm=lm_cfg or LMConfig()), alpha0)
     diag = stats.compute_diagnostics(result, problem)
     record = {
@@ -320,9 +329,7 @@ def run_record(problem, manifest, method, alpha0, lm_cfg=None):
         "n_iter": result.lm_report.n_iter,
         "status": result.lm_report.status,
     }
-    truth = (manifest or {}).get("truth")
-    if truth and truth.get("alpha_true"):
-        alpha_true = np.asarray(truth["alpha_true"], dtype=float)
+    if alpha_true is not None:
         record["relative_errors"] = stats.relative_error(alpha_true, result.alpha_hat)
     return record, result
 
@@ -366,6 +373,8 @@ def _parse_alpha0(text, p):
         raise UsageError(f"cannot parse --alpha0 {text!r}") from err
     if vals.size != p:
         raise UsageError(f"--alpha0 needs {p} comma-separated values")
+    if not np.all(np.isfinite(vals)):
+        raise UsageError(f"--alpha0 {text!r} must be finite")
     return vals
 
 

@@ -14,6 +14,7 @@ solution for -r and -c, each damping value tried at that iterate solves a
 """
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 import scipy.linalg as sl
@@ -41,13 +42,20 @@ class LMConfig:
     lambda_down: float = 0.3
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            # a bool is an int, which the range checks below would read as 0 or 1
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise InvalidInputError(f"LM {name!r} must be a number, got {value!r}")
+        if not float(self.max_iter).is_integer():
+            raise InvalidInputError(f"LM 'max_iter' must be a whole number, got {self.max_iter!r}")
         if self.max_iter < 1:
-            raise InvalidInputError("max_iter must be at least 1")
-        if min(self.ftol, self.xtol, self.gtol) <= 0.0:
+            raise InvalidInputError("LM 'max_iter' must be at least 1")
+        # each test is written so that NaN fails it
+        if not all(tol > 0.0 for tol in (self.ftol, self.xtol, self.gtol)):
             raise InvalidInputError("tolerances must be positive")
         if not (self.lambda_up > 1.0 > self.lambda_down > 0.0):
             raise InvalidInputError("need lambda_up > 1 > lambda_down > 0")
-        if self.lambda0 < 0.0:
+        if not self.lambda0 >= 0.0:
             raise InvalidInputError("initial damping must be nonnegative")
 
 

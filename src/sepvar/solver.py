@@ -4,20 +4,23 @@ VP methods minimize the reduced residual over the nonlinear parameters only
 and recover each dataset's linear parameters by one exact linear solve at the
 optimum.  The reference method stacks all linear parameters into the iterate
 and solves the joint problem, warm-starting the linear part from the linear
-solution at the initial nonlinear guess.  Its residual, Jacobian and warm
-start read each dataset's basis from one model evaluation per group
-(``vpcore.dataset_bases``); the joint formulation itself stays literal.
+solution at the initial nonlinear guess.  Every method runs through the same
+evaluation cache (``_CachedReduced``) and one LM call; for the reference each
+point is evaluated once, by one model evaluation per group
+(``vpcore.dataset_bases``) that gives its joint residual and, when LM reads
+it, its Jacobian.  The joint formulation itself stays literal.
 """
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import InvalidInputError
 from .factor import pinv_apply, thin_qr
 from .lm import LMConfig, lm_solve
-from .vpcore import dataset_bases, eval_gl, eval_km, eval_naive
+from .vpcore import FORM_GL, dataset_bases, eval_gl, eval_km, eval_naive
 
 METHOD_VP_GL = "vp-gl"
 METHOD_VP_KM = "vp-km"
@@ -73,50 +76,59 @@ def initial_beta(problem, alpha0):
     return [pinv_apply(thin_qr(be.phi), ds.y) for ds, be in zip(problem.datasets, bases)]
 
 
-def _joint_split(x, problem):
-    """Each dataset's beta of the joint iterate x = (alpha, beta_1, ...,
-    beta_s) and its basis at alpha, from one model evaluation per group
-    (``vpcore.dataset_bases``)."""
-    x = np.asarray(x, dtype=float)
-    p, n, s = problem.p, problem.n, problem.s
-    if x.shape != (p + s * n,):
-        raise InvalidInputError(f"x must have length {p + s * n}, got {x.shape}")
-    betas = [x[p + k * n : p + (k + 1) * n] for k in range(s)]
-    return betas, dataset_bases(x[:p], problem)
+class _JointEval:
+    """The joint residual z at x = (alpha, beta_1, ..., beta_s), dataset by
+    dataset y_k - phi_k(alpha) beta_k, from one model evaluation per group
+    (``vpcore.dataset_bases``); the Jacobian is formed from the same bases,
+    and a copy of x's betas, when it is first read."""
+
+    def __init__(self, x, problem):
+        x = np.array(x, dtype=float)
+        p, n, s = problem.p, problem.n, problem.s
+        if x.shape != (p + s * n,):
+            raise InvalidInputError(f"x must have length {p + s * n}, got {x.shape}")
+        self.problem = problem
+        self.betas = [x[p + k * n : p + (k + 1) * n] for k in range(s)]
+        self.bases = dataset_bases(x[:p], problem)
+        self.z = np.concatenate(
+            [ds.y - be.phi @ b for ds, b, be in zip(problem.datasets, self.betas, self.bases)]
+        )
+
+    @cached_property
+    def jac(self):
+        """The Jacobian of z, as ``nls_full_jacobian`` describes it."""
+        p, n, starts = self.problem.p, self.problem.n, self.problem.block_starts[FORM_GL]
+        J = np.zeros((starts[-1], p + self.problem.s * n))
+        for k, (beta, be) in enumerate(zip(self.betas, self.bases)):
+            rows = slice(starts[k], starts[k + 1])
+            for l in range(p):
+                J[rows, l] = -(be.dphi[l] @ beta)
+            J[rows, p + k * n : p + (k + 1) * n] = -be.phi
+        return J
 
 
 def nls_full_residual(x, problem):
     """Stacked joint residual y_k - phi_k(alpha) beta_k, dataset by dataset;
     x = (alpha, beta_1, ..., beta_s)."""
-    betas, bases = _joint_split(x, problem)
-    return np.concatenate(
-        [ds.y - be.phi @ beta for ds, beta, be in zip(problem.datasets, betas, bases)]
-    )
+    return _JointEval(x, problem).z
 
 
 def nls_full_jacobian(x, problem):
     """Jacobian of the stacked joint residual, dense with its exact block
     sparsity: the alpha columns -dphi_l beta_k and each dataset's -phi_k."""
-    betas, bases = _joint_split(x, problem)
-    p, n = problem.p, problem.n
-    J = np.zeros((problem.m_total, p + problem.s * n))
-    row = 0
-    for k, (ds, beta, be) in enumerate(zip(problem.datasets, betas, bases)):
-        rows = slice(row, row + ds.m)
-        for l in range(p):
-            J[rows, l] = -(be.dphi[l] @ beta)
-        J[rows, p + k * n : p + (k + 1) * n] = -be.phi
-        row += ds.m
-    return J
+    return _JointEval(x, problem).jac
 
 
 class _CachedReduced:
-    """One reduced evaluation per alpha.  The engine asks for the residual at
-    each trial point and for the Jacobian at each iterate it accepts, so the
-    cache keeps the latest evaluation and the one at the current iterate:
-    residual and Jacobian come from a single pass, a trial step too short to
-    move alpha costs nothing, and the evaluation at the returned iterate is
-    always here for ``fit`` to read once.
+    """One evaluation per point, for every method: a reduced evaluation per
+    alpha for the VP methods, and for ``nls-full`` a joint one
+    (``_JointEval``) per x = (alpha, beta_1, ..., beta_s), so the joint
+    reference too evaluates each point once.  The engine asks for the
+    residual at each trial point and for the Jacobian at each iterate it
+    accepts, so the cache keeps the latest evaluation and the one at the
+    current iterate: residual and Jacobian come from a single pass, a trial
+    step too short to move the point costs nothing, and the evaluation at
+    the returned iterate is always here for ``fit`` to read once.
 
     Since it never holds more than those two evaluations, the cache owns two
     slots of model stacks, one stack per group each (see ``vpcore``), and a
@@ -124,23 +136,25 @@ class _CachedReduced:
     hold the iterate's; the latest evaluation, whose slot that is, is
     dropped first.  The slots fill on the first two evaluations and are
     reused for the rest of the fit, for either model family, since every
-    model's stack is writable; ``eval_naive`` takes none.  The cache
-    belongs to one fit, and the evaluation at alpha_hat leaves with the
-    ``FitResult``."""
+    model's stack is writable; ``eval_naive`` and ``_JointEval`` take none.
+    The cache belongs to one fit, and the evaluation at alpha_hat leaves
+    with the ``FitResult``."""
 
     def __init__(self, problem, method):
-        if method == METHOD_VP_NAIVE:
+        if method == METHOD_NLS_FULL:
+            self._eval = lambda x, out: _JointEval(x, problem)
+        elif method == METHOD_VP_NAIVE:
             self._eval = lambda a, out: eval_naive(a, problem)
         else:
             base = _VP_EVALS[method]
             self._eval = lambda a, out: base(a, problem, out=out)
         self._slots = ({}, {})
-        self._latest = (None, None, 0)  # (alpha bytes, evaluation, slot)
+        self._latest = (None, None, 0)  # (point bytes, evaluation, slot)
         self._iterate = (None, None, 1)  # so the first evaluation takes slot 0
 
-    def at(self, alpha):
-        alpha = np.asarray(alpha, dtype=float)
-        key = alpha.tobytes()
+    def at(self, x):
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
         for cached_key, value, _ in (self._latest, self._iterate):
             if key == cached_key:
                 return value
@@ -148,14 +162,14 @@ class _CachedReduced:
         # no entry may name stacks that are being written, even if this
         # evaluation raises
         self._latest = (None, None, slot)
-        self._latest = (key, self._eval(alpha, self._slots[slot]), slot)
+        self._latest = (key, self._eval(x, self._slots[slot]), slot)
         return self._latest[1]
 
-    def residual(self, alpha):
-        return self.at(alpha).z
+    def residual(self, x):
+        return self.at(x).z
 
-    def jacobian(self, alpha):
-        red = self.at(alpha)
+    def jacobian(self, x):
+        red = self.at(x)
         if self._latest[1] is red:
             self._iterate = self._latest
         return red.jac
@@ -181,22 +195,13 @@ def fit(problem, cfg, alpha0):
             f"alpha0 must have length {problem.p}, got {alpha0.shape}"
         )
     t_start = time.perf_counter()
-    if cfg.method in _VP_EVALS:
-        cache = _CachedReduced(problem, cfg.method)
-        report = lm_solve(cache.residual, cache.jacobian, alpha0, cfg.lm)
-        alpha_hat = report.x_final
-        red = cache.at(alpha_hat)
-    else:
-        beta0 = initial_beta(problem, alpha0)
-        x0 = np.concatenate([alpha0] + beta0)
-        report = lm_solve(
-            lambda x: nls_full_residual(x, problem),
-            lambda x: nls_full_jacobian(x, problem),
-            x0,
-            cfg.lm,
-        )
-        alpha_hat = report.x_final[: problem.p]
-        red = _VP_EVALS[METHOD_VP_GL](alpha_hat, problem)
+    cache = _CachedReduced(problem, cfg.method)
+    joint = cfg.method == METHOD_NLS_FULL
+    x0 = np.concatenate([alpha0] + initial_beta(problem, alpha0)) if joint else alpha0
+    report = lm_solve(cache.residual, cache.jacobian, x0, cfg.lm)
+    alpha_hat = report.x_final[: problem.p]
+    # the joint reference reduces once, at alpha_hat
+    red = _VP_EVALS[METHOD_VP_GL](alpha_hat, problem) if joint else cache.at(alpha_hat)
     betas, residuals = _final_linear_solve(problem, red)
     wall = time.perf_counter() - t_start
     return FitResult(

@@ -43,7 +43,7 @@ import scipy.linalg as sl
 from scipy.special import ndtri
 
 from .exceptions import InvalidInputError
-from .vpcore import build_block_diag, eval_gl, gl_from_km
+from .vpcore import FORM_GL, build_block_diag, eval_gl, gl_from_km
 
 _RANK_WARNING = "H^T H is numerically rank deficient; covariance uses a pseudo-inverse"
 
@@ -164,10 +164,9 @@ def _dataset_grams(jac, phis, problem):
     matrices; datasets with equal row counts are multiplied as one batch.
     """
     p, n = problem.p, problem.n
-    sizes = [ds.m for ds in problem.datasets]
-    starts = np.cumsum([0] + sizes[:-1])
+    starts = problem.block_starts[FORM_GL]
     batches = {}
-    for k, m in enumerate(sizes):
+    for k, m in enumerate(problem.block_sizes[FORM_GL]):
         batches.setdefault(m, []).append(k)
     grams = np.empty((problem.s, p + n, p + n))
     for m, index in batches.items():

@@ -537,6 +537,42 @@ class TestFit:
         )
         assert rc == 2
 
+    def test_non_finite_alpha0_is_usage_error(self, tmp_path, capsys):
+        """A start that parses as a float but is not finite is refused like
+        unparsable text, not fitted into an InvalidInputError record."""
+        cfg = write_config(tmp_path / "cfg.json", exp_config())
+        bundle = tmp_path / "bundle"
+        cli.main(["generate", "--config", cfg, "--out", str(bundle)])
+        out = tmp_path / "o.json"
+        rc = cli.main(["fit", str(bundle), "--method", "vp-gl", "--alpha0", "nan,0.3",
+                       "--out", str(out)])
+        assert rc == 2
+        assert "--alpha0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha_true, text", [
+        (["1.2", True], "'alpha_true' must be a number, got '1.2'"),
+        ([1.2], "'alpha_true' must have length p=2"),
+    ], ids=["text-and-bool", "short"])
+    def test_manifest_alpha_true_is_read_strictly(self, tmp_path, capsys, alpha_true, text):
+        """The manifest's truth vector goes through the config float reader,
+        before the fit: np.asarray(..., float) read "1.2" as 1.2 and true as
+        1.0, and a short vector failed only after the fit, as a solver
+        error."""
+        cfg = write_config(tmp_path / "cfg.json", exp_config())
+        bundle = tmp_path / "bundle"
+        cli.main(["generate", "--config", cfg, "--out", str(bundle)])
+        manifest_path = bundle / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["truth"]["alpha_true"] = alpha_true
+        manifest_path.write_text(json.dumps(manifest))
+        out = tmp_path / "o.json"
+        rc = cli.main(["fit", str(bundle), "--method", "vp-gl", "--alpha0", "1.0,0.3",
+                       "--out", str(out)])
+        assert rc == 2
+        assert text in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_bundle_is_usage_error(self, tmp_path):
         rc = cli.main(
             ["fit", str(tmp_path / "nothing"), "--method", "vp-gl",
@@ -606,17 +642,21 @@ class TestBench:
         assert rc == 2
 
     @pytest.mark.parametrize("lm, key", [({"max_iters": 1}, "max_iters"),
-                                         ({"max_iter": 0}, "max_iter")])
+                                         ({"max_iter": 0}, "max_iter"),
+                                         ({"ftol": True}, "ftol"),
+                                         ({"max_iter": True}, "max_iter"),
+                                         ({"max_iter": 2.5}, "max_iter")])
     def test_bad_lm_block_is_usage_error(self, tmp_path, capsys, lm, key):
-        """An unknown key or an invalid value stops the sweep before any
-        cell runs, and the message names the key."""
+        """An unknown key or an invalid value, a bool or a fractional
+        iteration count among them, stops the sweep before any cell runs,
+        and the message names the key."""
         cfg = write_config(
             tmp_path / "bench.json",
             {"methods": ["vp-gl"], "s_values": [2], "lm": lm, "problem": exp_config()},
         )
         out = tmp_path / "b.csv"
         assert cli.main(["bench", "--config", cfg, "--out", str(out)]) == 2
-        assert key in capsys.readouterr().err
+        assert repr(key) in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_sweep_header_only(self, tmp_path):

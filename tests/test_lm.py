@@ -45,6 +45,15 @@ class TestConfigValidation:
             {"lambda_up": 0.9},
             {"lambda_down": 1.5},
             {"lambda0": -1.0},
+            # a bool or text is not a number, and max_iter counts whole iterations
+            {"ftol": True},
+            {"max_iter": True},
+            {"max_iter": 2.5},
+            {"lambda0": "0.1"},
+            # JSON's NaN is a float, which the range checks must not let through
+            {"ftol": float("nan")},
+            {"gtol": float("nan")},
+            {"lambda0": float("nan")},
         ],
     )
     def test_bad_config_rejected(self, kwargs):

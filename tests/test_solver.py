@@ -197,6 +197,23 @@ class TestFinalLinearSolve:
         for got, beta in zip(res.beta_hat, red.betas):
             assert np.array_equal(got, beta)
 
+    def test_nls_full_evaluates_each_point_once(self, monkeypatch, rng):
+        """The joint residual and Jacobian at an iterate come from one model
+        evaluation: one per LM point, plus the warm start."""
+        prob, spec = make_exp_problem(rng, s=3, snr=100.0, seed=14)
+        calls = []
+        inner = solver.dataset_bases
+
+        def counted(alpha, problem):
+            calls.append(np.array(alpha, dtype=float))
+            return inner(alpha, problem)
+
+        monkeypatch.setattr(solver, "dataset_bases", counted)
+        res = fit(prob, SolverConfig(method="nls-full"), np.asarray(spec.alpha_true) * 1.3)
+        accepted = len(res.lm_report.cost_history) - 1
+        assert accepted >= 2
+        assert len(calls) == res.lm_report.n_feval + 1
+
 
 def frame_problem(soundings, seed):
     """A ``sepvar generate`` frame-layout problem: 2 * soundings spectra on

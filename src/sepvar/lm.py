@@ -7,10 +7,11 @@ normal equations are never formed explicitly.  Marquardt scaling by the
 Gram-matrix diagonal keeps mixed parameter scales usable.
 
 J is factored once per iterate, as in MINPACK's lmder (More 1978): one
-Householder QR of [J | r] gives the triangle R and c = Q^T r, and since
-[J; sqrt(lambda) D] and [R; sqrt(lambda) D] have the same least-squares
-solution for -r and -c, each damping value tried at that iterate solves a
-2p x p system instead of refactoring the M rows of J.
+Householder QR of [J | r] gives the triangle R, c = Q^T r and the gradient
+J^T r = R^T c.  Since [J; sqrt(lambda) D] and [R; sqrt(lambda) D] have the
+same least-squares solution for -r and -c, each damping value tried at that
+iterate takes its step from one QR of the small array [R -c; sqrt(lambda) D 0]
+instead of refactoring the M rows of J.
 """
 
 from dataclasses import dataclass
@@ -70,7 +71,7 @@ class LMReport:
 
 def _checked(fn, x, what):
     val = np.asarray(fn(x), dtype=float)
-    if not np.all(np.isfinite(val)):
+    if not np.isfinite(val).all():
         raise EvaluationError(f"{what} evaluation returned non-finite values", x=x.copy())
     return val
 
@@ -94,11 +95,11 @@ def _factor(J, r):
 def _damped_step(R, c, lam):
     """Solve the damped least-squares subproblem.
 
-    J is factored once per iterate; each damping value solves a 2p x p
-    system.  ``R`` and ``c = Q^T r`` come from ``_factor``, and the
-    subproblem min ||J d + r||^2 + lam ||D d||^2 is solved as the QR of
-    [R; sqrt(lam) D] with right-hand side [-c; 0].  D holds R's column
-    norms, which are J's.
+    ``R`` (min(M, p) x p) and ``c = Q^T r`` come from ``_factor``.  The
+    subproblem min ||J d + r||^2 + lam ||D d||^2 is solved by one geqrf of
+    the Fortran array [R -c; sqrt(lam) D 0], whose leading p x p triangle is
+    the damped R' and whose last column holds Q'^T [-c; 0], and one
+    triangular solve.  D holds R's column norms, which are J's.
 
     Returns the step and the cost decrease the linear model predicts for it,
     or None for a singular system.  With (J^T J + lam D^2) d = -J^T r the
@@ -106,22 +107,24 @@ def _damped_step(R, c, lam):
     0.5||Q'^T b'||^2 + 0.5 lam ||D d||^2, a sum of squares that the small QR
     already holds, so it is free of cancellation.
     """
+    k, p = R.shape
     d = np.sqrt(np.sum(R * R, axis=0))
-    scale = np.max(d) if d.size else 0.0
+    scale = d.max(initial=0.0)
     if scale == 0.0:
         return None
     d = np.maximum(d, 1e-14 * scale)
-    # at lam = 0 the QR of [R; 0] applies no reflections (R is upper
-    # triangular), so the step is R's own triangular solve bit for bit
-    A = np.vstack([R, np.sqrt(lam) * np.diag(d)])
-    b = np.concatenate([-c, np.zeros(R.shape[1])])
-    q, rr = np.linalg.qr(A)
-    diag = np.abs(np.diag(rr))
+    a = np.zeros((k + p, p + 1), order="F")
+    a[:k, :p], a[:k, p] = R, -c
+    a.ravel(order="F")[k :: k + p + 1] = np.sqrt(lam) * d  # the diagonal of rows k..
+    qr = sl.lapack.dgeqrf(a, overwrite_a=True)[0]
+    diag = np.abs(qr.diagonal()[:p])
     if diag.min() <= 1e-14 * diag.max():
         return None
-    qtb = q.T @ b
-    step = sl.solve_triangular(rr, qtb)
-    if not np.all(np.isfinite(step)):
+    qtb = qr[:p, p]
+    # at lam = 0 geqrf leaves the triangle R as it is, and the solve runs on R^T as
+    # solve_triangular's does for a C-ordered R, so the step is R's own bit for bit
+    step = sl.lapack.dtrtrs(qr[:p, :p].T, qtb, lower=1, trans=1)[0]
+    if not np.isfinite(step).all():
         return None
     ds = d * step
     return step, 0.5 * float(qtb @ qtb + lam * (ds @ ds))
@@ -163,7 +166,7 @@ def lm_solve(residual_fn, jacobian_fn, x0, cfg=None):
     lam = cfg.lambda0
     status = STATUS_MAX_ITER
 
-    grad = J.T @ r
+    grad = R.T @ c  # J^T r
     if np.max(np.abs(grad), initial=0.0) < cfg.gtol:
         return LMReport(x, cost_history, 0, n_feval, STATUS_GTOL)
 
@@ -196,12 +199,11 @@ def lm_solve(residual_fn, jacobian_fn, x0, cfg=None):
             if decrease <= cfg.ftol * max(cost, np.finfo(float).tiny):
                 status = STATUS_FTOL
                 break
-            if np.linalg.norm(step) < cfg.xtol * (cfg.xtol + np.linalg.norm(x)):
+            if np.sqrt(step @ step) < cfg.xtol * (cfg.xtol + np.sqrt(x @ x)):
                 status = STATUS_XTOL
                 break
-            J = _checked(jacobian_fn, x, "jacobian")
-            R, c = _factor(J, r)
-            grad = J.T @ r
+            R, c = _factor(_checked(jacobian_fn, x, "jacobian"), r)
+            grad = R.T @ c
             if np.max(np.abs(grad), initial=0.0) < cfg.gtol:
                 status = STATUS_GTOL
                 break

@@ -72,24 +72,30 @@ def initial_beta(problem, alpha0):
     """Per-dataset linear solutions at the initial nonlinear guess: one
     pivoted QR per dataset of its basis, which comes from one model
     evaluation per group (``vpcore.dataset_bases``)."""
+    return _warm_start(problem, alpha0).betas
+
+
+def _warm_start(problem, alpha0):
+    """The joint evaluation at (alpha0, initial_beta), from one model evaluation."""
     bases = dataset_bases(alpha0, problem)
-    return [pinv_apply(thin_qr(be.phi), ds.y) for ds, be in zip(problem.datasets, bases)]
+    betas = [pinv_apply(thin_qr(be.phi), ds.y) for ds, be in zip(problem.datasets, bases)]
+    return _JointEval(np.concatenate([alpha0, *betas]), problem, bases)
 
 
 class _JointEval:
     """The joint residual z at x = (alpha, beta_1, ..., beta_s), dataset by
     dataset y_k - phi_k(alpha) beta_k, from one model evaluation per group
-    (``vpcore.dataset_bases``); the Jacobian is formed from the same bases,
-    and a copy of x's betas, when it is first read."""
+    (``vpcore.dataset_bases``, unless its ``bases`` are given); the Jacobian
+    is formed from the same bases, and a copy of x's betas, when first read."""
 
-    def __init__(self, x, problem):
-        x = np.array(x, dtype=float)
+    def __init__(self, x, problem, bases=None):
+        self.x = x = np.array(x, dtype=float)
         p, n, s = problem.p, problem.n, problem.s
         if x.shape != (p + s * n,):
             raise InvalidInputError(f"x must have length {p + s * n}, got {x.shape}")
         self.problem = problem
         self.betas = [x[p + k * n : p + (k + 1) * n] for k in range(s)]
-        self.bases = dataset_bases(x[:p], problem)
+        self.bases = dataset_bases(x[:p], problem) if bases is None else bases
         self.z = np.concatenate(
             [ds.y - be.phi @ b for ds, b, be in zip(problem.datasets, self.betas, self.bases)]
         )
@@ -140,7 +146,7 @@ class _CachedReduced:
     The cache belongs to one fit, and the evaluation at alpha_hat leaves
     with the ``FitResult``."""
 
-    def __init__(self, problem, method):
+    def __init__(self, problem, method, start=None):
         if method == METHOD_NLS_FULL:
             self._eval = lambda x, out: _JointEval(x, problem)
         elif method == METHOD_VP_NAIVE:
@@ -149,7 +155,8 @@ class _CachedReduced:
             base = _VP_EVALS[method]
             self._eval = lambda a, out: base(a, problem, out=out)
         self._slots = ({}, {})
-        self._latest = (None, None, 0)  # (point bytes, evaluation, slot)
+        # (point bytes, evaluation, slot); nls-full enters its warm start's
+        self._latest = (None, None, 0) if start is None else (start.x.tobytes(), start, 0)
         self._iterate = (None, None, 1)  # so the first evaluation takes slot 0
 
     def at(self, x):
@@ -195,10 +202,10 @@ def fit(problem, cfg, alpha0):
             f"alpha0 must have length {problem.p}, got {alpha0.shape}"
         )
     t_start = time.perf_counter()
-    cache = _CachedReduced(problem, cfg.method)
     joint = cfg.method == METHOD_NLS_FULL
-    x0 = np.concatenate([alpha0] + initial_beta(problem, alpha0)) if joint else alpha0
-    report = lm_solve(cache.residual, cache.jacobian, x0, cfg.lm)
+    start = _warm_start(problem, alpha0) if joint else None
+    cache = _CachedReduced(problem, cfg.method, start)
+    report = lm_solve(cache.residual, cache.jacobian, start.x if joint else alpha0, cfg.lm)
     alpha_hat = report.x_final[: problem.p]
     # the joint reference reduces once, at alpha_hat
     red = _VP_EVALS[METHOD_VP_GL](alpha_hat, problem) if joint else cache.at(alpha_hat)

@@ -64,7 +64,7 @@ basis and for the joint reference fit and the synthetic generator.
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -219,6 +219,14 @@ def _raise_first_failure(alpha, problem):
             ) from err
 
 
+@cache
+def _triangles(n):
+    """The read-only n x n strictly upper triangular mask and identity."""
+    strict, eye = np.triu(np.ones((n, n), dtype=bool), 1), np.eye(n)
+    strict.flags.writeable = eye.flags.writeable = False
+    return strict, eye
+
+
 def _wy(h, tau):
     """Compact WY form Q = I - V T V^T of stacked Householder factors.
 
@@ -227,15 +235,13 @@ def _wy(h, tau):
     row i, with a unit entry at i) and the upper triangular T (g x n x n),
     built as LAPACK's dlarft does.
     """
-    n = tau.shape[1]
-    diag = (slice(None), range(n), range(n))
+    g, n = tau.shape
+    strict, eye = _triangles(n)
     vt = h
-    for i in range(n):
-        vt[:, i, : i + 1] = 0.0
-    vt[diag] = 1.0
+    vt[:, :, :n] = np.where(strict, vt[:, :, :n], eye)  # zero before each unit entry
     gram = vt @ vt.transpose(0, 2, 1)
-    t = np.zeros((tau.shape[0], n, n))
-    t[diag] = tau
+    t = np.zeros((g, n, n))
+    t.reshape(g, n * n)[:, :: n + 1] = tau  # the diagonal
     for i in range(1, n):
         t[:, :i, i] = -tau[:, i, None] * (t[:, :i, :i] @ gram[:, :i, i, None])[:, :, 0]
     return vt, t
@@ -253,9 +259,9 @@ def _factor_group(alpha, problem, group, out=None):
     n = problem.n
     a = ge.phi.transpose(0, 2, 1)  # g x m x n, zero rows past each length
     h, tau = np.linalg.qr(a, mode="raw")
-    r = np.triu(h[:, :, :n].transpose(0, 2, 1))
+    r = np.where(_triangles(n)[0].T, 0.0, h[:, :, :n].transpose(0, 2, 1))
     sv = np.linalg.svd(r, compute_uv=False)
-    for i in np.flatnonzero(sv[:, -1] <= RANK_SCREEN * sv[:, 0]):
+    for i in (sv[:, -1] <= RANK_SCREEN * sv[:, 0]).nonzero()[0]:
         # the pivoted rank decision on the dataset's own rows; raises if deficient
         thin_qr(a[i, : group.datasets[i].m])
     vt, t = _wy(h, tau)
@@ -276,7 +282,7 @@ def _form_group(group, f, form):
     if form == FORM_GL:
         # rows of Q1^T = E^T Q^T are E^T - V[:n] T^T V^T
         q1t = -(vt[:, :, :n].transpose(0, 2, 1) @ t.transpose(0, 2, 1)) @ vt
-        q1t[:, range(n), range(n)] += 1.0
+        q1t.reshape(len(y), -1)[:, :: y.shape[1] + 1] += 1.0  # the diagonal
         r_inv = np.linalg.inv(r)
         w = (q1t @ y[:, :, None])[:, :, 0]
         beta = (r_inv @ w[:, :, None])[:, :, 0]

@@ -165,6 +165,8 @@ def dense_damped_step(J, r, lam):
     if scale == 0.0:
         return None
     d = np.maximum(d, 1e-14 * scale)
+    if lam == 0.0 and J.shape[0] < J.shape[1]:
+        return None  # fewer rows than columns: the undamped system is singular
     if lam > 0.0:
         A = np.vstack([J, np.sqrt(lam) * np.diag(d)])
         b = np.concatenate([-r, np.zeros(J.shape[1])])
@@ -183,23 +185,46 @@ def dense_damped_step(J, r, lam):
     return step, 0.5 * float(qtb @ qtb + lam * (ds @ ds))
 
 
+def mixed_scale_system(rows, p, seed=()):
+    """J (columns of mixed scale, so that the Marquardt scales matter) and r;
+    ``rows`` is a count or one of "p-1", "p", "p+1", at least 1."""
+    m = {"p-1": max(p - 1, 1), "p": p, "p+1": p + 1}.get(rows, rows)
+    rng = np.random.default_rng([p, m, *seed])
+    return rng.normal(size=(m, p)) * np.logspace(0, 2, p), rng.normal(size=m)
+
+
+# fewer residuals than parameters (1, "p-1"), square and tall, up to the
+# 50 columns of nls-full's joint Jacobian at s = 16
+SHAPES = pytest.mark.parametrize("rows", [1, "p-1", "p", "p+1", 40, 5000])
+COLUMNS = pytest.mark.parametrize("p", [1, 2, 5, 50])
+
+
 class TestFactoredStep:
-    """Each damping value solves a 2p x p system from one factorization of
+    """Each damping value solves a small system from one factorization of
     [J | r] per iterate."""
 
-    @pytest.mark.parametrize("lam", [0.0, 1e-3, 1e3])
-    @pytest.mark.parametrize("p", [1, 2, 5])
-    @pytest.mark.parametrize("rows", ["p", "p+1", 40, 5000])
+    @pytest.mark.parametrize("lam", [0.0, 1e-12, 1e-3, 1e3, 1e6])
+    @COLUMNS
+    @SHAPES
     def test_matches_dense_step(self, rows, p, lam):
-        m = {"p": p, "p+1": p + 1}.get(rows, rows)
-        rng = np.random.default_rng([p, m, int(lam * 1e3)])
-        # columns of mixed scale, so that the Marquardt scales matter
-        J = rng.normal(size=(m, p)) * np.logspace(0, 2, p)
-        r = rng.normal(size=m)
-        want_step, want_pred = dense_damped_step(J, r, lam)
-        step, pred = lm._damped_step(*lm._factor(J, r), lam)
+        J, r = mixed_scale_system(rows, p, seed=(int(lam * 1e3),))
+        want = dense_damped_step(J, r, lam)
+        got = lm._damped_step(*lm._factor(J, r), lam)
+        if want is None:
+            assert got is None
+            return
+        (want_step, want_pred), (step, pred) = want, got
         assert np.linalg.norm(step - want_step) <= 1e-12 * np.linalg.norm(want_step)
         assert abs(pred - want_pred) <= 1e-12 * want_pred
+
+    @COLUMNS
+    @SHAPES
+    def test_gradient_from_triangle(self, rows, p):
+        """R^T c, from the factors LM already holds, is J^T r."""
+        J, r = mixed_scale_system(rows, p)
+        R, c = lm._factor(J, r)
+        want = J.T @ r
+        assert np.linalg.norm(R.T @ c - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("p", [1, 2, 5, 8])
     @pytest.mark.parametrize("rows", ["p", 40])

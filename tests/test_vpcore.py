@@ -304,6 +304,32 @@ def shifted_beer_problem(rng, taus=None):
     return MultiProblem(datasets=tuple(datasets), model=BeerLawModel(n_linear=3, p_species=2))
 
 
+def literal_wy(h, tau):
+    """The compact WY form as dlarft builds it, row by row: V^T (in h's
+    memory) and T; the reference for ``vpcore._wy``."""
+    n = tau.shape[1]
+    diag = (slice(None), range(n), range(n))
+    for i in range(n):
+        h[:, i, : i + 1] = 0.0
+    h[diag] = 1.0
+    gram = h @ h.transpose(0, 2, 1)
+    t = np.zeros((tau.shape[0], n, n))
+    t[diag] = tau
+    for i in range(1, n):
+        t[:, :i, i] = -tau[:, i, None] * (t[:, :i, :i] @ gram[:, :i, i, None])[:, :, 0]
+    return h, t
+
+
+class SignedNoiseModel(ExpDecayModel):
+    """The exp model's group layout with a basis stack of signed noise, so
+    that the entries the factor step masks out take both signs."""
+
+    def eval_group(self, alpha, group, out=None):
+        ge = super().eval_group(alpha, group, out)
+        ge.stack[...] = np.random.default_rng(5).normal(size=ge.stack.shape)
+        return ge
+
+
 class TestShapeGroups:
     """Datasets are grouped by shape, not by grid: ragged exp lengths of one
     bucket are padded with zero rows, and Beer datasets of one length keep
@@ -349,6 +375,22 @@ class TestShapeGroups:
             for ds, phi in zip(prob.datasets, red.phis):
                 assert phi.shape == (ds.m, prob.n)
                 assert np.array_equal(phi, prob.model.eval(alpha, ds).phi)
+
+    def test_factor_step_matches_literal_forms(self, rng):
+        """The factor step's R is np.triu of the QR's leading block, and its
+        V^T and T are the row-by-row form's, bit for bit, on padded exp,
+        shifted Beer, two-group frame and signed-noise bases."""
+        noise = MultiProblem(ragged_exp_problem().datasets, SignedNoiseModel(n_terms=3))
+        cases = (*self.problems(rng), (frame_problem(soundings=2), self.ALPHA_BEER),
+                 (noise, np.array([1.0, 0.5, 0.2])))
+        for prob, alpha in cases:
+            for group in prob.groups:
+                f = _factor_group(alpha, prob, group)
+                h, tau = np.linalg.qr(f.ge.phi.transpose(0, 2, 1), mode="raw")
+                r = np.triu(h[:, :, : prob.n].transpose(0, 2, 1))
+                vt, t = literal_wy(h, tau)
+                assert f.r.tobytes() == r.tobytes()
+                assert f.vt.tobytes() == vt.tobytes() and f.t.tobytes() == t.tobytes()
 
     @pytest.mark.parametrize("form", ["gl", "km"])
     def test_padded_rows_are_zero(self, form):

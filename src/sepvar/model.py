@@ -12,31 +12,42 @@ says which datasets may share a group (what the batched arithmetic needs,
 not the grid), ``prepare_group`` builds what an evaluation of a group reads
 that does not depend on alpha, once per group, and ``eval_group(alpha,
 group, out=None)`` checks alpha (its length, then that it is finite) and
-returns a :class:`GroupEval` computed with the grid axis last.
-:class:`ExpDecayModel` keys a dataset by the power-of-two bucket of its
-length, and its :class:`ExpGroup` holds the abscissae padded with zero
-rows to the group's longest dataset.  :class:`BeerLawModel` keys a dataset
-by its length and its slit's tap count; each dataset keeps its own grid,
+returns a :class:`GroupEval`: the bases, computed with the grid axis last,
+and the model's products kernel, which forms the derivatives only as
+products dphi_l beta and dphi_l^T z (Kaufman 1975; O'Leary & Rust 2013),
+all the reduced path reads of them.  The dense derivatives of ``eval``, the
+reference paths and the tests are the products with the n unit vectors, so
+one kernel gives both.  :class:`ExpDecayModel` keys a dataset by the
+power-of-two bucket of its length, and its :class:`ExpGroup` holds the
+abscissae padded with zero rows to the group's longest dataset; its
+products are closed forms.  :class:`BeerLawModel` keys a dataset by its
+length and its slit's tap count; each dataset keeps its own grid,
 auxiliaries and slit kernel, and its :class:`BeerGroup` holds the checked
-auxiliaries, each dataset's powers of nu and slit Toeplitz blocks and the
-padded buffer of the chunked convolution.  Per-dataset inputs that are the
-same bit for bit in every dataset of a group are one broadcast view, so a
-group on one grid stores them once.  The Beer law writes the rows of CHUNK
-datasets at a time straight into the group's padded buffer, fills the
-reflected tails by slice copies and convolves the chunk by two stacked
-matrix products, which BLAS carries out one dataset at a time with that
-dataset's own Toeplitz blocks (:func:`convolve_reflect` shares this
-kernel).  Because the buffer is reused, one group's inputs serve one thread
-at a time.
+auxiliaries, each dataset's powers of nu, -tau and mu_sun * I0, and its
+slit Toeplitz blocks with the buffer of the chunked convolution.
+Per-dataset inputs that are the same bit for bit in every dataset of a
+group are one broadcast view, so a group on one grid stores them once.  The
+Beer law writes the rows of CHUNK datasets at a time straight into the
+group's buffer, fills the reflected tails by slice copies and convolves the
+chunk by two stacked matrix products, which BLAS carries out one dataset at
+a time with that dataset's own Toeplitz blocks (:func:`convolve_reflect`
+shares this kernel).  An evaluation convolves the n rows of the bases; a
+products call convolves the p rows of dphi_l beta and, for dphi_l^T z, the
+row of z (the reflect-padded convolution is symmetric, so K^T z is K z).
+Because the buffer is reused, one group's inputs serve one thread at a
+time.
 
-Who owns a stack: ``eval_group`` writes a group's (g, 1 + p, n, m) stack
+Who owns a stack: ``eval_group`` writes a group's (g, n, m) basis stack
 into ``out`` when the caller passes one, overwriting every entry, and
 otherwise allocates it; the caller that passes ``out`` decides when it is
-written again.  ``eval`` of one dataset is the one-dataset group with a
-fresh stack, so it matches that dataset's slice of any group bit for bit.
+written again.  Products and dense derivatives are fresh arrays on every
+call.  ``eval`` of one dataset is the one-dataset group with a fresh stack,
+so it matches that dataset's slice of any group bit for bit.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -45,10 +56,12 @@ from .exceptions import InvalidInputError, ModelOverflowError
 
 EXP_OVERFLOW_LIMIT = 700.0  # exp() overflows double precision just above this
 # Datasets reflected and convolved together in one padded buffer, which
-# then does not grow with the group (about 0.25 MB on the frame grids).  One
-# eval_km of the s = 64 frame problem took 17.3 ms in the median with chunks
-# of 4 or 8, 18.5 ms with 1 and 25.4 ms with 32 (OpenBLAS on one thread).
-CHUNK = 4
+# then does not grow with the group (about 0.25 MB on the frame grids for
+# the three rows of a basis or of a products call).  One s = 64 frame fit
+# plus diagnostics, median of 40 interleaved rounds with OpenBLAS on one
+# thread: vp-gl 29.5 ms and vp-km 29.8 ms with chunks of 4, 28.7 and
+# 27.2 ms with 12; 8 and 16 were slower than 12.
+CHUNK = 12
 
 
 @dataclass(frozen=True)
@@ -134,35 +147,58 @@ class BasisEval:
             raise InvalidInputError("basis evaluation produced non-finite entries")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupEval:
-    """Stacked bases of the datasets of one group, grid axis last.
+    """Bases of the datasets of one group, grid axis last, with the kernel
+    of their derivative products.
 
-    ``stack`` has shape g x (1 + p) x n x m, m the length of the group's
-    longest dataset, and every model and slit stores each dataset's
-    (1 + p) x n x m block C-contiguous: for dataset i of the group, of
-    length m_i, the view stack[i, 0, :, :m_i].T is its basis matrix and
-    stack[i, 1 + l, :, :m_i].T the derivative in alpha_l.  Entries past
-    m_i are zero.
+    ``phi`` has shape g x n x m, m the length of the group's longest
+    dataset, and every model and slit stores each dataset's n x m block
+    C-contiguous: for dataset i of the group, of length m_i, the view
+    phi[i, :, :m_i].T is its basis matrix.  Entries past m_i are zero.
+
+    The derivatives are read through products, which is all that the
+    reduced path needs (Kaufman 1975; O'Leary & Rust 2013): ``products``
+    is each model's one kernel, ``dphi_beta`` and ``dphi_t`` read one of
+    its two results, and ``dphi`` is the dense g x p x n x m stack, the
+    products with the n unit vectors.
     """
 
-    stack: np.ndarray
+    phi: np.ndarray
 
-    @property
-    def phi(self):
-        return self.stack[:, 0]
+    def products(self, betas, z=None):
+        """(u, v) for k vectors per dataset, betas (g x k x n): u[i, j, l]
+        is dphi_l betas[i, j] of dataset i (u is g x k x p x m), and, when
+        z (g x m) is given, v[i, l] is dphi_l^T z[i] (v is g x p x n, else
+        None)."""
+        raise NotImplementedError
 
-    @property
+    def dphi_beta(self, beta):
+        """dphi_l beta_i of each dataset i, g x p x m, for beta g x n."""
+        return self.products(beta[:, None])[0][:, 0]
+
+    def dphi_t(self, z):
+        """dphi_l^T z_i of each dataset i, g x p x n, for z g x m."""
+        g, n, _ = self.phi.shape
+        return self.products(np.empty((g, 0, n)), z)[1]
+
+    @cached_property
     def dphi(self):
-        return self.stack[:, 1:]
+        """The dense derivatives, g x p x n x m: dphi[i, l, j] is column j
+        of dataset i's derivative in alpha_l, its product with the unit
+        vector e_j.  The reduced path never reads it."""
+        g, n, _ = self.phi.shape
+        units = np.broadcast_to(np.eye(n), (g, n, n))
+        return self.products(units)[0].transpose(0, 2, 1, 3)
 
     def basis(self, i, m=None):
         """The BasisEval of the group's i-th dataset, of length ``m`` (by
         default the group's length, as for the only dataset of a one-dataset
         group), copied out in row-major m x n layout: products with it round
         as they did before grouping."""
-        rows = np.ascontiguousarray(self.stack[i, :, :, :m].transpose(0, 2, 1))
-        return BasisEval(phi=rows[0], dphi=tuple(rows[1:]))
+        phi = np.ascontiguousarray(self.phi[i, :, :m].T)
+        dphi = np.ascontiguousarray(self.dphi[i, :, :, :m].transpose(0, 2, 1))
+        return BasisEval(phi=phi, dphi=tuple(dphi))
 
 
 def _per_dataset(sources, build):
@@ -203,9 +239,32 @@ class ExpGroup:
     of each dataset, zero-padded to the longest one, and a 0/1 mask of the
     rows that hold data (None when no dataset is padded)."""
 
-    shape: tuple  # of the group's stack, g x (1 + n) x n x m
+    shape: tuple  # of the group's basis stack, g x n x m
     neg_t: np.ndarray  # g x m
     valid: Optional[np.ndarray]  # g x 1 x m
+
+
+@dataclass(frozen=True, eq=False)
+class ExpGroupEval(GroupEval):
+    """An :class:`ExpGroup`'s bases, with the abscissae their derivatives
+    read."""
+
+    neg_t: np.ndarray  # g x m
+
+    def products(self, betas, z=None):
+        """Closed form: dphi_l is zero but for its row l, -t * phi_l, so
+        dphi_l beta is beta_l (-t * phi_l) and dphi_l^T z is zero but for
+        its entry l, (-t * phi_l) . z."""
+        d = self.neg_t[:, None, :] * self.phi  # row l: dphi_l's only nonzero row
+        # + 0.0 turns -0.0 into the +0.0 that the sum over the zero rows gave
+        u = betas[..., None] * d[:, None] + 0.0
+        if z is None:
+            return u, None
+        g, n, _ = d.shape
+        v = np.zeros((g, n, n))
+        # one n x m matrix-vector product per dataset, the shape of dphi_l z
+        v.reshape(g, n * n)[:, :: n + 1] = (d @ z[:, :, None])[:, :, 0]
+        return u, v
 
 
 def _half_taps(spacing, halfwidth):
@@ -251,22 +310,23 @@ def _reflect_tails(buf, h, m):
 
 class SlitConvolution:
     """The chunk kernel of :func:`convolve_reflect`, built for one kernel per
-    entry of the output's leading axis (all of one length) and one output
-    shape: each entry's two Toeplitz blocks (one broadcast pair when every
-    kernel is the same) and the padded buffer in which entries are reflected
-    and convolved CHUNK at a time.
+    entry of the output's leading axis (all of one length): each entry's two
+    Toeplitz blocks (one broadcast pair when every kernel is the same) and a
+    scratch buffer in which entries are reflected and convolved CHUNK at a
+    time.
 
     ``apply(fill, out)`` runs the kernel.  ``fill(rows, dest)`` writes the
     samples of the entries in slice ``rows`` into ``dest``, the buffer's
     interior, shaped like ``out[rows]``.  The two Toeplitz products run as
     stacked products over the chunk, which numpy carries out as one BLAS call
     per entry with that entry's own shape and blocks, so each entry rounds
-    exactly as it would alone.  Every call overwrites the whole buffer
-    before reading it, so one instance serves any number of calls, one
-    thread at a time.
+    exactly as it would alone.  The buffer grows to the largest output
+    shape asked for, and every call overwrites the part of it that it
+    reads, so one instance serves any number of calls, one thread at a
+    time.
     """
 
-    def __init__(self, kernels, shape):
+    def __init__(self, kernels):
         taps = kernels[0].size
         if any(kernel.size != taps for kernel in kernels):
             raise InvalidInputError("the kernels of one convolution need one tap count")
@@ -281,16 +341,19 @@ class SlitConvolution:
 
         bands = _per_dataset(kernels, band)  # count x 2b x b
         self.t0, self.t1 = bands[:, :b], bands[:, b:]
-        count, m = shape[0], shape[-1]
-        width = -(-(m + 2 * self.h) // b) * b
-        self.buf = np.empty((min(CHUNK, count),) + tuple(shape[1:-1]) + (width,))
+        self.scratch = np.empty(0)
 
     def apply(self, fill, out):
         h, b = self.h, self.t0.shape[-1]
         count, m = len(out), out.shape[-1]
+        shape = (min(CHUNK, count),) + out.shape[1:-1] + (-(-(m + 2 * h) // b) * b,)
+        size = math.prod(shape)
+        if self.scratch.size < size:
+            self.scratch = np.empty(size)
+        buf = self.scratch[:size].reshape(shape)
         for start in range(0, count, CHUNK):
             rows = slice(start, min(start + CHUNK, count))
-            part = self.buf[: rows.stop - start]
+            part = buf[: rows.stop - start]
             fill(rows, part[..., h : h + m])
             _reflect_tails(part, h, m)
             tiles = part.reshape(part.shape[0], -1, b)
@@ -319,7 +382,7 @@ def convolve_reflect(x, kernel, out):
     group), so an entry's result is the same bit for bit whatever else is
     in ``x``: BLAS may round differently for other matrix shapes.
     """
-    slit = SlitConvolution((kernel,) * len(out), out.shape)
+    slit = SlitConvolution((kernel,) * len(out))
     return slit.apply(lambda rows, dest: np.copyto(dest, x[rows]), out)
 
 
@@ -360,16 +423,62 @@ class BeerGroup:
     """What ``BeerLawModel.eval_group`` reads of datasets of one length and
     slit tap count that does not depend on alpha, built by
     ``BeerLawModel.prepare_group``: the checked auxiliaries, each dataset's
-    powers of nu (g x n x m) and, unless the slit is a delta, the slit
-    convolution with each dataset's Toeplitz blocks and the padded chunk
-    buffer.  Powers and blocks that are the same for every dataset are one
-    broadcast view.  A problem builds one per group and reuses it in every
-    evaluation, so a problem is evaluated by one thread at a time."""
+    powers of nu (g x n x m), its -tau and mu_sun * I0 (g x m) and, unless
+    the slit is a delta, the slit convolution with each dataset's Toeplitz
+    blocks and the chunk buffer.  Powers and blocks that are the same for
+    every dataset are one broadcast view.  A problem builds one per group
+    and reuses it in every evaluation, so a problem is evaluated by one
+    thread at a time."""
 
-    shape: tuple  # of the group's stack, g x (1 + p) x n x m
+    shape: tuple  # of the group's basis stack, g x n x m
     auxes: tuple
     powers: np.ndarray
+    neg_tau: np.ndarray  # g x p x m
+    scale: np.ndarray
     slit: Optional[SlitConvolution]
+
+
+@dataclass(frozen=True, eq=False)
+class BeerGroupEval(GroupEval):
+    """A :class:`BeerGroup`'s bases, with b = mu_sun * I0 * exp(-tau alpha),
+    which their derivatives read."""
+
+    group: BeerGroup
+    base: np.ndarray  # g x m
+
+    def products(self, betas, z=None):
+        """dphi_l beta = K(-tau_l * b * V beta) and
+        dphi_l^T z = V^T (-tau_l * b * K^T z), V the powers of nu and K the
+        slit convolution, reflect padding included.  K^T is K: a symmetric
+        kernel (every :func:`gaussian_kernel` is) on the half-sample
+        reflection of the padding gives a symmetric matrix, also where the
+        reflection repeats.  So K^T z is one more reflected row, and the p
+        rows of each vector of betas and the row of z go through one
+        convolution call.  For a unit vector e_j, V e_j is nu^j exactly, so
+        the products are the convolved rows -tau_l * (b * nu^j), the dense
+        derivative."""
+        group = self.group
+        g, k, _ = betas.shape
+        p, m = group.neg_tau.shape[1:]
+        w = betas @ group.powers  # g x k x m
+        w *= self.base[:, None]
+        rows = np.empty((g, k * p + (z is not None), m))
+
+        def fill(sel, dest):
+            part = dest[:, : k * p].reshape(len(dest), k, p, m)
+            np.multiply(group.neg_tau[sel, None], w[sel, :, None], out=part)
+            if z is not None:
+                dest[:, -1] = z[sel]
+
+        if group.slit is None:
+            fill(slice(None), rows)
+        else:
+            group.slit.apply(fill, rows)
+        u = rows[:, : k * p].reshape(g, k, p, m)
+        if z is None:
+            return u, None
+        bkz = rows[:, -1] * self.base  # b * K^T z
+        return u, (group.neg_tau * bkz[:, None]) @ group.powers.transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -405,27 +514,23 @@ class ExpDecayModel:
         valid = None
         if min(lengths) < m:
             valid = (np.arange(m) < np.array(lengths)[:, None]).astype(float)[:, None, :]
-        return ExpGroup((len(datasets), 1 + self.n_terms, self.n_terms, m), neg_t, valid)
+        return ExpGroup((len(datasets), self.n_terms, m), neg_t, valid)
 
     def eval_group(self, alpha, group, out=None):
         """Multi-exponential basis of the datasets of an :class:`ExpGroup`:
         row j of each dataset's block is exp(-alpha_j * t), and zero past
         the dataset's length.  The derivative with respect to alpha_l is
-        nonzero only in row l.  The stack is ``out`` when given (a
-        C-contiguous array of ``group.shape``, every entry of which is
-        overwritten), else a new array.
+        nonzero only in row l (:class:`ExpGroupEval`).  The stack is ``out``
+        when given (a C-contiguous array of ``group.shape``, every entry of
+        which is overwritten), else a new array.
         """
         alpha = _checked_alpha(alpha, self.p)
-        stack = np.empty(group.shape) if out is None else out
-        phi = stack[:, 0]
+        phi = np.empty(group.shape) if out is None else out
         np.multiply(alpha[:, None], group.neg_t[:, None, :], out=phi)
         np.exp(phi, out=phi)
         if group.valid is not None:
             phi *= group.valid
-        stack[:, 1:] = 0.0
-        for l in range(alpha.size):
-            np.multiply(group.neg_t, phi[:, l], out=stack[:, 1 + l, l])
-        return GroupEval(stack)
+        return ExpGroupEval(phi, group.neg_t)
 
 
 @dataclass(frozen=True)
@@ -460,52 +565,53 @@ class BeerLawModel:
             raise InvalidInputError("the datasets of one Beer group need one length")
         powers = _per_dataset([ds.t for ds in datasets],
                               lambda t: _nu_powers(t, self.n_linear))
+        neg_tau = np.array([aux.tau.T for aux in auxes])  # g x p x m, C-contiguous
+        np.negative(neg_tau, out=neg_tau)
+        scale = np.stack([aux.i0 for aux in auxes])
+        scale *= np.array([aux.mu_sun for aux in auxes])[:, None]
         kernels = [gaussian_kernel(_grid_spacing(ds.t), aux.slit_halfwidth)
                    for ds, aux in zip(datasets, auxes)]
-        shape = (len(auxes), 1 + self.p, self.n_linear, m)
-        slit = SlitConvolution(kernels, shape) if kernels[0].size > 1 else None
-        return BeerGroup(shape, auxes, powers, slit)
+        slit = SlitConvolution(kernels) if kernels[0].size > 1 else None
+        shape = (len(auxes), self.n_linear, m)
+        return BeerGroup(shape, auxes, powers, neg_tau, scale, slit)
 
     def eval_group(self, alpha, group, out=None):
         """Beer-law basis of the datasets of a :class:`BeerGroup`.
 
         Row j of each dataset's block is the convolution of
-        nu^j * mu_sun * I0 * exp(-sum_l alpha_l tau_l) with the instrument
-        response, nu being the abscissa normalized to [-1, 1].
+        nu^j * b, b = mu_sun * I0 * exp(-sum_l alpha_l tau_l), with the
+        instrument response, nu being the abscissa normalized to [-1, 1].
         Differentiation and convolution commute (the response does not
-        depend on alpha), so the derivative rows are the convolved products
-        with -tau_l.  The unconvolved rows are written into the padded
-        buffer of the group's slit convolution, so no unconvolved stack of
-        the whole group is formed; a delta slit fills the C-contiguous output
-        stack directly.  The stack is ``out`` when given (a C-contiguous
-        array of ``group.shape``, every entry of which is overwritten), else
-        a new array.
+        depend on alpha), so the derivatives are convolved products with
+        -tau_l, which :class:`BeerGroupEval` forms only as products.  The
+        unconvolved rows are written into the padded buffer of the group's
+        slit convolution, so no unconvolved stack of the whole group is
+        formed; a delta slit fills the C-contiguous output stack directly.
+        The stack is ``out`` when given (a C-contiguous array of
+        ``group.shape``, every entry of which is overwritten), else a new
+        array.
         """
         alpha = _checked_alpha(alpha, self.p)
-        auxes = group.auxes
-        neg_tau = np.stack([aux.tau.T for aux in auxes])  # g x p x m
-        np.negative(neg_tau, out=neg_tau)
-        exponent = alpha @ neg_tau
+        # -(tau alpha) dataset by dataset is the product with -tau bit for
+        # bit, and the layout of each tau gives the same rounding as before
+        exponent = np.stack([aux.tau @ alpha for aux in group.auxes])
+        np.negative(exponent, out=exponent)
         over = np.flatnonzero(np.max(exponent, axis=1) > EXP_OVERFLOW_LIMIT)
         if over.size:
             index = int(np.argmax(exponent[over[0]]))
             raise ModelOverflowError(
                 f"absorption exponent overflows at grid index {index}", index=index
             )
-        scale = np.stack([aux.i0 for aux in auxes])
-        scale *= np.array([aux.mu_sun for aux in auxes])[:, None]
-        base = np.exp(exponent)
-        base *= scale
-        del exponent, scale  # released before the stack is filled
+        base = np.exp(exponent, out=exponent)
+        base *= group.scale
         powers = group.powers
 
         def fill(rows, dest):
-            mono = dest[:, 0]  # len x n x m
-            np.multiply(base[rows, None, :], powers[rows], out=mono)
-            np.multiply(neg_tau[rows, :, None, :], mono[:, None], out=dest[:, 1:])
+            np.multiply(base[rows, None, :], powers[rows], out=dest)
 
-        stack = np.empty(group.shape) if out is None else out
+        phi = np.empty(group.shape) if out is None else out
         if group.slit is None:
-            fill(slice(None), stack)
-            return GroupEval(stack)
-        return GroupEval(group.slit.apply(fill, stack))
+            fill(slice(None), phi)
+        else:
+            group.slit.apply(fill, phi)
+        return BeerGroupEval(phi, group, base)

@@ -25,13 +25,13 @@ and its pseudo-inverse takes the place of its inverse.
 The reduced Jacobian and basis matrices (``ReducedEval.jac`` and
 ``phis``, which may be strided views) come from the evaluation at
 alpha_hat that every fit carries (``FitResult.final_eval``), so the
-diagnostics never evaluate the model: a ``vp-gl`` or ``nls-full`` fit holds
+diagnostics never evaluate the bases: a ``vp-gl`` or ``nls-full`` fit holds
 the ``eval_gl`` evaluation itself, a ``vp-naive`` fit the literal
 ``eval_naive`` one, and a ``vp-km`` fit an ``eval_km`` evaluation whose kept
-factors give the GL form without evaluating or factoring again
-(``vpcore.gl_from_km``).  ``build_H`` and ``covariance`` are the dense
-reference of the same quantities; ``build_H`` evaluates everything afresh
-at alpha_hat.
+factors and products give the GL form without evaluating the bases or
+factoring again (``vpcore.gl_from_km``, which forms only dphi_l^T z).
+``build_H`` and ``covariance`` are the dense reference of the same
+quantities; ``build_H`` evaluates everything afresh at alpha_hat.
 """
 
 import warnings

@@ -18,9 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import GenerationError, InvalidInputError
+from .exceptions import GenerationError, InvalidInputError, SepvarError
 from .model import BeerAux, BeerLawModel, Dataset, ExpDecayModel, normalize_abscissa
-from .vpcore import MultiProblem, dataset_bases
+from .vpcore import MultiProblem, group_members
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -187,13 +187,34 @@ def _beer_aux(grid, t, p, rng):
     return BeerAux(mu_sun=mu, i0=i0, tau=tau, slit_halfwidth=halfwidth)
 
 
+def _model_values(model, alpha, drafts, betas):
+    """phi_k(alpha) beta_k of each draft dataset, from one ``model.eval_group``
+    per group of equal ``model.group_key``, which evaluates the bases only.
+    Each phi_k is copied out row-major first, so its product rounds as with
+    ``model.eval`` of the dataset alone.  On any error the drafts are
+    evaluated one by one, so the error raised is that of the first failing
+    one."""
+    values = [None] * len(drafts)
+    try:
+        for index in group_members(model, drafts):
+            group = model.prepare_group(tuple(drafts[k] for k in index))
+            phi = model.eval_group(alpha, group).phi
+            for i, k in enumerate(index):
+                values[k] = np.ascontiguousarray(phi[i, :, : drafts[k].m].T) @ betas[k]
+    except SepvarError:
+        for ds in drafts:
+            model.eval_group(alpha, model.prepare_group((ds,)))
+        raise
+    return values
+
+
 def generate(spec):
     """The problem of a truth specification, for either model kind.
 
     Dataset construction order is fixed, so a given seed is bitwise
     reproducible.  The datasets are first built with a placeholder y, and
-    their exact model values come from one model evaluation per group
-    (``vpcore.dataset_bases``), the same bit for bit as one dataset at a
+    their exact model values come from one basis evaluation per group
+    (:func:`_model_values`), the same bit for bit as one dataset at a
     time.  SNR = inf yields exact model values.
     """
     rng = np.random.default_rng(spec.seed)
@@ -205,10 +226,10 @@ def generate(spec):
         t = np.linspace(g.lo, g.hi, g.length)
         aux = _beer_aux(g, t, spec.p, rng) if spec.kind == KIND_BEER else None
         drafts.append(Dataset(t=t, y=np.ones_like(t), aux=aux))
-    bases = dataset_bases(spec.alpha_true, MultiProblem(datasets=drafts, model=model))
+    values = _model_values(model, spec.alpha_true, drafts, spec.beta_true)
     datasets = tuple(
-        Dataset(t=ds.t, y=_noisy(be.phi @ beta, spec.snr, rng), aux=ds.aux, id=f"ds{k:03d}")
-        for k, (ds, be, beta) in enumerate(zip(drafts, bases, spec.beta_true))
+        Dataset(t=ds.t, y=_noisy(eta, spec.snr, rng), aux=ds.aux, id=f"ds{k:03d}")
+        for k, (ds, eta) in enumerate(zip(drafts, values))
     )
     return MultiProblem(datasets=datasets, model=model)
 

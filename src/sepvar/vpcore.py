@@ -25,12 +25,17 @@ also when each sounding's grids are shifted; the exp quick-start problem
 of 40 and 50 points is one group.  Each group goes through two steps.  The
 factor step evaluates the stacked bases (the model's one layout, grid axis
 last, zero past each dataset's length), factors them by one stacked
-Householder QR, screens the rank and forms the compact WY representation
-(:class:`GroupFactors`).  Zero rows leave R, the linear parameters and the
-projected residual unchanged in exact arithmetic, and the padded rows of
-the Householder vectors, residuals and Jacobian blocks come out zero.  The
-form step turns these into the linear parameters, residuals and Jacobian
-blocks of the ``gl`` or ``km`` form by batched products.  Every evaluation
+Householder QR, inverts R, screens the rank and forms the compact WY
+representation (:class:`GroupFactors`).  Zero rows leave R, the linear
+parameters and the projected residual unchanged in exact arithmetic, and
+the padded rows of the Householder vectors, residuals and Jacobian blocks
+come out zero.  The form step turns these into the linear parameters,
+residuals and Jacobian blocks of the ``gl`` or ``km`` form by batched
+products.  It reads the derivatives only through the model's products
+(``GroupEval.products``): dphi_l beta for ``km``, and dphi_l beta with
+dphi_l^T z, from one call, for ``gl``; the dense derivatives never enter
+the reduced path.  A non-finite product raises the typed error of a
+non-finite basis evaluation.  Every evaluation
 is a plain :class:`ReducedEval` record, filled as its groups are formed:
 residual, Jacobian, each dataset's linear parameters and its basis matrix
 as a view of the stack, which the final linear solve and the diagnostics
@@ -38,16 +43,22 @@ read.  Each block holds its dataset's own rows only
 (``MultiProblem.block_sizes``), and each basis matrix is the unpadded
 view.  An ``eval_km`` evaluation also keeps its groups' factors, so
 :func:`gl_from_km` gives the ``eval_gl`` evaluation at the same alpha with
-no model evaluation or QR; a ``vp-km`` fit's diagnostics use it.  Every
+no basis evaluation or QR: both forms take beta from the same rows of
+Q1^T, so the products dphi_l beta the ``eval_km`` evaluation formed are
+``eval_gl``'s, and only dphi_l^T z is formed again (one convolved row per
+dataset for the Beer law); a ``vp-km`` fit's diagnostics use it.  Every
 product is computed dataset by dataset within the stack, so a group of
 equal-length datasets gives the results of each dataset alone; a padded
 dataset's match them to rounding.  The rank decisions, made on each
 dataset's unpadded rows, and the typed errors are those of the pivoted
 per-dataset ``thin_qr``.
 
-Who owns a model stack: by default each evaluation allocates its own, and
-its ``phis`` (and an ``eval_km`` evaluation's factors) keep it alive.  A
-caller may pass ``out``, a dict of one stack per group, to ``eval_gl`` or
+Who owns a model stack: a group's stack is its (g, n, m) bases; the
+products are fresh arrays.  By default each evaluation allocates its own
+stacks and its ``phis`` keep them alive; an ``eval_km`` evaluation's
+factors keep its GroupEvals (the stacks and, for the Beer law, the g x m
+factor b of the products) and its products dphi_l beta.  A caller
+may pass ``out``, a dict of one stack per group, to ``eval_gl`` or
 ``eval_km``; the evaluation then writes over those stacks, so every earlier
 evaluation that was given the same dict is overwritten.  A ``vp-gl`` or
 ``vp-km`` fit passes two such dicts in turn (``solver._CachedReduced``);
@@ -57,14 +68,15 @@ The three residuals always share the same 2-norm; projectors are never
 materialized except inside ``eval_naive``, which is deliberately literal so
 its cost profile reflects the formulation it implements.  Only its model
 evaluation is shared: :func:`dataset_bases` evaluates each group of
-``MultiProblem.groups`` once and copies out every dataset's own rows, the
-same bit for bit as ``model.eval`` of that dataset, for the block-diagonal
-basis and for the joint reference fit and the synthetic generator.
+``MultiProblem.groups`` once, with its dense derivatives, and copies out
+every dataset's own rows, the same bit for bit as ``model.eval`` of that
+dataset, for the block-diagonal basis and for the joint reference fit.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -86,7 +98,8 @@ from .model import _checked_alpha
 # the most elements eval_naive's dense block-diagonal matrix may hold
 ELEMENT_BUDGET = 1e8
 # Above this ratio sigma_min(R) / sigma_max(R) the pivoted rank check of
-# thin_qr cannot fire: its |r_ii| >= sigma_min and |r_00| <= sigma_max.
+# thin_qr cannot fire: its |r_ii| >= sigma_min and |r_00| <= sigma_max.  The
+# factor step bounds the ratio from below by 1 / (||R||_F ||R^-1||_F).
 RANK_SCREEN = 1e-8
 
 FORM_GL = "gl"
@@ -103,6 +116,15 @@ class DatasetGroup:
     datasets: tuple
     y: np.ndarray  # g x m stacked observations, zero past each dataset's length
     inputs: object = field(repr=False)  # the model's prepare_group(datasets)
+
+
+def group_members(model, datasets):
+    """The positions of the datasets with equal ``model.group_key``, one
+    list per key, in order of each key's first dataset."""
+    members = {}
+    for k, ds in enumerate(datasets):
+        members.setdefault(model.group_key(ds), []).append(k)
+    return list(members.values())
 
 
 @dataclass(frozen=True)
@@ -149,11 +171,8 @@ class MultiProblem:
         first member, each with its ``model.prepare_group`` inputs.  Those
         hold reused buffers, so a problem is evaluated, and fitted, by one
         thread at a time."""
-        members = {}
-        for k, ds in enumerate(self.datasets):
-            members.setdefault(self.model.group_key(ds), []).append(k)
         groups = []
-        for index in members.values():
+        for index in group_members(self.model, self.datasets):
             datasets = tuple(self.datasets[k] for k in index)
             y = np.zeros((len(datasets), max(ds.m for ds in datasets)))
             for row, ds in zip(y, datasets):
@@ -179,12 +198,15 @@ class MultiProblem:
 @dataclass(frozen=True)
 class GroupFactors:
     """One group's basis evaluation and its stacked QR in compact WY form,
-    Q = I - V T V^T (see :func:`_wy`), with R the leading n x n block."""
+    Q = I - V T V^T (see :func:`_wy`), with R the leading n x n block and
+    its inverse; an ``eval_km`` evaluation adds its derivative products."""
 
     ge: object  # the model's GroupEval
     r: np.ndarray  # g x n x n
+    r_inv: np.ndarray  # g x n x n
     vt: np.ndarray  # g x n x m
     t: np.ndarray  # g x n x n
+    u: Optional[np.ndarray] = None  # dphi_l beta (g x p x m), kept by eval_km
 
 
 @dataclass(frozen=True)
@@ -247,80 +269,111 @@ def _wy(h, tau):
     return vt, t
 
 
+def _check_finite(*arrays):
+    """Raise the typed error of a non-finite basis or derivative product."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise InvalidInputError("basis evaluation produced non-finite entries")
+
+
 def _factor_group(alpha, problem, group, out=None):
     """The factor step of one group: the model's stacked bases (written into
-    ``out`` when given), one stacked Householder QR without pivoting and the
-    compact WY form.  A basis whose R is near singular goes through the
-    pivoted thin_qr of its dataset's own rows for the rank decision."""
+    ``out`` when given), one stacked Householder QR without pivoting, R's
+    inverse and the compact WY form.  A basis whose R may be near singular
+    (by the bound ||R||_F ||R^-1||_F on its condition number) goes through
+    the pivoted thin_qr of its dataset's own rows for the rank decision."""
     ge = problem.model.eval_group(alpha, group.inputs, out=out)
-    # min and max are NaN if any entry is, and infinite if any entry is
-    if not (np.isfinite(ge.stack.min()) and np.isfinite(ge.stack.max())):
-        raise InvalidInputError("basis evaluation produced non-finite entries")
+    _check_finite(ge.phi)
     n = problem.n
     a = ge.phi.transpose(0, 2, 1)  # g x m x n, zero rows past each length
     h, tau = np.linalg.qr(a, mode="raw")
     r = np.where(_triangles(n)[0].T, 0.0, h[:, :, :n].transpose(0, 2, 1))
-    sv = np.linalg.svd(r, compute_uv=False)
-    for i in (sv[:, -1] <= RANK_SCREEN * sv[:, 0]).nonzero()[0]:
+    try:
+        r_inv = np.linalg.inv(r)
+        # sigma_max / sigma_min <= ||R||_F ||R^-1||_F, NaN or infinite for an
+        # R that is singular to working precision
+        norms = np.square(r).sum(axis=(1, 2)) * np.square(r_inv).sum(axis=(1, 2))
+        suspects = (~(norms < RANK_SCREEN**-2)).nonzero()[0]
+    except np.linalg.LinAlgError:  # an R with an exact zero on its diagonal
+        r_inv, suspects = None, range(len(r))
+    for i in suspects:
         # the pivoted rank decision on the dataset's own rows; raises if deficient
         thin_qr(a[i, : group.datasets[i].m])
+    if r_inv is None:
+        raise RankDeficiencyError("a basis matrix of the group has a singular R factor")
     vt, t = _wy(h, tau)
-    return GroupFactors(ge, r, vt, t)
+    return GroupFactors(ge, r, r_inv, vt, t)
 
 
 def _form_group(group, f, form):
     """The form step of one group: residual and Jacobian blocks in the
     ``gl`` or ``km`` form, grid axis last.
 
-    Returns (z, jac, beta): z is g x m (``gl``) or g x (m - n) (``km``),
-    jac g x p x rows and beta g x n.  Dataset i's block is its first m_i
-    (``gl``) or m_i - n (``km``) rows; the rows past it are zero.
+    Returns (z, jac, beta, u): z is g x m (``gl``) or g x (m - n) (``km``),
+    jac g x p x rows, beta g x n and u the products dphi_l beta (g x p x m).
+    Dataset i's block is its first m_i (``gl``) or m_i - n (``km``) rows;
+    the rows past it are zero.  The derivatives enter only through the
+    model's products: dphi_l beta for ``km``, and for ``gl`` dphi_l beta
+    and dphi_l^T z from one ``ge.products`` call, or, when ``f`` holds the
+    products an ``eval_km`` evaluation kept, dphi_l^T z alone.  Both forms
+    take beta from the same rows of Q1^T, so those kept products are the
+    ones ``eval_gl`` forms at the same alpha.
     """
-    r, vt, t, ge = f.r, f.vt, f.t, f.ge
-    n = r.shape[-1]
+    r_inv, vt, t, ge = f.r_inv, f.vt, f.t, f.ge
+    n = r_inv.shape[-1]
     y = group.y
+    # rows of Q1^T = E^T Q^T are E^T - V[:n] T^T V^T
+    q1t = -(vt[:, :, :n].transpose(0, 2, 1) @ t.transpose(0, 2, 1)) @ vt
+    q1t.reshape(len(y), -1)[:, :: y.shape[1] + 1] += 1.0  # the diagonal
+    w = (q1t @ y[:, :, None])[:, :, 0]
+    beta = (r_inv @ w[:, :, None])[:, :, 0]
     if form == FORM_GL:
-        # rows of Q1^T = E^T Q^T are E^T - V[:n] T^T V^T
-        q1t = -(vt[:, :, :n].transpose(0, 2, 1) @ t.transpose(0, 2, 1)) @ vt
-        q1t.reshape(len(y), -1)[:, :: y.shape[1] + 1] += 1.0  # the diagonal
-        r_inv = np.linalg.inv(r)
-        w = (q1t @ y[:, :, None])[:, :, 0]
-        beta = (r_inv @ w[:, :, None])[:, :, 0]
         z = y - (w[:, None, :] @ q1t)[:, 0]
-        u = (beta[:, None, None, :] @ ge.dphi)[:, :, 0]  # dphi_l beta, g x p x m
-        v = (ge.dphi @ z[:, None, :, None])[..., 0]  # dphi_l^T z, g x p x n
-        # P_perp u + pinv^T v == u + Q1 (R^-T v - Q1^T u), one row per l
-        jac = -(u + (v @ r_inv - u @ q1t.transpose(0, 2, 1)) @ q1t)
+        if f.u is None:
+            u, v = ge.products(beta[:, None], z)  # dphi_l beta and dphi_l^T z
+            u = u[:, 0]  # g x p x m; v is g x p x n
+        else:
+            u, v = f.u, ge.dphi_t(z)
+        # P_perp u + pinv^T v == u + Q1 (R^-T v - Q1^T u), one row per l;
+        # its negative, formed as (Q1^T u - R^-T v) Q1^T - u, rounds the same
+        jac = (u @ q1t.transpose(0, 2, 1) - v @ r_inv) @ q1t
+        jac -= u
     else:
         # rows of Q^T c are c - c V T V^T; Q2^T c is their trailing part
         def qt(c):
             return c - ((c @ vt.transpose(0, 2, 1)) @ t) @ vt
 
-        qty = qt(y[:, None, :])[:, 0]
-        z = qty[:, n:]
-        beta = np.linalg.solve(r, qty[:, :n, None])[:, :, 0]
-        u = (beta[:, None, None, :] @ ge.dphi)[:, :, 0]
+        z = qt(y[:, None, :])[:, 0, n:]
+        u, v = ge.dphi_beta(beta), None
         jac = -qt(u)[:, :, n:]
-    return z, jac, beta
+    # a non-finite product makes its rows of jac non-finite; jac can also
+    # overflow from finite products, which the engine's own check reports
+    if not np.isfinite(jac).all():
+        _check_finite(u, *([] if v is None else [v]))
+    return z, jac, beta, u
 
 
 def _factor_groups(alpha, problem, out=None):
-    """(group, GroupFactors) for each group in turn.  On any error the
-    datasets are re-run one by one in problem order, so the error raised is
-    that of the first failing dataset, as the per-dataset formulation would
-    raise it.
+    """(group, GroupFactors) for each group in turn.
 
     ``out``, when given, is a dict from group position to a model stack
     that this evaluation overwrites.  A group without an entry gets a new
     stack, which is entered for the next evaluation given the same dict.
     """
+    for i, group in enumerate(problem.groups):
+        f = _factor_group(alpha, problem, group, None if out is None else out.get(i))
+        if out is not None:
+            out[i] = f.ge.phi
+        yield group, f
+
+
+def _evaluate(alpha, problem, out, form):
+    """eval_gl or eval_km.  On any error in a factor or form step the
+    datasets are re-run one by one in problem order, so the error raised is
+    that of the first failing dataset, as the per-dataset formulation would
+    raise it."""
     alpha = _checked_alpha(alpha, problem.p)
     try:
-        for i, group in enumerate(problem.groups):
-            f = _factor_group(alpha, problem, group, None if out is None else out.get(i))
-            if out is not None:
-                out[i] = f.ge.stack
-            yield group, f
+        return _reduce(problem, _factor_groups(alpha, problem, out), form)
     except SepvarError:
         _raise_first_failure(alpha, problem)
         raise
@@ -345,9 +398,9 @@ def _reduce(problem, factored, form):
     betas, phis = [None] * s, [None] * s
     kept = []
     for group, f in factored:
-        z, jac, beta = _form_group(group, f, form)
+        z, jac, beta, u = _form_group(group, f, form)
         if form == FORM_KM:
-            kept.append((group, f))
+            kept.append((group, replace(f, u=u)))
         for i, k in enumerate(group.index):
             size = starts[k + 1] - starts[k]
             rows = slice(starts[k], starts[k + 1])
@@ -355,7 +408,7 @@ def _reduce(problem, factored, form):
             jac_all[rows] = jac[i, :, :size].T
             betas[k] = beta[i]
             phis[k] = f.ge.phi[i, :, : group.datasets[i].m].T
-        del f, z, jac, beta
+        del f, z, jac, beta, u
 
     return ReducedEval(
         z=z_all,
@@ -376,7 +429,7 @@ def eval_gl(alpha, problem, out=None):
     of reused model stacks (see :func:`_factor_groups`); the result's phis
     are views of them.
     """
-    return _reduce(problem, _factor_groups(alpha, problem, out), FORM_GL)
+    return _evaluate(alpha, problem, out, FORM_GL)
 
 
 def eval_km(alpha, problem, out=None):
@@ -384,13 +437,14 @@ def eval_km(alpha, problem, out=None):
     -Q2^T dphi_l beta, with Q2 the trailing orthogonal factor.  The result
     keeps its groups' factors for :func:`gl_from_km`; ``out`` is as for
     :func:`eval_gl`."""
-    return _reduce(problem, _factor_groups(alpha, problem, out), FORM_KM)
+    return _evaluate(alpha, problem, out, FORM_KM)
 
 
 def gl_from_km(red, problem):
     """The ``eval_gl`` evaluation at the alpha of the ``eval_km`` evaluation
-    ``red``, formed from the group factors it keeps: the model is not
-    evaluated and nothing is factored again, and every result is the same
+    ``red``, formed from the group factors it keeps: the bases are not
+    evaluated, nothing is factored again and the products dphi_l beta are
+    the kept ones, so only dphi_l^T z is formed; every result is the same
     bit for bit as that of ``eval_gl``."""
     if not red.factors:
         raise InvalidInputError("only an eval_km evaluation keeps its factors")

@@ -226,6 +226,23 @@ class TestFactoredStep:
         want = J.T @ r
         assert np.linalg.norm(R.T @ c - want) <= 1e-12 * np.linalg.norm(want)
 
+    @COLUMNS
+    @SHAPES
+    def test_triangle_is_triu_of_the_qr(self, rows, p):
+        """R is np.triu of geqrf's leading block, bit for bit and in the
+        same layout, although the entries it masks out (Householder vector
+        entries) take both signs."""
+        J, r = mixed_scale_system(rows, p)
+        a = np.empty((J.shape[0], p + 1), order="F")
+        a[:, :p], a[:, p] = J, r
+        block = sl.lapack.dgeqrf(a)[0][:p, :p]
+        want = np.triu(block)
+        R, _ = lm._factor(J, r)
+        assert R.tobytes() == want.tobytes() and R.strides == want.strides
+        if min(block.shape) > 2:
+            masked = block[np.tril(np.ones(block.shape, dtype=bool), -1)]
+            assert np.any(masked < 0.0) and np.any(masked > 0.0)
+
     @pytest.mark.parametrize("p", [1, 2, 5, 8])
     @pytest.mark.parametrize("rows", ["p", 40])
     def test_undamped_step_is_the_triangular_solve(self, rows, p):

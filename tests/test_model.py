@@ -5,6 +5,7 @@ import scipy.ndimage as ndi
 
 from sepvar.exceptions import InvalidInputError, ModelOverflowError
 from sepvar.model import (
+    CHUNK,
     BeerAux,
     BeerLawModel,
     Dataset,
@@ -218,22 +219,23 @@ class TestConvolveReflect:
         [(40, 0.0), (40, 1.5), (40, 12.0), (651, 8.0), (809, 6.5)],
     )
     def test_group_slices_across_chunk_boundaries(self, m, halfwidth, rng):
-        # group sizes 1-9 end on a full chunk (4, 8) or a partial one (the
-        # rest); on m = 40 a 12-unit half-width gives a 97-tap response,
+        # group sizes end on a full chunk (CHUNK, 2 CHUNK) or a partial one
+        # (the rest); on m = 40 a 12-unit half-width gives a 97-tap response,
         # wider than the grid, whose tails are reflected more than once, and
         # a zero half-width is the delta slit, which is not convolved
+        sizes = sorted({1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 1})
         t = np.linspace(0.0, m - 1.0, m)
         datasets = []
-        for _ in range(9):
+        for _ in range(sizes[-1]):
             aux = BeerAux(mu_sun=0.8, i0=rng.uniform(0.9, 1.1, m),
                           tau=rng.uniform(0.0, 1.0, (m, 2)), slit_halfwidth=halfwidth)
             datasets.append(Dataset(t=t, y=np.ones(m), aux=aux))
         model = BeerLawModel(n_linear=3, p_species=2)
         alpha = np.array([1.1, 0.9])
         alone = [model.eval(alpha, ds) for ds in datasets]
-        for size in range(1, 10):
+        for size in sizes:
             ge = model.eval_group(alpha, model.prepare_group(datasets[:size]))
-            assert ge.stack.flags.c_contiguous
+            assert ge.phi.flags.c_contiguous
             for i, be in enumerate(alone[:size]):
                 assert np.array_equal(be.phi, ge.phi[i].T)
                 for l in range(model.p):
@@ -249,6 +251,95 @@ class TestConvolveReflect:
         out = convolve_reflect(x, kernel, np.full_like(x, np.nan))
         assert np.all(out[0, 1] == 0.0) and np.all(out[1, 2:] == 0.0)
         assert np.all(out[0, 2] > 0.0)
+
+
+def slit_groups(rng):
+    """(model, datasets) of Beer groups that the products must cover: a
+    delta slit, the two frame kernels (65 and 53 taps), a 65-tap kernel on
+    a 40-point grid (wider than the grid, so reflected more than once) and
+    CHUNK + 1 datasets on shifted grids, a full chunk and a partial one."""
+    model = BeerLawModel(n_linear=3, p_species=2)
+    cases = []
+    for m, lo, hi, halfwidth, count in [(40, 6180.0, 6280.0, 0.0, 2),
+                                        (809, 6180.0, 6280.0, 1.0, 3),
+                                        (651, 4950.0, 5050.0, 1.0, 5),
+                                        (40, 0.0, 39.0, 8.0, 3),
+                                        (60, 0.0, 59.0, 2.0, CHUNK + 1)]:
+        datasets = []
+        for k in range(count):
+            shift = 0.5 * k if count == CHUNK + 1 else 0.0
+            ds = make_beer_dataset(rng, m=m, lo=lo + shift, hi=hi + shift, halfwidth=halfwidth)
+            datasets.append(ds)
+        cases.append((model, datasets))
+    return cases
+
+
+class TestDerivativeProducts:
+    """The reduced path reads the derivatives only through dphi_l beta and
+    dphi_l^T z; the dense derivatives are the products with unit vectors."""
+
+    @pytest.mark.parametrize("m, halfwidth", [(40, 8.0), (5, 12.0), (809, 1.0 * 808 / 100),
+                                              (651, 1.0 * 650 / 100), (33, 2.0)])
+    def test_slit_convolution_is_self_adjoint(self, m, halfwidth, rng):
+        """A symmetric kernel on the half-sample reflection gives a
+        symmetric K, so <Kx, y> = <x, K^T y> holds with K^T = K, also where
+        the reflection repeats (40 and 5 points under 65 and 193 taps)."""
+        kernel = gaussian_kernel(1.0, halfwidth)
+        assert np.array_equal(kernel, kernel[::-1])
+        x, y = rng.normal(size=(2, 1, 1, m))
+        kx = convolve_reflect(x, kernel, np.empty_like(x))
+        ky = convolve_reflect(y, kernel, np.empty_like(y))
+        scale = np.linalg.norm(kx) * np.linalg.norm(y)
+        assert abs(np.vdot(kx, y) - np.vdot(x, ky)) <= 1e-14 * scale
+
+    def test_products_are_adjoint(self, rng):
+        """<dphi_l beta, z> = <beta, dphi_l^T z> for every dataset, from one
+        products call per group."""
+        alpha = np.array([1.1, 0.9])
+        for model, datasets in slit_groups(rng):
+            ge = model.eval_group(alpha, model.prepare_group(datasets))
+            g, n, m = ge.phi.shape
+            beta, z = rng.normal(size=(g, n)), rng.normal(size=(g, m))
+            u, v = ge.products(beta[:, None], z)
+            lhs = np.einsum("glm,gm->gl", u[:, 0], z)
+            rhs = np.einsum("gln,gn->gl", v, beta)
+            scale = np.linalg.norm(u[:, 0], axis=-1) * np.linalg.norm(z, axis=-1)[:, None]
+            assert np.all(np.abs(lhs - rhs) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("kind", ["exp", "beer"])
+    def test_products_match_dense_derivatives(self, kind, rng):
+        """dphi_beta and dphi_t agree with the dense derivatives to 1e-12,
+        on a padded exp group and on the Beer groups above."""
+        if kind == "exp":
+            model = ExpDecayModel(n_terms=2)
+            datasets = [Dataset(t=np.linspace(0.0, 3.0, m), y=np.zeros(m)) for m in (9, 12, 16)]
+            cases, alpha = [(model, datasets)], np.array([1.1, 0.3])
+        else:
+            cases, alpha = slit_groups(rng), np.array([1.1, 0.9])
+        for model, datasets in cases:
+            ge = model.eval_group(alpha, model.prepare_group(datasets))
+            g, n, m = ge.phi.shape
+            beta, z = rng.normal(size=(g, n)), rng.normal(size=(g, m))
+            for i, ds in enumerate(datasets):
+                z[i, ds.m:] = 0.0
+            dense = ge.dphi  # g x p x n x m
+            for got, want in [(ge.dphi_beta(beta), np.einsum("glnm,gn->glm", dense, beta)),
+                              (ge.dphi_t(z), np.einsum("glnm,gm->gln", dense, z))]:
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_dense_derivatives_are_unit_vector_products(self, rng):
+        """GroupEval.dphi is the products kernel applied to e_1, ..., e_n,
+        bit for bit, in each dataset's slice."""
+        alpha = np.array([1.1, 0.9])
+        for model, datasets in slit_groups(rng):
+            ge = model.eval_group(alpha, model.prepare_group(datasets))
+            g, n, _ = ge.phi.shape
+            for j in range(n):
+                unit = np.zeros((g, 1, n))
+                unit[:, 0, j] = 1.0
+                u, _ = ge.products(unit)
+                assert np.array_equal(u[:, 0], ge.dphi[:, :, j])
 
 
 class TestDerivativeProperty:

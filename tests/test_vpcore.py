@@ -326,7 +326,7 @@ class SignedNoiseModel(ExpDecayModel):
 
     def eval_group(self, alpha, group, out=None):
         ge = super().eval_group(alpha, group, out)
-        ge.stack[...] = np.random.default_rng(5).normal(size=ge.stack.shape)
+        ge.phi[...] = np.random.default_rng(5).normal(size=ge.phi.shape)
         return ge
 
 
@@ -395,14 +395,16 @@ class TestShapeGroups:
     @pytest.mark.parametrize("form", ["gl", "km"])
     def test_padded_rows_are_zero(self, form):
         """The form step's rows past each dataset's length are exact zeros,
-        in the stacked basis, the residual and the Jacobian blocks."""
+        in the stacked basis and its derivatives, the residual and the
+        Jacobian blocks."""
         prob = ragged_exp_problem()
         [group] = prob.groups
         f = _factor_group(self.ALPHA_EXP, prob, group)
-        z, jac, _ = _form_group(group, f, form)
+        z, jac, _, _ = _form_group(group, f, form)
         for i, ds in enumerate(group.datasets):
             rows = ds.m - (prob.n if form == "km" else 0)
-            assert np.all(f.ge.stack[i, :, :, ds.m:] == 0.0)
+            assert np.all(f.ge.phi[i, :, ds.m:] == 0.0)
+            assert np.all(f.ge.dphi[i, :, :, ds.m:] == 0.0)
             assert np.all(z[i, rows:] == 0.0) and np.all(jac[i, :, rows:] == 0.0)
 
     def test_beer_grouping_does_not_change_results(self, rng):
@@ -438,6 +440,38 @@ class TestShapeGroups:
         assert raised(reference_eval, alpha, prob, "gl") == expected
         for ev in (eval_gl, eval_km):
             assert raised(ev, alpha, prob) == expected
+
+
+class TestNonFiniteProducts:
+    """A derivative product that is not finite raises the typed
+    InvalidInputError of a non-finite basis evaluation, whether or not the
+    dense derivatives would have been finite."""
+
+    @staticmethod
+    def problem(halfwidth):
+        # tau_2 near 1e308 is harmless under alpha_2 = 0, so the basis is
+        # finite; the observations near 10 make beta large enough that
+        # -tau_2 * b * V beta overflows
+        t = np.linspace(6180.0, 6280.0, 40)
+        tau = np.column_stack([np.exp(-0.5 * ((t - 6230.0) / 8.0) ** 2), np.full(40, 1e308)])
+        aux = BeerAux(mu_sun=0.8, i0=1.0 + 0.1 * np.sin(t / 30.0), tau=tau,
+                      slit_halfwidth=halfwidth)
+        ds = Dataset(t=t, y=10.0 + 0.01 * np.cos(t), aux=aux)
+        return MultiProblem(datasets=(ds, ds), model=BeerLawModel(n_linear=3, p_species=2))
+
+    @pytest.mark.parametrize("halfwidth", [0.0, 1.0])
+    def test_eval_and_fit_raise_the_typed_error(self, halfwidth):
+        prob = self.problem(halfwidth)
+        alpha = np.array([1.0, 0.0])
+        be = prob.model.eval(alpha, prob.datasets[0])
+        assert np.isfinite(be.phi).all()
+        message = "basis evaluation produced non-finite entries"
+        for ev in (eval_gl, eval_km):
+            with pytest.raises(InvalidInputError, match=message):
+                ev(alpha, prob)
+        for method in ("vp-gl", "vp-km"):
+            with pytest.raises(InvalidInputError, match=message):
+                sv.fit(prob, sv.SolverConfig(method=method), alpha)
 
 
 def delta_beer_problem(rng):

@@ -79,6 +79,15 @@ def _config_int(value, key):
     return int(value)
 
 
+def _config_seed(value, key):
+    """A config seed: a ``_config_int`` that numpy's generators accept, so
+    not negative."""
+    seed = _config_int(value, key)
+    if seed < 0:
+        raise ValueError(f"{key!r} must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def _config_float(value, key, inf_text=False):
     """A config or manifest float: a JSON number, or with ``inf_text`` also
     the text "inf" or "infinity" in any case.  Anything else raises
@@ -131,7 +140,7 @@ def spec_from_config(cfg):
         raise UsageError("config gives both 'frame' and 'grids'")
     try:
         n, p = _config_int(cfg["n"], "n"), _config_int(cfg["p"], "p")
-        seed = _config_int(cfg.get("seed", 0), "seed")
+        seed = _config_seed(cfg.get("seed", 0), "seed")
         alpha_true = _config_floats(cfg["alpha_true"], "alpha_true")
         if alpha_true.size != p:
             raise ValueError(f"alpha_true must have length p={p}")
@@ -329,7 +338,7 @@ def run_record(problem, manifest, method, alpha0, lm_cfg=None):
         "n_iter": result.lm_report.n_iter,
         "status": result.lm_report.status,
     }
-    if alpha_true is not None:
+    if alpha_true is not None and alpha_true.all():  # a zero truth has none
         record["relative_errors"] = stats.relative_error(alpha_true, result.alpha_hat)
     return record, result
 
@@ -442,7 +451,8 @@ def _bench_cell(lm_cfg, method, spec, alpha0):
     truth = {"alpha_true": spec.alpha_true.tolist()}
     manifest = {"snr": spec.snr, "seed": spec.seed, "truth": truth}
     record, _ = run_record(problem, manifest, method, alpha0, lm_cfg)
-    return record
+    # a record without relative errors prints them empty, as a failed cell does
+    return {**NO_FIT, **record}
 
 
 def _record_to_row(record):
@@ -477,7 +487,7 @@ def cmd_bench(args):
         cfg, "snr_values", lambda v: [_config_float(x, "snr_values", inf_text=True) for x in v],
         ["inf"])
     n_seeds = _bench_key(cfg, "n_seeds", lambda v: _config_int(v, "n_seeds"), 1)
-    base_seed = _bench_key(cfg, "base_seed", lambda v: _config_int(v, "base_seed"), 0)
+    base_seed = _bench_key(cfg, "base_seed", lambda v: _config_seed(v, "base_seed"), 0)
     alpha0 = _bench_key(cfg, "alpha0", lambda v: v if v is None else _config_floats(v, "alpha0"),
                         None)
     lm_cfg = _lm_config_from(cfg.get("lm"))

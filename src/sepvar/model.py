@@ -11,8 +11,8 @@ Each model class holds its group kernel as three methods: ``group_key``
 says which datasets may share a group (what the batched arithmetic needs,
 not the grid), ``prepare_group`` builds what an evaluation of a group reads
 that does not depend on alpha, once per group, and ``eval_group(alpha,
-group, out=None)`` checks alpha (its length, then that it is finite) and
-returns a :class:`GroupEval`: the bases, computed with the grid axis last,
+group)`` checks alpha (its length, then that it is finite) and returns a
+:class:`GroupEval`: the bases, computed with the grid axis last,
 and the model's products kernel, which forms the derivatives only as
 products dphi_l beta and dphi_l^T z (Kaufman 1975; O'Leary & Rust 2013),
 all the reduced path reads of them.  The dense derivatives of ``eval``, the
@@ -35,14 +35,9 @@ shares this kernel).  An evaluation convolves the n rows of the bases; a
 products call convolves the p rows of dphi_l beta and, for dphi_l^T z, the
 row of z (the reflect-padded convolution is symmetric, so K^T z is K z).
 Because the buffer is reused, one group's inputs serve one thread at a
-time.
-
-Who owns a stack: ``eval_group`` writes a group's (g, n, m) basis stack
-into ``out`` when the caller passes one, overwriting every entry, and
-otherwise allocates it; the caller that passes ``out`` decides when it is
-written again.  Products and dense derivatives are fresh arrays on every
-call.  ``eval`` of one dataset is the one-dataset group with a fresh stack,
-so it matches that dataset's slice of any group bit for bit.
+time.  The bases, the products and the dense derivatives are fresh arrays
+on every call, and ``eval`` of one dataset is the one-dataset group, so it
+matches that dataset's slice of any group bit for bit.
 """
 
 import math
@@ -516,16 +511,14 @@ class ExpDecayModel:
             valid = (np.arange(m) < np.array(lengths)[:, None]).astype(float)[:, None, :]
         return ExpGroup((len(datasets), self.n_terms, m), neg_t, valid)
 
-    def eval_group(self, alpha, group, out=None):
+    def eval_group(self, alpha, group):
         """Multi-exponential basis of the datasets of an :class:`ExpGroup`:
         row j of each dataset's block is exp(-alpha_j * t), and zero past
         the dataset's length.  The derivative with respect to alpha_l is
-        nonzero only in row l (:class:`ExpGroupEval`).  The stack is ``out``
-        when given (a C-contiguous array of ``group.shape``, every entry of
-        which is overwritten), else a new array.
+        nonzero only in row l (:class:`ExpGroupEval`).
         """
         alpha = _checked_alpha(alpha, self.p)
-        phi = np.empty(group.shape) if out is None else out
+        phi = np.empty(group.shape)
         np.multiply(alpha[:, None], group.neg_t[:, None, :], out=phi)
         np.exp(phi, out=phi)
         if group.valid is not None:
@@ -575,7 +568,7 @@ class BeerLawModel:
         shape = (len(auxes), self.n_linear, m)
         return BeerGroup(shape, auxes, powers, neg_tau, scale, slit)
 
-    def eval_group(self, alpha, group, out=None):
+    def eval_group(self, alpha, group):
         """Beer-law basis of the datasets of a :class:`BeerGroup`.
 
         Row j of each dataset's block is the convolution of
@@ -587,9 +580,6 @@ class BeerLawModel:
         unconvolved rows are written into the padded buffer of the group's
         slit convolution, so no unconvolved stack of the whole group is
         formed; a delta slit fills the C-contiguous output stack directly.
-        The stack is ``out`` when given (a C-contiguous array of
-        ``group.shape``, every entry of which is overwritten), else a new
-        array.
         """
         alpha = _checked_alpha(alpha, self.p)
         # -(tau alpha) dataset by dataset is the product with -tau bit for
@@ -609,7 +599,7 @@ class BeerLawModel:
         def fill(rows, dest):
             np.multiply(base[rows, None, :], powers[rows], out=dest)
 
-        phi = np.empty(group.shape) if out is None else out
+        phi = np.empty(group.shape)
         if group.slit is None:
             fill(slice(None), phi)
         else:

@@ -58,8 +58,7 @@ class FitResult:
     # the reduced evaluation at alpha_hat that gave beta_hat and residuals:
     # eval_gl's for vp-gl and nls-full, eval_km's (with its factors) for
     # vp-km and eval_naive's for vp-naive; diagnostics read the GL Jacobian
-    # and the basis matrices from it.  Its phis view a model stack that only
-    # this result holds: the fit that wrote it has ended
+    # and the basis matrices from it
     final_eval: object = field(repr=False)
 
     @property
@@ -136,40 +135,33 @@ class _CachedReduced:
     step too short to move the point costs nothing, and the evaluation at
     the returned iterate is always here for ``fit`` to read once.
 
-    Since it never holds more than those two evaluations, the cache owns two
-    slots of model stacks, one stack per group each (see ``vpcore``), and a
-    new ``vp-gl``/``vp-km`` evaluation writes into the slot that does not
-    hold the iterate's; the latest evaluation, whose slot that is, is
-    dropped first.  The slots fill on the first two evaluations and are
-    reused for the rest of the fit, for either model family, since every
-    model's stack is writable; ``eval_naive`` and ``_JointEval`` take none.
-    The cache belongs to one fit, and the evaluation at alpha_hat leaves
-    with the ``FitResult``."""
+    The latest evaluation is dropped before a new one starts, so a fit holds
+    at most two evaluations, each with its own bases, at any time.  The
+    cache belongs to one fit, and the evaluation at alpha_hat leaves with
+    the ``FitResult``."""
 
     def __init__(self, problem, method, start=None):
         if method == METHOD_NLS_FULL:
-            self._eval = lambda x, out: _JointEval(x, problem)
+            self._eval = lambda x: _JointEval(x, problem)
         elif method == METHOD_VP_NAIVE:
-            self._eval = lambda a, out: eval_naive(a, problem)
+            self._eval = lambda a: eval_naive(a, problem)
         else:
             base = _VP_EVALS[method]
-            self._eval = lambda a, out: base(a, problem, out=out)
-        self._slots = ({}, {})
-        # (point bytes, evaluation, slot); nls-full enters its warm start's
-        self._latest = (None, None, 0) if start is None else (start.x.tobytes(), start, 0)
-        self._iterate = (None, None, 1)  # so the first evaluation takes slot 0
+            self._eval = lambda a: base(a, problem)
+        # (point bytes, evaluation); nls-full enters its warm start's
+        self._latest = (None, None) if start is None else (start.x.tobytes(), start)
+        self._iterate = (None, None)
 
     def at(self, x):
         x = np.asarray(x, dtype=float)
         key = x.tobytes()
-        for cached_key, value, _ in (self._latest, self._iterate):
+        for cached_key, value in (self._latest, self._iterate):
             if key == cached_key:
                 return value
-        slot = 1 - self._iterate[2]
-        # no entry may name stacks that are being written, even if this
-        # evaluation raises
-        self._latest = (None, None, slot)
-        self._latest = (key, self._eval(x, self._slots[slot]), slot)
+        # drop the latest evaluation (the iterate's stays) before the next
+        # one starts, also if that one raises
+        self._latest = (None, None)
+        self._latest = (key, self._eval(x))
         return self._latest[1]
 
     def residual(self, x):

@@ -109,6 +109,8 @@ class TruthSpec:
             raise InvalidInputError(f"tau_scale must have one entry per species, p={self.p}")
         if not self.snr > 0.0:
             raise InvalidInputError("snr must be positive (or infinite)")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be a nonnegative integer, got {self.seed}")
 
     @property
     def s(self):

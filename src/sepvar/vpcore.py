@@ -38,10 +38,11 @@ the reduced path.  A non-finite product raises the typed error of a
 non-finite basis evaluation.  Every evaluation
 is a plain :class:`ReducedEval` record, filled as its groups are formed:
 residual, Jacobian, each dataset's linear parameters and its basis matrix
-as a view of the stack, which the final linear solve and the diagnostics
-read.  Each block holds its dataset's own rows only
-(``MultiProblem.block_sizes``), and each basis matrix is the unpadded
-view.  An ``eval_km`` evaluation also keeps its groups' factors, so
+as a view of the stack this evaluation allocated, which the final linear
+solve and the diagnostics read.  Each block holds its dataset's own rows
+only (``MultiProblem.block_sizes``), and each basis matrix is the unpadded
+view.  An ``eval_km`` evaluation also keeps its groups' factors (with each
+GroupEval and its products dphi_l beta), so
 :func:`gl_from_km` gives the ``eval_gl`` evaluation at the same alpha with
 no basis evaluation or QR: both forms take beta from the same rows of
 Q1^T, so the products dphi_l beta the ``eval_km`` evaluation formed are
@@ -52,17 +53,6 @@ equal-length datasets gives the results of each dataset alone; a padded
 dataset's match them to rounding.  The rank decisions, made on each
 dataset's unpadded rows, and the typed errors are those of the pivoted
 per-dataset ``thin_qr``.
-
-Who owns a model stack: a group's stack is its (g, n, m) bases; the
-products are fresh arrays.  By default each evaluation allocates its own
-stacks and its ``phis`` keep them alive; an ``eval_km`` evaluation's
-factors keep its GroupEvals (the stacks and, for the Beer law, the g x m
-factor b of the products) and its products dphi_l beta.  A caller
-may pass ``out``, a dict of one stack per group, to ``eval_gl`` or
-``eval_km``; the evaluation then writes over those stacks, so every earlier
-evaluation that was given the same dict is overwritten.  A ``vp-gl`` or
-``vp-km`` fit passes two such dicts in turn (``solver._CachedReduced``);
-every other caller passes none.
 
 The three residuals always share the same 2-norm; projectors are never
 materialized except inside ``eval_naive``, which is deliberately literal so
@@ -275,13 +265,13 @@ def _check_finite(*arrays):
         raise InvalidInputError("basis evaluation produced non-finite entries")
 
 
-def _factor_group(alpha, problem, group, out=None):
-    """The factor step of one group: the model's stacked bases (written into
-    ``out`` when given), one stacked Householder QR without pivoting, R's
-    inverse and the compact WY form.  A basis whose R may be near singular
-    (by the bound ||R||_F ||R^-1||_F on its condition number) goes through
-    the pivoted thin_qr of its dataset's own rows for the rank decision."""
-    ge = problem.model.eval_group(alpha, group.inputs, out=out)
+def _factor_group(alpha, problem, group):
+    """The factor step of one group: the model's stacked bases, one stacked
+    Householder QR without pivoting, R's inverse and the compact WY form.  A
+    basis whose R may be near singular (by the bound ||R||_F ||R^-1||_F on
+    its condition number) goes through the pivoted thin_qr of its dataset's
+    own rows for the rank decision."""
+    ge = problem.model.eval_group(alpha, group.inputs)
     _check_finite(ge.phi)
     n = problem.n
     a = ge.phi.transpose(0, 2, 1)  # g x m x n, zero rows past each length
@@ -352,28 +342,15 @@ def _form_group(group, f, form):
     return z, jac, beta, u
 
 
-def _factor_groups(alpha, problem, out=None):
-    """(group, GroupFactors) for each group in turn.
-
-    ``out``, when given, is a dict from group position to a model stack
-    that this evaluation overwrites.  A group without an entry gets a new
-    stack, which is entered for the next evaluation given the same dict.
-    """
-    for i, group in enumerate(problem.groups):
-        f = _factor_group(alpha, problem, group, None if out is None else out.get(i))
-        if out is not None:
-            out[i] = f.ge.phi
-        yield group, f
-
-
-def _evaluate(alpha, problem, out, form):
+def _evaluate(alpha, problem, form):
     """eval_gl or eval_km.  On any error in a factor or form step the
     datasets are re-run one by one in problem order, so the error raised is
     that of the first failing dataset, as the per-dataset formulation would
     raise it."""
     alpha = _checked_alpha(alpha, problem.p)
     try:
-        return _reduce(problem, _factor_groups(alpha, problem, out), form)
+        factored = ((group, _factor_group(alpha, problem, group)) for group in problem.groups)
+        return _reduce(problem, factored, form)
     except SepvarError:
         _raise_first_failure(alpha, problem)
         raise
@@ -420,24 +397,23 @@ def _reduce(problem, factored, form):
     )
 
 
-def eval_gl(alpha, problem, out=None):
+def eval_gl(alpha, problem):
     """Golub-LeVeque reduction: projected residuals with the full Jacobian.
 
     Block k of the l-th Jacobian column is
     -(P_perp dphi_l beta + pinv^T dphi_l^T r) with beta the linear solution
-    and r the projected residual of dataset k.  ``out`` is an optional dict
-    of reused model stacks (see :func:`_factor_groups`); the result's phis
-    are views of them.
+    and r the projected residual of dataset k.  Every call evaluates the
+    bases afresh, and the result's phis are views of its own stacks.
     """
-    return _evaluate(alpha, problem, out, FORM_GL)
+    return _evaluate(alpha, problem, FORM_GL)
 
 
-def eval_km(alpha, problem, out=None):
+def eval_km(alpha, problem):
     """Kaufman reduction: shorter residual, one-term (approximate) Jacobian
-    -Q2^T dphi_l beta, with Q2 the trailing orthogonal factor.  The result
-    keeps its groups' factors for :func:`gl_from_km`; ``out`` is as for
-    :func:`eval_gl`."""
-    return _evaluate(alpha, problem, out, FORM_KM)
+    -Q2^T dphi_l beta, with Q2 the trailing orthogonal factor.  As for
+    :func:`eval_gl`, the result owns its bases; it also keeps its groups'
+    factors for :func:`gl_from_km`."""
+    return _evaluate(alpha, problem, FORM_KM)
 
 
 def gl_from_km(red, problem):

@@ -88,6 +88,13 @@ class TestGenerate:
         cli.main(["generate", "--config", cfg, "--out", str(b), "--seed", "2"])
         assert (a / "dataset_000.csv").read_bytes() != (b / "dataset_000.csv").read_bytes()
 
+    def test_negative_seed_override_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", exp_config())
+        out = tmp_path / "bundle"
+        assert cli.main(["generate", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+        assert "'seed' must be a nonnegative integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_beer_bundle_roundtrip(self, tmp_path):
         cfg_dict = beer_config(snr=200.0)
         cfg = write_config(tmp_path / "cfg.json", cfg_dict)
@@ -279,6 +286,15 @@ CONFIG_ERRORS = {
                                  "'n_seeds' must be an integer"),
     "bench-bool-base_seed": ("bench", {**_bench(exp_config(s=2), 2), "base_seed": True},
                              "'base_seed' must be an integer"),
+    # numpy's generators take no negative seed: at seed -1 the beta draw takes
+    # seed + 1 = 0, and a given beta_true skips that draw, so both reached
+    # generate's own draws and raised from numpy
+    "negative-seed": ("generate", _without(exp_config(seed=-1), "beta_true"),
+                      "'seed' must be a nonnegative integer, got -1"),
+    "negative-seed-beta_true": ("generate", exp_config(seed=-5),
+                                "'seed' must be a nonnegative integer, got -5"),
+    "bench-negative-base_seed": ("bench", {**_bench(exp_config(s=2), 2), "base_seed": -1},
+                                 "'base_seed' must be a nonnegative integer, got -1"),
     "bench-problem-fractional-p": ("bench", _bench({**exp_config(s=2), "p": 2.5}, 2),
                                    "'p' must be an integer"),
     # so are config floats: float() would read true as SNR 1.0
@@ -573,6 +589,26 @@ class TestFit:
         assert text in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_truth_has_no_relative_errors(self, tmp_path):
+        """A species that is absent (a zero in alpha_true) is fitted like any
+        other; the record leaves out the relative errors, which the zero
+        truth does not have, instead of failing after the fit."""
+        cfg = write_config(tmp_path / "cfg.json",
+                           {**beer_config(snr=200.0), "alpha_true": [1.0, 0.0]})
+        bundle = tmp_path / "bundle"
+        assert cli.main(["generate", "--config", cfg, "--out", str(bundle)]) == 0
+        alphas = []
+        for method in ("vp-gl", "vp-km", "vp-naive", "nls-full"):
+            out = tmp_path / f"{method}.json"
+            assert cli.main(["fit", str(bundle), "--method", method,
+                             "--alpha0", "1.1,0.1", "--out", str(out)]) == 0
+            record = json.loads(out.read_text())
+            assert record["status"].startswith("converged")
+            assert "relative_errors" not in record
+            alphas.append(record["alpha_hat"])
+        npt.assert_allclose(alphas, [alphas[0]] * 4, rtol=0, atol=1e-8)
+        npt.assert_allclose(alphas[0], [1.0, 0.0], atol=1e-2)
+
     def test_missing_bundle_is_usage_error(self, tmp_path):
         rc = cli.main(
             ["fit", str(tmp_path / "nothing"), "--method", "vp-gl",
@@ -602,6 +638,21 @@ class TestBench:
         assert lines[0].split(",")[0] == "method"
         # 2 methods x 2 sizes x 1 snr x 2 seeds, plus mean/std per group
         assert len(lines) == 1 + 8 + 8
+
+    def test_zero_truth_prints_empty_relative_errors(self, tmp_path):
+        """Cells with a zero in alpha_true are fitted and summarized; their
+        relative error column is empty, as for a cell whose fit raised."""
+        cfg = write_config(
+            tmp_path / "bench.json",
+            {"methods": ["vp-gl"], "s_values": [2], "snr_values": [100], "n_seeds": 2,
+             "alpha0": [1.4, 0.3], "problem": {**exp_config(s=2), "alpha_true": [1.2, 0.0]}},
+        )
+        out = tmp_path / "bench.csv"
+        assert cli.main(["bench", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()]
+        column = rows[0].index("relative_errors")
+        assert [row[-1] for row in rows[1:]] == ["converged-ftol"] * 2 + ["mean", "std"]
+        assert [row[column] for row in rows[1:]] == [""] * 4
 
     def test_cell_seeds_deterministic(self):
         a = cli._cell_seed(42, 3)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -338,9 +340,9 @@ class TestReferencePaths:
             assert calls == []
 
 
-class TestStackReuse:
-    """A vp-gl/vp-km fit writes its model stacks into two slots that the
-    fit owns; reuse must not reach a result that has left the fit."""
+class TestEvaluationCache:
+    """A vp-gl/vp-km fit keeps the latest evaluation and the iterate's; a
+    result that has left the fit is never written again."""
 
     ALPHA0 = np.array([1.1, 0.9])
 
@@ -364,7 +366,7 @@ class TestStackReuse:
     @pytest.mark.parametrize("method", ["vp-gl", "vp-km"])
     def test_final_eval_is_the_iterate_after_a_rejected_trial(self, method, monkeypatch):
         """Here the last trial is rejected, so the evaluation at alpha_hat
-        sits in the slot the latest evaluation did not overwrite."""
+        is the cached iterate's, not the latest one."""
         prob = frame_problem(2, 11)
         points = []
         inner = solver._VP_EVALS[method]
@@ -387,8 +389,8 @@ class TestStackReuse:
 
     @pytest.mark.parametrize("method", ["vp-gl", "vp-km"])
     def test_iterate_survives_rejected_trials(self, method):
-        """The engine's calls after two rejected trials in a row: neither
-        trial may write over the iterate's stacks."""
+        """The engine's calls after three rejected trials in a row: the
+        iterate's evaluation is still the one made at the iterate."""
         prob = frame_problem(2, 11)
         cache = solver._CachedReduced(prob, method)
         iterate = self.ALPHA0
@@ -400,33 +402,30 @@ class TestStackReuse:
         for ds, phi in zip(prob.datasets, red.phis):
             assert np.array_equal(phi, prob.model.eval(iterate, ds).phi)
 
-    @staticmethod
-    def stacks_per_group(prob, method, alpha0, monkeypatch):
-        """The distinct stacks each group's phis viewed during one fit."""
-        stacks = [[] for _ in prob.groups]
+    @pytest.mark.parametrize("family", ["beer", "exp"])
+    @pytest.mark.parametrize("method", ["vp-gl", "vp-km"])
+    def test_at_most_the_iterate_lives_when_an_evaluation_starts(self, method, family,
+                                                                monkeypatch):
+        """The engine's calls for an iterate, its Jacobian and three
+        rejected trials: when each evaluation starts, the iterate's is the
+        only earlier one still alive, so a fit holds at most two.  The exp
+        problem's 40- and 50-point datasets are one padded group."""
+        prob = frame_problem(2, 11) if family == "beer" else sv.generate(
+            spec_from_config(README_EXP))
+        refs, alive = [], []
         inner = solver._VP_EVALS[method]
 
-        def recorded(alpha, problem, **kwargs):
-            red = inner(alpha, problem, **kwargs)
-            for g, group in enumerate(problem.groups):
-                stacks[g].append(red.phis[group.index[0]].base)  # kept alive
+        def recorded(alpha, problem):
+            alive.append([i for i, ref in enumerate(refs) if ref() is not None])
+            red = inner(alpha, problem)
+            refs.append(weakref.ref(red))
             return red
 
         monkeypatch.setitem(solver._VP_EVALS, method, recorded)
-        fit(prob, SolverConfig(method=method), alpha0)
-        for per_group in stacks:
-            assert len(per_group) > 2
-        return [len({id(stack) for stack in per_group}) for per_group in stacks]
-
-    @pytest.mark.parametrize("method", ["vp-gl", "vp-km"])
-    def test_two_stacks_per_group(self, method, monkeypatch):
-        prob = frame_problem(2, 11)
-        assert self.stacks_per_group(prob, method, self.ALPHA0, monkeypatch) == [2, 2]
-
-    @pytest.mark.parametrize("method", ["vp-gl", "vp-km"])
-    def test_exp_fit_reuses_two_stacks(self, method, monkeypatch):
-        """The exp model's stack is writable too; the problem's 40- and
-        50-point datasets are one padded group."""
-        prob = sv.generate(spec_from_config(README_EXP))
-        assert [g.index for g in prob.groups] == [(0, 1)]
-        assert self.stacks_per_group(prob, method, np.array([1.0, 0.3]), monkeypatch) == [2]
+        cache = solver._CachedReduced(prob, method)
+        cache.residual(self.ALPHA0)
+        cache.jacobian(self.ALPHA0)
+        for trial in ([1.5, 0.5], [1.2, 0.8], [0.7, 1.3]):
+            cache.residual(np.array(trial))
+        assert alive == [[], [0], [0], [0]]
+        assert refs[0]() is cache.at(self.ALPHA0)

@@ -83,6 +83,12 @@ class TestSpecValidation:
             TruthSpec(kind="exp", alpha_true=[1.0], beta_true=([1.0],),
                       grids=(GridSpec(10, 0.0, 1.0),), snr=0.0)
 
+    def test_negative_seed_rejected(self):
+        """numpy's generators take no negative seed, so generate would raise
+        an untyped ValueError."""
+        with pytest.raises(InvalidInputError, match="seed must be a nonnegative integer"):
+            beer_spec(seed=-1)
+
 
 class TestTauProfiles:
     def test_shape_and_nonnegative(self):

@@ -324,8 +324,8 @@ class SignedNoiseModel(ExpDecayModel):
     """The exp model's group layout with a basis stack of signed noise, so
     that the entries the factor step masks out take both signs."""
 
-    def eval_group(self, alpha, group, out=None):
-        ge = super().eval_group(alpha, group, out)
+    def eval_group(self, alpha, group):
+        ge = super().eval_group(alpha, group)
         ge.phi[...] = np.random.default_rng(5).normal(size=ge.phi.shape)
         return ge
 

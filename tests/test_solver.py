@@ -429,3 +429,47 @@ class TestEvaluationCache:
             cache.residual(np.array(trial))
         assert alive == [[], [0], [0], [0]]
         assert refs[0]() is cache.at(self.ALPHA0)
+
+
+class TestStackReuse:
+    """Each evaluation of a vp-gl/vp-km fit owns its group stacks; since the
+    fit's cache drops the latest evaluation before the next one starts, no
+    group ever has more than two stacks alive during a whole fit.  The
+    starts are far enough out that the fits reject trials in a row, where
+    a cache that kept one more evaluation would hold a third stack."""
+
+    @staticmethod
+    def live_stacks_per_group(prob, method, alpha0, monkeypatch):
+        """The most stacks of each group alive at once during one fit."""
+        stacks = [[] for _ in prob.groups]
+        most = [0 for _ in prob.groups]
+        inner = solver._VP_EVALS[method]
+
+        def recorded(alpha, problem):
+            red = inner(alpha, problem)
+            for g, group in enumerate(problem.groups):
+                stacks[g].append(weakref.ref(red.phis[group.index[0]].base))
+                live = sum(ref() is not None for ref in stacks[g])
+                most[g] = max(most[g], live)
+            return red
+
+        monkeypatch.setitem(solver._VP_EVALS, method, recorded)
+        fit(prob, SolverConfig(method=method), alpha0)
+        for per_group in stacks:
+            assert len(per_group) > 2
+        return most
+
+    @pytest.mark.parametrize("method", ["vp-gl", "vp-km"])
+    def test_two_stacks_per_group(self, method, monkeypatch):
+        prob = frame_problem(2, 11)
+        assert self.live_stacks_per_group(prob, method, np.array([5.0, 5.0]),
+                                          monkeypatch) == [2, 2]
+
+    @pytest.mark.parametrize("method", ["vp-gl", "vp-km"])
+    def test_exp_fit_reuses_two_stacks(self, method, monkeypatch):
+        """The exp problem's 40- and 50-point datasets are one padded group,
+        so its fit holds two stacks at most too."""
+        prob = sv.generate(spec_from_config(README_EXP))
+        assert [g.index for g in prob.groups] == [(0, 1)]
+        assert self.live_stacks_per_group(prob, method, np.array([2.5, 0.8]),
+                                          monkeypatch) == [2]

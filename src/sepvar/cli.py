@@ -25,8 +25,10 @@ import numpy as np
 
 from . import stats, synth
 from .exceptions import InvalidInputError, SepvarError
+from .inputs import (FINITE_VECTOR, NONNEGATIVE_FINITE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT,
+                     Rule, Vector, from_json, json_int, read)
 from .lm import LMConfig
-from .model import BeerAux, Dataset
+from .model import MU_SUN, BeerAux, Dataset
 from .solver import METHODS, SolverConfig, fit
 from .vpcore import MultiProblem
 
@@ -69,44 +71,6 @@ def write_json(path, obj):
     Path(path).write_text(_jsonify(obj) + "\n")
 
 
-def _config_int(value, key):
-    """A config integer: a JSON number with no fractional part.  A bool, a
-    string or a fractional number raises ValueError naming ``key``, where
-    ``int`` would read ``true`` as 1 and truncate 2.9 to 2."""
-    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _config_seed(value, key):
-    """A config seed: a ``_config_int`` that numpy's generators accept, so
-    not negative."""
-    seed = _config_int(value, key)
-    if seed < 0:
-        raise ValueError(f"{key!r} must be a nonnegative integer, got {seed}")
-    return seed
-
-
-def _config_float(value, key, inf_text=False):
-    """A config or manifest float: a JSON number, or with ``inf_text`` also
-    the text "inf" or "infinity" in any case.  Anything else raises
-    ValueError naming ``key``, where ``float`` would read ``true`` as 1.0
-    and "0.7" as 0.7."""
-    if isinstance(value, str) and inf_text and value.lower() in ("inf", "infinity"):
-        return float("inf")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key!r} must be a number, got {value!r}")
-    return float(value)
-
-
-def _config_floats(values, key):
-    """A config vector: a JSON list, each entry read by ``_config_float``."""
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{key!r} must be a list of numbers, got {values!r}")
-    return np.array([_config_float(v, key) for v in values])
-
-
 def load_config(path):
     try:
         cfg = json.loads(Path(path).read_text())
@@ -127,40 +91,42 @@ class UsageError(Exception):
 CONFIG_KEYS = {"model", "n", "p", "seed", "snr", "alpha_true", "beta_true", "frame", "grids"}
 
 
+def _inf_text(value):
+    """A JSON SNR or list of them, where "inf" or "infinity" in any case is infinite."""
+    if isinstance(value, list):
+        return [_inf_text(v) for v in value]
+    return np.inf if isinstance(value, str) and value.lower() in ("inf", "infinity") else value
+
+
 def spec_from_config(cfg):
     """The TruthSpec of a ``generate`` config.  The ``frame`` block holds
     ``synth.frame_grids`` arguments (``soundings`` is ``n_soundings``) and
     each ``grids`` entry ``synth.GridSpec`` fields, so those records alone
     read their keys and hold their defaults; a key nothing reads, or a value
-    a record rejects, is a usage error that names it."""
+    a reader refuses, is a usage error that names it."""
     unknown = sorted(set(cfg) - CONFIG_KEYS)
     if unknown:
         raise UsageError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
     if "frame" in cfg and "grids" in cfg:
         raise UsageError("config gives both 'frame' and 'grids'")
     try:
-        n, p = _config_int(cfg["n"], "n"), _config_int(cfg["p"], "p")
-        seed = _config_seed(cfg.get("seed", 0), "seed")
-        alpha_true = _config_floats(cfg["alpha_true"], "alpha_true")
+        n, p = (read(cfg[key], key, POSITIVE_INT, json=True) for key in ("n", "p"))
+        seed = read(cfg.get("seed", 0), "seed", NONNEGATIVE_INT, json=True)
+        alpha_true = read(cfg["alpha_true"], "alpha_true", FINITE_VECTOR, json=True)
         if alpha_true.size != p:
-            raise ValueError(f"alpha_true must have length p={p}")
+            raise InvalidInputError(f"'alpha_true' must have length p={p}")
         if "frame" in cfg:
-            frame = dict(cfg["frame"])
-            soundings = _config_int(frame.pop("soundings", 8), "soundings")
+            frame = {k: json_int(v) if k.endswith("_length") else v  # GridSpec lengths
+                     for k, v in dict(cfg["frame"]).items()}
+            soundings = read(frame.pop("soundings", 8), "soundings", POSITIVE_INT, json=True)
             grids = synth.frame_grids(n_soundings=soundings, **frame)
         else:
-            grids = tuple(synth.GridSpec(**entry) for entry in cfg["grids"])
-        if "beta_true" in cfg:
-            beta_true = [_config_floats(b, "beta_true") for b in cfg["beta_true"]]
-            if len(beta_true) != len(grids):
-                raise ValueError("beta_true must list one vector per dataset")
-        else:
-            rng = np.random.default_rng(seed + 1)
-            beta_true = tuple(rng.uniform(0.5, 1.5, size=n) for _ in grids)
+            grids = tuple(from_json(synth.GridSpec, entry, "grids") for entry in cfg["grids"])
+        beta_true = cfg["beta_true"] if "beta_true" in cfg else (
+            np.random.default_rng(seed + 1).uniform(0.5, 1.5, size=(len(grids), n)))
         return synth.TruthSpec(
             kind=cfg.get("model", synth.KIND_BEER), alpha_true=alpha_true,
-            beta_true=beta_true, grids=grids,
-            snr=_config_float(cfg.get("snr", "inf"), "snr", inf_text=True), seed=seed,
+            beta_true=beta_true, grids=grids, snr=_inf_text(cfg.get("snr", "inf")), seed=seed,
         )
     except (KeyError, TypeError, ValueError) as err:
         raise UsageError(f"config: {type(err).__name__}: {err}") from err
@@ -239,22 +205,20 @@ def _load_dataset(path, entry, kind, names):
     missing = [name for name in names if name not in header]
     if missing:
         raise UsageError(f"{path} has no column {', '.join(missing)}")
-    m = _config_int(entry["m"], "m")
+    m = read(entry["m"], "m", POSITIVE_INT, json=True)
     if data.shape != (m, len(header)):
         raise UsageError(
             f"{path} has {data.shape[0]} row(s) of {data.shape[1]} value(s), "
             f"expected {m} of {len(header)}"
         )
     t, y, *extra = data[:, [header.index(name) for name in names]].T.copy()
+    if kind == synth.KIND_BEER:  # read outside the try below, so that an error names the manifest
+        mu_sun = read(entry["mu_sun"], "mu_sun", MU_SUN, json=True)
+        halfwidth = read(entry["slit_halfwidth"], "slit_halfwidth", NONNEGATIVE_FINITE, json=True)
     try:
         aux = None
         if kind == synth.KIND_BEER:
-            aux = BeerAux(
-                mu_sun=_config_float(entry["mu_sun"], "mu_sun"),
-                i0=extra[0],
-                tau=np.column_stack(extra[1:]),
-                slit_halfwidth=_config_float(entry["slit_halfwidth"], "slit_halfwidth"),
-            )
+            aux = BeerAux(mu_sun, extra[0], np.column_stack(extra[1:]), halfwidth)
         return Dataset(t=t, y=y, aux=aux, id=entry["id"])
     except InvalidInputError as err:
         raise UsageError(f"{path}: {err}") from err
@@ -274,7 +238,7 @@ def load_bundle(bundle_dir):
                 f"unsupported bundle schema version {manifest.get('schema_version')}"
             )
         kind = manifest["model"]
-        n, p = _config_int(manifest["n"], "n"), _config_int(manifest["p"], "p")
+        n, p = (read(manifest[key], key, POSITIVE_INT, json=True) for key in ("n", "p"))
         model, names = synth.model_kind(kind, n, p)
         problem = MultiProblem(
             datasets=tuple(
@@ -283,7 +247,12 @@ def load_bundle(bundle_dir):
             ),
             model=model,
         )
-    except (OSError, ValueError, KeyError, TypeError, InvalidInputError) as err:
+        truth = manifest.get("truth") or {}
+        if truth.get("alpha_true") is not None:  # the record's relative errors read it
+            truth["alpha_true"] = read(truth["alpha_true"], "alpha_true", FINITE_VECTOR, json=True)
+            if truth["alpha_true"].size != p:
+                raise InvalidInputError(f"'alpha_true' must have length p={p}")
+    except (OSError, ValueError, KeyError, TypeError) as err:  # InvalidInputError is a ValueError
         raise UsageError(f"{manifest_path}: {type(err).__name__}: {err}") from err
     return problem, manifest
 
@@ -303,25 +272,9 @@ def cmd_generate(args):
 # fit
 
 
-def _lm_config_from(cfg_dict):
-    """The LMConfig of a bench config's ``lm`` block; a key LMConfig does not
-    have or a value it rejects is a usage error."""
-    try:
-        return LMConfig(**(cfg_dict or {}))
-    except (InvalidInputError, TypeError) as err:
-        raise UsageError(f"lm block {_jsonify(cfg_dict)}: {err}") from err
-
-
 def run_record(problem, manifest, method, alpha0, lm_cfg=None):
-    truth = (manifest or {}).get("truth")
-    alpha_true = None
-    if truth and truth.get("alpha_true"):
-        try:
-            alpha_true = _config_floats(truth["alpha_true"], "alpha_true")
-        except ValueError as err:
-            raise UsageError(f"manifest truth: {err}") from err
-        if alpha_true.size != problem.p:
-            raise UsageError(f"manifest truth: 'alpha_true' must have length p={problem.p}")
+    """The fit record of ``problem``; a manifest truth's ``alpha_true`` is an array."""
+    alpha_true = ((manifest or {}).get("truth") or {}).get("alpha_true")
     result = fit(problem, SolverConfig(method=method, lm=lm_cfg or LMConfig()), alpha0)
     diag = stats.compute_diagnostics(result, problem)
     record = {
@@ -448,8 +401,7 @@ def _bench_spec(problem, s, snr, seed):
 def _bench_cell(lm_cfg, method, spec, alpha0):
     problem = synth.generate(spec)
     alpha0 = np.ones(spec.p) if alpha0 is None else alpha0
-    truth = {"alpha_true": spec.alpha_true.tolist()}
-    manifest = {"snr": spec.snr, "seed": spec.seed, "truth": truth}
+    manifest = {"snr": spec.snr, "seed": spec.seed, "truth": {"alpha_true": spec.alpha_true}}
     record, _ = run_record(problem, manifest, method, alpha0, lm_cfg)
     # a record without relative errors prints them empty, as a failed cell does
     return {**NO_FIT, **record}
@@ -463,42 +415,30 @@ BENCH_KEYS = {"methods", "s_values", "snr_values", "n_seeds", "base_seed", "alph
               "problem"}
 
 
-def _bench_key(cfg, key, read, default):
-    """``read`` of the bench config's ``key`` (``default`` when absent); a
-    value ``read`` rejects is a usage error that names the key."""
-    try:
-        return read(cfg.get(key, default))
-    except (TypeError, ValueError) as err:
-        raise UsageError(f"bench config key {key!r}: {type(err).__name__}: {err}") from err
-
-
 def cmd_bench(args):
     cfg = load_config(args.config)
     unknown = sorted(set(cfg) - BENCH_KEYS)
     if unknown:
         raise UsageError(f"unknown bench config key(s) {', '.join(map(repr, unknown))}")
-    methods = _bench_key(cfg, "methods", list, METHODS)
-    for m in methods:
-        if m not in METHODS:
-            raise UsageError(f"unknown method {m!r} in bench config")
-    s_values = _bench_key(cfg, "s_values", lambda v: [_config_int(x, "s_values") for x in v],
-                          [2, 4, 8, 16])
-    snr_values = _bench_key(
-        cfg, "snr_values", lambda v: [_config_float(x, "snr_values", inf_text=True) for x in v],
-        ["inf"])
-    n_seeds = _bench_key(cfg, "n_seeds", lambda v: _config_int(v, "n_seeds"), 1)
-    base_seed = _bench_key(cfg, "base_seed", lambda v: _config_seed(v, "base_seed"), 0)
-    alpha0 = _bench_key(cfg, "alpha0", lambda v: v if v is None else _config_floats(v, "alpha0"),
-                        None)
-    lm_cfg = _lm_config_from(cfg.get("lm"))
-
-    grid = itertools.product(methods, s_values, snr_values, range(n_seeds))
-    cells = [(method, s, snr, _cell_seed(base_seed, index))
-             for index, (method, s, snr, _) in enumerate(grid)]
     try:
+        methods = cfg.get("methods", list(METHODS))
+        if not isinstance(methods, list) or any(m not in METHODS for m in methods):
+            raise InvalidInputError(f"'methods' must be a list of {METHODS}, got {methods!r}")
+        s_values = read(cfg.get("s_values", [2, 4, 8, 16]), "s_values", Vector(Rule(int)),
+                        json=True)
+        snr_values = read(_inf_text(cfg.get("snr_values", ["inf"])), "snr_values",
+                          Vector(POSITIVE), json=True)
+        n_seeds = read(cfg.get("n_seeds", 1), "n_seeds", NONNEGATIVE_INT, json=True)
+        base_seed = read(cfg.get("base_seed", 0), "base_seed", NONNEGATIVE_INT, json=True)
+        alpha0 = cfg.get("alpha0")
+        alpha0 = None if alpha0 is None else read(alpha0, "alpha0", FINITE_VECTOR, json=True)
+        lm_cfg = from_json(LMConfig, cfg.get("lm") or {}, "lm")
+        grid = itertools.product(methods, s_values, snr_values, range(n_seeds))
+        cells = [(method, s, snr, _cell_seed(base_seed, index))
+                 for index, (method, s, snr, _) in enumerate(grid)]
         specs = [_bench_spec(cfg.get("problem", {}), *cell[1:]) for cell in cells]
-    except (KeyError, TypeError, ValueError) as err:
-        raise UsageError(f"problem: {type(err).__name__}: {err}") from err
+    except (KeyError, TypeError, ValueError) as err:  # InvalidInputError is a ValueError
+        raise UsageError(f"bench config: {type(err).__name__}: {err}") from err
     if alpha0 is not None and any(alpha0.shape != (spec.p,) for spec in specs):
         raise UsageError(f"bench config key 'alpha0' needs {specs[0].p} values, "
                          f"one per nonlinear parameter")

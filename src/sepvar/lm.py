@@ -16,12 +16,12 @@ instead of refactoring the M rows of J.
 
 from dataclasses import dataclass
 from functools import cache
-from numbers import Real
 
 import numpy as np
 import scipy.linalg as sl
 
 from .exceptions import EvaluationError, InvalidInputError
+from .inputs import POSITIVE, POSITIVE_INT, Rule, read_fields, ruled
 
 LAMBDA_LIMIT = 1e12
 EPS = np.finfo(float).eps
@@ -35,30 +35,16 @@ STATUS_LINEAR_FAIL = "failed-linear-solve"
 
 @dataclass(frozen=True)
 class LMConfig:
-    max_iter: int = 200
-    ftol: float = 1e-10
-    xtol: float = 1e-10
-    gtol: float = 1e-10
-    lambda0: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 0.3
+    max_iter: int = ruled(POSITIVE_INT, default=200)
+    ftol: float = ruled(POSITIVE, default=1e-10)
+    xtol: float = ruled(POSITIVE, default=1e-10)
+    gtol: float = ruled(POSITIVE, default=1e-10)
+    lambda0: float = ruled(Rule(float, "nonnegative", lambda v: v >= 0.0), default=1e-3)
+    lambda_up: float = ruled(Rule(float, "greater than 1", lambda v: v > 1.0), default=10.0)
+    lambda_down: float = ruled(Rule(float, "in (0, 1)", lambda v: 0.0 < v < 1.0), default=0.3)
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            # a bool is an int, which the range checks below would read as 0 or 1
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise InvalidInputError(f"LM {name!r} must be a number, got {value!r}")
-        if not float(self.max_iter).is_integer():
-            raise InvalidInputError(f"LM 'max_iter' must be a whole number, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise InvalidInputError("LM 'max_iter' must be at least 1")
-        # each test is written so that NaN fails it
-        if not all(tol > 0.0 for tol in (self.ftol, self.xtol, self.gtol)):
-            raise InvalidInputError("tolerances must be positive")
-        if not (self.lambda_up > 1.0 > self.lambda_down > 0.0):
-            raise InvalidInputError("need lambda_up > 1 > lambda_down > 0")
-        if not self.lambda0 >= 0.0:
-            raise InvalidInputError("initial damping must be nonnegative")
+        read_fields(self, "LM ")
 
 
 @dataclass

@@ -48,6 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import InvalidInputError, ModelOverflowError
+from .inputs import NONNEGATIVE_FINITE, Rule, read_fields, ruled
 
 EXP_OVERFLOW_LIMIT = 700.0  # exp() overflows double precision just above this
 # Datasets reflected and convolved together in one padded buffer, which
@@ -57,6 +58,7 @@ EXP_OVERFLOW_LIMIT = 700.0  # exp() overflows double precision just above this
 # thread: vp-gl 29.5 ms and vp-km 29.8 ms with chunks of 4, 28.7 and
 # 27.2 ms with 12; 8 and 16 were slower than 12.
 CHUNK = 12
+MU_SUN = Rule(float, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
 
 @dataclass(frozen=True)
@@ -70,26 +72,23 @@ class BeerAux:
         (0 means a delta response, i.e. no convolution).
     """
 
-    mu_sun: float
+    mu_sun: float = ruled(MU_SUN)
     i0: np.ndarray
     tau: np.ndarray
-    slit_halfwidth: float = 0.0
+    slit_halfwidth: float = ruled(NONNEGATIVE_FINITE, default=0.0)
 
     def __post_init__(self):
+        read_fields(self)
         object.__setattr__(self, "i0", np.asarray(self.i0, dtype=float))
         object.__setattr__(self, "tau", np.asarray(self.tau, dtype=float))
-        if not (0.0 < self.mu_sun <= 1.0):
-            raise InvalidInputError(f"mu_sun must be in (0, 1], got {self.mu_sun}")
-        if not all(np.isfinite(v).all() for v in (self.i0, self.tau, self.slit_halfwidth)):
-            raise InvalidInputError("i0, tau and slit_halfwidth must be finite")
+        if not (np.isfinite(self.i0).all() and np.isfinite(self.tau).all()):
+            raise InvalidInputError("i0 and tau must be finite")
         if np.any(self.i0 <= 0.0):
             raise InvalidInputError("solar spectrum samples must all be positive")
         if self.tau.ndim != 2 or self.tau.shape[0] != self.i0.shape[0]:
             raise InvalidInputError("tau must be an m x p matrix matching i0")
         if np.any(self.tau < 0.0):
             raise InvalidInputError("optical depths must be nonnegative")
-        if self.slit_halfwidth < 0.0:
-            raise InvalidInputError("slit half-width must be nonnegative")
 
 
 @dataclass(frozen=True)

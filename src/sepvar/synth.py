@@ -13,12 +13,13 @@ from one 64-bit seed through numpy's PCG64 generator.
 """
 
 from dataclasses import dataclass, replace
-from numbers import Real
 from typing import Optional
 
 import numpy as np
 
 from .exceptions import GenerationError, InvalidInputError, SepvarError
+from .inputs import (FINITE, FINITE_VECTOR, NONNEGATIVE_FINITE, NONNEGATIVE_INT, POSITIVE, Rule,
+                     Vector, read, read_fields, ruled)
 from .model import BeerAux, BeerLawModel, Dataset, ExpDecayModel, normalize_abscissa
 from .vpcore import MultiProblem, group_members
 
@@ -49,34 +50,18 @@ def model_kind(kind, n, p):
 class GridSpec:
     """Abscissa layout and per-dataset scaling knobs for one dataset."""
 
-    length: int
-    lo: float
-    hi: float
-    i0_scale: float = 1.0
-    tau_scale: Optional[tuple] = None  # per-species strength multipliers
-    slit_halfwidth: Optional[float] = None  # defaults to 1% of the span
+    length: int = ruled(Rule(int, "an integer >= 2", lambda v: v >= 2))
+    lo: float = ruled(FINITE)
+    hi: float = ruled(FINITE)
+    i0_scale: float = ruled(Rule(float, "positive and finite", lambda v: 0.0 < v < np.inf),
+                            default=1.0)
+    tau_scale: Optional[tuple] = ruled(Vector(NONNEGATIVE_FINITE), default=None)  # per species
+    slit_halfwidth: Optional[float] = ruled(NONNEGATIVE_FINITE, default=None)  # 1% of the span
 
     def __post_init__(self):
-        if not isinstance(self.length, (int, np.integer)) or self.length < 2:
-            raise InvalidInputError(f"grid length must be an integer >= 2, got {self.length!r}")
-        if self.tau_scale is not None:
-            object.__setattr__(self, "tau_scale", tuple(self.tau_scale))
-        numbers = [("lo", self.lo), ("hi", self.hi), ("i0_scale", self.i0_scale)]
-        numbers += [("tau_scale", v) for v in self.tau_scale or ()]
-        if self.slit_halfwidth is not None:
-            numbers.append(("slit_halfwidth", self.slit_halfwidth))
-        for field, value in numbers:
-            # a bool is an int, which the range checks below would read as 0 or 1
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise InvalidInputError(f"grid {field!r} must be a number, got {value!r}")
-        if not -np.inf < self.lo < self.hi < np.inf:
-            raise InvalidInputError("grid needs finite lo < hi")
-        if not 0.0 < self.i0_scale < np.inf:
-            raise InvalidInputError("i0_scale must be positive and finite")
-        if not all(0.0 <= v < np.inf for v in self.tau_scale or ()):
-            raise InvalidInputError("tau_scale entries must be nonnegative and finite")
-        if self.slit_halfwidth is not None and not 0.0 <= self.slit_halfwidth < np.inf:
-            raise InvalidInputError("slit_halfwidth must be nonnegative and finite")
+        read_fields(self, "grid ")
+        if not self.lo < self.hi:
+            raise InvalidInputError(f"grid needs 'lo' < 'hi', got {self.lo} and {self.hi}")
 
 
 @dataclass(frozen=True)
@@ -84,17 +69,14 @@ class TruthSpec:
     """Ground truth and layout of one synthetic problem."""
 
     kind: str
-    alpha_true: np.ndarray
-    beta_true: tuple  # one length-n vector per dataset
+    alpha_true: np.ndarray = ruled(FINITE_VECTOR)
+    beta_true: tuple = ruled(Vector(FINITE_VECTOR))  # one length-n vector per dataset
     grids: tuple  # one GridSpec per dataset
-    snr: float = np.inf
-    seed: int = 0
+    snr: float = ruled(POSITIVE, default=np.inf)
+    seed: int = ruled(NONNEGATIVE_INT, default=0)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha_true", np.asarray(self.alpha_true, dtype=float))
-        object.__setattr__(
-            self, "beta_true", tuple(np.asarray(b, dtype=float) for b in self.beta_true)
-        )
+        read_fields(self)
         object.__setattr__(self, "grids", tuple(self.grids))
         if self.kind not in MODEL_KINDS:
             raise InvalidInputError(f"unknown model kind {self.kind!r}")
@@ -107,10 +89,6 @@ class TruthSpec:
             raise InvalidInputError("exponential model requires n == p")
         if any(g.tau_scale is not None and len(g.tau_scale) != self.p for g in self.grids):
             raise InvalidInputError(f"tau_scale must have one entry per species, p={self.p}")
-        if not self.snr > 0.0:
-            raise InvalidInputError("snr must be positive (or infinite)")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be a nonnegative integer, got {self.seed}")
 
     @property
     def s(self):
@@ -243,6 +221,7 @@ def regenerate_noise(spec, noise_seed):
     noise with an independent generator; useful for Monte-Carlo sweeps where
     the instrument setup stays fixed across realizations.
     """
+    noise_seed = read(noise_seed, "noise_seed", NONNEGATIVE_INT)
     exact = generate(replace(spec, snr=np.inf))
     rng = np.random.default_rng(noise_seed)
     noisy = [

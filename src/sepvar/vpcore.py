@@ -42,17 +42,17 @@ as a view of the stack this evaluation allocated, which the final linear
 solve and the diagnostics read.  Each block holds its dataset's own rows
 only (``MultiProblem.block_sizes``), and each basis matrix is the unpadded
 view.  An ``eval_km`` evaluation also keeps its groups' factors (with each
-GroupEval and its products dphi_l beta), so
-:func:`gl_from_km` gives the ``eval_gl`` evaluation at the same alpha with
-no basis evaluation or QR: both forms take beta from the same rows of
-Q1^T, so the products dphi_l beta the ``eval_km`` evaluation formed are
-``eval_gl``'s, and only dphi_l^T z is formed again (one convolved row per
-dataset for the Beer law); a ``vp-km`` fit's diagnostics use it.  Every
-product is computed dataset by dataset within the stack, so a group of
-equal-length datasets gives the results of each dataset alone; a padded
-dataset's match them to rounding.  The rank decisions, made on each
-dataset's unpadded rows, and the typed errors are those of the pivoted
-per-dataset ``thin_qr``.
+GroupEval and its products dphi_l beta), so :func:`gl_from_km` gives the
+``eval_gl`` evaluation at the same alpha with no basis evaluation or QR:
+both forms take beta from the same rows of Q1^T, so the products dphi_l
+beta the ``eval_km`` evaluation formed are ``eval_gl``'s, and only dphi_l^T
+z is formed again (one convolved row per dataset for the Beer law); a
+``vp-km`` fit's diagnostics use it.  Its z and beta are ``eval_gl``'s bit
+for bit, its J to rounding.  Every product is computed dataset by dataset
+within the stack, so a group of equal-length datasets gives the results of
+each dataset alone; a padded dataset's match them to rounding.  The rank
+decisions, made on each dataset's unpadded rows, and the typed errors are
+those of the pivoted per-dataset ``thin_qr``.
 
 The three residuals always share the same 2-norm; projectors are never
 materialized except inside ``eval_naive``, which is deliberately literal so
@@ -305,8 +305,8 @@ def _form_group(group, f, form):
     model's products: dphi_l beta for ``km``, and for ``gl`` dphi_l beta
     and dphi_l^T z from one ``ge.products`` call, or, when ``f`` holds the
     products an ``eval_km`` evaluation kept, dphi_l^T z alone.  Both forms
-    take beta from the same rows of Q1^T, so those kept products are the
-    ones ``eval_gl`` forms at the same alpha.
+    take beta from the same rows of Q1^T, so the kept products, z and beta
+    are ``eval_gl``'s bit for bit, and J (dphi_l^T z formed alone) to rounding.
     """
     r_inv, vt, t, ge = f.r_inv, f.vt, f.t, f.ge
     n = r_inv.shape[-1]
@@ -418,10 +418,10 @@ def eval_km(alpha, problem):
 
 def gl_from_km(red, problem):
     """The ``eval_gl`` evaluation at the alpha of the ``eval_km`` evaluation
-    ``red``, formed from the group factors it keeps: the bases are not
-    evaluated, nothing is factored again and the products dphi_l beta are
-    the kept ones, so only dphi_l^T z is formed; every result is the same
-    bit for bit as that of ``eval_gl``."""
+    ``red``, from the group factors it keeps: no basis is evaluated, nothing
+    is factored again and the kept products dphi_l beta are reused, so only
+    dphi_l^T z is formed.  z and beta are ``eval_gl``'s bit for bit, J to
+    rounding (dphi_l^T z formed alone; one species: 2.2e-15 of max |J|)."""
     if not red.factors:
         raise InvalidInputError("only an eval_km evaluation keeps its factors")
     return _reduce(problem, red.factors, FORM_GL)

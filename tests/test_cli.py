@@ -7,6 +7,8 @@ import numpy.testing as npt
 import pytest
 
 from sepvar import cli, synth
+from sepvar.inputs import from_json
+from sepvar.lm import LMConfig
 from sepvar.model import BeerAux, BeerLawModel, Dataset, ExpDecayModel
 from sepvar.vpcore import MultiProblem
 
@@ -189,6 +191,9 @@ MALFORMED = {
     "manifest-bool-mu_sun": lambda b: _edit_entry(b, mu_sun=True),
     "manifest-text-mu_sun": lambda b: _edit_entry(b, mu_sun="0.7"),
     "manifest-bool-slit_halfwidth": lambda b: _edit_entry(b, slit_halfwidth=True),
+    # a model needs a linear and a nonlinear parameter
+    "manifest-zero-n": lambda b: _edit_manifest(b, n=0),
+    "manifest-zero-p": lambda b: _edit_manifest(b, p=0),
 }
 
 # what the message must say besides the file name: the file line of the bad
@@ -206,6 +211,8 @@ MALFORMED_TEXT = {
     "manifest-bool-mu_sun": "'mu_sun' must be a number, got True",
     "manifest-text-mu_sun": "'mu_sun' must be a number, got '0.7'",
     "manifest-bool-slit_halfwidth": "'slit_halfwidth' must be a number, got True",
+    "manifest-zero-n": "'n' must be a positive integer, got 0",
+    "manifest-zero-p": "'p' must be a positive integer, got 0",
 }
 
 
@@ -328,6 +335,26 @@ CONFIG_ERRORS = {
     ),
     "frame-bool-strong_i0": ("generate", frame_config(soundings=1, strong_i0=True),
                              "'i0_scale' must be a number, got True"),
+    # zero sizes wrote a bundle of all-zero y (exp) or one that did not load
+    # (beer), and zero soundings failed without naming the key
+    "zero-n-and-p": ("generate", {**exp_config(), "n": 0, "p": 0, "alpha_true": [],
+                                  "beta_true": [[], []]},
+                     "'n' must be a positive integer, got 0"),
+    "beer-zero-p": ("generate", {**beer_config(), "p": 0, "alpha_true": []},
+                    "'p' must be a positive integer, got 0"),
+    "frame-zero-soundings": ("generate", frame_config(soundings=0),
+                             "'soundings' must be a positive integer, got 0"),
+    # JSON's NaN and Infinity are numbers: a NaN truth failed after the spec
+    # was built, a NaN bench alpha0 made every cell an error row, and a
+    # negative n_seeds wrote a header-only CSV
+    "nan-alpha_true": ("generate", {**exp_config(), "alpha_true": [float("nan"), 0.25]},
+                       "'alpha_true' must be finite, got nan"),
+    "inf-beta_true": ("generate", {**exp_config(), "beta_true": [[1.0, float("inf")]] * 2},
+                      "'beta_true' must be finite, got inf"),
+    "bench-nan-alpha0": ("bench", {**_bench(exp_config(s=2), 2), "alpha0": [float("nan"), 0.3]},
+                         "'alpha0' must be finite, got nan"),
+    "bench-negative-n_seeds": ("bench", {**_bench(exp_config(s=2), 2), "n_seeds": -1},
+                               "'n_seeds' must be a nonnegative integer, got -1"),
 }
 
 
@@ -381,6 +408,17 @@ class TestConfigErrors:
         assert type(spec.seed) is int and spec.seed == ref.seed
         assert spec.grids == ref.grids
         npt.assert_array_equal(np.stack(spec.beta_true), np.stack(ref.beta_true))
+
+    def test_record_blocks_read_json_integers(self):
+        """A grids entry, the frame lengths and the lm block are JSON too, so
+        their integer fields read 3.0 as 3."""
+        exp = cli.spec_from_config({**exp_config(), "grids": [
+            {"length": 40.0, "lo": 0.0, "hi": 4.0}, {"length": 45, "lo": 0.0, "hi": 4.0}]})
+        assert exp.grids == cli.spec_from_config(exp_config()).grids
+        frame = cli.spec_from_config(frame_config(soundings=1, strong_length=300.0))
+        assert frame.grids[0] == synth.GridSpec(300, 6180.0, 6280.0)
+        lm = from_json(LMConfig, {"max_iter": 7.0, "ftol": 1}, "lm")  # as cmd_bench reads it
+        assert type(lm.max_iter) is int and lm == LMConfig(max_iter=7, ftol=1.0)
 
     def test_snr_reads_a_number_or_infinity_text(self):
         """snr is a JSON number, an integer one too, or "inf"/"infinity" in
@@ -569,7 +607,8 @@ class TestFit:
     @pytest.mark.parametrize("alpha_true, text", [
         (["1.2", True], "'alpha_true' must be a number, got '1.2'"),
         ([1.2], "'alpha_true' must have length p=2"),
-    ], ids=["text-and-bool", "short"])
+        ([float("nan"), 0.25], "'alpha_true' must be finite, got nan"),
+    ], ids=["text-and-bool", "short", "nan"])
     def test_manifest_alpha_true_is_read_strictly(self, tmp_path, capsys, alpha_true, text):
         """The manifest's truth vector goes through the config float reader,
         before the fit: np.asarray(..., float) read "1.2" as 1.2 and true as

@@ -54,6 +54,8 @@ class TestConfigValidation:
             {"ftol": float("nan")},
             {"gtol": float("nan")},
             {"lambda0": float("nan")},
+            # a record's integer field takes an int only
+            {"max_iter": 2.0},
         ],
     )
     def test_bad_config_rejected(self, kwargs):

@@ -50,6 +50,17 @@ class TestDataset:
         with pytest.raises(InvalidInputError):
             BeerAux(mu_sun=1.5, i0=[1.0, 1.0], tau=np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("field, value, text", [
+        ("mu_sun", True, "a number, got True"), ("mu_sun", "0.7", "a number, got '0.7'"),
+        ("mu_sun", 0.0, r"in \(0, 1\], got 0.0"), ("slit_halfwidth", True, "a number, got True"),
+        ("slit_halfwidth", -0.5, "nonnegative and finite, got -0.5"),
+    ])
+    def test_bad_beer_aux_scalar_rejected(self, field, value, text):
+        """mu_sun=True was read as 1.0 and "0.7" raised an untyped TypeError."""
+        fields = {"mu_sun": 0.5, "i0": [1.0, 1.0], "tau": np.zeros((2, 1)), field: value}
+        with pytest.raises(InvalidInputError, match=f"'{field}' must be {text}"):
+            BeerAux(**fields)
+
     @pytest.mark.parametrize("t, y", [([0.0, np.nan], [1.0, 1.0]), ([0.0, 1.0], [np.nan, 1.0]),
                                       ([0.0, np.inf], [1.0, 1.0]), ([0.0, 1.0], [1.0, -np.inf])])
     def test_non_finite_data_rejected(self, t, y):

@@ -86,8 +86,36 @@ class TestSpecValidation:
     def test_negative_seed_rejected(self):
         """numpy's generators take no negative seed, so generate would raise
         an untyped ValueError."""
-        with pytest.raises(InvalidInputError, match="seed must be a nonnegative integer"):
+        with pytest.raises(InvalidInputError,
+                           match="'seed' must be a nonnegative integer, got -1"):
             beer_spec(seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3"])
+    def test_seed_is_a_python_integer(self, seed):
+        """A record's integer field takes an int only: numpy failed on 1.5
+        inside generate, and True ran as seed 1."""
+        with pytest.raises(InvalidInputError, match=f"'seed' must be an integer, got {seed!r}"):
+            beer_spec(seed=seed)
+
+    @pytest.mark.parametrize("truth", [{"alpha_true": [np.nan, 1.0]},
+                                       {"beta_true": ([1.0, np.inf, 0.0],) * 2}])
+    def test_non_finite_truth_rejected(self, truth):
+        """A NaN truth failed only in generate's model evaluation."""
+        key = next(iter(truth))
+        with pytest.raises(InvalidInputError, match=f"'{key}' must be finite"):
+            replace(beer_spec(), **truth)
+
+
+class TestRegenerateNoiseSeed:
+    @pytest.mark.parametrize("noise_seed, text", [
+        (-1, "a nonnegative integer, got -1"), (1.5, "an integer, got 1.5"),
+        (True, "an integer, got True"),
+    ])
+    def test_bad_noise_seed_rejected(self, noise_seed, text):
+        """numpy raised an untyped ValueError for -1 and TypeError for 1.5,
+        and ran True as seed 1."""
+        with pytest.raises(InvalidInputError, match=f"'noise_seed' must be {text}"):
+            regenerate_noise(beer_spec(snr=100.0), noise_seed)
 
 
 class TestTauProfiles:

@@ -205,20 +205,33 @@ class TestGroupedKernel:
             for i, k in enumerate(group.index):
                 assert np.shares_memory(red.phis[k], f.ge.phi[i])
 
-    @pytest.mark.parametrize("kind", ["exp", "frame"])
+    @pytest.mark.parametrize("kind", ["exp", "frame", "beer-p1"])
     def test_gl_from_km_factors_is_eval_gl(self, kind, rng):
+        """z and beta bit for bit, J to rounding.  With one species, forming
+        dphi_l^T z alone rounds otherwise than forming it with dphi_l beta:
+        on one n = p = 1 dataset of 40 points under an 8-point slit, J
+        differed by 2.2e-15 of max |J| (p = 2 and 3 there were bit-equal)."""
         if kind == "exp":
             prob, _ = make_exp_problem(rng, s=3, snr=50.0, seed=51)
             alpha = np.array([1.0, 0.3])
-        else:
+        elif kind == "frame":
             prob, alpha = frame_problem(soundings=3), np.array([1.1, 0.9])
+        else:
+            spec = sv.TruthSpec(kind="beer", alpha_true=[1.0], beta_true=([1.0],),
+                                grids=(sv.GridSpec(40, 0.0, 39.0, slit_halfwidth=8),),
+                                snr=200.0, seed=3)
+            prob, alpha = sv.generate(spec), np.array([1.1])
         km = eval_km(alpha, prob)
         assert len(km.factors) == len(prob.groups)
         derived = gl_from_km(km, prob)
         fresh = eval_gl(alpha, prob)
         assert not fresh.factors and not derived.factors
         assert np.array_equal(derived.z, fresh.z)
-        assert np.array_equal(derived.jac, fresh.jac)
+        if kind == "beer-p1":
+            bound = 64 * np.finfo(float).eps * np.abs(fresh.jac).max()
+            assert np.abs(derived.jac - fresh.jac).max() <= bound
+        else:
+            assert np.array_equal(derived.jac, fresh.jac)
         assert derived.block_sizes == fresh.block_sizes
         for a, b in zip(derived.betas, fresh.betas):
             assert np.array_equal(a, b)

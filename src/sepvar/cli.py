@@ -26,7 +26,7 @@ import numpy as np
 from . import stats, synth
 from .exceptions import InvalidInputError, SepvarError
 from .inputs import (FINITE_VECTOR, NONNEGATIVE_FINITE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT,
-                     Rule, Vector, from_json, json_int, read)
+                     Rule, Vector, from_json, json_int, json_object, listed, read)
 from .lm import LMConfig
 from .model import MU_SUN, BeerAux, Dataset
 from .solver import METHODS, SolverConfig, fit
@@ -117,11 +117,12 @@ def spec_from_config(cfg):
             raise InvalidInputError(f"'alpha_true' must have length p={p}")
         if "frame" in cfg:
             frame = {k: json_int(v) if k.endswith("_length") else v  # GridSpec lengths
-                     for k, v in dict(cfg["frame"]).items()}
+                     for k, v in json_object(cfg["frame"], "frame").items()}
             soundings = read(frame.pop("soundings", 8), "soundings", POSITIVE_INT, json=True)
             grids = synth.frame_grids(n_soundings=soundings, **frame)
         else:
-            grids = tuple(from_json(synth.GridSpec, entry, "grids") for entry in cfg["grids"])
+            grids = tuple(from_json(synth.GridSpec, entry, "grids")
+                          for entry in listed(cfg["grids"], "grids"))
         beta_true = cfg["beta_true"] if "beta_true" in cfg else (
             np.random.default_rng(seed + 1).uniform(0.5, 1.5, size=(len(grids), n)))
         return synth.TruthSpec(
@@ -247,7 +248,8 @@ def load_bundle(bundle_dir):
             ),
             model=model,
         )
-        truth = manifest.get("truth") or {}
+        truth = manifest.get("truth")
+        truth = {} if truth is None else json_object(truth, "truth")
         if truth.get("alpha_true") is not None:  # the record's relative errors read it
             truth["alpha_true"] = read(truth["alpha_true"], "alpha_true", FINITE_VECTOR, json=True)
             if truth["alpha_true"].size != p:

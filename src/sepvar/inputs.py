@@ -50,18 +50,28 @@ def json_int(value):
     return int(value) if type(value) is float and value.is_integer() else value
 
 
+def listed(value, key, label=""):
+    """``value`` if it is a list, a tuple or an array of at least one axis."""
+    if not (isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim):
+        raise InvalidInputError(f"{label}{key!r} must be a list, got {value!r}")
+    return value
+
+
 def read(value, key, rule, json=False, label=""):
     """``value`` read by ``rule``; an error names ``key``, prefixed by ``label``."""
     if isinstance(rule, Vector):
-        if not (isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim):
-            raise InvalidInputError(f"{label}{key!r} must be a list, got {value!r}")
-        return rule.make([read(v, key, rule.entry, json, label) for v in value])
+        entries = listed(value, key, label)
+        return rule.make([read(v, key, rule.entry, json, label) for v in entries])
     kind, text, test = rule
     value = json_int(value) if json and kind is int else value
     if isinstance(value, bool) or not isinstance(value, Integral if kind is int else Real):
         what = "an integer" if kind is int else "a number"
         raise InvalidInputError(f"{label}{key!r} must be {what}, got {value!r}")
-    value = kind(value)
+    try:
+        value = kind(value)
+    except OverflowError:  # an integer too large for a float is out of every range
+        raise InvalidInputError(
+            f"{label}{key!r} must be {text}, got an integer too large for a float") from None
     if test is not None and not test(value):
         raise InvalidInputError(f"{label}{key!r} must be {text}, got {value!r}")
     return value
@@ -86,9 +96,15 @@ def read_fields(record, label=""):
             object.__setattr__(record, name, read(value, name, rule, label=label))
 
 
-def from_json(cls, block, key):
-    """``cls(**block)`` of the JSON object under ``key``, by the JSON integer rule."""
+def json_object(block, key):
+    """``block`` if it is a JSON object (a dict)."""
     if not isinstance(block, dict):
         raise InvalidInputError(f"{key!r} must be a JSON object, got {block!r}")
+    return block
+
+
+def from_json(cls, block, key):
+    """``cls(**block)`` of the JSON object under ``key``, by the JSON integer rule."""
+    json_object(block, key)
     ints = {name for name, rule, _ in _rules(cls) if getattr(rule, "kind", None) is int}
     return cls(**{k: json_int(v) if k in ints else v for k, v in block.items()})

@@ -12,27 +12,28 @@ says which datasets may share a group (what the batched arithmetic needs,
 not the grid), ``prepare_group`` builds what an evaluation of a group reads
 that does not depend on alpha, once per group, and ``eval_group(alpha,
 group)`` checks alpha (its length, then that it is finite) and returns a
-:class:`GroupEval`: the bases, computed with the grid axis last,
-and the model's products kernel, which forms the derivatives only as
-products dphi_l beta and dphi_l^T z (Kaufman 1975; O'Leary & Rust 2013),
-all the reduced path reads of them.  The dense derivatives of ``eval``, the
-reference paths and the tests are the products with the n unit vectors, so
-one kernel gives both.  :class:`ExpDecayModel` keys a dataset by the
-power-of-two bucket of its length, and its :class:`ExpGroup` holds the
-abscissae padded with zero rows to the group's longest dataset; its
-products are closed forms.  :class:`BeerLawModel` keys a dataset by its
-length and its slit's tap count; each dataset keeps its own grid,
-auxiliaries and slit kernel, and its :class:`BeerGroup` holds the checked
-auxiliaries, each dataset's powers of nu, -tau and mu_sun * I0, and its
-slit Toeplitz blocks with the buffer of the chunked convolution.
+:class:`GroupEval`: the bases, computed with the grid axis last, and the
+model's two derivative kernels, which form the derivatives only as the
+products dphi_l beta (``dphi_beta``) and dphi_l^T z (``dphi_t``) (Kaufman
+1975; O'Leary & Rust 2013), all the reduced path reads of them.  The dense
+derivatives of ``eval``, the reference paths and the tests are the
+products with the n unit vectors, so one kernel gives both.
+:class:`ExpDecayModel` keys a dataset by the power-of-two bucket of its
+length, and its :class:`ExpGroup` holds the abscissae padded with zero rows
+to the group's longest dataset; its products are closed forms.
+:class:`BeerLawModel` keys a dataset by its length and its slit's tap
+count; each dataset keeps its own grid, auxiliaries and slit kernel, and
+its :class:`BeerGroup` holds the checked auxiliaries, each dataset's powers
+of nu, -tau and mu_sun * I0, and its slit Toeplitz blocks with the buffer
+of the chunked convolution.
 Per-dataset inputs that are the same bit for bit in every dataset of a
 group are one broadcast view, so a group on one grid stores them once.  The
 Beer law writes the rows of CHUNK datasets at a time straight into the
 group's buffer, fills the reflected tails by slice copies and convolves the
 chunk by two stacked matrix products, which BLAS carries out one dataset at
 a time with that dataset's own Toeplitz blocks (:func:`convolve_reflect`
-shares this kernel).  An evaluation convolves the n rows of the bases; a
-products call convolves the p rows of dphi_l beta and, for dphi_l^T z, the
+shares this kernel).  An evaluation convolves the n rows of the bases,
+``dphi_beta`` the p rows of dphi_l beta of each vector and ``dphi_t`` the
 row of z (the reflect-padded convolution is symmetric, so K^T z is K z).
 Because the buffer is reused, one group's inputs serve one thread at a
 time.  The bases, the products and the dense derivatives are fresh arrays
@@ -53,10 +54,10 @@ from .inputs import NONNEGATIVE_FINITE, Rule, read_fields, ruled
 EXP_OVERFLOW_LIMIT = 700.0  # exp() overflows double precision just above this
 # Datasets reflected and convolved together in one padded buffer, which
 # then does not grow with the group (about 0.25 MB on the frame grids for
-# the three rows of a basis or of a products call).  One s = 64 frame fit
-# plus diagnostics, median of 40 interleaved rounds with OpenBLAS on one
-# thread: vp-gl 29.5 ms and vp-km 29.8 ms with chunks of 4, 28.7 and
-# 27.2 ms with 12; 8 and 16 were slower than 12.
+# the three rows of a basis).  One s = 64 frame fit plus diagnostics, median
+# of 40 interleaved rounds with OpenBLAS on one thread: vp-gl 29.5 ms and
+# vp-km 29.8 ms with chunks of 4, 28.7 and 27.2 ms with 12; 8 and 16 were
+# slower than 12.
 CHUNK = 12
 MU_SUN = Rule(float, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
@@ -143,7 +144,7 @@ class BasisEval:
 
 @dataclass(frozen=True, eq=False)
 class GroupEval:
-    """Bases of the datasets of one group, grid axis last, with the kernel
+    """Bases of the datasets of one group, grid axis last, with the kernels
     of their derivative products.
 
     ``phi`` has shape g x n x m, m the length of the group's longest
@@ -152,29 +153,21 @@ class GroupEval:
     phi[i, :, :m_i].T is its basis matrix.  Entries past m_i are zero.
 
     The derivatives are read through products, which is all that the
-    reduced path needs (Kaufman 1975; O'Leary & Rust 2013): ``products``
-    is each model's one kernel, ``dphi_beta`` and ``dphi_t`` read one of
-    its two results, and ``dphi`` is the dense g x p x n x m stack, the
-    products with the n unit vectors.
+    reduced path needs (Kaufman 1975; O'Leary & Rust 2013): each model
+    gives ``dphi_beta`` and ``dphi_t``, one product each, and ``dphi`` is
+    the dense g x p x n x m stack, the products with the n unit vectors.
     """
 
     phi: np.ndarray
 
-    def products(self, betas, z=None):
-        """(u, v) for k vectors per dataset, betas (g x k x n): u[i, j, l]
-        is dphi_l betas[i, j] of dataset i (u is g x k x p x m), and, when
-        z (g x m) is given, v[i, l] is dphi_l^T z[i] (v is g x p x n, else
-        None)."""
+    def dphi_beta(self, betas):
+        """dphi_l betas[i, j] of dataset i for k vectors per dataset,
+        g x k x p x m, for betas g x k x n."""
         raise NotImplementedError
 
-    def dphi_beta(self, beta):
-        """dphi_l beta_i of each dataset i, g x p x m, for beta g x n."""
-        return self.products(beta[:, None])[0][:, 0]
-
     def dphi_t(self, z):
-        """dphi_l^T z_i of each dataset i, g x p x n, for z g x m."""
-        g, n, _ = self.phi.shape
-        return self.products(np.empty((g, 0, n)), z)[1]
+        """dphi_l^T z[i] of each dataset i, g x p x n, for z g x m."""
+        raise NotImplementedError
 
     @cached_property
     def dphi(self):
@@ -183,7 +176,7 @@ class GroupEval:
         vector e_j.  The reduced path never reads it."""
         g, n, _ = self.phi.shape
         units = np.broadcast_to(np.eye(n), (g, n, n))
-        return self.products(units)[0].transpose(0, 2, 1, 3)
+        return self.dphi_beta(units).transpose(0, 2, 1, 3)
 
     def basis(self, i, m=None):
         """The BasisEval of the group's i-th dataset, of length ``m`` (by
@@ -245,20 +238,26 @@ class ExpGroupEval(GroupEval):
 
     neg_t: np.ndarray  # g x m
 
-    def products(self, betas, z=None):
-        """Closed form: dphi_l is zero but for its row l, -t * phi_l, so
-        dphi_l beta is beta_l (-t * phi_l) and dphi_l^T z is zero but for
-        its entry l, (-t * phi_l) . z."""
-        d = self.neg_t[:, None, :] * self.phi  # row l: dphi_l's only nonzero row
+    @cached_property
+    def dphi_rows(self):
+        """-t * phi, g x n x m: dphi_l is zero but for its row l, -t * phi_l,
+        which is row l here, formed once per evaluation."""
+        return self.neg_t[:, None, :] * self.phi
+
+    def dphi_beta(self, betas):
+        """Closed form: dphi_l beta is beta_l (-t * phi_l)."""
         # + 0.0 turns -0.0 into the +0.0 that the sum over the zero rows gave
-        u = betas[..., None] * d[:, None] + 0.0
-        if z is None:
-            return u, None
+        return betas[..., None] * self.dphi_rows[:, None] + 0.0
+
+    def dphi_t(self, z):
+        """Closed form: dphi_l^T z is zero but for its entry l,
+        (-t * phi_l) . z."""
+        d = self.dphi_rows
         g, n, _ = d.shape
         v = np.zeros((g, n, n))
         # one n x m matrix-vector product per dataset, the shape of dphi_l z
         v.reshape(g, n * n)[:, :: n + 1] = (d @ z[:, :, None])[:, :, 0]
-        return u, v
+        return v
 
 
 def _half_taps(spacing, halfwidth):
@@ -431,6 +430,16 @@ class BeerGroup:
     scale: np.ndarray
     slit: Optional[SlitConvolution]
 
+    def convolve(self, fill, out):
+        """``out`` (g x ... x m) holding the rows that ``fill(rows, dest)``
+        writes for the datasets in slice ``rows``, convolved with each
+        dataset's slit (:meth:`SlitConvolution.apply`); a delta slit fills
+        ``out`` directly."""
+        if self.slit is None:
+            fill(slice(None), out)
+            return out
+        return self.slit.apply(fill, out)
+
 
 @dataclass(frozen=True, eq=False)
 class BeerGroupEval(GroupEval):
@@ -440,39 +449,32 @@ class BeerGroupEval(GroupEval):
     group: BeerGroup
     base: np.ndarray  # g x m
 
-    def products(self, betas, z=None):
-        """dphi_l beta = K(-tau_l * b * V beta) and
-        dphi_l^T z = V^T (-tau_l * b * K^T z), V the powers of nu and K the
-        slit convolution, reflect padding included.  K^T is K: a symmetric
-        kernel (every :func:`gaussian_kernel` is) on the half-sample
-        reflection of the padding gives a symmetric matrix, also where the
-        reflection repeats.  So K^T z is one more reflected row, and the p
-        rows of each vector of betas and the row of z go through one
-        convolution call.  For a unit vector e_j, V e_j is nu^j exactly, so
-        the products are the convolved rows -tau_l * (b * nu^j), the dense
-        derivative."""
+    def dphi_beta(self, betas):
+        """dphi_l beta = K(-tau_l * b * V beta), V the powers of nu and K
+        the slit convolution, reflect padding included: the p rows of each
+        vector go through one convolution call.  For a unit vector e_j,
+        V e_j is nu^j exactly, so the products are the convolved rows
+        -tau_l * (b * nu^j), the dense derivative."""
         group = self.group
         g, k, _ = betas.shape
-        p, m = group.neg_tau.shape[1:]
         w = betas @ group.powers  # g x k x m
         w *= self.base[:, None]
-        rows = np.empty((g, k * p + (z is not None), m))
 
-        def fill(sel, dest):
-            part = dest[:, : k * p].reshape(len(dest), k, p, m)
-            np.multiply(group.neg_tau[sel, None], w[sel, :, None], out=part)
-            if z is not None:
-                dest[:, -1] = z[sel]
+        def fill(rows, dest):
+            np.multiply(group.neg_tau[rows, None], w[rows, :, None], out=dest)
 
-        if group.slit is None:
-            fill(slice(None), rows)
-        else:
-            group.slit.apply(fill, rows)
-        u = rows[:, : k * p].reshape(g, k, p, m)
-        if z is None:
-            return u, None
-        bkz = rows[:, -1] * self.base  # b * K^T z
-        return u, (group.neg_tau * bkz[:, None]) @ group.powers.transpose(0, 2, 1)
+        return group.convolve(fill, np.empty((g, k) + group.neg_tau.shape[1:]))
+
+    def dphi_t(self, z):
+        """dphi_l^T z = V^T (-tau_l * b * K^T z).  K^T is K: a symmetric
+        kernel (every :func:`gaussian_kernel` is) on the half-sample
+        reflection of the padding gives a symmetric matrix, also where the
+        reflection repeats.  So K^T z is z convolved, in a call of its
+        own."""
+        group = self.group
+        bkz = group.convolve(lambda rows, dest: np.copyto(dest, z[rows]), np.empty(z.shape))
+        bkz *= self.base  # b * K^T z
+        return (group.neg_tau * bkz[:, None]) @ group.powers.transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -598,9 +600,4 @@ class BeerLawModel:
         def fill(rows, dest):
             np.multiply(base[rows, None, :], powers[rows], out=dest)
 
-        phi = np.empty(group.shape)
-        if group.slit is None:
-            fill(slice(None), phi)
-        else:
-            group.slit.apply(fill, phi)
-        return BeerGroupEval(phi, group, base)
+        return BeerGroupEval(group.convolve(fill, np.empty(group.shape)), group, base)

@@ -29,7 +29,8 @@ diagnostics never evaluate the bases: a ``vp-gl`` or ``nls-full`` fit holds
 the ``eval_gl`` evaluation itself, a ``vp-naive`` fit the literal
 ``eval_naive`` one, and a ``vp-km`` fit an ``eval_km`` evaluation whose kept
 factors and products give the GL form without evaluating the bases or
-factoring again (``vpcore.gl_from_km``, which forms only dphi_l^T z).
+factoring again (``vpcore.gl_from_km``, which forms only dphi_l^T z and
+is the ``eval_gl`` evaluation bit for bit).
 ``build_H`` and ``covariance`` are the dense reference of the same
 quantities; ``build_H`` evaluates everything afresh at alpha_hat.
 """

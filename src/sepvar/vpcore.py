@@ -31,12 +31,12 @@ parameters and the projected residual unchanged in exact arithmetic, and
 the padded rows of the Householder vectors, residuals and Jacobian blocks
 come out zero.  The form step turns these into the linear parameters,
 residuals and Jacobian blocks of the ``gl`` or ``km`` form by batched
-products.  It reads the derivatives only through the model's products
-(``GroupEval.products``): dphi_l beta for ``km``, and dphi_l beta with
-dphi_l^T z, from one call, for ``gl``; the dense derivatives never enter
-the reduced path.  A non-finite product raises the typed error of a
-non-finite basis evaluation.  Every evaluation
-is a plain :class:`ReducedEval` record, filled as its groups are formed:
+products.  It reads the derivatives only through the model's two product
+kernels: dphi_l beta (``GroupEval.dphi_beta``) for both forms, and dphi_l^T
+z (``GroupEval.dphi_t``), in a call of its own, for ``gl``; the dense
+derivatives never enter the reduced path.  A non-finite product raises the
+typed error of a non-finite basis evaluation.  Every evaluation is a plain
+:class:`ReducedEval` record, filled as its groups are formed:
 residual, Jacobian, each dataset's linear parameters and its basis matrix
 as a view of the stack this evaluation allocated, which the final linear
 solve and the diagnostics read.  Each block holds its dataset's own rows
@@ -46,9 +46,9 @@ GroupEval and its products dphi_l beta), so :func:`gl_from_km` gives the
 ``eval_gl`` evaluation at the same alpha with no basis evaluation or QR:
 both forms take beta from the same rows of Q1^T, so the products dphi_l
 beta the ``eval_km`` evaluation formed are ``eval_gl``'s, and only dphi_l^T
-z is formed again (one convolved row per dataset for the Beer law); a
-``vp-km`` fit's diagnostics use it.  Its z and beta are ``eval_gl``'s bit
-for bit, its J to rounding.  Every product is computed dataset by dataset
+z is formed, by the same call as in ``eval_gl`` (one convolved row per
+dataset for the Beer law); a ``vp-km`` fit's diagnostics use it.  It is
+``eval_gl`` bit for bit.  Every product is computed dataset by dataset
 within the stack, so a group of equal-length datasets gives the results of
 each dataset alone; a padded dataset's match them to rounding.  The rank
 decisions, made on each dataset's unpadded rows, and the typed errors are
@@ -188,11 +188,10 @@ class MultiProblem:
 @dataclass(frozen=True)
 class GroupFactors:
     """One group's basis evaluation and its stacked QR in compact WY form,
-    Q = I - V T V^T (see :func:`_wy`), with R the leading n x n block and
-    its inverse; an ``eval_km`` evaluation adds its derivative products."""
+    Q = I - V T V^T (see :func:`_wy`), with the inverse of R, the leading
+    n x n block; an ``eval_km`` evaluation adds its derivative products."""
 
     ge: object  # the model's GroupEval
-    r: np.ndarray  # g x n x n
     r_inv: np.ndarray  # g x n x n
     vt: np.ndarray  # g x n x m
     t: np.ndarray  # g x n x n
@@ -291,7 +290,7 @@ def _factor_group(alpha, problem, group):
     if r_inv is None:
         raise RankDeficiencyError("a basis matrix of the group has a singular R factor")
     vt, t = _wy(h, tau)
-    return GroupFactors(ge, r, r_inv, vt, t)
+    return GroupFactors(ge, r_inv, vt, t)
 
 
 def _form_group(group, f, form):
@@ -302,11 +301,11 @@ def _form_group(group, f, form):
     jac g x p x rows, beta g x n and u the products dphi_l beta (g x p x m).
     Dataset i's block is its first m_i (``gl``) or m_i - n (``km``) rows;
     the rows past it are zero.  The derivatives enter only through the
-    model's products: dphi_l beta for ``km``, and for ``gl`` dphi_l beta
-    and dphi_l^T z from one ``ge.products`` call, or, when ``f`` holds the
-    products an ``eval_km`` evaluation kept, dphi_l^T z alone.  Both forms
-    take beta from the same rows of Q1^T, so the kept products, z and beta
-    are ``eval_gl``'s bit for bit, and J (dphi_l^T z formed alone) to rounding.
+    model's products: dphi_l beta (``ge.dphi_beta``, or the products an
+    ``eval_km`` evaluation kept in ``f``) for both forms, and dphi_l^T z
+    (``ge.dphi_t``) for ``gl``.  Both forms take beta from the same rows of
+    Q1^T, so the kept products are ``eval_gl``'s, and a ``gl`` form from
+    them is ``eval_gl``'s bit for bit.
     """
     r_inv, vt, t, ge = f.r_inv, f.vt, f.t, f.ge
     n = r_inv.shape[-1]
@@ -316,13 +315,10 @@ def _form_group(group, f, form):
     q1t.reshape(len(y), -1)[:, :: y.shape[1] + 1] += 1.0  # the diagonal
     w = (q1t @ y[:, :, None])[:, :, 0]
     beta = (r_inv @ w[:, :, None])[:, :, 0]
+    u = ge.dphi_beta(beta[:, None])[:, 0] if f.u is None else f.u  # g x p x m
     if form == FORM_GL:
         z = y - (w[:, None, :] @ q1t)[:, 0]
-        if f.u is None:
-            u, v = ge.products(beta[:, None], z)  # dphi_l beta and dphi_l^T z
-            u = u[:, 0]  # g x p x m; v is g x p x n
-        else:
-            u, v = f.u, ge.dphi_t(z)
+        v = ge.dphi_t(z)  # g x p x n
         # P_perp u + pinv^T v == u + Q1 (R^-T v - Q1^T u), one row per l;
         # its negative, formed as (Q1^T u - R^-T v) Q1^T - u, rounds the same
         jac = (u @ q1t.transpose(0, 2, 1) - v @ r_inv) @ q1t
@@ -333,7 +329,7 @@ def _form_group(group, f, form):
             return c - ((c @ vt.transpose(0, 2, 1)) @ t) @ vt
 
         z = qt(y[:, None, :])[:, 0, n:]
-        u, v = ge.dphi_beta(beta), None
+        v = None
         jac = -qt(u)[:, :, n:]
     # a non-finite product makes its rows of jac non-finite; jac can also
     # overflow from finite products, which the engine's own check reports
@@ -420,8 +416,8 @@ def gl_from_km(red, problem):
     """The ``eval_gl`` evaluation at the alpha of the ``eval_km`` evaluation
     ``red``, from the group factors it keeps: no basis is evaluated, nothing
     is factored again and the kept products dphi_l beta are reused, so only
-    dphi_l^T z is formed.  z and beta are ``eval_gl``'s bit for bit, J to
-    rounding (dphi_l^T z formed alone; one species: 2.2e-15 of max |J|)."""
+    dphi_l^T z is formed, by the call ``eval_gl`` makes.  The result is
+    ``eval_gl``'s bit for bit."""
     if not red.factors:
         raise InvalidInputError("only an eval_km evaluation keeps its factors")
     return _reduce(problem, red.factors, FORM_GL)

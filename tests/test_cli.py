@@ -7,7 +7,8 @@ import numpy.testing as npt
 import pytest
 
 from sepvar import cli, synth
-from sepvar.inputs import from_json
+from sepvar.exceptions import InvalidInputError
+from sepvar.inputs import FINITE, from_json, read
 from sepvar.lm import LMConfig
 from sepvar.model import BeerAux, BeerLawModel, Dataset, ExpDecayModel
 from sepvar.vpcore import MultiProblem
@@ -355,6 +356,15 @@ CONFIG_ERRORS = {
                          "'alpha0' must be finite, got nan"),
     "bench-negative-n_seeds": ("bench", {**_bench(exp_config(s=2), 2), "n_seeds": -1},
                                "'n_seeds' must be a nonnegative integer, got -1"),
+    # a JSON integer too large for a float raised OverflowError (exit 1), and
+    # blocks of the wrong type raised a TypeError that named no key
+    "grid-huge-hi": ("generate", {**exp_config(), "grids": [{"length": 40, "lo": 0.0,
+                                                             "hi": 10**400}] * 2},
+                     "'hi' must be finite, got an integer too large for a float"),
+    "grids-not-a-list": ("generate", {**exp_config(), "grids": 3},
+                         "'grids' must be a list, got 3"),
+    "frame-not-an-object": ("generate", {**frame_config(), "frame": 3},
+                            "'frame' must be a JSON object, got 3"),
 }
 
 
@@ -419,6 +429,12 @@ class TestConfigErrors:
         assert frame.grids[0] == synth.GridSpec(300, 6180.0, 6280.0)
         lm = from_json(LMConfig, {"max_iter": 7.0, "ftol": 1}, "lm")  # as cmd_bench reads it
         assert type(lm.max_iter) is int and lm == LMConfig(max_iter=7, ftol=1.0)
+
+    def test_huge_integer_is_out_of_range(self):
+        """An integer too large for a float is refused by its rule's range,
+        not by float()'s OverflowError."""
+        with pytest.raises(InvalidInputError, match="'hi' must be finite"):
+            read(10**400, "hi", FINITE, json=True)
 
     def test_snr_reads_a_number_or_infinity_text(self):
         """snr is a JSON number, an integer one too, or "inf"/"infinity" in
@@ -626,6 +642,23 @@ class TestFit:
                        "--out", str(out)])
         assert rc == 2
         assert text in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_truth_is_an_object(self, tmp_path, capsys):
+        """A manifest truth that is not a JSON object is a usage error that
+        names it; a list of it raised an AttributeError (exit 1)."""
+        cfg = write_config(tmp_path / "cfg.json", exp_config())
+        bundle = tmp_path / "bundle"
+        cli.main(["generate", "--config", cfg, "--out", str(bundle)])
+        manifest_path = bundle / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["truth"] = [manifest["truth"]]
+        manifest_path.write_text(json.dumps(manifest))
+        out = tmp_path / "o.json"
+        rc = cli.main(["fit", str(bundle), "--method", "vp-gl", "--alpha0", "1.0,0.3",
+                       "--out", str(out)])
+        assert rc == 2
+        assert "'truth' must be a JSON object" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_truth_has_no_relative_errors(self, tmp_path):

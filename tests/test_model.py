@@ -305,13 +305,13 @@ class TestDerivativeProducts:
 
     def test_products_are_adjoint(self, rng):
         """<dphi_l beta, z> = <beta, dphi_l^T z> for every dataset, from one
-        products call per group."""
+        dphi_beta and one dphi_t call per group."""
         alpha = np.array([1.1, 0.9])
         for model, datasets in slit_groups(rng):
             ge = model.eval_group(alpha, model.prepare_group(datasets))
             g, n, m = ge.phi.shape
             beta, z = rng.normal(size=(g, n)), rng.normal(size=(g, m))
-            u, v = ge.products(beta[:, None], z)
+            u, v = ge.dphi_beta(beta[:, None]), ge.dphi_t(z)
             lhs = np.einsum("glm,gm->gl", u[:, 0], z)
             rhs = np.einsum("gln,gn->gl", v, beta)
             scale = np.linalg.norm(u[:, 0], axis=-1) * np.linalg.norm(z, axis=-1)[:, None]
@@ -334,14 +334,15 @@ class TestDerivativeProducts:
             for i, ds in enumerate(datasets):
                 z[i, ds.m:] = 0.0
             dense = ge.dphi  # g x p x n x m
-            for got, want in [(ge.dphi_beta(beta), np.einsum("glnm,gn->glm", dense, beta)),
+            for got, want in [(ge.dphi_beta(beta[:, None])[:, 0],
+                               np.einsum("glnm,gn->glm", dense, beta)),
                               (ge.dphi_t(z), np.einsum("glnm,gm->gln", dense, z))]:
                 assert got.shape == want.shape
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_dense_derivatives_are_unit_vector_products(self, rng):
-        """GroupEval.dphi is the products kernel applied to e_1, ..., e_n,
-        bit for bit, in each dataset's slice."""
+        """GroupEval.dphi is dphi_beta applied to e_1, ..., e_n, bit for
+        bit, in each dataset's slice."""
         alpha = np.array([1.1, 0.9])
         for model, datasets in slit_groups(rng):
             ge = model.eval_group(alpha, model.prepare_group(datasets))
@@ -349,7 +350,7 @@ class TestDerivativeProducts:
             for j in range(n):
                 unit = np.zeros((g, 1, n))
                 unit[:, 0, j] = 1.0
-                u, _ = ge.products(unit)
+                u = ge.dphi_beta(unit)
                 assert np.array_equal(u[:, 0], ge.dphi[:, :, j])
 
 

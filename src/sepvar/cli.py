@@ -26,7 +26,7 @@ import numpy as np
 from . import stats, synth
 from .exceptions import InvalidInputError, SepvarError
 from .inputs import (FINITE_VECTOR, NONNEGATIVE_FINITE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT,
-                     Rule, Vector, from_json, json_int, json_object, listed, read)
+                     Rule, Vector, from_json, json_int, json_object, json_text, listed, read)
 from .lm import LMConfig
 from .model import MU_SUN, BeerAux, Dataset
 from .solver import METHODS, SolverConfig, fit
@@ -187,8 +187,9 @@ def _bad_line(body, width):
     return None
 
 
-def _load_dataset(path, entry, kind, names):
+def _load_dataset(bundle, entry, kind, names):
     """One dataset from its CSV; the columns ``names`` are picked by header name."""
+    path = bundle / json_text(entry["file"], "file")
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
@@ -213,14 +214,16 @@ def _load_dataset(path, entry, kind, names):
             f"expected {m} of {len(header)}"
         )
     t, y, *extra = data[:, [header.index(name) for name in names]].T.copy()
-    if kind == synth.KIND_BEER:  # read outside the try below, so that an error names the manifest
+    # read outside the try below, so that an error names the manifest
+    ds_id = json_text(entry["id"], "id")
+    if kind == synth.KIND_BEER:
         mu_sun = read(entry["mu_sun"], "mu_sun", MU_SUN, json=True)
         halfwidth = read(entry["slit_halfwidth"], "slit_halfwidth", NONNEGATIVE_FINITE, json=True)
     try:
         aux = None
         if kind == synth.KIND_BEER:
             aux = BeerAux(mu_sun, extra[0], np.column_stack(extra[1:]), halfwidth)
-        return Dataset(t=t, y=y, aux=aux, id=entry["id"])
+        return Dataset(t=t, y=y, aux=aux, id=ds_id)
     except InvalidInputError as err:
         raise UsageError(f"{path}: {err}") from err
 
@@ -242,10 +245,8 @@ def load_bundle(bundle_dir):
         n, p = (read(manifest[key], key, POSITIVE_INT, json=True) for key in ("n", "p"))
         model, names = synth.model_kind(kind, n, p)
         problem = MultiProblem(
-            datasets=tuple(
-                _load_dataset(bundle / entry["file"], entry, kind, names)
-                for entry in manifest["datasets"]
-            ),
+            datasets=tuple(_load_dataset(bundle, json_object(entry, f"datasets[{k}]"), kind, names)
+                           for k, entry in enumerate(listed(manifest["datasets"], "datasets"))),
             model=model,
         )
         truth = manifest.get("truth")
@@ -391,10 +392,10 @@ def _bench_spec(problem, s, snr, seed):
     if "frame" in base:
         if s < 2 or s % 2:
             raise UsageError(f"s={s}: a frame problem needs an even s >= 2")
-        base["frame"] = {**base["frame"], "soundings": s // 2}
+        base["frame"] = {**json_object(base["frame"], "frame"), "soundings": s // 2}
     for key in ("grids", "beta_true"):
         if key in base:
-            if not 1 <= s <= len(base[key]):
+            if not 1 <= s <= len(listed(base[key], key)):
                 raise UsageError(f"s={s} is not in 1..{len(base[key])}, the problem's {key}")
             base[key] = base[key][:s]
     return spec_from_config(base)
@@ -434,11 +435,13 @@ def cmd_bench(args):
         base_seed = read(cfg.get("base_seed", 0), "base_seed", NONNEGATIVE_INT, json=True)
         alpha0 = cfg.get("alpha0")
         alpha0 = None if alpha0 is None else read(alpha0, "alpha0", FINITE_VECTOR, json=True)
-        lm_cfg = from_json(LMConfig, cfg.get("lm") or {}, "lm")
+        lm = cfg.get("lm")  # absent or null: the default settings
+        lm_cfg = from_json(LMConfig, {} if lm is None else lm, "lm")
         grid = itertools.product(methods, s_values, snr_values, range(n_seeds))
         cells = [(method, s, snr, _cell_seed(base_seed, index))
                  for index, (method, s, snr, _) in enumerate(grid)]
-        specs = [_bench_spec(cfg.get("problem", {}), *cell[1:]) for cell in cells]
+        problem = json_object(cfg.get("problem", {}), "problem")
+        specs = [_bench_spec(problem, *cell[1:]) for cell in cells]
     except (KeyError, TypeError, ValueError) as err:  # InvalidInputError is a ValueError
         raise UsageError(f"bench config: {type(err).__name__}: {err}") from err
     if alpha0 is not None and any(alpha0.shape != (spec.p,) for spec in specs):

@@ -2,12 +2,14 @@
 
 All higher-level residual/Jacobian assembly is built on four operations:
 factor once, then apply ``pinv``, the orthogonal complement projector, or the
-trailing block of the orthogonal factor to vectors.  The (m x (m-n)) trailing
-factor is never materialized; it is applied through the stored Householder
-reflectors.
+trailing block of an orthogonal factor to vectors.  :class:`QRFactors` holds
+one form of the factor, the explicit thin ``q1`` and ``r1``.  The trailing
+(m x (m-n)) factor is never formed: it comes from the Householder reflectors
+of ``q1``'s own QR, whose leading columns are +-``q1``.  Any orthonormal
+complement serves, since the projected functional does not depend on it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sl
@@ -19,18 +21,12 @@ DEFAULT_RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class QRFactors:
-    """Thin pivoted QR factorization of an m x n matrix (m >= n, full rank).
-
-    phi[:, perm] == q1 @ r1.  ``qr_raw``/``householder_tau`` hold the LAPACK
-    reflector representation used to apply the full orthogonal factor.
-    """
+    """Thin pivoted QR factorization of an m x n matrix (m >= n, full rank):
+    phi[:, perm] == q1 @ r1."""
 
     q1: np.ndarray
     r1: np.ndarray
     perm: np.ndarray
-    qr_raw: np.ndarray = field(repr=False)
-    householder_tau: np.ndarray = field(repr=False)
-    rank: int = 0
 
     @property
     def m(self):
@@ -57,8 +53,9 @@ def thin_qr(phi):
     if not np.all(np.isfinite(phi)):
         raise InvalidInputError("matrix contains non-finite entries")
 
-    (qr_raw, tau), _, jpvt = sl.qr(phi, mode="raw", pivoting=True)
-    r1 = np.triu(qr_raw[:n, :n])
+    # lwork sizes only LAPACK orgqr's workspace; 3n (its wrapper's default) fixes its
+    # blocking past 128 columns, so Q1's bits do not hang on scipy's size query
+    q1, r1, perm = sl.qr(phi, mode="economic", pivoting=True, check_finite=False, lwork=3 * n)
     diag = np.abs(np.diag(r1))
     if diag[0] == 0.0:
         rank = 0
@@ -69,17 +66,7 @@ def thin_qr(phi):
             f"matrix of shape {phi.shape} has numerical rank {rank} < {n}",
             rank=rank,
         )
-    q1, _, info = sl.lapack.dorgqr(qr_raw[:, :n].copy(order="F"), tau)
-    if info != 0:
-        raise RankDeficiencyError(f"orthogonal factor generation failed (info={info})", rank=rank)
-    return QRFactors(
-        q1=q1,
-        r1=r1,
-        perm=np.asarray(jpvt),
-        qr_raw=qr_raw,
-        householder_tau=tau,
-        rank=rank,
-    )
+    return QRFactors(q1=q1, r1=r1, perm=perm)
 
 
 def _check_len(f, y):
@@ -89,27 +76,8 @@ def _check_len(f, y):
     return y
 
 
-def _apply_qt(f, y):
-    """Apply the full orthogonal factor transposed via the stored reflectors
-    (blocked LAPACK application; the factor itself is never formed)."""
-    y = np.asarray(y, dtype=float)
-    one_d = y.ndim == 1
-    c = np.asfortranarray(y[:, None] if one_d else y)
-    _, work, info = sl.lapack.dormqr(
-        "L", "T", f.qr_raw, f.householder_tau, c, -1
-    )
-    cq, _, info = sl.lapack.dormqr(
-        "L", "T", f.qr_raw, f.householder_tau, c, int(work[0])
-    )
-    if info != 0:
-        raise InvalidInputError(f"orthogonal factor application failed (info={info})")
-    return cq[:, 0] if one_d else cq
-
-
 def pinv_apply(f, y):
     """Least-squares solve: returns the coefficient vector minimizing ||y - phi b||."""
-    if f.rank < f.n:
-        raise RankDeficiencyError("factorization is rank deficient", rank=f.rank)
     y = _check_len(f, y)
     w = f.q1.T @ y
     z = sl.solve_triangular(f.r1, w)
@@ -133,13 +101,20 @@ def proj_perp_apply(f, y):
 
 
 def q2t_apply(f, y):
-    """Trailing m-n rows of the full orthogonal factor transposed times y.
+    """Trailing m-n rows of a full orthogonal factor transposed times y.
 
-    Accepts a vector or a matrix of stacked column vectors.  Same columnwise
-    norm as :func:`proj_perp_apply`; empty when m == n (the projected
-    functional is identically zero then).
+    The factor is that of a Householder QR of ``q1``, applied by LAPACK's
+    ``dormqr`` without being formed.  Accepts a vector or a matrix of stacked
+    columns.  Same columnwise norm as :func:`proj_perp_apply`; empty when
+    m == n (the projected functional is identically zero then).
     """
     y = _check_len(f, y)
     if f.m == f.n:
         return y[:0].copy()
-    return _apply_qt(f, y)[f.n :]
+    (qr, tau), _ = sl.qr(f.q1, mode="raw")
+    c = np.asfortranarray(y[:, None] if y.ndim == 1 else y)
+    _, work, info = sl.lapack.dormqr("L", "T", qr, tau, c, -1)
+    cq, _, info = sl.lapack.dormqr("L", "T", qr, tau, c, int(work[0]))
+    if info != 0:
+        raise InvalidInputError(f"orthogonal factor application failed (info={info})")
+    return (cq[:, 0] if y.ndim == 1 else cq)[f.n :]

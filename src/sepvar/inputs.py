@@ -103,6 +103,13 @@ def json_object(block, key):
     return block
 
 
+def json_text(value, key):
+    """``value`` if it is a JSON string."""
+    if not isinstance(value, str):
+        raise InvalidInputError(f"{key!r} must be a string, got {value!r}")
+    return value
+
+
 def from_json(cls, block, key):
     """``cls(**block)`` of the JSON object under ``key``, by the JSON integer rule."""
     json_object(block, key)

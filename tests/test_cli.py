@@ -117,6 +117,16 @@ class TestGenerate:
             assert got.aux.slit_halfwidth == want.aux.slit_halfwidth
             assert got.id == want.id
 
+    def test_model_failure_exits_1_without_a_bundle(self, tmp_path, capsys):
+        """A truth whose model overflows is a solver failure, not a usage
+        error: exit 1 with the typed error document and no bundle."""
+        cfg = write_config(tmp_path / "cfg.json", {**beer_config(), "alpha_true": [-1000, 1]})
+        out = tmp_path / "bundle"
+        assert cli.main(["generate", "--config", cfg, "--out", str(out)]) == 1
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "ModelOverflowError"
+        assert not out.exists()
+
     def test_missing_config_is_usage_error(self, tmp_path):
         rc = cli.main(
             ["generate", "--config", str(tmp_path / "nope.json"),
@@ -170,6 +180,14 @@ def _edit_entry(bundle, **changes):
     return path
 
 
+def _entry_0_is_a_number(bundle):
+    path = bundle / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["datasets"][0] = 3
+    path.write_text(json.dumps(manifest))
+    return path
+
+
 MALFORMED = {
     "missing-column": _drop_tau_2,
     "ragged-row": _replace_line("dataset_000.csv", 5, "1,2,3"),
@@ -195,6 +213,12 @@ MALFORMED = {
     # a model needs a linear and a nonlinear parameter
     "manifest-zero-n": lambda b: _edit_manifest(b, n=0),
     "manifest-zero-p": lambda b: _edit_manifest(b, p=0),
+    # the datasets list and its entries are read by name: a number raised a
+    # TypeError naming no key, and a list id was taken as the dataset's id
+    "manifest-datasets-not-a-list": lambda b: _edit_manifest(b, datasets=3),
+    "manifest-entry-not-an-object": _entry_0_is_a_number,
+    "manifest-list-id": lambda b: _edit_entry(b, id=["ds000"]),
+    "manifest-number-file": lambda b: _edit_entry(b, file=0),
 }
 
 # what the message must say besides the file name: the file line of the bad
@@ -214,6 +238,10 @@ MALFORMED_TEXT = {
     "manifest-bool-slit_halfwidth": "'slit_halfwidth' must be a number, got True",
     "manifest-zero-n": "'n' must be a positive integer, got 0",
     "manifest-zero-p": "'p' must be a positive integer, got 0",
+    "manifest-datasets-not-a-list": "'datasets' must be a list, got 3",
+    "manifest-entry-not-an-object": "'datasets[0]' must be a JSON object, got 3",
+    "manifest-number-file": "'file' must be a string, got 0",
+    "manifest-list-id": "'id' must be a string, got ['ds000']",
 }
 
 
@@ -365,6 +393,15 @@ CONFIG_ERRORS = {
                          "'grids' must be a list, got 3"),
     "frame-not-an-object": ("generate", {**frame_config(), "frame": 3},
                             "'frame' must be a JSON object, got 3"),
+    # and so were the bench blocks; an lm block of [] ran with the default settings
+    "bench-problem-not-an-object": ("bench", _bench(3, 2),
+                                    "'problem' must be a JSON object, got 3"),
+    "bench-frame-not-an-object": ("bench", _bench({**frame_config(), "frame": 3}, 2),
+                                  "'frame' must be a JSON object, got 3"),
+    "bench-grids-not-a-list": ("bench", _bench({**exp_config(), "grids": 3}, 2),
+                               "'grids' must be a list, got 3"),
+    "bench-lm-not-an-object": ("bench", {**_bench(exp_config(s=2), 2), "lm": []},
+                               "'lm' must be a JSON object, got []"),
 }
 
 
@@ -689,6 +726,67 @@ class TestFit:
         assert rc == 2
 
 
+def _beer_grids(*grids, seed, alpha_true=(1.0, 1.0)):
+    return {"model": "beer", "n": 3, "p": 2, "seed": seed, "snr": 200,
+            "alpha_true": list(alpha_true),
+            "grids": [dict(zip(("length", "lo", "hi", "slit_halfwidth"), g)) for g in grids]}
+
+
+def _exp_grids(*grids, seed):
+    return {"model": "exp", "n": 2, "p": 2, "seed": seed, "snr": 100, "alpha_true": [1.2, 0.25],
+            "grids": [dict(zip(("length", "lo", "hi"), g)) for g in grids]}
+
+
+# equal lengths on grids shifted per dataset, as a per-sounding spectral
+# calibration gives: one group with each dataset's own powers of nu and slit
+# Toeplitz blocks
+SHIFTED = [(120, 6180.0, 6280.0), (120, 6180.3, 6280.3), (120, 6180.6, 6280.7),
+           (120, 6180.9, 6281.1)]
+
+# config and start of each layout whose four fits must agree
+LAYOUTS = {
+    # one group of 40 and 50 points, padded to 50
+    "problem": (_exp_grids((40, 0.0, 4.0), (50, 0.0, 5.0), seed=7), "1.0,0.3"),
+    # one delta-slit (unconvolved) Beer group
+    "delta": (_beer_grids(*[(120, 6180.0, 6280.0, 0)] * 2, seed=5), "1.1,0.9"),
+    "shifted": (_beer_grids(*SHIFTED, seed=13), "1.1,0.9"),
+    # a 65-tap slit on 40-point grids at unit spacing, one grid shifted by
+    # 0.5: the kernel is wider than the grid, so each reflected row, the row
+    # of z whose convolution gives dphi_l^T z included, turns at its edges
+    # more than once
+    "wide": (_beer_grids((40, 0.0, 39.0, 8), (40, 0.0, 39.0, 8), (40, 0.5, 39.5, 8), seed=17),
+             "1.1,0.9"),
+    # lengths 40, 70, 45, 90: the two length buckets interleave in problem
+    # order, groups (0, 2) and (1, 3), and each dataset goes back to its place
+    "ragged": (_exp_grids((40, 0.0, 4.0), (70, 0.0, 7.0), (45, 0.0, 4.5), (90, 0.0, 9.0),
+                          seed=9), "1.0,0.3"),
+    # a species that is absent: a zero truth has no relative errors
+    "zero": (_beer_grids(*SHIFTED, seed=13, alpha_true=(1.0, 0.0)), "1.1,0.1"),
+}
+
+
+class TestLayouts:
+    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    def test_methods_agree(self, tmp_path, name):
+        """Every method's fit record of a generated bundle, the naive and
+        joint ones included: alpha_hat agrees to 1e-6 and every bound is
+        finite."""
+        cfg, alpha0 = LAYOUTS[name]
+        bundle = tmp_path / name
+        config = write_config(tmp_path / "cfg.json", cfg)
+        assert cli.main(["generate", "--config", config, "--out", str(bundle)]) == 0
+        records = []
+        for method in cli.METHODS:
+            out = tmp_path / f"{method}.json"
+            assert cli.main(["fit", str(bundle), "--method", method, "--alpha0", alpha0,
+                             "--out", str(out)]) == 0
+            records.append(json.loads(out.read_text()))
+        for record in records:
+            npt.assert_allclose(record["alpha_hat"], records[0]["alpha_hat"], rtol=1e-6, atol=0)
+            assert np.isfinite(np.asarray(record["conf_bound_alpha"], dtype=float)).all()
+            assert ("relative_errors" in record) == (name != "zero")
+
+
 class TestBench:
     def test_small_sweep(self, tmp_path):
         cfg = write_config(
@@ -781,6 +879,33 @@ class TestBench:
         assert cli.main(["bench", "--config", cfg, "--out", str(out)]) == 2
         assert repr(key) in capsys.readouterr().err
         assert not out.exists()
+
+    def test_null_lm_block_is_the_default(self, tmp_path):
+        """An lm block that is absent or null runs with the default settings."""
+        rows = []
+        for name, extra in (("absent", {}), ("null", {"lm": None}), ("empty", {"lm": {}})):
+            cfg = write_config(tmp_path / f"{name}.json",
+                               {**_bench(exp_config(s=1), 1), "alpha0": [1.4, 0.3], **extra})
+            out = tmp_path / f"{name}.csv"
+            assert cli.main(["bench", "--config", cfg, "--out", str(out)]) == 0
+            table = [line.split(",") for line in out.read_text().splitlines()]
+            wall = table[0].index("wall_time_s")
+            rows.append([row[:wall] + row[wall + 1 :] for row in table])
+        assert rows[0] == rows[1] == rows[2]
+
+    def test_frame_problem_sweep(self, tmp_path):
+        """A frame problem is cut to s/2 soundings of a strong and a weak band."""
+        cfg = write_config(tmp_path / "bench.json",
+                           {**_bench({**frame_config(), "snr": 200}, 2), "alpha0": [1.1, 0.9]})
+        out = tmp_path / "bench.csv"
+        assert cli.main(["bench", "--config", cfg, "--out", str(out)]) == 0
+        header, row, *summary = [line.split(",") for line in out.read_text().splitlines()]
+        record = dict(zip(header, row))
+        assert (record["method"], record["s"]) == ("vp-gl", "2")
+        assert record["status"].startswith("converged")
+        npt.assert_allclose([float(a) for a in record["alpha_hat"].split(";")], [1.0, 1.0],
+                            rtol=0.05)
+        assert [r[header.index("seed")] for r in summary] == ["mean", "std"]
 
     def test_empty_sweep_header_only(self, tmp_path):
         cfg = write_config(

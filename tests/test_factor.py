@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg as sl
 
 from sepvar.exceptions import InvalidInputError, RankDeficiencyError
 from sepvar.factor import (
@@ -55,6 +56,21 @@ class TestThinQR:
         phi[0, 0] = np.nan
         with pytest.raises(InvalidInputError):
             thin_qr(phi)
+
+    @pytest.mark.parametrize("m,n", [(5, 1), (40, 2), (809, 3), (300, 130)])
+    def test_matches_literal_lapack_reference(self, m, n):
+        """thin_qr is the pivoted Householder QR of LAPACK's geqp3 with Q1
+        generated by dorgqr at its default workspace, bit for bit; 130
+        columns take dorgqr past its unblocked size."""
+        rng = np.random.default_rng(m + n)
+        phi = rng.normal(size=(m, n)) * np.exp(rng.normal(size=n))
+        (qr_raw, tau), _, perm = sl.qr(phi, mode="raw", pivoting=True)
+        q1, _, info = sl.lapack.dorgqr(qr_raw[:, :n].copy(order="F"), tau)
+        assert info == 0
+        f = thin_qr(phi)
+        assert f.q1.tobytes() == q1.tobytes()
+        assert f.r1.tobytes() == np.triu(qr_raw[:n, :n]).tobytes()
+        assert f.perm.tobytes() == perm.tobytes()
 
     def test_rank_deficiency_reported(self):
         phi = np.outer(np.arange(1.0, 6.0), [1.0, 2.0])  # rank 1

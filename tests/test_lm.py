@@ -148,6 +148,19 @@ class TestTermination:
         assert rep.status == STATUS_LINEAR_FAIL
         npt.assert_allclose(rep.x_final, [5.0, 0.0])
 
+    def test_damping_limit_without_acceptable_step(self):
+        # a Jacobian of the wrong sign makes every step uphill, and ftol is too
+        # tight for MINPACK's rejected-trial test: damping rises tenfold per
+        # iteration from 1e-3 past its 1e12 ceiling, an exit reported as ftol
+        def residual(x):
+            return x - 1.0
+
+        rep = lm_solve(residual, lambda x: -np.eye(1), np.zeros(1), LMConfig(ftol=1e-20))
+        assert rep.status == STATUS_FTOL
+        assert (rep.n_iter, rep.n_feval) == (16, 17)
+        assert rep.cost_history == [0.5]  # no accepted step
+        npt.assert_array_equal(rep.x_final, [0.0])
+
     def test_stuck_at_minimum_of_nonzero_residual(self):
         # cost 0.5*(cos^2 x + 1) has minima where cos x = 0; the residual
         # never vanishes there, so the solver must still stop cleanly

@@ -625,6 +625,18 @@ class TestEvalGL:
             eval_gl(np.array([0.5, 0.5]), prob)
         assert exc.value.dataset == 0
 
+    @pytest.mark.parametrize("evaluate", [eval_gl, eval_km])
+    def test_underflowed_basis_column_is_rank_one(self, evaluate):
+        """At rate 800 on t in [1, 3] the second basis column underflows to
+        exact zeros, so R has a zero on its diagonal and no inverse; the
+        pivoted rank decision then names dataset 0 and rank 1."""
+        t = np.linspace(1.0, 3.0, 30)
+        prob = MultiProblem(datasets=(Dataset(t=t, y=np.exp(-0.5 * t)),),
+                            model=ExpDecayModel(n_terms=2))
+        with pytest.raises(RankDeficiencyError) as exc:
+            evaluate(np.array([0.5, 800.0]), prob)
+        assert (exc.value.dataset, exc.value.rank) == (0, 1)
+
 
 class TestEvalKM:
     def test_norm_matches_gl(self, rng):

@@ -126,7 +126,7 @@ def spec_from_config(cfg):
         beta_true = cfg["beta_true"] if "beta_true" in cfg else (
             np.random.default_rng(seed + 1).uniform(0.5, 1.5, size=(len(grids), n)))
         return synth.TruthSpec(
-            kind=cfg.get("model", synth.KIND_BEER), alpha_true=alpha_true,
+            kind=json_text(cfg.get("model", synth.KIND_BEER), "model"), alpha_true=alpha_true,
             beta_true=beta_true, grids=grids, snr=_inf_text(cfg.get("snr", "inf")), seed=seed,
         )
     except (KeyError, TypeError, ValueError) as err:
@@ -229,6 +229,9 @@ def _load_dataset(bundle, entry, kind, names):
 
 
 def load_bundle(bundle_dir):
+    """The problem and manifest of a bundle.  The manifest's ``s`` must
+    count its ``datasets`` entries, each dataset ``id`` must be its own, and
+    an ``snr`` the fit record copies is a positive number or "inf"."""
     bundle = Path(bundle_dir)
     manifest_path = bundle / "manifest.json"
     if not manifest_path.is_file():
@@ -241,14 +244,22 @@ def load_bundle(bundle_dir):
             raise UsageError(
                 f"unsupported bundle schema version {manifest.get('schema_version')}"
             )
-        kind = manifest["model"]
-        n, p = (read(manifest[key], key, POSITIVE_INT, json=True) for key in ("n", "p"))
+        kind = json_text(manifest["model"], "model")
+        n, p, s = (read(manifest[key], key, POSITIVE_INT, json=True) for key in ("n", "p", "s"))
         model, names = synth.model_kind(kind, n, p)
-        problem = MultiProblem(
-            datasets=tuple(_load_dataset(bundle, json_object(entry, f"datasets[{k}]"), kind, names)
-                           for k, entry in enumerate(listed(manifest["datasets"], "datasets"))),
-            model=model,
-        )
+        entries = listed(manifest["datasets"], "datasets")
+        if len(entries) != s:
+            raise InvalidInputError(f"'s' is {s} but 'datasets' lists {len(entries)} dataset(s)")
+        datasets = tuple(_load_dataset(bundle, json_object(entry, f"datasets[{k}]"), kind, names)
+                         for k, entry in enumerate(entries))
+        seen = set()
+        for ds in datasets:
+            if ds.id in seen:
+                raise InvalidInputError(f"'id' {ds.id!r} names more than one dataset")
+            seen.add(ds.id)
+        problem = MultiProblem(datasets=datasets, model=model)
+        if "snr" in manifest:  # the record copies it
+            manifest["snr"] = read(_inf_text(manifest["snr"]), "snr", POSITIVE, json=True)
         truth = manifest.get("truth")
         truth = {} if truth is None else json_object(truth, "truth")
         if truth.get("alpha_true") is not None:  # the record's relative errors read it

@@ -23,7 +23,9 @@ class RankDeficiencyError(SepvarError):
 
 
 class ModelOverflowError(SepvarError):
-    """The absorption exponent overflowed; ``index`` is the offending grid point."""
+    """A model's exponent (the Beer absorption, or -alpha_j t of the exp
+    basis) passed ``model.EXP_OVERFLOW_LIMIT``; ``index`` is the offending
+    grid point."""
 
     def __init__(self, message, index=None):
         super().__init__(message)

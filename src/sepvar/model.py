@@ -223,12 +223,14 @@ def _checked_alpha(alpha, p):
 class ExpGroup:
     """What ``ExpDecayModel.eval_group`` reads that does not depend on
     alpha, built by ``ExpDecayModel.prepare_group``: the negated abscissae
-    of each dataset, zero-padded to the longest one, and a 0/1 mask of the
-    rows that hold data (None when no dataset is padded)."""
+    of each dataset, zero-padded to the longest one, a 0/1 mask of the rows
+    that hold data (None when no dataset is padded) and the least and
+    greatest abscissa of the datasets, padding left out."""
 
     shape: tuple  # of the group's basis stack, g x n x m
     neg_t: np.ndarray  # g x m
     valid: Optional[np.ndarray]  # g x 1 x m
+    t_range: tuple  # (least, greatest)
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,17 +512,34 @@ class ExpDecayModel:
         valid = None
         if min(lengths) < m:
             valid = (np.arange(m) < np.array(lengths)[:, None]).astype(float)[:, None, :]
-        return ExpGroup((len(datasets), self.n_terms, m), neg_t, valid)
+        t_range = (min(float(ds.t[0]) for ds in datasets), max(float(ds.t[-1]) for ds in datasets))
+        return ExpGroup((len(datasets), self.n_terms, m), neg_t, valid, t_range)
 
     def eval_group(self, alpha, group):
         """Multi-exponential basis of the datasets of an :class:`ExpGroup`:
         row j of each dataset's block is exp(-alpha_j * t), and zero past
         the dataset's length.  The derivative with respect to alpha_l is
         nonzero only in row l (:class:`ExpGroupEval`).
+
+        An exponent -alpha_j * t above EXP_OVERFLOW_LIMIT raises
+        ModelOverflowError with the grid index of the first dataset's
+        largest exponent.  The exponent is linear in t, so its largest value
+        is at the least or greatest abscissa, and the check reads those two
+        only.
         """
         alpha = _checked_alpha(alpha, self.p)
         phi = np.empty(group.shape)
         np.multiply(alpha[:, None], group.neg_t[:, None, :], out=phi)
+        lo, hi = group.t_range
+        rates = alpha.tolist()  # Python floats: a scalar check
+        a, b = min(rates), max(rates)
+        if -min(a * lo, a * hi, b * lo, b * hi) > EXP_OVERFLOW_LIMIT:
+            exponent = phi.max(axis=1)  # g x m; zero at padded rows
+            first = np.flatnonzero(exponent.max(axis=1) > EXP_OVERFLOW_LIMIT)[0]
+            index = int(np.argmax(exponent[first]))
+            raise ModelOverflowError(
+                f"exponential basis overflows at grid index {index}", index=index
+            )
         np.exp(phi, out=phi)
         if group.valid is not None:
             phi *= group.valid

@@ -9,28 +9,37 @@ approximation; phi_k is the basis matrix of dataset k.
 H^T H is block-arrow.  With J_k the rows of J that belong to dataset k, its
 blocks are A = J^T J (p x p), B_k = J_k^T phi_k (p x n) and
 D_k = phi_k^T phi_k (n x n), and beta_k touches only B_k and D_k.  With
-F_k = B_k D_k^-1 and the p x p Schur complement S = A - sum_k F_k B_k^T,
+F_k = B_k D_k^-1 and the p x p Schur complement S = J^T J - sum_k F_k B_k^T,
 
     (H^T H)^-1 = blockdiag(0, D_1^-1, ..., D_s^-1) + W^T S^-1 W,
     W = [I, -F_1, ..., -F_s].
 
+No block is formed from a per-dataset copy.  J^T J is one M x p product.
+Column l of J_k is -(P_perp dphi_l beta_k + pinv(phi_k)^T dphi_l^T z_k), and
+P_perp phi_k = 0 while pinv(phi_k) phi_k = I (phi_k = Q1 R), so
+B_k = J_k^T phi_k = -v_k, with v_k the p x n products whose row l is
+dphi_l^T z_k.  The GL form forms those for its Jacobian, and every GL-form
+evaluation keeps them (``ReducedEval.v``) with the Grams D_k
+(``ReducedEval.d``), formed as R^T R from each group's QR in one batched
+n x n product; ``eval_naive`` keeps its own dphi_l^T r and per-dataset
+phi_k^T phi_k.
 ``compute_diagnostics`` keeps S^-1, the D_k^-1 and the F_k (O(s n^2) memory,
-O(M (n + p)^2) time) and reads the variances off them: sigma^2 diag(S^-1)
-for alpha and sigma^2 diag(D_k^-1 + F_k^T S^-1 F_k) for beta_k.  The dense
-covariance is built only when ``Diagnostics.covariance`` is first read.
-H^T H is positive definite exactly when every D_k and S are, so a Cholesky
-factorization checks each of them; one that fails raises a RuntimeWarning
-and its pseudo-inverse takes the place of its inverse.
+O(M p^2 + s (p n^2 + n^3)) time) and reads the variances off them:
+sigma^2 diag(S^-1) for alpha and sigma^2 diag(D_k^-1 + F_k^T S^-1 F_k) for
+beta_k.  The dense covariance is built only when ``Diagnostics.covariance``
+is first read.  H^T H is positive definite exactly when every D_k and S
+are, so a Cholesky factorization checks each of them; one that fails
+raises a RuntimeWarning and its pseudo-inverse takes the place of its
+inverse.
 
-The reduced Jacobian and basis matrices (``ReducedEval.jac`` and
-``phis``, which may be strided views) come from the evaluation at
+The reduced Jacobian, products and Grams come from the evaluation at
 alpha_hat that every fit carries (``FitResult.final_eval``), so the
 diagnostics never evaluate the bases: a ``vp-gl`` or ``nls-full`` fit holds
 the ``eval_gl`` evaluation itself, a ``vp-naive`` fit the literal
 ``eval_naive`` one, and a ``vp-km`` fit an ``eval_km`` evaluation whose kept
 factors and products give the GL form without evaluating the bases or
 factoring again (``vpcore.gl_from_km``, which forms only dphi_l^T z and
-is the ``eval_gl`` evaluation bit for bit).
+is the ``eval_gl`` evaluation bit for bit, v and D included).
 ``build_H`` and ``covariance`` are the dense reference of the same
 quantities; ``build_H`` evaluates everything afresh at alpha_hat.
 """
@@ -44,7 +53,7 @@ import scipy.linalg as sl
 from scipy.special import ndtri
 
 from .exceptions import InvalidInputError
-from .vpcore import FORM_GL, build_block_diag, eval_gl, gl_from_km
+from .vpcore import build_block_diag, eval_gl, gl_from_km
 
 _RANK_WARNING = "H^T H is numerically rank deficient; covariance uses a pseudo-inverse"
 
@@ -158,27 +167,6 @@ def covariance(H, sigma):
     return C, rank_warning
 
 
-def _dataset_grams(jac, phis, problem):
-    """X_k^T X_k for X_k = [J_k | phi_k], stacked s x (p + n) x (p + n).
-
-    jac is the stacked reduced Jacobian (M x p), phis the per-dataset basis
-    matrices; datasets with equal row counts are multiplied as one batch.
-    """
-    p, n = problem.p, problem.n
-    starts = problem.block_starts[FORM_GL]
-    batches = {}
-    for k, m in enumerate(problem.block_sizes[FORM_GL]):
-        batches.setdefault(m, []).append(k)
-    grams = np.empty((problem.s, p + n, p + n))
-    for m, index in batches.items():
-        x = np.empty((len(index), m, p + n))
-        for i, k in enumerate(index):
-            x[i, :, :p] = jac[starts[k] : starts[k] + m]
-            x[i, :, p:] = phis[k]
-        grams[index] = x.transpose(0, 2, 1) @ x
-    return grams
-
-
 def _spd_inverse(a):
     """Inverse of a symmetric positive definite matrix, or of each in a
     stack, by Cholesky factorization; None if one is not positive definite."""
@@ -189,22 +177,20 @@ def _spd_inverse(a):
     return np.swapaxes(l_inv, -1, -2) @ l_inv
 
 
-def arrow_inverse(grams, p):
-    """Blocks of (H^T H)^-1, where H^T H is the sum of the per-dataset Grams
-    ``grams`` (s x (p + n) x (p + n)) with each dataset's last n rows and
-    columns kept apart.
+def arrow_inverse(a, b, d):
+    """Blocks of (H^T H)^-1 from the blocks of the block-arrow H^T H: A = J^T J
+    (p x p), the B_k = J_k^T phi_k (s x p x n) and the D_k = phi_k^T phi_k
+    (s x n x n).
 
     D_k and S are checked by Cholesky factorization; if one is not positive
     definite, a RuntimeWarning is raised and pseudo-inverses are used.
     """
-    b = grams[:, :p, p:]
-    d = grams[:, p:, p:]
     d_inv = _spd_inverse(d)
     rank_warning = d_inv is None
     if rank_warning:
         d_inv = np.linalg.pinv(d, hermitian=True)
     f = b @ d_inv
-    schur = grams[:, :p, :p].sum(axis=0) - (f @ b.transpose(0, 2, 1)).sum(axis=0)
+    schur = a - (f @ b.transpose(0, 2, 1)).sum(axis=0)
     s_inv = _spd_inverse(schur)
     if s_inv is None:
         rank_warning = True
@@ -254,10 +240,11 @@ def compute_diagnostics(result, problem, level=0.95):
     red = result.final_eval
     if red.factors:
         red = gl_from_km(red, problem)
-    grams = _dataset_grams(red.jac, red.phis, problem)
-    if not np.all(np.isfinite(grams)) or not np.isfinite(sigma):
+    a = red.jac.T @ red.jac
+    b = np.negative(red.v)  # B_k = J_k^T phi_k = -v_k
+    if not all(np.isfinite(x).all() for x in (a, b, red.d)) or not np.isfinite(sigma):
         raise InvalidInputError("non-finite inputs to covariance")
-    inverse = arrow_inverse(grams, p)
+    inverse = arrow_inverse(a, b, red.d)
     return Diagnostics(
         sigma=sigma,
         r_score=score,

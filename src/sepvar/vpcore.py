@@ -41,7 +41,12 @@ residual, Jacobian, each dataset's linear parameters and its basis matrix
 as a view of the stack this evaluation allocated, which the final linear
 solve and the diagnostics read.  Each block holds its dataset's own rows
 only (``MultiProblem.block_sizes``), and each basis matrix is the unpadded
-view.  An ``eval_km`` evaluation also keeps its groups' factors (with each
+view.  A ``gl``-form evaluation also keeps each dataset's products
+v_k = dphi_l^T z_k, which its Jacobian read, and its Gram
+D_k = phi_k^T phi_k, formed by the factor step as R^T R in one batched
+n x n product: the diagnostics read B_k = J_k^T phi_k as -v_k and D_k from
+them.  An
+``eval_km`` evaluation also keeps its groups' factors (with each
 GroupEval and its products dphi_l beta), so :func:`gl_from_km` gives the
 ``eval_gl`` evaluation at the same alpha with no basis evaluation or QR:
 both forms take beta from the same rows of Q1^T, so the products dphi_l
@@ -189,12 +194,14 @@ class MultiProblem:
 class GroupFactors:
     """One group's basis evaluation and its stacked QR in compact WY form,
     Q = I - V T V^T (see :func:`_wy`), with the inverse of R, the leading
-    n x n block; an ``eval_km`` evaluation adds its derivative products."""
+    n x n block, and the Grams phi^T phi = R^T R; an ``eval_km`` evaluation
+    adds its derivative products."""
 
     ge: object  # the model's GroupEval
     r_inv: np.ndarray  # g x n x n
     vt: np.ndarray  # g x n x m
     t: np.ndarray  # g x n x n
+    d: np.ndarray  # g x n x n
     u: Optional[np.ndarray] = None  # dphi_l beta (g x p x m), kept by eval_km
 
 
@@ -204,8 +211,13 @@ class ReducedEval:
 
     ``betas`` and ``phis`` hold each dataset's linear parameters and m x n
     basis matrix, in problem order; a grouped kernel's phis are transposed
-    views of its group's stack.  An ``eval_km`` evaluation keeps its groups'
-    ``factors`` (DatasetGroup, GroupFactors) for :func:`gl_from_km`.
+    views of its group's stack.  A ``gl``-form evaluation (``eval_gl``,
+    :func:`gl_from_km`, ``eval_naive``) also keeps, in problem order, the
+    products ``v`` = dphi_l^T z (s x p x n; row l of dataset k is
+    dphi_l^T z_k) that its Jacobian read and the Grams ``d`` = phi_k^T phi_k
+    (s x n x n), which the diagnostics read; an ``eval_km`` evaluation
+    keeps None and its groups' ``factors`` (DatasetGroup, GroupFactors)
+    for :func:`gl_from_km`.
     """
 
     z: np.ndarray
@@ -213,6 +225,8 @@ class ReducedEval:
     betas: tuple = field(repr=False)
     block_sizes: tuple
     phis: tuple = field(repr=False)
+    v: Optional[np.ndarray] = field(default=None, repr=False)
+    d: Optional[np.ndarray] = field(default=None, repr=False)
     factors: tuple = field(default=(), repr=False)
 
 
@@ -266,7 +280,8 @@ def _check_finite(*arrays):
 
 def _factor_group(alpha, problem, group):
     """The factor step of one group: the model's stacked bases, one stacked
-    Householder QR without pivoting, R's inverse and the compact WY form.  A
+    Householder QR without pivoting, R's inverse, the compact WY form and
+    the Grams phi^T phi, formed as R^T R, one batched n x n product.  A
     basis whose R may be near singular (by the bound ||R||_F ||R^-1||_F on
     its condition number) goes through the pivoted thin_qr of its dataset's
     own rows for the rank decision."""
@@ -290,22 +305,24 @@ def _factor_group(alpha, problem, group):
     if r_inv is None:
         raise RankDeficiencyError("a basis matrix of the group has a singular R factor")
     vt, t = _wy(h, tau)
-    return GroupFactors(ge, r_inv, vt, t)
+    return GroupFactors(ge, r_inv, vt, t, r.transpose(0, 2, 1) @ r)
 
 
 def _form_group(group, f, form):
     """The form step of one group: residual and Jacobian blocks in the
     ``gl`` or ``km`` form, grid axis last.
 
-    Returns (z, jac, beta, u): z is g x m (``gl``) or g x (m - n) (``km``),
-    jac g x p x rows, beta g x n and u the products dphi_l beta (g x p x m).
-    Dataset i's block is its first m_i (``gl``) or m_i - n (``km``) rows;
-    the rows past it are zero.  The derivatives enter only through the
-    model's products: dphi_l beta (``ge.dphi_beta``, or the products an
-    ``eval_km`` evaluation kept in ``f``) for both forms, and dphi_l^T z
-    (``ge.dphi_t``) for ``gl``.  Both forms take beta from the same rows of
-    Q1^T, so the kept products are ``eval_gl``'s, and a ``gl`` form from
-    them is ``eval_gl``'s bit for bit.
+    Returns (z, jac, beta, u, v): z is g x m (``gl``) or g x (m - n)
+    (``km``), jac g x p x rows, beta g x n, u the products dphi_l beta
+    (g x p x m) and v, for ``gl`` only (else None), the products
+    dphi_l^T z (g x p x n) that its Jacobian reads.  Dataset i's block is
+    its first m_i (``gl``) or m_i - n (``km``) rows; the rows past it are
+    zero.  The derivatives enter only through the model's products:
+    dphi_l beta (``ge.dphi_beta``, or the products an ``eval_km`` evaluation
+    kept in ``f``) for both forms, and dphi_l^T z (``ge.dphi_t``) for
+    ``gl``.  Both forms take beta from the same rows of Q1^T, so the kept
+    products are ``eval_gl``'s, and a ``gl`` form from them is ``eval_gl``'s
+    bit for bit.
     """
     r_inv, vt, t, ge = f.r_inv, f.vt, f.t, f.ge
     n = r_inv.shape[-1]
@@ -335,7 +352,7 @@ def _form_group(group, f, form):
     # overflow from finite products, which the engine's own check reports
     if not np.isfinite(jac).all():
         _check_finite(u, *([] if v is None else [v]))
-    return z, jac, beta, u
+    return z, jac, beta, u, v
 
 
 def _evaluate(alpha, problem, form):
@@ -361,7 +378,9 @@ def _reduce(problem, factored, form):
     blocks are released before the next group is factored; only the ``km``
     form keeps the factors, and every form keeps a view of each dataset's
     basis matrix.  Of each dataset's padded blocks, only its own rows are
-    read.
+    read.  The ``gl`` form also keeps each group's products dphi_l^T z and
+    its factors' Grams, gathered in problem order at the end by one copy per
+    group, or none when one group holds every dataset.
     """
     s = problem.s
     starts = problem.block_starts[form]
@@ -369,11 +388,13 @@ def _reduce(problem, factored, form):
     # column-major, like the transposed p x rows blocks copied into it
     jac_all = np.empty((problem.p, starts[-1])).T
     betas, phis = [None] * s, [None] * s
-    kept = []
+    kept, grams = [], []
     for group, f in factored:
-        z, jac, beta, u = _form_group(group, f, form)
+        z, jac, beta, u, v = _form_group(group, f, form)
         if form == FORM_KM:
             kept.append((group, replace(f, u=u)))
+        else:
+            grams.append((group.index, v, f.d))
         for i, k in enumerate(group.index):
             size = starts[k + 1] - starts[k]
             rows = slice(starts[k], starts[k + 1])
@@ -381,14 +402,23 @@ def _reduce(problem, factored, form):
             jac_all[rows] = jac[i, :, :size].T
             betas[k] = beta[i]
             phis[k] = f.ge.phi[i, :, : group.datasets[i].m].T
-        del f, z, jac, beta, u
+        del f, z, jac, beta, u, v
 
+    v_all = d_all = None  # the km form keeps neither
+    if len(grams) == 1:  # one group holds every dataset, in problem order
+        _, v_all, d_all = grams[0]
+    elif grams:
+        v_all, d_all = np.empty((s, problem.p, problem.n)), np.empty((s, problem.n, problem.n))
+        for index, v, d in grams:
+            v_all[list(index)], d_all[list(index)] = v, d
     return ReducedEval(
         z=z_all,
         jac=jac_all,
         betas=tuple(betas),
         block_sizes=problem.block_sizes[form],
         phis=tuple(phis),
+        v=v_all,
+        d=d_all,
         factors=tuple(kept),
     )
 
@@ -493,9 +523,11 @@ def eval_naive(alpha, problem):
     beta_all = pinv_apply(f, y_all)
     r = proj_perp_apply(f, y_all)
     jac = np.empty((m_total, problem.p))
+    v = []
     for l in range(problem.p):
         term1 = proj_perp_apply(f, dbig[l] @ beta_all)
-        term2 = pinv_transpose_apply(f, dbig[l].T @ r)
+        v.append(dbig[l].T @ r)
+        term2 = pinv_transpose_apply(f, v[l])
         jac[:, l] = -(term1 + term2)
     betas = tuple(
         beta_all[k * problem.n : (k + 1) * problem.n] for k in range(problem.s)
@@ -506,4 +538,6 @@ def eval_naive(alpha, problem):
         betas=betas,
         block_sizes=problem.block_sizes[FORM_GL],
         phis=tuple(be.phi for be in bases),
+        v=np.stack(v).reshape(problem.p, problem.s, problem.n).transpose(1, 0, 2),
+        d=np.stack([be.phi.T @ be.phi for be in bases]),
     )

@@ -219,6 +219,14 @@ MALFORMED = {
     "manifest-entry-not-an-object": _entry_0_is_a_number,
     "manifest-list-id": lambda b: _edit_entry(b, id=["ds000"]),
     "manifest-number-file": lambda b: _edit_entry(b, file=0),
+    # the model kind is a text: a list raised a TypeError naming no key
+    "manifest-list-model": lambda b: _edit_manifest(b, model=["beer"]),
+    # s counts the datasets, ids are each dataset's own, and the SNR the
+    # record copies is a number: each of these fitted and exited 0
+    "manifest-s-mismatch": lambda b: _edit_manifest(b, s=5),
+    "manifest-duplicate-id": lambda b: _edit_entry(b, id="ds001"),
+    "manifest-list-snr": lambda b: _edit_manifest(b, snr=[1]),
+    "manifest-zero-snr": lambda b: _edit_manifest(b, snr=0),
 }
 
 # what the message must say besides the file name: the file line of the bad
@@ -242,6 +250,11 @@ MALFORMED_TEXT = {
     "manifest-entry-not-an-object": "'datasets[0]' must be a JSON object, got 3",
     "manifest-number-file": "'file' must be a string, got 0",
     "manifest-list-id": "'id' must be a string, got ['ds000']",
+    "manifest-list-model": "'model' must be a string, got ['beer']",
+    "manifest-s-mismatch": "'s' is 5 but 'datasets' lists 2 dataset(s)",
+    "manifest-duplicate-id": "'id' 'ds001' names more than one dataset",
+    "manifest-list-snr": "'snr' must be a number, got [1]",
+    "manifest-zero-snr": "'snr' must be positive, got 0",
 }
 
 
@@ -288,6 +301,9 @@ CONFIG_ERRORS = {
         "'slit_half_width'",
     ),
     "top-level-typo": ("generate", {**exp_config(), "sed": 3}, "'sed'"),
+    # a list raised a TypeError (unhashable type) naming no key
+    "list-model": ("generate", {**exp_config(), "model": ["exp"]},
+                   "'model' must be a string, got ['exp']"),
     "frame-and-grids": ("generate", {**exp_config(), "frame": {}}, "both 'frame' and 'grids'"),
     "missing-p": ("generate", _without(exp_config(), "p"), "KeyError: 'p'"),
     "missing-alpha_true": (
@@ -680,6 +696,19 @@ class TestFit:
         assert rc == 2
         assert text in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("snr, recorded", [("inf", "inf"), ("Infinity", "inf"), (50, 50)])
+    def test_manifest_snr_reads_as_the_config_snr(self, tmp_path, snr, recorded):
+        """The manifest's SNR is read like a config's, "inf" in any case
+        included, and the record copies the value read."""
+        cfg = write_config(tmp_path / "cfg.json", exp_config())
+        bundle = tmp_path / "bundle"
+        cli.main(["generate", "--config", cfg, "--out", str(bundle)])
+        _edit_manifest(bundle, snr=snr)
+        out = tmp_path / "o.json"
+        assert cli.main(["fit", str(bundle), "--method", "vp-gl", "--alpha0", "1.0,0.3",
+                         "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["snr"] == recorded
 
     def test_manifest_truth_is_an_object(self, tmp_path, capsys):
         """A manifest truth that is not a JSON object is a usage error that

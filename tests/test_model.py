@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 import scipy.ndimage as ndi
 
+import sepvar as sv
 from sepvar.exceptions import InvalidInputError, ModelOverflowError
 from sepvar.model import (
     CHUNK,
@@ -14,7 +15,7 @@ from sepvar.model import (
     gaussian_kernel,
     normalize_abscissa,
 )
-from sepvar.synth import TruthSpec, frame_grids, generate
+from sepvar.synth import GridSpec, TruthSpec, frame_grids, generate
 
 from conftest import central_diff_jacobian
 
@@ -128,6 +129,46 @@ class TestExpBasis:
         ds = Dataset(t=[0.5, 1.5], y=np.zeros(2))
         with pytest.raises(InvalidInputError):
             ExpDecayModel(n_terms=2).eval(np.array([1.0]), ds)
+
+    @pytest.mark.parametrize("entry", ["model.eval", "eval_gl", "eval_km", "fit"])
+    def test_overflow_reported_with_index(self, entry):
+        """At alpha = (-200, 0.3) the README problem's first grid, 40 points
+        on [0, 4], overflows from t = 3.5 on and most at its last point; the
+        error is typed, as the Beer law's, not a non-finite basis."""
+        spec = TruthSpec(kind="exp", alpha_true=[1.2, 0.25], beta_true=([1.0, 0.8], [0.9, 1.1]),
+                         grids=(GridSpec(40, 0.0, 4.0), GridSpec(50, 0.0, 5.0)), snr=100.0,
+                         seed=7)
+        prob, alpha = generate(spec), np.array([-200.0, 0.3])
+        calls = {
+            "model.eval": lambda: prob.model.eval(alpha, prob.datasets[0]),
+            "eval_gl": lambda: sv.eval_gl(alpha, prob),
+            "eval_km": lambda: sv.eval_km(alpha, prob),
+            "fit": lambda: sv.fit(prob, sv.SolverConfig(), alpha),
+        }
+        with pytest.raises(ModelOverflowError, match="grid index 39") as exc:
+            calls[entry]()
+        assert exc.value.index == 39
+
+    @pytest.mark.parametrize("grids, alpha, index", [
+        # exp(705) is finite, but 705 is past the limit; 700 itself is not
+        (([0.0, 1.0, 2.0],), [-352.5], 2),
+        (([0.0, 1.0, 2.0],), [-350.0], None),
+        # negative abscissae overflow under a positive rate, at the least t
+        (([-10.0, -5.0, 0.0],), [80.0], 0),
+        # a group of 5 and 8 points: only the longer grid passes the limit,
+        # past the end of the shorter one
+        ((np.linspace(0.0, 4.0, 5), np.linspace(0.0, 7.0, 8)), [-120.0], 7),
+    ])
+    def test_overflow_limit_on_abscissa_range(self, grids, alpha, index):
+        model = ExpDecayModel(n_terms=1)
+        datasets = tuple(Dataset(t=t, y=np.zeros(len(t))) for t in grids)
+        group = model.prepare_group(datasets)
+        if index is None:
+            assert np.isfinite(model.eval_group(np.array(alpha), group).phi).all()
+            return
+        with pytest.raises(ModelOverflowError) as exc:
+            model.eval_group(np.array(alpha), group)
+        assert exc.value.index == index
 
 
 class TestBeerBasis:

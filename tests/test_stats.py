@@ -254,6 +254,13 @@ def assert_matches_dense(d, res, prob, rtol):
     npt.assert_allclose(d.conf_bounds, confidence_bounds(C_ref), rtol=rtol)
 
 
+def arrow_blocks(jacs, phis):
+    """A = J^T J, B_k = J_k^T phi_k and D_k = phi_k^T phi_k of the stacked
+    per-dataset blocks J_k (s x m x p) and phi_k (s x m x n)."""
+    a = sum(j.T @ j for j in jacs)
+    return a, jacs.transpose(0, 2, 1) @ phis, phis.transpose(0, 2, 1) @ phis
+
+
 class TestBlockArrowDiagnostics:
     """The Schur-complement path against the dense H reference."""
 
@@ -273,16 +280,11 @@ class TestBlockArrowDiagnostics:
         s, m, n, p = 4, 9, 2, 3
         jac = rng.normal(size=(s * m, p))
         phis = [rng.normal(size=(m, n)) for _ in range(s)]
-        grams = np.stack([
-            np.hstack([jac[k * m:(k + 1) * m], phis[k]]).T
-            @ np.hstack([jac[k * m:(k + 1) * m], phis[k]])
-            for k in range(s)
-        ])
         H = np.zeros((s * m, p + s * n))
         H[:, :p] = jac
         for k in range(s):
             H[k * m:(k + 1) * m, p + k * n:p + (k + 1) * n] = phis[k]
-        inv = arrow_inverse(grams, p)
+        inv = arrow_inverse(*arrow_blocks(jac.reshape(s, m, p), np.stack(phis)))
         ref = np.linalg.inv(H.T @ H)
         npt.assert_allclose(inv.dense(), ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max())
         npt.assert_allclose(inv.diagonal(), np.diag(inv.dense()), rtol=1e-12)
@@ -294,16 +296,13 @@ class TestBlockArrowDiagnostics:
         fine; two equal basis columns make D_k singular.  The Cholesky
         checks on S and D_k catch either."""
         s, m, n, p = 3, 10, 2, 2
-        grams = []
-        for _ in range(s):
-            x = rng.normal(size=(m, p + n))
-            if equal == "alpha-columns":
-                x[:, 1] = x[:, 0]
-            else:
-                x[:, p + 1] = x[:, p]
-            grams.append(x.T @ x)
+        x = rng.normal(size=(s, m, p + n))
+        if equal == "alpha-columns":
+            x[:, :, 1] = x[:, :, 0]
+        else:
+            x[:, :, p + 1] = x[:, :, p]
         with pytest.warns(RuntimeWarning, match="rank deficient"):
-            inv = arrow_inverse(np.stack(grams), p)
+            inv = arrow_inverse(*arrow_blocks(x[:, :, :p], x[:, :, p:]))
         assert inv.rank_warning
         assert np.all(np.isfinite(inv.diagonal()))
         assert np.all(np.isfinite(inv.dense()))

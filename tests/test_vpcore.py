@@ -409,7 +409,7 @@ class TestShapeGroups:
         prob = ragged_exp_problem()
         [group] = prob.groups
         f = _factor_group(self.ALPHA_EXP, prob, group)
-        z, jac, _, _ = _form_group(group, f, form)
+        z, jac, *_ = _form_group(group, f, form)
         for i, ds in enumerate(group.datasets):
             rows = ds.m - (prob.n if form == "km" else 0)
             assert np.all(f.ge.phi[i, :, ds.m:] == 0.0)

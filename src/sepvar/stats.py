@@ -37,9 +37,10 @@ alpha_hat that every fit carries (``FitResult.final_eval``), so the
 diagnostics never evaluate the bases: a ``vp-gl`` or ``nls-full`` fit holds
 the ``eval_gl`` evaluation itself, a ``vp-naive`` fit the literal
 ``eval_naive`` one, and a ``vp-km`` fit an ``eval_km`` evaluation whose kept
-factors and products give the GL form without evaluating the bases or
-factoring again (``vpcore.gl_from_km``, which forms only dphi_l^T z and
-is the ``eval_gl`` evaluation bit for bit, v and D included).
+Q1^T, factors and products give the GL form without evaluating the bases,
+factoring again or rebuilding Q1^T (``vpcore.gl_from_km``, which forms only
+z, dphi_l^T z and the Jacobian blocks and is the ``eval_gl`` evaluation bit
+for bit, v and D included).
 ``build_H`` and ``covariance`` are the dense reference of the same
 quantities; ``build_H`` evaluates everything afresh at alpha_hat.
 """
@@ -128,10 +129,12 @@ def r_score(y_all, yhat_all):
     if y_all.shape != yhat_all.shape:
         raise InvalidInputError("observation and model vectors must match in length")
     ybar = y_all.mean()
-    denom = float(np.sum((y_all - ybar) ** 2))
+    dev = y_all - ybar  # squared in place, then reused for yhat_all
+    denom = float(np.sum(np.square(dev, out=dev)))
     if denom == 0.0:
         raise InvalidInputError("observations are constant; R-score undefined")
-    return float(np.sum((yhat_all - ybar) ** 2) / denom)
+    np.subtract(yhat_all, ybar, out=dev)
+    return float(np.sum(np.square(dev, out=dev)) / denom)
 
 
 def build_H(result, problem):
@@ -232,11 +235,11 @@ def compute_diagnostics(result, problem, level=0.95):
     """Assemble the diagnostics record for a converged fit from the blocks of
     (H^T H)^-1; the dense H and covariance are never formed here."""
     residual = np.concatenate(result.residuals)
-    s, n, p = problem.s, problem.n, problem.p
-    sigma = sigma_of_regression(residual, problem.m_total, n, s, p)
+    s, n, p, m_total = problem.s, problem.n, problem.p, problem.m_total
+    sigma = sigma_of_regression(residual, m_total, n, s, p)
     y_all = np.concatenate([ds.y for ds in problem.datasets])
-    yhat_all = y_all - residual
-    score = r_score(y_all, yhat_all)
+    # the model values y - residual, formed in the residual's buffer
+    score = r_score(y_all, np.subtract(y_all, residual, out=residual))
     red = result.final_eval
     if red.factors:
         red = gl_from_km(red, problem)
@@ -249,6 +252,6 @@ def compute_diagnostics(result, problem, level=0.95):
         sigma=sigma,
         r_score=score,
         conf_bounds=_half_widths(sigma**2 * inverse.diagonal(), level),
-        dof=problem.m_total - s * n - p,
+        dof=m_total - s * n - p,
         gram_inverse=inverse,
     )

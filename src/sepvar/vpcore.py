@@ -46,14 +46,16 @@ v_k = dphi_l^T z_k, which its Jacobian read, and its Gram
 D_k = phi_k^T phi_k, formed by the factor step as R^T R in one batched
 n x n product: the diagnostics read B_k = J_k^T phi_k as -v_k and D_k from
 them.  An
-``eval_km`` evaluation also keeps its groups' factors (with each
-GroupEval and its products dphi_l beta), so :func:`gl_from_km` gives the
-``eval_gl`` evaluation at the same alpha with no basis evaluation or QR:
-both forms take beta from the same rows of Q1^T, so the products dphi_l
-beta the ``eval_km`` evaluation formed are ``eval_gl``'s, and only dphi_l^T
-z is formed, by the same call as in ``eval_gl`` (one convolved row per
-dataset for the Beer law); a ``vp-km`` fit's diagnostics use it.  It is
-``eval_gl`` bit for bit.  Every product is computed dataset by dataset
+``eval_km`` evaluation also keeps, per group, its GroupEval, the R^-1,
+Grams and rows of Q1^T of its factor step and the products dphi_l beta of
+its form step, but not the compact WY form's V^T and T, which only the
+form step reads; so :func:`gl_from_km` gives the ``eval_gl`` evaluation at
+the same alpha with no basis evaluation, QR or Q1^T: both forms take beta
+from the same rows of Q1^T, so the products dphi_l beta the ``eval_km``
+evaluation formed are ``eval_gl``'s, and only z, dphi_l^T z, by the same
+call as in ``eval_gl`` (one convolved row per dataset for the Beer law),
+and the Jacobian blocks are formed; a ``vp-km`` fit's diagnostics use it.
+It is ``eval_gl`` bit for bit.  Every product is computed dataset by dataset
 within the stack, so a group of equal-length datasets gives the results of
 each dataset alone; a padded dataset's match them to rounding.  The rank
 decisions, made on each dataset's unpadded rows, and the typed errors are
@@ -124,7 +126,14 @@ def group_members(model, datasets):
 
 @dataclass(frozen=True)
 class MultiProblem:
-    """A shared-nonlinear-parameters fitting problem over several datasets."""
+    """A shared-nonlinear-parameters fitting problem over several datasets.
+
+    What no evaluation changes is computed once, on first use: the dataset
+    groups with their stacked observations and model inputs (``groups``)
+    and the residual block layout (``block_sizes``, ``block_starts``).  A
+    problem therefore treats its datasets as immutable: to fit changed
+    data, build a new problem.
+    """
 
     datasets: tuple
     model: object
@@ -193,14 +202,20 @@ class MultiProblem:
 @dataclass(frozen=True)
 class GroupFactors:
     """One group's basis evaluation and its stacked QR in compact WY form,
-    Q = I - V T V^T (see :func:`_wy`), with the inverse of R, the leading
-    n x n block, and the Grams phi^T phi = R^T R; an ``eval_km`` evaluation
-    adds its derivative products."""
+    Q = I - V T V^T (see :func:`_wy`), with the rows of Q1^T, the inverse
+    of R, the leading n x n block, and the Grams phi^T phi = R^T R.
+
+    An ``eval_km`` evaluation keeps them without V^T and T, which only its
+    form step reads, and with the derivative products dphi_l beta that step
+    formed: all that :func:`gl_from_km` reads, in fewer bytes than V^T and
+    T.
+    """
 
     ge: object  # the model's GroupEval
     r_inv: np.ndarray  # g x n x n
-    vt: np.ndarray  # g x n x m
-    t: np.ndarray  # g x n x n
+    q1t: np.ndarray  # g x n x m
+    vt: Optional[np.ndarray]  # g x n x m, None once kept by eval_km
+    t: Optional[np.ndarray]  # g x n x n, None once kept by eval_km
     d: np.ndarray  # g x n x n
     u: Optional[np.ndarray] = None  # dphi_l beta (g x p x m), kept by eval_km
 
@@ -280,8 +295,9 @@ def _check_finite(*arrays):
 
 def _factor_group(alpha, problem, group):
     """The factor step of one group: the model's stacked bases, one stacked
-    Householder QR without pivoting, R's inverse, the compact WY form and
-    the Grams phi^T phi, formed as R^T R, one batched n x n product.  A
+    Householder QR without pivoting, R's inverse, the compact WY form, the
+    rows of Q1^T formed from it and the Grams phi^T phi, formed as R^T R,
+    one batched n x n product.  A
     basis whose R may be near singular (by the bound ||R||_F ||R^-1||_F on
     its condition number) goes through the pivoted thin_qr of its dataset's
     own rows for the rank decision."""
@@ -305,7 +321,10 @@ def _factor_group(alpha, problem, group):
     if r_inv is None:
         raise RankDeficiencyError("a basis matrix of the group has a singular R factor")
     vt, t = _wy(h, tau)
-    return GroupFactors(ge, r_inv, vt, t, r.transpose(0, 2, 1) @ r)
+    # rows of Q1^T = E^T Q^T are E^T - V[:n] T^T V^T
+    q1t = -(vt[:, :, :n].transpose(0, 2, 1) @ t.transpose(0, 2, 1)) @ vt
+    q1t.reshape(len(q1t), -1)[:, :: q1t.shape[2] + 1] += 1.0  # the diagonal
+    return GroupFactors(ge, r_inv, q1t, vt, t, r.transpose(0, 2, 1) @ r)
 
 
 def _form_group(group, f, form):
@@ -317,19 +336,17 @@ def _form_group(group, f, form):
     (g x p x m) and v, for ``gl`` only (else None), the products
     dphi_l^T z (g x p x n) that its Jacobian reads.  Dataset i's block is
     its first m_i (``gl``) or m_i - n (``km``) rows; the rows past it are
-    zero.  The derivatives enter only through the model's products:
-    dphi_l beta (``ge.dphi_beta``, or the products an ``eval_km`` evaluation
-    kept in ``f``) for both forms, and dphi_l^T z (``ge.dphi_t``) for
-    ``gl``.  Both forms take beta from the same rows of Q1^T, so the kept
-    products are ``eval_gl``'s, and a ``gl`` form from them is ``eval_gl``'s
-    bit for bit.
+    zero.  The ``gl`` form reads Q1^T, the ``km`` form V^T and T too.  The
+    derivatives enter only through the model's products: dphi_l beta
+    (``ge.dphi_beta``, or the products an ``eval_km`` evaluation kept in
+    ``f``) for both forms, and dphi_l^T z (``ge.dphi_t``) for ``gl``.  Both
+    forms take beta from the same rows of Q1^T, so the kept products are
+    ``eval_gl``'s, and a ``gl`` form from them is ``eval_gl``'s bit for
+    bit.
     """
-    r_inv, vt, t, ge = f.r_inv, f.vt, f.t, f.ge
+    r_inv, q1t, ge = f.r_inv, f.q1t, f.ge
     n = r_inv.shape[-1]
     y = group.y
-    # rows of Q1^T = E^T Q^T are E^T - V[:n] T^T V^T
-    q1t = -(vt[:, :, :n].transpose(0, 2, 1) @ t.transpose(0, 2, 1)) @ vt
-    q1t.reshape(len(y), -1)[:, :: y.shape[1] + 1] += 1.0  # the diagonal
     w = (q1t @ y[:, :, None])[:, :, 0]
     beta = (r_inv @ w[:, :, None])[:, :, 0]
     u = ge.dphi_beta(beta[:, None])[:, 0] if f.u is None else f.u  # g x p x m
@@ -341,6 +358,8 @@ def _form_group(group, f, form):
         jac = (u @ q1t.transpose(0, 2, 1) - v @ r_inv) @ q1t
         jac -= u
     else:
+        vt, t = f.vt, f.t
+
         # rows of Q^T c are c - c V T V^T; Q2^T c is their trailing part
         def qt(c):
             return c - ((c @ vt.transpose(0, 2, 1)) @ t) @ vt
@@ -376,7 +395,8 @@ def _reduce(problem, factored, form):
     formed as it arrives, its blocks are copied into the evaluation's
     residual and Jacobian, which are allocated first, and its factors and
     blocks are released before the next group is factored; only the ``km``
-    form keeps the factors, and every form keeps a view of each dataset's
+    form keeps the factors, without V^T and T (see :class:`GroupFactors`),
+    and every form keeps a view of each dataset's
     basis matrix.  Of each dataset's padded blocks, only its own rows are
     read.  The ``gl`` form also keeps each group's products dphi_l^T z and
     its factors' Grams, gathered in problem order at the end by one copy per
@@ -392,7 +412,7 @@ def _reduce(problem, factored, form):
     for group, f in factored:
         z, jac, beta, u, v = _form_group(group, f, form)
         if form == FORM_KM:
-            kept.append((group, replace(f, u=u)))
+            kept.append((group, replace(f, vt=None, t=None, u=u)))
         else:
             grams.append((group.index, v, f.d))
         for i, k in enumerate(group.index):
@@ -445,9 +465,9 @@ def eval_km(alpha, problem):
 def gl_from_km(red, problem):
     """The ``eval_gl`` evaluation at the alpha of the ``eval_km`` evaluation
     ``red``, from the group factors it keeps: no basis is evaluated, nothing
-    is factored again and the kept products dphi_l beta are reused, so only
-    dphi_l^T z is formed, by the call ``eval_gl`` makes.  The result is
-    ``eval_gl``'s bit for bit."""
+    is factored again and the kept Q1^T and products dphi_l beta are
+    reused, so only z, dphi_l^T z, by the call ``eval_gl`` makes, and the
+    Jacobian blocks are formed.  The result is ``eval_gl``'s bit for bit."""
     if not red.factors:
         raise InvalidInputError("only an eval_km evaluation keeps its factors")
     return _reduce(problem, red.factors, FORM_GL)

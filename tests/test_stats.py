@@ -7,6 +7,7 @@ import pytest
 import sepvar as sv
 from sepvar import stats
 from sepvar.exceptions import InvalidInputError
+from sepvar.model import Dataset
 from sepvar.solver import SolverConfig, fit
 from sepvar.stats import (
     arrow_inverse,
@@ -219,6 +220,61 @@ class TestComputeDiagnostics:
                 d1.conf_bounds[p + i * n : p + (i + 1) * n],
                 rtol=1e-6,
             )
+
+    @pytest.mark.parametrize("method", sv.METHODS)
+    @pytest.mark.parametrize("kind", ["exp", "frame"])
+    def test_sigma_and_r_score_are_the_public_ones(self, rng, kind, method):
+        """Bit for bit the public functions of freshly joined observations
+        and residuals, on every call."""
+        if kind == "exp":
+            prob, spec = make_exp_problem(rng, s=3, snr=50.0, seed=36)
+            alpha0 = np.asarray(spec.alpha_true) * 1.1
+        else:
+            prob, alpha0 = small_frame_problem(soundings=2), np.array([1.1, 0.9])
+        res = fit(prob, SolverConfig(method=method), alpha0)
+        y = np.concatenate([ds.y for ds in prob.datasets])
+        residual = np.concatenate(res.residuals)
+        for _ in range(2):
+            d = compute_diagnostics(res, prob)
+            assert d.sigma == sigma_of_regression(residual, y.size, prob.n, prob.s, prob.p)
+            assert d.r_score == r_score(y, y - residual)
+            assert d.dof == y.size - prob.s * prob.n - prob.p
+
+    @pytest.mark.parametrize("kind", ["exp", "frame"])
+    def test_two_fits_of_one_problem(self, rng, kind):
+        """Two fits diagnosed on one problem, one after the other, each give
+        the diagnostics of a freshly loaded copy."""
+        if kind == "exp":
+            prob, spec = make_exp_problem(rng, s=3, snr=50.0, seed=37)
+            starts = (np.asarray(spec.alpha_true) * 1.1, np.asarray(spec.alpha_true) * 0.9)
+        else:
+            prob, starts = small_frame_problem(soundings=2), (np.array([1.1, 0.9]),) * 2
+        fits = [fit(prob, SolverConfig(method=m), a0)
+                for m, a0 in zip(("vp-gl", "vp-km"), starts)]
+        for res in fits:
+            d = compute_diagnostics(res, prob)
+            copy = sv.MultiProblem(
+                tuple(Dataset(t=ds.t.copy(), y=ds.y.copy(), aux=ds.aux, id=ds.id)
+                      for ds in prob.datasets),
+                prob.model,
+            )
+            ref = compute_diagnostics(res, copy)
+            assert (d.sigma, d.r_score, d.dof) == (ref.sigma, ref.r_score, ref.dof)
+            assert np.array_equal(d.conf_bounds, ref.conf_bounds)
+        assert fits[0].residuals[0].tobytes() != fits[1].residuals[0].tobytes()
+
+    def test_constant_observations_raise_every_time(self):
+        """A fit of constant observations has no R-score: diagnostics raise,
+        on the first call and on a repeat for the same problem."""
+        prob = sv.generate(sv.TruthSpec(
+            kind="exp", alpha_true=[1.2, 0.25], beta_true=([1.0, 0.8], [0.9, 1.1]),
+            grids=(sv.GridSpec(40, 0.0, 4.0), sv.GridSpec(50, 0.0, 5.0)), snr=100.0, seed=7))
+        const = sv.MultiProblem(
+            tuple(Dataset(t=ds.t, y=np.full(ds.m, 2.0)) for ds in prob.datasets), prob.model)
+        res = fit(const, SolverConfig(), np.array([1.0, 0.3]))
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match="R-score undefined"):
+                compute_diagnostics(res, const)
 
     def test_bounds_shrink_with_snr(self):
         """Statistical sanity: tighter noise gives tighter intervals."""

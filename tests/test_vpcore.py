@@ -388,7 +388,7 @@ class TestShapeGroups:
         """The factor step's R^-1 is the inverse of np.triu of the QR's
         leading block, and its V^T and T are the row-by-row form's, bit for
         bit, on padded exp, shifted Beer, two-group frame and signed-noise
-        bases."""
+        bases; its Q1^T is LAPACK's thin Q^T to rounding."""
         noise = MultiProblem(ragged_exp_problem().datasets, SignedNoiseModel(n_terms=3))
         cases = (*self.problems(rng), (frame_problem(soundings=2), self.ALPHA_BEER),
                  (noise, np.array([1.0, 0.5, 0.2])))
@@ -400,6 +400,8 @@ class TestShapeGroups:
                 vt, t = literal_wy(h, tau)
                 assert f.r_inv.tobytes() == r_inv.tobytes()
                 assert f.vt.tobytes() == vt.tobytes() and f.t.tobytes() == t.tobytes()
+                q = np.linalg.qr(f.ge.phi.transpose(0, 2, 1))[0]
+                npt.assert_allclose(f.q1t, q.transpose(0, 2, 1), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("form", ["gl", "km"])
     def test_padded_rows_are_zero(self, form):
@@ -676,6 +678,29 @@ class TestEvalKM:
             grad = red.jac.T @ red.z
             fd = central_diff_jacobian(cost, alpha).ravel()
             npt.assert_allclose(grad, fd, rtol=1e-5, atol=1e-10)
+
+
+    @pytest.mark.parametrize("kind", ["exp", "interleaved", "frame"])
+    def test_kept_factors_hold_q1t(self, kind, rng):
+        """Each group's kept factors hold the Q1^T of its factor step and
+        not V^T and T, so they hold fewer bytes than with V^T and T."""
+        if kind == "exp":
+            prob, _ = make_exp_problem(rng, s=3, snr=50.0, seed=51)
+            alpha = np.array([1.0, 0.3])
+        elif kind == "interleaved":
+            prob, alpha = interleaved_exp_problem(), np.array([1.0, 0.3])
+        else:
+            prob, alpha = frame_problem(soundings=2), np.array([1.1, 0.9])
+        km = eval_km(alpha, prob)
+        assert len(km.factors) == len(prob.groups)
+        for (group, kept), fresh_group in zip(km.factors, prob.groups):
+            assert group is fresh_group
+            assert kept.vt is None and kept.t is None
+            f = _factor_group(alpha, prob, group)
+            assert kept.q1t.tobytes() == f.q1t.tobytes()
+            with_wy = f.vt.nbytes + f.t.nbytes + f.r_inv.nbytes + f.d.nbytes + kept.u.nbytes
+            held = kept.q1t.nbytes + kept.r_inv.nbytes + kept.d.nbytes + kept.u.nbytes
+            assert held < with_wy
 
 
 class TestEvalNaive:

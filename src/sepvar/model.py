@@ -35,13 +35,14 @@ a time with that dataset's own Toeplitz blocks (:func:`convolve_reflect`
 shares this kernel).  An evaluation convolves the n rows of the bases,
 ``dphi_beta`` the p rows of dphi_l beta of each vector and ``dphi_t`` the
 row of z (the reflect-padded convolution is symmetric, so K^T z is K z).
-Because the buffer is reused, one group's inputs serve one thread at a
-time.  The bases, the products and the dense derivatives are fresh arrays
+Each thread reuses a buffer of its own, so one group's inputs serve several
+threads at once.  The bases, the products and the dense derivatives are fresh arrays
 on every call, and ``eval`` of one dataset is the one-dataset group, so it
 matches that dataset's slice of any group bit for bit.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -315,10 +316,10 @@ class SlitConvolution:
     interior, shaped like ``out[rows]``.  The two Toeplitz products run as
     stacked products over the chunk, which numpy carries out as one BLAS call
     per entry with that entry's own shape and blocks, so each entry rounds
-    exactly as it would alone.  The buffer grows to the largest output
-    shape asked for, and every call overwrites the part of it that it
-    reads, so one instance serves any number of calls, one thread at a
-    time.
+    exactly as it would alone.  Each thread has its own buffer, which grows
+    to the largest output shape asked for in that thread, and every call
+    overwrites the part of it that it reads, so one instance serves any
+    number of calls, also from several threads at once.
     """
 
     def __init__(self, kernels):
@@ -336,16 +337,17 @@ class SlitConvolution:
 
         bands = _per_dataset(kernels, band)  # count x 2b x b
         self.t0, self.t1 = bands[:, :b], bands[:, b:]
-        self.scratch = np.empty(0)
+        self._local = threading.local()  # the calling thread's scratch buffer
 
     def apply(self, fill, out):
         h, b = self.h, self.t0.shape[-1]
         count, m = len(out), out.shape[-1]
         shape = (min(CHUNK, count),) + out.shape[1:-1] + (-(-(m + 2 * h) // b) * b,)
         size = math.prod(shape)
-        if self.scratch.size < size:
-            self.scratch = np.empty(size)
-        buf = self.scratch[:size].reshape(shape)
+        scratch = getattr(self._local, "scratch", None)
+        if scratch is None or scratch.size < size:
+            scratch = self._local.scratch = np.empty(size)
+        buf = scratch[:size].reshape(shape)
         for start in range(0, count, CHUNK):
             rows = slice(start, min(start + CHUNK, count))
             part = buf[: rows.stop - start]
@@ -420,10 +422,9 @@ class BeerGroup:
     ``BeerLawModel.prepare_group``: the checked auxiliaries, each dataset's
     powers of nu (g x n x m), its -tau and mu_sun * I0 (g x m) and, unless
     the slit is a delta, the slit convolution with each dataset's Toeplitz
-    blocks and the chunk buffer.  Powers and blocks that are the same for
+    blocks and the chunk buffers.  Powers and blocks that are the same for
     every dataset are one broadcast view.  A problem builds one per group
-    and reuses it in every evaluation, so a problem is evaluated by one
-    thread at a time."""
+    and reuses it in every evaluation, from any thread."""
 
     shape: tuple  # of the group's basis stack, g x n x m
     auxes: tuple

@@ -56,9 +56,9 @@ class FitResult:
     wall_time: float
     method: str
     # the reduced evaluation at alpha_hat that gave beta_hat and residuals:
-    # eval_gl's for vp-gl and nls-full, eval_km's (with its factors) for
-    # vp-km and eval_naive's for vp-naive; diagnostics read the GL Jacobian
-    # and the basis matrices from it
+    # eval_gl's for vp-gl and nls-full, eval_km's (with its groups'
+    # GroupEvals) for vp-km and eval_naive's for vp-naive; the diagnostics
+    # read their block-arrow blocks from it
     final_eval: object = field(repr=False)
 
     @property
@@ -185,9 +185,8 @@ def _final_linear_solve(problem, red):
 
 def fit(problem, cfg, alpha0):
     """Run one fit; linear parameters are always the exact linear minimizers
-    at the returned nonlinear solution.  A problem reuses buffers across
-    evaluations (``MultiProblem.groups``), so it is fitted by one thread at
-    a time."""
+    at the returned nonlinear solution.  Several threads may fit one problem
+    at once."""
     alpha0 = np.asarray(alpha0, dtype=float)
     if alpha0.shape != (problem.p,):
         raise InvalidInputError(

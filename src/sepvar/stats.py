@@ -18,8 +18,8 @@ No block is formed from a per-dataset copy.  J^T J is one M x p product.
 Column l of J_k is -(P_perp dphi_l beta_k + pinv(phi_k)^T dphi_l^T z_k), and
 P_perp phi_k = 0 while pinv(phi_k) phi_k = I (phi_k = Q1 R), so
 B_k = J_k^T phi_k = -v_k, with v_k the p x n products whose row l is
-dphi_l^T z_k.  The GL form forms those for its Jacobian, and every GL-form
-evaluation keeps them (``ReducedEval.v``) with the Grams D_k
+dphi_l^T z_k.  The GL form forms those for its Jacobian, and every
+GL-form evaluation keeps them (``ReducedEval.v``) with the Grams D_k
 (``ReducedEval.d``), formed as R^T R from each group's QR in one batched
 n x n product; ``eval_naive`` keeps its own dphi_l^T r and per-dataset
 phi_k^T phi_k.
@@ -35,12 +35,16 @@ inverse.
 The reduced Jacobian, products and Grams come from the evaluation at
 alpha_hat that every fit carries (``FitResult.final_eval``), so the
 diagnostics never evaluate the bases: a ``vp-gl`` or ``nls-full`` fit holds
-the ``eval_gl`` evaluation itself, a ``vp-naive`` fit the literal
-``eval_naive`` one, and a ``vp-km`` fit an ``eval_km`` evaluation whose kept
-Q1^T, factors and products give the GL form without evaluating the bases,
-factoring again or rebuilding Q1^T (``vpcore.gl_from_km``, which forms only
-z, dphi_l^T z and the Jacobian blocks and is the ``eval_gl`` evaluation bit
-for bit, v and D included).
+the ``eval_gl`` evaluation itself and a ``vp-naive`` fit the literal
+``eval_naive`` one.  A ``vp-km`` fit holds an ``eval_km`` evaluation, whose
+one-term Jacobian J_km = -Q2^T dphi_l beta gives the Schur complement
+itself (Kaufman 1975; O'Leary & Rust 2013): J_km^T J_km = u^T P_perp u for
+u = dphi_l beta, the two terms of the GL Jacobian are orthogonal
+(P_perp Q1 = 0), and its second term gives sum_k v_k D_k^-1 v_k^T exactly,
+so S = J_km^T J_km, which goes to the shared tail of ``arrow_inverse`` as
+it is.  Its v_k are dphi_l^T r_k of the fit's residuals r_k, by one
+``GroupEval.dphi_t`` call per group (``vpcore.km_products``), and its D_k
+are the Grams of its factor step.
 ``build_H`` and ``covariance`` are the dense reference of the same
 quantities; ``build_H`` evaluates everything afresh at alpha_hat.
 """
@@ -54,7 +58,7 @@ import scipy.linalg as sl
 from scipy.special import ndtri
 
 from .exceptions import InvalidInputError
-from .vpcore import build_block_diag, eval_gl, gl_from_km
+from .vpcore import build_block_diag, eval_gl, km_products
 
 _RANK_WARNING = "H^T H is numerically rank deficient; covariance uses a pseudo-inverse"
 
@@ -180,10 +184,11 @@ def _spd_inverse(a):
     return np.swapaxes(l_inv, -1, -2) @ l_inv
 
 
-def arrow_inverse(a, b, d):
+def arrow_inverse(a, b, d, schur=False):
     """Blocks of (H^T H)^-1 from the blocks of the block-arrow H^T H: A = J^T J
     (p x p), the B_k = J_k^T phi_k (s x p x n) and the D_k = phi_k^T phi_k
-    (s x n x n).
+    (s x n x n).  With ``schur`` true, ``a`` is the Schur complement
+    S = A - sum_k B_k D_k^-1 B_k^T itself, and is taken as it is.
 
     D_k and S are checked by Cholesky factorization; if one is not positive
     definite, a RuntimeWarning is raised and pseudo-inverses are used.
@@ -193,11 +198,11 @@ def arrow_inverse(a, b, d):
     if rank_warning:
         d_inv = np.linalg.pinv(d, hermitian=True)
     f = b @ d_inv
-    schur = a - (f @ b.transpose(0, 2, 1)).sum(axis=0)
-    s_inv = _spd_inverse(schur)
+    complement = a if schur else a - (f @ b.transpose(0, 2, 1)).sum(axis=0)
+    s_inv = _spd_inverse(complement)
     if s_inv is None:
         rank_warning = True
-        s_inv = np.linalg.pinv(schur, hermitian=True)
+        s_inv = np.linalg.pinv(complement, hermitian=True)
     if rank_warning:
         warnings.warn(_RANK_WARNING, RuntimeWarning, stacklevel=2)
     return ArrowInverse(s_inv=s_inv, d_inv=d_inv, f=f, rank_warning=rank_warning)
@@ -241,13 +246,13 @@ def compute_diagnostics(result, problem, level=0.95):
     # the model values y - residual, formed in the residual's buffer
     score = r_score(y_all, np.subtract(y_all, residual, out=residual))
     red = result.final_eval
-    if red.factors:
-        red = gl_from_km(red, problem)
+    km = red.v is None  # an eval_km evaluation: its J^T J is S itself
     a = red.jac.T @ red.jac
-    b = np.negative(red.v)  # B_k = J_k^T phi_k = -v_k
+    # B_k = J_k^T phi_k = -v_k
+    b = np.negative(km_products(red, result.residuals) if km else red.v)
     if not all(np.isfinite(x).all() for x in (a, b, red.d)) or not np.isfinite(sigma):
         raise InvalidInputError("non-finite inputs to covariance")
-    inverse = arrow_inverse(a, b, red.d)
+    inverse = arrow_inverse(a, b, red.d, schur=km)
     return Diagnostics(
         sigma=sigma,
         r_score=score,

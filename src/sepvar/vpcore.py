@@ -41,22 +41,17 @@ residual, Jacobian, each dataset's linear parameters and its basis matrix
 as a view of the stack this evaluation allocated, which the final linear
 solve and the diagnostics read.  Each block holds its dataset's own rows
 only (``MultiProblem.block_sizes``), and each basis matrix is the unpadded
-view.  A ``gl``-form evaluation also keeps each dataset's products
-v_k = dphi_l^T z_k, which its Jacobian read, and its Gram
+view.  Every evaluation also keeps each group's Grams
 D_k = phi_k^T phi_k, formed by the factor step as R^T R in one batched
-n x n product: the diagnostics read B_k = J_k^T phi_k as -v_k and D_k from
-them.  An
-``eval_km`` evaluation also keeps, per group, its GroupEval, the R^-1,
-Grams and rows of Q1^T of its factor step and the products dphi_l beta of
-its form step, but not the compact WY form's V^T and T, which only the
-form step reads; so :func:`gl_from_km` gives the ``eval_gl`` evaluation at
-the same alpha with no basis evaluation, QR or Q1^T: both forms take beta
-from the same rows of Q1^T, so the products dphi_l beta the ``eval_km``
-evaluation formed are ``eval_gl``'s, and only z, dphi_l^T z, by the same
-call as in ``eval_gl`` (one convolved row per dataset for the Beer law),
-and the Jacobian blocks are formed; a ``vp-km`` fit's diagnostics use it.
-It is ``eval_gl`` bit for bit.  Every product is computed dataset by dataset
-within the stack, so a group of equal-length datasets gives the results of
+n x n product, and a ``gl``-form evaluation each group's products
+v_k = dphi_l^T z_k, which its Jacobian read; the diagnostics read
+B_k = J_k^T phi_k as -v_k and D_k from them, gathered in problem order
+only then.  An ``eval_km`` evaluation keeps, per group, its GroupEval
+besides the Grams, and nothing else of its factor and form steps: the
+diagnostics of a ``vp-km`` fit take the Schur complement as J_km^T J_km
+itself (P_perp Q1 = 0), and v_k as dphi_l^T r_k of the fit's residuals,
+by the call ``eval_gl`` makes for its z (:func:`km_products`).  Every
+product is computed dataset by dataset within the stack, so a group of equal-length datasets gives the results of
 each dataset alone; a padded dataset's match them to rounding.  The rank
 decisions, made on each dataset's unpadded rows, and the typed errors are
 those of the pivoted per-dataset ``thin_qr``.
@@ -71,9 +66,8 @@ dataset, for the block-diagonal basis and for the joint reference fit.
 """
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -172,9 +166,8 @@ class MultiProblem:
     @cached_property
     def groups(self):
         """Datasets with equal ``model.group_key``, grouped in order of their
-        first member, each with its ``model.prepare_group`` inputs.  Those
-        hold reused buffers, so a problem is evaluated, and fitted, by one
-        thread at a time."""
+        first member, each with its ``model.prepare_group`` inputs, which
+        every evaluation reuses, from any thread."""
         groups = []
         for index in group_members(self.model, self.datasets):
             datasets = tuple(self.datasets[k] for k in index)
@@ -203,21 +196,14 @@ class MultiProblem:
 class GroupFactors:
     """One group's basis evaluation and its stacked QR in compact WY form,
     Q = I - V T V^T (see :func:`_wy`), with the rows of Q1^T, the inverse
-    of R, the leading n x n block, and the Grams phi^T phi = R^T R.
-
-    An ``eval_km`` evaluation keeps them without V^T and T, which only its
-    form step reads, and with the derivative products dphi_l beta that step
-    formed: all that :func:`gl_from_km` reads, in fewer bytes than V^T and
-    T.
-    """
+    of R, the leading n x n block, and the Grams phi^T phi = R^T R."""
 
     ge: object  # the model's GroupEval
     r_inv: np.ndarray  # g x n x n
     q1t: np.ndarray  # g x n x m
-    vt: Optional[np.ndarray]  # g x n x m, None once kept by eval_km
-    t: Optional[np.ndarray]  # g x n x n, None once kept by eval_km
+    vt: np.ndarray  # g x n x m
+    t: np.ndarray  # g x n x n
     d: np.ndarray  # g x n x n
-    u: Optional[np.ndarray] = None  # dphi_l beta (g x p x m), kept by eval_km
 
 
 @dataclass(frozen=True)
@@ -226,13 +212,15 @@ class ReducedEval:
 
     ``betas`` and ``phis`` hold each dataset's linear parameters and m x n
     basis matrix, in problem order; a grouped kernel's phis are transposed
-    views of its group's stack.  A ``gl``-form evaluation (``eval_gl``,
-    :func:`gl_from_km`, ``eval_naive``) also keeps, in problem order, the
-    products ``v`` = dphi_l^T z (s x p x n; row l of dataset k is
-    dphi_l^T z_k) that its Jacobian read and the Grams ``d`` = phi_k^T phi_k
-    (s x n x n), which the diagnostics read; an ``eval_km`` evaluation
-    keeps None and its groups' ``factors`` (DatasetGroup, GroupFactors)
-    for :func:`gl_from_km`.
+    views of its group's stack.  Every evaluation keeps the Grams
+    phi_k^T phi_k, and a ``gl``-form evaluation (``eval_gl``,
+    ``eval_naive``) the products dphi_l^T z that its Jacobian read, per
+    group as (positions in the problem, stack) pairs: ``d`` (s x n x n) and
+    ``v`` (s x p x n; row l of dataset k is dphi_l^T z_k) gather them in
+    problem order when the diagnostics first read them.  An ``eval_km``
+    evaluation has no products (``v`` is None) and keeps, per group, the
+    group and its GroupEval (``groups``), whose ``dphi_t`` gives those
+    products of any residuals (:func:`km_products`).
     """
 
     z: np.ndarray
@@ -240,9 +228,29 @@ class ReducedEval:
     betas: tuple = field(repr=False)
     block_sizes: tuple
     phis: tuple = field(repr=False)
-    v: Optional[np.ndarray] = field(default=None, repr=False)
-    d: Optional[np.ndarray] = field(default=None, repr=False)
-    factors: tuple = field(default=(), repr=False)
+    grams: tuple = field(repr=False)
+    products: tuple = field(default=(), repr=False)
+    groups: tuple = field(default=(), repr=False)
+
+    @cached_property
+    def d(self):
+        return _in_problem_order(self.grams, len(self.betas))
+
+    @cached_property
+    def v(self):
+        return _in_problem_order(self.products, len(self.betas)) if self.products else None
+
+
+def _in_problem_order(parts, s):
+    """Per-group stacks, (positions, stack) pairs, as one stack in problem
+    order: the only group's own when it holds every dataset, else one copy
+    per group."""
+    if len(parts) == 1:  # one group holds every dataset, in problem order
+        return parts[0][1]
+    out = np.empty((s, *parts[0][1].shape[1:]))
+    for index, part in parts:
+        out[list(index)] = part
+    return out
 
 
 def _raise_first_failure(alpha, problem):
@@ -331,25 +339,21 @@ def _form_group(group, f, form):
     """The form step of one group: residual and Jacobian blocks in the
     ``gl`` or ``km`` form, grid axis last.
 
-    Returns (z, jac, beta, u, v): z is g x m (``gl``) or g x (m - n)
-    (``km``), jac g x p x rows, beta g x n, u the products dphi_l beta
-    (g x p x m) and v, for ``gl`` only (else None), the products
-    dphi_l^T z (g x p x n) that its Jacobian reads.  Dataset i's block is
-    its first m_i (``gl``) or m_i - n (``km``) rows; the rows past it are
-    zero.  The ``gl`` form reads Q1^T, the ``km`` form V^T and T too.  The
-    derivatives enter only through the model's products: dphi_l beta
-    (``ge.dphi_beta``, or the products an ``eval_km`` evaluation kept in
-    ``f``) for both forms, and dphi_l^T z (``ge.dphi_t``) for ``gl``.  Both
-    forms take beta from the same rows of Q1^T, so the kept products are
-    ``eval_gl``'s, and a ``gl`` form from them is ``eval_gl``'s bit for
-    bit.
+    Returns (z, jac, beta, v): z is g x m (``gl``) or g x (m - n) (``km``),
+    jac g x p x rows, beta g x n and v, for ``gl`` only (else None), the
+    products dphi_l^T z (g x p x n) that its Jacobian reads.  Dataset i's
+    block is its first m_i (``gl``) or m_i - n (``km``) rows; the rows past
+    it are zero.  The ``gl`` form reads Q1^T, the ``km`` form V^T and T
+    too.  The derivatives enter only through the model's products: dphi_l
+    beta (``ge.dphi_beta``) for both forms, and dphi_l^T z (``ge.dphi_t``)
+    for ``gl``.
     """
     r_inv, q1t, ge = f.r_inv, f.q1t, f.ge
     n = r_inv.shape[-1]
     y = group.y
     w = (q1t @ y[:, :, None])[:, :, 0]
     beta = (r_inv @ w[:, :, None])[:, :, 0]
-    u = ge.dphi_beta(beta[:, None])[:, 0] if f.u is None else f.u  # g x p x m
+    u = ge.dphi_beta(beta[:, None])[:, 0]  # g x p x m
     if form == FORM_GL:
         z = y - (w[:, None, :] @ q1t)[:, 0]
         v = ge.dphi_t(z)  # g x p x n
@@ -371,7 +375,7 @@ def _form_group(group, f, form):
     # overflow from finite products, which the engine's own check reports
     if not np.isfinite(jac).all():
         _check_finite(u, *([] if v is None else [v]))
-    return z, jac, beta, u, v
+    return z, jac, beta, v
 
 
 def _evaluate(alpha, problem, form):
@@ -381,26 +385,23 @@ def _evaluate(alpha, problem, form):
     raise it."""
     alpha = _checked_alpha(alpha, problem.p)
     try:
-        factored = ((group, _factor_group(alpha, problem, group)) for group in problem.groups)
-        return _reduce(problem, factored, form)
+        return _reduce(alpha, problem, form)
     except SepvarError:
         _raise_first_failure(alpha, problem)
         raise
 
 
-def _reduce(problem, factored, form):
-    """The grouped kernel behind eval_gl, eval_km and gl_from_km.
+def _reduce(alpha, problem, form):
+    """The grouped kernel behind eval_gl and eval_km.
 
-    ``factored`` gives each group with its GroupFactors.  Each group is
-    formed as it arrives, its blocks are copied into the evaluation's
-    residual and Jacobian, which are allocated first, and its factors and
-    blocks are released before the next group is factored; only the ``km``
-    form keeps the factors, without V^T and T (see :class:`GroupFactors`),
-    and every form keeps a view of each dataset's
-    basis matrix.  Of each dataset's padded blocks, only its own rows are
-    read.  The ``gl`` form also keeps each group's products dphi_l^T z and
-    its factors' Grams, gathered in problem order at the end by one copy per
-    group, or none when one group holds every dataset.
+    Each group is factored and formed in turn, its blocks are copied into
+    the evaluation's residual and Jacobian, which are allocated first, and
+    its factors and blocks are released before the next group is factored.
+    Every form keeps a view of each dataset's basis matrix and its factors'
+    Grams; the ``gl`` form also keeps its products dphi_l^T z, and the
+    ``km`` form each group's GroupEval, whose ``dphi_t`` gives them later
+    (:func:`km_products`).  Of each dataset's padded blocks, only its own
+    rows are read.
     """
     s = problem.s
     starts = problem.block_starts[form]
@@ -408,13 +409,15 @@ def _reduce(problem, factored, form):
     # column-major, like the transposed p x rows blocks copied into it
     jac_all = np.empty((problem.p, starts[-1])).T
     betas, phis = [None] * s, [None] * s
-    kept, grams = [], []
-    for group, f in factored:
-        z, jac, beta, u, v = _form_group(group, f, form)
+    kept, products, grams = [], [], []
+    for group in problem.groups:
+        f = _factor_group(alpha, problem, group)
+        z, jac, beta, v = _form_group(group, f, form)
+        grams.append((group.index, f.d))
         if form == FORM_KM:
-            kept.append((group, replace(f, vt=None, t=None, u=u)))
+            kept.append((group, f.ge))
         else:
-            grams.append((group.index, v, f.d))
+            products.append((group.index, v))
         for i, k in enumerate(group.index):
             size = starts[k + 1] - starts[k]
             rows = slice(starts[k], starts[k + 1])
@@ -422,24 +425,17 @@ def _reduce(problem, factored, form):
             jac_all[rows] = jac[i, :, :size].T
             betas[k] = beta[i]
             phis[k] = f.ge.phi[i, :, : group.datasets[i].m].T
-        del f, z, jac, beta, u, v
+        del f, z, jac, beta, v
 
-    v_all = d_all = None  # the km form keeps neither
-    if len(grams) == 1:  # one group holds every dataset, in problem order
-        _, v_all, d_all = grams[0]
-    elif grams:
-        v_all, d_all = np.empty((s, problem.p, problem.n)), np.empty((s, problem.n, problem.n))
-        for index, v, d in grams:
-            v_all[list(index)], d_all[list(index)] = v, d
     return ReducedEval(
         z=z_all,
         jac=jac_all,
         betas=tuple(betas),
         block_sizes=problem.block_sizes[form],
         phis=tuple(phis),
-        v=v_all,
-        d=d_all,
-        factors=tuple(kept),
+        grams=tuple(grams),
+        products=tuple(products),
+        groups=tuple(kept),
     )
 
 
@@ -457,20 +453,25 @@ def eval_gl(alpha, problem):
 def eval_km(alpha, problem):
     """Kaufman reduction: shorter residual, one-term (approximate) Jacobian
     -Q2^T dphi_l beta, with Q2 the trailing orthogonal factor.  As for
-    :func:`eval_gl`, the result owns its bases; it also keeps its groups'
-    factors for :func:`gl_from_km`."""
+    :func:`eval_gl`, the result owns its bases; it also keeps each group's
+    GroupEval for :func:`km_products`."""
     return _evaluate(alpha, problem, FORM_KM)
 
 
-def gl_from_km(red, problem):
-    """The ``eval_gl`` evaluation at the alpha of the ``eval_km`` evaluation
-    ``red``, from the group factors it keeps: no basis is evaluated, nothing
-    is factored again and the kept Q1^T and products dphi_l beta are
-    reused, so only z, dphi_l^T z, by the call ``eval_gl`` makes, and the
-    Jacobian blocks are formed.  The result is ``eval_gl``'s bit for bit."""
-    if not red.factors:
-        raise InvalidInputError("only an eval_km evaluation keeps its factors")
-    return _reduce(problem, red.factors, FORM_GL)
+def km_products(red, residuals):
+    """The products v_k = dphi_l^T r_k (s x p x n, in problem order) of the
+    residuals r_k (one per dataset, in problem order) at the alpha of the
+    ``eval_km`` evaluation ``red``: one ``GroupEval.dphi_t`` call per kept
+    group, the call ``eval_gl`` makes for its z, and no basis evaluation."""
+    if not red.groups:
+        raise InvalidInputError("only an eval_km evaluation keeps its group evaluations")
+    parts = []
+    for group, ge in red.groups:
+        r = np.zeros(group.y.shape)  # zero past each dataset's length
+        for row, k in zip(r, group.index):
+            row[: residuals[k].size] = residuals[k]
+        parts.append((group.index, ge.dphi_t(r)))
+    return _in_problem_order(parts, len(residuals))
 
 
 def dataset_bases(alpha, problem):
@@ -558,6 +559,7 @@ def eval_naive(alpha, problem):
         betas=betas,
         block_sizes=problem.block_sizes[FORM_GL],
         phis=tuple(be.phi for be in bases),
-        v=np.stack(v).reshape(problem.p, problem.s, problem.n).transpose(1, 0, 2),
-        d=np.stack([be.phi.T @ be.phi for be in bases]),
+        grams=((range(problem.s), np.stack([be.phi.T @ be.phi for be in bases])),),
+        products=((range(problem.s),
+                   np.stack(v).reshape(problem.p, problem.s, problem.n).transpose(1, 0, 2)),),
     )

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,11 +13,13 @@ from sepvar.model import (
     BeerLawModel,
     Dataset,
     ExpDecayModel,
+    SlitConvolution,
     convolve_reflect,
     gaussian_kernel,
     normalize_abscissa,
 )
 from sepvar.synth import GridSpec, TruthSpec, frame_grids, generate
+from sepvar.vpcore import eval_gl
 
 from conftest import central_diff_jacobian
 
@@ -422,3 +426,47 @@ class TestDerivativeProperty:
         b = model.eval(alpha, ds)
         assert np.array_equal(a.phi, b.phi)
         assert all(np.array_equal(x, y) for x, y in zip(a.dphi, b.dphi))
+
+
+class TestThreads:
+    def test_evaluation_held_inside_its_convolution_keeps_its_bits(self, monkeypatch):
+        """One evaluation of a frame problem waits inside the fill callback
+        of its first slit convolution while a second thread evaluates the
+        same problem at another alpha.  Each thread convolves in a buffer
+        of its own, so both give their single-thread bits."""
+        grids = frame_grids(n_soundings=2)
+        prob = generate(TruthSpec(kind="beer", alpha_true=[1.0, 1.0],
+                                  beta_true=tuple(np.array([1.0, 0.1, -0.05]) for _ in grids),
+                                  grids=grids, snr=200.0, seed=11))
+        first_alpha, second_alpha = np.array([1.1, 0.9]), np.array([0.8, 1.3])
+        # the single-thread bits; these calls also size this thread's buffers
+        expected = [eval_gl(a, prob) for a in (first_alpha, second_alpha)]
+        inside, release = threading.Event(), threading.Event()
+        apply = SlitConvolution.apply
+
+        def holding_apply(slit, fill, out):
+            if threading.current_thread() is not holder or inside.is_set():
+                return apply(slit, fill, out)
+
+            def fill_then_wait(rows, dest):
+                fill(rows, dest)
+                inside.set()
+                release.wait(30.0)
+
+            return apply(slit, fill_then_wait, out)
+
+        monkeypatch.setattr(SlitConvolution, "apply", holding_apply)
+        results = {}
+        holder = threading.Thread(
+            target=lambda: results.update(first=eval_gl(first_alpha, prob)))
+        holder.start()
+        try:
+            assert inside.wait(30.0)
+            results["second"] = eval_gl(second_alpha, prob)
+        finally:
+            release.set()
+            holder.join(30.0)
+        assert not holder.is_alive()
+        for red, ref in zip((results["first"], results["second"]), expected):
+            assert red.z.tobytes() == ref.z.tobytes()
+            assert red.jac.tobytes() == ref.jac.tobytes()

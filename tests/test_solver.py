@@ -9,7 +9,6 @@ from sepvar.exceptions import InvalidInputError
 from sepvar import solver, stats
 from sepvar.cli import spec_from_config
 from sepvar.solver import METHODS, SolverConfig, fit, initial_beta
-from sepvar.vpcore import eval_gl, gl_from_km
 
 from conftest import central_diff_jacobian, interleaved_exp_problem, make_exp_problem
 
@@ -381,11 +380,10 @@ class TestEvaluationCache:
         red = res.final_eval
         for ds, phi in zip(prob.datasets, red.phis):
             assert np.array_equal(phi, prob.model.eval(res.alpha_hat, ds).phi)
-        if method == "vp-km":
-            derived, fresh = gl_from_km(red, prob), eval_gl(res.alpha_hat, prob)
-            assert np.array_equal(derived.z, fresh.z)
-            assert np.array_equal(derived.jac, fresh.jac)
-            assert all(np.array_equal(a, b) for a, b in zip(derived.betas, fresh.betas))
+        fresh = inner(res.alpha_hat, prob)
+        assert np.array_equal(red.z, fresh.z)
+        assert np.array_equal(red.jac, fresh.jac)
+        assert all(np.array_equal(a, b) for a, b in zip(red.betas, fresh.betas))
 
     @pytest.mark.parametrize("method", ["vp-gl", "vp-km"])
     def test_iterate_survives_rejected_trials(self, method):

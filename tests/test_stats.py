@@ -20,7 +20,7 @@ from sepvar.stats import (
     sigma_of_regression,
 )
 
-from conftest import central_diff_jacobian, make_exp_problem
+from conftest import central_diff_jacobian, interleaved_exp_problem, make_exp_problem
 
 
 class TestSigma:
@@ -291,6 +291,11 @@ class TestComputeDiagnostics:
         assert widths[1] < 0.05 * widths[0]
 
 
+# vp-km diagnostics against those of a fresh eval_gl, relative to the
+# largest entry; the two cases here read at most 1.4e-13 (F_k of the frame)
+KM_ROUTE_RTOL = 1e-12
+
+
 def small_frame_problem(soundings, seed=41):
     """Beer-law frame layout (two bands per sounding) on short grids."""
     grids = sv.frame_grids(n_soundings=soundings, strong_length=160, weak_length=130)
@@ -379,9 +384,10 @@ class TestBlockArrowDiagnostics:
 
     @pytest.mark.parametrize("kind", ["exp", "frame"])
     def test_km_diagnostics_equal_fresh_gl_evaluation(self, rng, kind):
-        """vp-km diagnostics form the GL Jacobian from the fit's own
-        factors; they equal those computed from a fresh eval_gl at alpha_hat
-        bit for bit."""
+        """vp-km diagnostics take S = J_km^T J_km from the fit's own
+        evaluation; they equal those computed from a fresh eval_gl at
+        alpha_hat: sigma bit for bit, and the bounds, S^-1, D_k^-1 and F_k
+        within KM_ROUTE_RTOL of the largest entry (each bound of itself)."""
         if kind == "exp":
             prob, spec = make_exp_problem(rng, s=3, snr=50.0, seed=44)
             alpha0 = np.asarray(spec.alpha_true) * 1.1
@@ -392,9 +398,28 @@ class TestBlockArrowDiagnostics:
         res.final_eval = sv.eval_gl(res.alpha_hat, prob)
         ref = compute_diagnostics(res, prob)
         assert d.sigma == ref.sigma
-        assert np.array_equal(d.conf_bounds, ref.conf_bounds)
-        assert np.array_equal(d.gram_inverse.s_inv, ref.gram_inverse.s_inv)
-        assert np.array_equal(d.gram_inverse.d_inv, ref.gram_inverse.d_inv)
+        npt.assert_allclose(d.conf_bounds, ref.conf_bounds, rtol=KM_ROUTE_RTOL, atol=0)
+        for name in ("s_inv", "d_inv", "f"):
+            ours, theirs = getattr(d.gram_inverse, name), getattr(ref.gram_inverse, name)
+            assert np.max(np.abs(ours - theirs)) <= KM_ROUTE_RTOL * np.max(np.abs(theirs))
+
+    @pytest.mark.parametrize("kind", ["exp-padded", "frame"])
+    def test_km_gram_is_gl_schur_complement(self, kind):
+        """A vp-km fit's final J_km^T J_km is the Schur complement
+        J^T J - sum_k v_k D_k^-1 v_k^T of a fresh eval_gl at alpha_hat to
+        rounding, relative to max |J^T J|: P_perp Q1 = 0 makes them equal
+        in exact arithmetic, so the diagnostics take S from it."""
+        if kind == "exp-padded":  # two groups, each padded to its longest
+            prob, alpha0 = interleaved_exp_problem(), np.array([1.0, 0.3])
+        else:
+            prob, alpha0 = small_frame_problem(soundings=3), np.array([1.1, 0.9])
+        res = fit(prob, SolverConfig(method="vp-km"), alpha0)
+        km = res.final_eval
+        gl = sv.eval_gl(res.alpha_hat, prob)
+        a = gl.jac.T @ gl.jac
+        schur = a - np.einsum("kpn,knm,kqm->pq", gl.v, np.linalg.inv(gl.d), gl.v)
+        # the two cases read 1.9e-16 and 6.2e-16
+        assert np.max(np.abs(km.jac.T @ km.jac - schur)) <= 1e-14 * np.max(np.abs(a))
 
     @pytest.mark.parametrize("method", ["vp-gl", "vp-km"])
     def test_memory_linear_in_datasets(self, method):

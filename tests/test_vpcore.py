@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -14,7 +15,7 @@ from sepvar.exceptions import (
     RankDeficiencyError,
 )
 from sepvar.factor import pinv_transpose_apply
-from sepvar.model import BeerAux, BeerLawModel, Dataset, ExpDecayModel
+from sepvar.model import BeerAux, BeerLawModel, Dataset, ExpDecayModel, GroupEval
 from sepvar.vpcore import (
     MultiProblem,
     _factor_group,
@@ -24,7 +25,7 @@ from sepvar.vpcore import (
     eval_gl,
     eval_km,
     eval_naive,
-    gl_from_km,
+    km_products,
 )
 
 from conftest import central_diff_jacobian, interleaved_exp_problem, make_exp_problem
@@ -185,8 +186,8 @@ class TestGroupedKernel:
 
     @pytest.mark.parametrize(
         "ev",
-        [eval_gl, eval_km, lambda a, prob: gl_from_km(eval_km(a, prob), prob), eval_naive],
-        ids=["eval_gl", "eval_km", "gl_from_km", "eval_naive"],
+        [eval_gl, eval_km, eval_naive],
+        ids=["eval_gl", "eval_km", "eval_naive"],
     )
     @pytest.mark.parametrize("kind", ["exp", "frame"])
     def test_phis_are_model_bases_in_problem_order(self, ev, kind, rng):
@@ -201,39 +202,9 @@ class TestGroupedKernel:
         assert len(red.phis) == prob.s
         for ds, phi in zip(prob.datasets, red.phis):
             assert np.array_equal(phi, prob.model.eval(alpha, ds).phi)
-        for group, f in red.factors:
+        for group, ge in red.groups:
             for i, k in enumerate(group.index):
-                assert np.shares_memory(red.phis[k], f.ge.phi[i])
-
-    @pytest.mark.parametrize("kind", ["exp", "frame", "beer-p1"])
-    def test_gl_from_km_factors_is_eval_gl(self, kind, rng):
-        """Bit for bit, also on one n = p = 1 dataset of 40 points under an
-        8-point slit, where J differed by 2.2e-15 of max |J| while eval_gl
-        convolved z in one call with the products dphi_l beta."""
-        if kind == "exp":
-            prob, _ = make_exp_problem(rng, s=3, snr=50.0, seed=51)
-            alpha = np.array([1.0, 0.3])
-        elif kind == "frame":
-            prob, alpha = frame_problem(soundings=3), np.array([1.1, 0.9])
-        else:
-            spec = sv.TruthSpec(kind="beer", alpha_true=[1.0], beta_true=([1.0],),
-                                grids=(sv.GridSpec(40, 0.0, 39.0, slit_halfwidth=8),),
-                                snr=200.0, seed=3)
-            prob, alpha = sv.generate(spec), np.array([1.1])
-        km = eval_km(alpha, prob)
-        assert len(km.factors) == len(prob.groups)
-        derived = gl_from_km(km, prob)
-        fresh = eval_gl(alpha, prob)
-        assert not fresh.factors and not derived.factors
-        assert np.array_equal(derived.z, fresh.z)
-        assert np.array_equal(derived.jac, fresh.jac)
-        assert derived.block_sizes == fresh.block_sizes
-        for a, b in zip(derived.betas, fresh.betas):
-            assert np.array_equal(a, b)
-        for a, b in zip(derived.phis, fresh.phis):
-            assert np.array_equal(a, b)
-        with pytest.raises(InvalidInputError):
-            gl_from_km(fresh, prob)
+                assert np.shares_memory(red.phis[k], ge.phi[i])
 
     @pytest.mark.parametrize("bad", ["rank", "overflow"])
     def test_non_first_dataset_of_group_fails(self, bad, rng):
@@ -369,8 +340,8 @@ class TestShapeGroups:
 
     @pytest.mark.parametrize(
         "ev",
-        [eval_gl, eval_km, lambda a, prob: gl_from_km(eval_km(a, prob), prob)],
-        ids=["eval_gl", "eval_km", "gl_from_km"],
+        [eval_gl, eval_km],
+        ids=["eval_gl", "eval_km"],
     )
     def test_blocks_and_phis_are_each_datasets_own(self, ev, rng):
         for prob, alpha in self.problems(rng):
@@ -681,9 +652,13 @@ class TestEvalKM:
 
 
     @pytest.mark.parametrize("kind", ["exp", "interleaved", "frame"])
-    def test_kept_factors_hold_q1t(self, kind, rng):
-        """Each group's kept factors hold the Q1^T of its factor step and
-        not V^T and T, so they hold fewer bytes than with V^T and T."""
+    def test_kept_groups_hold_only_evaluation_and_grams(self, kind, rng):
+        """An eval_km evaluation keeps, per group, the group and its
+        GroupEval, and the Grams: no Q1^T, R^-1 or products dphi_l beta of
+        its factor and form steps.  It holds its own blocks, those
+        GroupEvals' arrays and the Grams, and no more than a few hundred
+        bytes of Python records per dataset besides; on the interleaved and
+        frame layouts, Q1^T and dphi_l beta alone would exceed that."""
         if kind == "exp":
             prob, _ = make_exp_problem(rng, s=3, snr=50.0, seed=51)
             alpha = np.array([1.0, 0.3])
@@ -691,16 +666,41 @@ class TestEvalKM:
             prob, alpha = interleaved_exp_problem(), np.array([1.0, 0.3])
         else:
             prob, alpha = frame_problem(soundings=2), np.array([1.1, 0.9])
-        km = eval_km(alpha, prob)
-        assert len(km.factors) == len(prob.groups)
-        for (group, kept), fresh_group in zip(km.factors, prob.groups):
-            assert group is fresh_group
-            assert kept.vt is None and kept.t is None
-            f = _factor_group(alpha, prob, group)
-            assert kept.q1t.tobytes() == f.q1t.tobytes()
-            with_wy = f.vt.nbytes + f.t.nbytes + f.r_inv.nbytes + f.d.nbytes + kept.u.nbytes
-            held = kept.q1t.nbytes + kept.r_inv.nbytes + kept.d.nbytes + kept.u.nbytes
-            assert held < with_wy
+        eval_km(alpha, prob)  # a first evaluation builds the problem's groups
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            km = eval_km(alpha, prob)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert [group for group, _ in km.groups] == list(prob.groups)
+        arrays = [km.z, km.jac, *km.betas, *(grams for _, grams in km.grams)]
+        for group, ge in km.groups:
+            assert isinstance(ge, GroupEval)
+            assert not {"q1t", "r_inv", "u"} & set(vars(ge))
+            inputs = [y for y in vars(group.inputs).values() if isinstance(y, np.ndarray)]
+            arrays += [x for x in vars(ge).values() if isinstance(x, np.ndarray)
+                       and not any(np.shares_memory(x, y) for y in inputs)]
+        own = sum(x.nbytes for x in arrays)
+        # the records, tuples and array headers: 770 to 870 bytes per dataset
+        assert own <= held <= own + 2048 + 1024 * prob.s
+
+    @pytest.mark.parametrize("kind", ["interleaved", "frame"])
+    def test_km_products_are_eval_gl_products(self, kind):
+        """km_products of eval_gl's residual blocks is eval_gl's v bit for
+        bit: the same dphi_t call on the same rows of an equal GroupEval.
+        An evaluation that keeps no GroupEval is refused."""
+        if kind == "interleaved":
+            prob, alpha = interleaved_exp_problem(), np.array([1.0, 0.3])
+        else:
+            prob, alpha = frame_problem(soundings=2), np.array([1.1, 0.9])
+        gl = eval_gl(alpha, prob)
+        starts = prob.block_starts["gl"]
+        z = [gl.z[starts[k] : starts[k + 1]] for k in range(prob.s)]
+        assert km_products(eval_km(alpha, prob), z).tobytes() == gl.v.tobytes()
+        with pytest.raises(InvalidInputError):
+            km_products(gl, z)
 
 
 class TestEvalNaive:

@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import stats, synth
-from .exceptions import InvalidInputError, SepvarError
-from .inputs import (FINITE_VECTOR, NONNEGATIVE_FINITE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT,
-                     Rule, Vector, from_json, json_int, json_object, json_text, listed, read)
+from .exceptions import InvalidInputError, ProblemTooLargeError, SepvarError
+from .inputs import (FINITE_VECTOR, NONNEGATIVE_FINITE, NONNEGATIVE_INT, POSITIVE, SIZE, Rule,
+                     Vector, from_json, json_int, json_object, json_text, listed, read)
 from .lm import LMConfig
 from .model import MU_SUN, BeerAux, Dataset
 from .solver import METHODS, SolverConfig, fit
@@ -110,7 +110,7 @@ def spec_from_config(cfg):
     if "frame" in cfg and "grids" in cfg:
         raise UsageError("config gives both 'frame' and 'grids'")
     try:
-        n, p = (read(cfg[key], key, POSITIVE_INT, json=True) for key in ("n", "p"))
+        n, p = (read(cfg[key], key, SIZE, json=True) for key in ("n", "p"))
         seed = read(cfg.get("seed", 0), "seed", NONNEGATIVE_INT, json=True)
         alpha_true = read(cfg["alpha_true"], "alpha_true", FINITE_VECTOR, json=True)
         if alpha_true.size != p:
@@ -118,7 +118,7 @@ def spec_from_config(cfg):
         if "frame" in cfg:
             frame = {k: json_int(v) if k.endswith("_length") else v  # GridSpec lengths
                      for k, v in json_object(cfg["frame"], "frame").items()}
-            soundings = read(frame.pop("soundings", 8), "soundings", POSITIVE_INT, json=True)
+            soundings = read(frame.pop("soundings", 8), "soundings", SIZE, json=True)
             grids = synth.frame_grids(n_soundings=soundings, **frame)
         else:
             grids = tuple(from_json(synth.GridSpec, entry, "grids")
@@ -129,7 +129,7 @@ def spec_from_config(cfg):
             kind=json_text(cfg.get("model", synth.KIND_BEER), "model"), alpha_true=alpha_true,
             beta_true=beta_true, grids=grids, snr=_inf_text(cfg.get("snr", "inf")), seed=seed,
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, ProblemTooLargeError) as err:
         raise UsageError(f"config: {type(err).__name__}: {err}") from err
 
 
@@ -207,7 +207,7 @@ def _load_dataset(bundle, entry, kind, names):
     missing = [name for name in names if name not in header]
     if missing:
         raise UsageError(f"{path} has no column {', '.join(missing)}")
-    m = read(entry["m"], "m", POSITIVE_INT, json=True)
+    m = read(entry["m"], "m", SIZE, json=True)
     if data.shape != (m, len(header)):
         raise UsageError(
             f"{path} has {data.shape[0]} row(s) of {data.shape[1]} value(s), "
@@ -245,7 +245,7 @@ def load_bundle(bundle_dir):
                 f"unsupported bundle schema version {manifest.get('schema_version')}"
             )
         kind = json_text(manifest["model"], "model")
-        n, p, s = (read(manifest[key], key, POSITIVE_INT, json=True) for key in ("n", "p", "s"))
+        n, p, s = (read(manifest[key], key, SIZE, json=True) for key in ("n", "p", "s"))
         model, names = synth.model_kind(kind, n, p)
         entries = listed(manifest["datasets"], "datasets")
         if len(entries) != s:
@@ -257,6 +257,7 @@ def load_bundle(bundle_dir):
             if ds.id in seen:
                 raise InvalidInputError(f"'id' {ds.id!r} names more than one dataset")
             seen.add(ds.id)
+            model.group_key(ds)  # checks the slit's size before a fit builds it
         problem = MultiProblem(datasets=datasets, model=model)
         if "snr" in manifest:  # the record copies it
             manifest["snr"] = read(_inf_text(manifest["snr"]), "snr", POSITIVE, json=True)
@@ -266,7 +267,8 @@ def load_bundle(bundle_dir):
             truth["alpha_true"] = read(truth["alpha_true"], "alpha_true", FINITE_VECTOR, json=True)
             if truth["alpha_true"].size != p:
                 raise InvalidInputError(f"'alpha_true' must have length p={p}")
-    except (OSError, ValueError, KeyError, TypeError) as err:  # InvalidInputError is a ValueError
+    # InvalidInputError is a ValueError
+    except (OSError, ValueError, KeyError, TypeError, ProblemTooLargeError) as err:
         raise UsageError(f"{manifest_path}: {type(err).__name__}: {err}") from err
     return problem, manifest
 
@@ -276,7 +278,10 @@ def cmd_generate(args):
     if args.seed is not None:
         cfg["seed"] = args.seed
     spec = spec_from_config(cfg)
-    problem = synth.generate(spec)
+    try:
+        problem = synth.generate(spec)
+    except ProblemTooLargeError as err:  # a slit too wide for its grid
+        raise UsageError(f"config: {type(err).__name__}: {err}") from err
     write_bundle(args.out, spec, problem)
     print(f"wrote bundle with {spec.s} dataset(s) to {args.out}")
     return EXIT_OK

@@ -41,7 +41,9 @@ class EvaluationError(SepvarError):
 
 
 class ProblemTooLargeError(SepvarError):
-    """The dense block-diagonal formulation exceeds the element budget."""
+    """A problem's arrays would exceed an element budget: the dense
+    block-diagonal formulation, a slit's Toeplitz blocks or the datasets
+    of a synthetic problem."""
 
 
 class GenerationError(SepvarError):

@@ -11,6 +11,9 @@ two rules:
 - a value a Python caller passes to a record is an integer only when it is
   an ``int`` or a numpy integer, so ``GridSpec(length=40.0)`` is refused.
 
+A size (a rule with ``most``, such as :data:`SIZE`) is checked against its
+largest value where it is read, before anything is built from it.
+
 A record declares each field's rule next to it with :func:`ruled` and
 starts its ``__post_init__`` with :func:`read_fields`.
 """
@@ -30,6 +33,7 @@ class Rule(NamedTuple):
     kind: type  # int or float
     text: str = ""  # names the range that ``test`` passes
     test: Optional[Callable] = None
+    most: Optional[int] = None  # the largest value a size may take, checked after ``test``
 
 
 class Vector(NamedTuple):
@@ -38,6 +42,13 @@ class Vector(NamedTuple):
 
 
 POSITIVE_INT = Rule(int, "a positive integer", lambda v: v >= 1)
+# The largest size (a count of parameters, datasets, soundings or grid
+# points) read from outside.  It lies far past any problem the package fits,
+# and a list or array of that many entries, made before the data can show
+# the size to be wrong, is cheap; a larger one can page for minutes or fail
+# to allocate.
+MAX_SIZE = 10**6
+SIZE = POSITIVE_INT._replace(most=MAX_SIZE)
 NONNEGATIVE_INT = Rule(int, "a nonnegative integer", lambda v: v >= 0)
 FINITE = Rule(float, "finite", math.isfinite)
 POSITIVE = Rule(float, "positive", lambda v: v > 0.0)
@@ -62,7 +73,7 @@ def read(value, key, rule, json=False, label=""):
     if isinstance(rule, Vector):
         entries = listed(value, key, label)
         return rule.make([read(v, key, rule.entry, json, label) for v in entries])
-    kind, text, test = rule
+    kind, text, test, most = rule
     value = json_int(value) if json and kind is int else value
     if isinstance(value, bool) or not isinstance(value, Integral if kind is int else Real):
         what = "an integer" if kind is int else "a number"
@@ -74,6 +85,10 @@ def read(value, key, rule, json=False, label=""):
             f"{label}{key!r} must be {text}, got an integer too large for a float") from None
     if test is not None and not test(value):
         raise InvalidInputError(f"{label}{key!r} must be {text}, got {value!r}")
+    if most is not None and value > most:
+        shown = (value if value < 10**20 else f"{float(value):.3g}" if value < 2**1024
+                 else f"an integer of {len(str(value))} digits")
+        raise InvalidInputError(f"{label}{key!r} must be at most {most}, got {shown}")
     return value
 
 

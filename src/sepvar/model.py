@@ -49,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import InvalidInputError, ModelOverflowError
+from .exceptions import InvalidInputError, ModelOverflowError, ProblemTooLargeError
 from .inputs import NONNEGATIVE_FINITE, Rule, read_fields, ruled
 
 EXP_OVERFLOW_LIMIT = 700.0  # exp() overflows double precision just above this
@@ -60,6 +60,10 @@ EXP_OVERFLOW_LIMIT = 700.0  # exp() overflows double precision just above this
 # vp-km 29.8 ms with chunks of 4, 28.7 and 27.2 ms with 12; 8 and 16 were
 # slower than 12.
 CHUNK = 12
+# The most taps a slit kernel may have on either side of its centre.  The
+# two Toeplitz blocks of the slit convolution hold 8 h^2 elements for h of
+# them, 67 MB at this limit, and the frame grids' slit has 32.
+MAX_HALF_TAPS = 1024
 MU_SUN = Rule(float, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
 
@@ -265,10 +269,16 @@ class ExpGroupEval(GroupEval):
 
 def _half_taps(spacing, halfwidth):
     """Taps on either side of the centre of gaussian_kernel(spacing,
-    halfwidth); 0 for the delta response."""
+    halfwidth); 0 for the delta response.  More than MAX_HALF_TAPS raise
+    ProblemTooLargeError before anything is built from them."""
     if halfwidth <= 0.0 or spacing <= 0.0:
         return 0
-    return int(np.floor(4.0 * halfwidth / spacing))
+    half = 4.0 * halfwidth / spacing  # infinite for a huge halfwidth
+    if not half < MAX_HALF_TAPS + 1:
+        raise ProblemTooLargeError(
+            f"'slit_halfwidth' {halfwidth:g} spans {half:.3g} grid steps on either side "
+            f"of the slit's centre; at most {MAX_HALF_TAPS} fit the budget")
+    return int(np.floor(half))
 
 
 def _grid_spacing(t):

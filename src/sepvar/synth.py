@@ -17,11 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import GenerationError, InvalidInputError, SepvarError
-from .inputs import (FINITE, FINITE_VECTOR, NONNEGATIVE_FINITE, NONNEGATIVE_INT, POSITIVE, Rule,
-                     Vector, read, read_fields, ruled)
+from .exceptions import GenerationError, InvalidInputError, ProblemTooLargeError, SepvarError
+from .inputs import (FINITE, FINITE_VECTOR, MAX_SIZE, NONNEGATIVE_FINITE, NONNEGATIVE_INT,
+                     POSITIVE, Rule, Vector, read, read_fields, ruled)
 from .model import BeerAux, BeerLawModel, Dataset, ExpDecayModel, normalize_abscissa
-from .vpcore import MultiProblem, group_members
+from .vpcore import ELEMENT_BUDGET, MultiProblem, group_members
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -50,7 +50,7 @@ def model_kind(kind, n, p):
 class GridSpec:
     """Abscissa layout and per-dataset scaling knobs for one dataset."""
 
-    length: int = ruled(Rule(int, "an integer >= 2", lambda v: v >= 2))
+    length: int = ruled(Rule(int, "an integer >= 2", lambda v: v >= 2, MAX_SIZE))
     lo: float = ruled(FINITE)
     hi: float = ruled(FINITE)
     i0_scale: float = ruled(Rule(float, "positive and finite", lambda v: 0.0 < v < np.inf),
@@ -89,6 +89,11 @@ class TruthSpec:
             raise InvalidInputError("exponential model requires n == p")
         if any(g.tau_scale is not None and len(g.tau_scale) != self.p for g in self.grids):
             raise InvalidInputError(f"tau_scale must have one entry per species, p={self.p}")
+        points = sum(g.length for g in self.grids)
+        if points * (self.n + self.p) > ELEMENT_BUDGET:  # the bases and their derivatives
+            raise ProblemTooLargeError(
+                f"the grids hold {points} points, each with n + p = {self.n + self.p} basis "
+                f"and derivative rows, more than the budget of {ELEMENT_BUDGET:.3g} elements")
 
     @property
     def s(self):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -500,6 +503,65 @@ class TestConfigErrors:
         cfg = frame_config(soundings=1)
         cli.spec_from_config(cfg)
         assert cfg == frame_config(soundings=1)
+
+
+# a child process that caps its own address space, then runs cli.main on
+# its arguments: a size that slips past its check fails to allocate at once
+# instead of paging for minutes
+CAPPED_MAIN = """
+import resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from sepvar import cli
+sys.exit(cli.main(sys.argv[2:]))
+"""
+ADDRESS_SPACE = 2**30  # a fit of the README problems needs about 0.4 GB
+
+
+def run_capped(argv):
+    """(exit code, stderr) of ``cli.main(argv)`` in a capped child process."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", CAPPED_MAIN, str(ADDRESS_SPACE), *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stderr
+
+
+# a size read from outside, far too large, each a usage error that names its
+# key before anything is built from it: (command, edit, key)
+SIZE_ERRORS = {
+    # p column names were built one by one
+    "manifest-p-1e9": ("fit", lambda b: _edit_manifest(b, p=1000000000), "'p'"),
+    # the slit's Toeplitz blocks (59 PiB), or an int() of an infinite tap count
+    "manifest-slit_halfwidth-1e6": ("fit", lambda b: _edit_entry(b, slit_halfwidth=1e6),
+                                    "'slit_halfwidth'"),
+    "manifest-slit_halfwidth-1e308": ("fit", lambda b: _edit_entry(b, slit_halfwidth=1e308),
+                                      "'slit_halfwidth'"),
+    "config-grid-length-1e308": (
+        "generate", {**beer_config(), "grids": [{"length": 1e308, "lo": 6180.0, "hi": 6280.0}] * 2},
+        "'length'"),
+    "config-frame-soundings-1e308": ("generate", frame_config(soundings=1e308), "'soundings'"),
+}
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize("case", sorted(SIZE_ERRORS))
+    def test_usage_error_names_key(self, tmp_path, case):
+        command, edit, key = SIZE_ERRORS[case]
+        out = tmp_path / "out"
+        if command == "fit":
+            cfg = write_config(tmp_path / "cfg.json", beer_config(length=20))
+            bundle = tmp_path / "bundle"
+            assert cli.main(["generate", "--config", cfg, "--out", str(bundle)]) == 0
+            edit(bundle)
+            rc, err = run_capped(["fit", bundle, "--method", "vp-gl", "--out", out])
+        else:
+            cfg = write_config(tmp_path / "cfg.json", edit)
+            rc, err = run_capped(["generate", "--config", cfg, "--out", out])
+        assert rc == 2, err
+        assert err.startswith("error: ") and key in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestFormats:

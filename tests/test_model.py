@@ -6,9 +6,10 @@ import pytest
 import scipy.ndimage as ndi
 
 import sepvar as sv
-from sepvar.exceptions import InvalidInputError, ModelOverflowError
+from sepvar.exceptions import InvalidInputError, ModelOverflowError, ProblemTooLargeError
 from sepvar.model import (
     CHUNK,
+    MAX_HALF_TAPS,
     BeerAux,
     BeerLawModel,
     Dataset,
@@ -225,6 +226,15 @@ class TestBeerBasis:
 
 class TestConvolveReflect:
     """The blocked Toeplitz product against ndimage's reflecting convolution."""
+
+    @pytest.mark.parametrize("halfwidth", [1e6, 1e308])
+    def test_slit_past_its_budget_is_refused(self, halfwidth):
+        """A slit wider than MAX_HALF_TAPS grid steps on either side (the
+        first would need 59 PiB of Toeplitz blocks) raises before anything
+        is built; the widest one allowed is built."""
+        with pytest.raises(ProblemTooLargeError, match="'slit_halfwidth'"):
+            gaussian_kernel(1.0, halfwidth)
+        assert gaussian_kernel(1.0, MAX_HALF_TAPS / 4.0).size == 2 * MAX_HALF_TAPS + 1
 
     @pytest.mark.parametrize("m", [5, 10, 33, 651, 809])
     @pytest.mark.parametrize("taps", [3, 5, 17, 65, 129, 193])

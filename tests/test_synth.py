@@ -4,7 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sepvar.exceptions import InvalidInputError
+from sepvar.exceptions import InvalidInputError, ProblemTooLargeError
+from sepvar.inputs import MAX_SIZE
 from sepvar.synth import (
     RNG_ALGORITHM,
     GridSpec,
@@ -47,6 +48,17 @@ class TestSpecValidation:
             GridSpec(1, 0.0, 1.0)
         with pytest.raises(InvalidInputError):
             GridSpec(10, 1.0, 1.0)
+
+    def test_sizes_past_their_budgets_rejected(self):
+        """A grid longer than MAX_SIZE is a bad value; grids that fit it but
+        together pass the element budget are a problem too large, refused
+        before anything is drawn."""
+        with pytest.raises(InvalidInputError, match="'length' must be at most 1000000"):
+            GridSpec(MAX_SIZE + 1, 0.0, 1.0)
+        grids = (GridSpec(MAX_SIZE, 0.0, 1.0),) * 30
+        with pytest.raises(ProblemTooLargeError, match="30000000 points"):
+            TruthSpec(kind="exp", alpha_true=[1.0, 0.5], beta_true=([1.0, 1.0],) * 30,
+                      grids=grids)
 
     @pytest.mark.parametrize("fields", [
         {"length": 40.0}, {"length": "40"}, {"lo": np.nan}, {"hi": np.inf},

@@ -355,7 +355,8 @@ def _form_group(group, f, form):
     beta = (r_inv @ w[:, :, None])[:, :, 0]
     u = ge.dphi_beta(beta[:, None])[:, 0]  # g x p x m
     if form == FORM_GL:
-        z = y - (w[:, None, :] @ q1t)[:, 0]
+        z = (w[:, None, :] @ q1t)[:, 0]
+        np.subtract(y, z, out=z)
         v = ge.dphi_t(z)  # g x p x n
         # P_perp u + pinv^T v == u + Q1 (R^-T v - Q1^T u), one row per l;
         # its negative, formed as (Q1^T u - R^-T v) Q1^T - u, rounds the same
@@ -364,13 +365,16 @@ def _form_group(group, f, form):
     else:
         vt, t = f.vt, f.t
 
-        # rows of Q^T c are c - c V T V^T; Q2^T c is their trailing part
+        # rows of Q^T c are c - c V T V^T, formed in the product's buffer;
+        # Q2^T c is their trailing part
         def qt(c):
-            return c - ((c @ vt.transpose(0, 2, 1)) @ t) @ vt
+            x = ((c @ vt.transpose(0, 2, 1)) @ t) @ vt
+            return np.subtract(c, x, out=x)
 
         z = qt(y[:, None, :])[:, 0, n:]
         v = None
-        jac = -qt(u)[:, :, n:]
+        jac = qt(u)[:, :, n:]
+        np.negative(jac, out=jac)
     # a non-finite product makes its rows of jac non-finite; jac can also
     # overflow from finite products, which the engine's own check reports
     if not np.isfinite(jac).all():

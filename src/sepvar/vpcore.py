@@ -41,20 +41,20 @@ residual, Jacobian, each dataset's linear parameters and its basis matrix
 as a view of the stack this evaluation allocated, which the final linear
 solve and the diagnostics read.  Each block holds its dataset's own rows
 only (``MultiProblem.block_sizes``), and each basis matrix is the unpadded
-view.  Every evaluation also keeps each group's Grams
-D_k = phi_k^T phi_k, formed by the factor step as R^T R in one batched
-n x n product, and a ``gl``-form evaluation each group's products
-v_k = dphi_l^T z_k, which its Jacobian read; the diagnostics read
-B_k = J_k^T phi_k as -v_k and D_k from them, gathered in problem order
-only then.  An ``eval_km`` evaluation keeps, per group, its GroupEval
+view.  Every evaluation also keeps each dataset's Gram D_k = phi_k^T phi_k,
+formed by the factor step as R^T R in one batched n x n product, and a
+``gl``-form evaluation each dataset's products v_k = dphi_l^T z_k, which
+its Jacobian read; the diagnostics read B_k = J_k^T phi_k as -v_k and D_k
+from them.  An ``eval_km`` evaluation keeps, per group, its GroupEval
 besides the Grams, and nothing else of its factor and form steps: the
 diagnostics of a ``vp-km`` fit take the Schur complement as J_km^T J_km
 itself (P_perp Q1 = 0), and v_k as dphi_l^T r_k of the fit's residuals,
 by the call ``eval_gl`` makes for its z (:func:`km_products`).  Every
-product is computed dataset by dataset within the stack, so a group of equal-length datasets gives the results of
-each dataset alone; a padded dataset's match them to rounding.  The rank
-decisions, made on each dataset's unpadded rows, and the typed errors are
-those of the pivoted per-dataset ``thin_qr``.
+product is computed dataset by dataset within the stack, so a group of
+equal-length datasets gives the results of each dataset alone; a padded
+dataset's match them to rounding.  The rank decisions, made on each
+dataset's unpadded rows, and the typed errors are those of the pivoted
+per-dataset ``thin_qr``.
 
 The three residuals always share the same 2-norm; projectors are never
 materialized except inside ``eval_naive``, which is deliberately literal so
@@ -68,6 +68,7 @@ dataset, for the block-diagonal basis and for the joint reference fit.
 import itertools
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -107,6 +108,15 @@ class DatasetGroup:
     datasets: tuple
     y: np.ndarray  # g x m stacked observations, zero past each dataset's length
     inputs: object = field(repr=False)  # the model's prepare_group(datasets)
+    # ``index`` as the cheaper basic index when it is evenly spaced, as in a
+    # frame layout or a run of datasets: a slice
+    rows: object = field(init=False, repr=False)
+
+    def __post_init__(self):
+        first, last, g = self.index[0], self.index[-1], len(self.index)
+        step = (last - first) // (g - 1) if g > 1 else 1
+        even = self.index == tuple(range(first, last + 1, step))
+        object.__setattr__(self, "rows", slice(first, last + 1, step) if even else list(self.index))
 
 
 def group_members(model, datasets):
@@ -212,15 +222,14 @@ class ReducedEval:
 
     ``betas`` and ``phis`` hold each dataset's linear parameters and m x n
     basis matrix, in problem order; a grouped kernel's phis are transposed
-    views of its group's stack.  Every evaluation keeps the Grams
-    phi_k^T phi_k, and a ``gl``-form evaluation (``eval_gl``,
-    ``eval_naive``) the products dphi_l^T z that its Jacobian read, per
-    group as (positions in the problem, stack) pairs: ``d`` (s x n x n) and
-    ``v`` (s x p x n; row l of dataset k is dphi_l^T z_k) gather them in
-    problem order when the diagnostics first read them.  An ``eval_km``
-    evaluation has no products (``v`` is None) and keeps, per group, the
-    group and its GroupEval (``groups``), whose ``dphi_t`` gives those
-    products of any residuals (:func:`km_products`).
+    views of its group's stack.  Every evaluation keeps, in problem order,
+    the Grams ``d`` = phi_k^T phi_k (s x n x n), and a ``gl``-form
+    evaluation (``eval_gl``, ``eval_naive``) the products ``v`` =
+    dphi_l^T z (s x p x n; row l of dataset k is dphi_l^T z_k) that its
+    Jacobian read; the diagnostics read both.  An ``eval_km`` evaluation
+    keeps None for ``v`` and, per group, the group and its GroupEval
+    (``groups``), whose ``dphi_t`` gives those products of any residuals
+    (:func:`km_products`).
     """
 
     z: np.ndarray
@@ -228,28 +237,20 @@ class ReducedEval:
     betas: tuple = field(repr=False)
     block_sizes: tuple
     phis: tuple = field(repr=False)
-    grams: tuple = field(repr=False)
-    products: tuple = field(default=(), repr=False)
+    d: np.ndarray = field(repr=False)
+    v: Optional[np.ndarray] = field(default=None, repr=False)
     groups: tuple = field(default=(), repr=False)
-
-    @cached_property
-    def d(self):
-        return _in_problem_order(self.grams, len(self.betas))
-
-    @cached_property
-    def v(self):
-        return _in_problem_order(self.products, len(self.betas)) if self.products else None
 
 
 def _in_problem_order(parts, s):
-    """Per-group stacks, (positions, stack) pairs, as one stack in problem
-    order: the only group's own when it holds every dataset, else one copy
-    per group."""
+    """Per-group stacks, (``DatasetGroup.rows``, stack) pairs, as one stack
+    in problem order: the only group's own when it holds every dataset,
+    else one copy per group."""
     if len(parts) == 1:  # one group holds every dataset, in problem order
         return parts[0][1]
     out = np.empty((s, *parts[0][1].shape[1:]))
-    for index, part in parts:
-        out[list(index)] = part
+    for rows, part in parts:
+        out[rows] = part
     return out
 
 
@@ -404,8 +405,10 @@ def _reduce(alpha, problem, form):
     Every form keeps a view of each dataset's basis matrix and its factors'
     Grams; the ``gl`` form also keeps its products dphi_l^T z, and the
     ``km`` form each group's GroupEval, whose ``dphi_t`` gives them later
-    (:func:`km_products`).  Of each dataset's padded blocks, only its own
-    rows are read.
+    (:func:`km_products`).  Grams and products are gathered in problem
+    order at the end, by one copy per group (``DatasetGroup.rows``), or
+    none when one group holds every dataset.  Of each dataset's padded
+    blocks, only its own rows are read.
     """
     s = problem.s
     starts = problem.block_starts[form]
@@ -417,11 +420,11 @@ def _reduce(alpha, problem, form):
     for group in problem.groups:
         f = _factor_group(alpha, problem, group)
         z, jac, beta, v = _form_group(group, f, form)
-        grams.append((group.index, f.d))
+        grams.append((group.rows, f.d))
         if form == FORM_KM:
             kept.append((group, f.ge))
         else:
-            products.append((group.index, v))
+            products.append((group.rows, v))
         for i, k in enumerate(group.index):
             size = starts[k + 1] - starts[k]
             rows = slice(starts[k], starts[k + 1])
@@ -437,8 +440,8 @@ def _reduce(alpha, problem, form):
         betas=tuple(betas),
         block_sizes=problem.block_sizes[form],
         phis=tuple(phis),
-        grams=tuple(grams),
-        products=tuple(products),
+        d=_in_problem_order(grams, s),
+        v=_in_problem_order(products, s) if products else None,
         groups=tuple(kept),
     )
 
@@ -474,7 +477,7 @@ def km_products(red, residuals):
         r = np.zeros(group.y.shape)  # zero past each dataset's length
         for row, k in zip(r, group.index):
             row[: residuals[k].size] = residuals[k]
-        parts.append((group.index, ge.dphi_t(r)))
+        parts.append((group.rows, ge.dphi_t(r)))
     return _in_problem_order(parts, len(residuals))
 
 
@@ -563,7 +566,6 @@ def eval_naive(alpha, problem):
         betas=betas,
         block_sizes=problem.block_sizes[FORM_GL],
         phis=tuple(be.phi for be in bases),
-        grams=((range(problem.s), np.stack([be.phi.T @ be.phi for be in bases])),),
-        products=((range(problem.s),
-                   np.stack(v).reshape(problem.p, problem.s, problem.n).transpose(1, 0, 2)),),
+        d=np.stack([be.phi.T @ be.phi for be in bases]),
+        v=np.stack(v).reshape(problem.p, problem.s, problem.n).transpose(1, 0, 2),
     )

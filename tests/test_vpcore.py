@@ -675,7 +675,7 @@ class TestEvalKM:
         finally:
             tracemalloc.stop()
         assert [group for group, _ in km.groups] == list(prob.groups)
-        arrays = [km.z, km.jac, *km.betas, *(grams for _, grams in km.grams)]
+        arrays = [km.z, km.jac, km.d, *km.betas]
         for group, ge in km.groups:
             assert isinstance(ge, GroupEval)
             assert not {"q1t", "r_inv", "u"} & set(vars(ge))

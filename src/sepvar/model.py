@@ -36,9 +36,9 @@ shares this kernel).  An evaluation convolves the n rows of the bases,
 ``dphi_beta`` the p rows of dphi_l beta of each vector and ``dphi_t`` the
 row of z (the reflect-padded convolution is symmetric, so K^T z is K z).
 Each thread reuses a buffer of its own, so one group's inputs serve several
-threads at once.  The bases, the products and the dense derivatives are fresh arrays
-on every call, and ``eval`` of one dataset is the one-dataset group, so it
-matches that dataset's slice of any group bit for bit.
+threads at once.  The bases, the products and the dense derivatives are
+fresh arrays on every call, and ``eval`` of one dataset is the one-dataset
+group, so it matches that dataset's slice of any group bit for bit.
 """
 
 import math

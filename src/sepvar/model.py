@@ -13,19 +13,21 @@ not the grid), ``prepare_group`` builds what an evaluation of a group reads
 that does not depend on alpha, once per group, and ``eval_group(alpha,
 group)`` checks alpha (its length, then that it is finite) and returns a
 :class:`GroupEval`: the bases, computed with the grid axis last, and the
-model's two derivative kernels, which form the derivatives only as the
-products dphi_l beta (``dphi_beta``) and dphi_l^T z (``dphi_t``) (Kaufman
-1975; O'Leary & Rust 2013), all the reduced path reads of them.  The dense
+model's two derivative kernels, which form the derivatives only as
+products (Kaufman 1975; O'Leary & Rust 2013): ``products(beta, z)`` gives
+dphi_l beta and dphi_l^T z together, all the reduced path reads of them,
+and ``dphi_beta`` gives dphi_l beta of any number of vectors.  The dense
 derivatives of ``eval``, the reference paths and the tests are the
-products with the n unit vectors, so one kernel gives both.
+products with the n unit vectors.
 :class:`ExpDecayModel` keys a dataset by the power-of-two bucket of its
 length, and its :class:`ExpGroup` holds the abscissae padded with zero rows
 to the group's longest dataset; its products are closed forms.
 :class:`BeerLawModel` keys a dataset by its length and its slit's tap
 count; each dataset keeps its own grid, auxiliaries and slit kernel, and
-its :class:`BeerGroup` holds the checked auxiliaries, each dataset's powers
-of nu, -tau and mu_sun * I0, and its slit Toeplitz blocks with the buffer
-of the chunked convolution.
+its :class:`BeerGroup` holds each dataset's powers of nu, -tau and
+mu_sun * I0, and its slit Toeplitz blocks with the buffer of the chunked
+convolution; an evaluation forms the exponents -tau alpha of the whole
+group from the -tau stack by one batched product.
 Per-dataset inputs that are the same bit for bit in every dataset of a
 group are one broadcast view, so a group on one grid stores them once.  The
 Beer law writes the rows of CHUNK datasets at a time straight into the
@@ -33,8 +35,9 @@ group's buffer, fills the reflected tails by slice copies and convolves the
 chunk by two stacked matrix products, which BLAS carries out one dataset at
 a time with that dataset's own Toeplitz blocks (:func:`convolve_reflect`
 shares this kernel).  An evaluation convolves the n rows of the bases,
-``dphi_beta`` the p rows of dphi_l beta of each vector and ``dphi_t`` the
-row of z (the reflect-padded convolution is symmetric, so K^T z is K z).
+``dphi_beta`` the p rows of dphi_l beta of each vector, and ``products``
+the p rows of dphi_l beta and the row of z in one call (the reflect-padded
+convolution is symmetric, so K^T z is K z).
 Each thread reuses a buffer of its own, so one group's inputs serve several
 threads at once.  The bases, the products and the dense derivatives are
 fresh arrays on every call, and ``eval`` of one dataset is the one-dataset
@@ -159,8 +162,9 @@ class GroupEval:
 
     The derivatives are read through products, which is all that the
     reduced path needs (Kaufman 1975; O'Leary & Rust 2013): each model
-    gives ``dphi_beta`` and ``dphi_t``, one product each, and ``dphi`` is
-    the dense g x p x n x m stack, the products with the n unit vectors.
+    gives ``products``, dphi_l beta and dphi_l^T z together, and
+    ``dphi_beta``, whose products with the n unit vectors are ``dphi``, the
+    dense g x p x n x m stack.
     """
 
     phi: np.ndarray
@@ -170,8 +174,10 @@ class GroupEval:
         g x k x p x m, for betas g x k x n."""
         raise NotImplementedError
 
-    def dphi_t(self, z):
-        """dphi_l^T z[i] of each dataset i, g x p x n, for z g x m."""
+    def products(self, beta, z):
+        """(dphi_l beta[i], dphi_l^T z[i]) of each dataset i, g x p x m and
+        g x p x n, for beta g x n and z g x m: the two products of the form
+        step, from one call."""
         raise NotImplementedError
 
     @cached_property
@@ -256,15 +262,15 @@ class ExpGroupEval(GroupEval):
         # + 0.0 turns -0.0 into the +0.0 that the sum over the zero rows gave
         return betas[..., None] * self.dphi_rows[:, None] + 0.0
 
-    def dphi_t(self, z):
-        """Closed form: dphi_l^T z is zero but for its entry l,
-        (-t * phi_l) . z."""
+    def products(self, beta, z):
+        """Closed forms: dphi_l beta is beta_l (-t * phi_l), and dphi_l^T z
+        is zero but for its entry l, (-t * phi_l) . z."""
         d = self.dphi_rows
         g, n, _ = d.shape
         v = np.zeros((g, n, n))
         # one n x m matrix-vector product per dataset, the shape of dphi_l z
         v.reshape(g, n * n)[:, :: n + 1] = (d @ z[:, :, None])[:, :, 0]
-        return v
+        return self.dphi_beta(beta[:, None])[:, 0], v
 
 
 def _half_taps(spacing, halfwidth):
@@ -429,15 +435,15 @@ def _nu_powers(t, n_linear):
 class BeerGroup:
     """What ``BeerLawModel.eval_group`` reads of datasets of one length and
     slit tap count that does not depend on alpha, built by
-    ``BeerLawModel.prepare_group``: the checked auxiliaries, each dataset's
-    powers of nu (g x n x m), its -tau and mu_sun * I0 (g x m) and, unless
-    the slit is a delta, the slit convolution with each dataset's Toeplitz
-    blocks and the chunk buffers.  Powers and blocks that are the same for
-    every dataset are one broadcast view.  A problem builds one per group
-    and reuses it in every evaluation, from any thread."""
+    ``BeerLawModel.prepare_group`` from the checked auxiliaries: each
+    dataset's powers of nu (g x n x m), its -tau (g x p x m) and
+    mu_sun * I0 (g x m) and, unless the slit is a delta, the slit
+    convolution with each dataset's Toeplitz blocks and the chunk buffers.
+    Powers and blocks that are the same for every dataset are one broadcast
+    view.  A problem builds one per group and reuses it in every
+    evaluation, from any thread."""
 
     shape: tuple  # of the group's basis stack, g x n x m
-    auxes: tuple
     powers: np.ndarray
     neg_tau: np.ndarray  # g x p x m
     scale: np.ndarray
@@ -462,32 +468,46 @@ class BeerGroupEval(GroupEval):
     group: BeerGroup
     base: np.ndarray  # g x m
 
-    def dphi_beta(self, betas):
-        """dphi_l beta = K(-tau_l * b * V beta), V the powers of nu and K
-        the slit convolution, reflect padding included: the p rows of each
-        vector go through one convolution call.  For a unit vector e_j,
-        V e_j is nu^j exactly, so the products are the convolved rows
-        -tau_l * (b * nu^j), the dense derivative."""
-        group = self.group
-        g, k, _ = betas.shape
-        w = betas @ group.powers  # g x k x m
+    def _weights(self, betas):
+        """b * V beta of each of the k vectors betas[i] (g x k x n), V the
+        powers of nu: g x k x m."""
+        w = betas @ self.group.powers
         w *= self.base[:, None]
+        return w
+
+    def dphi_beta(self, betas):
+        """dphi_l beta = K(-tau_l * b * V beta), K the slit convolution,
+        reflect padding included: the p rows of each vector go through one
+        convolution call.  For a unit vector e_j, V e_j is nu^j exactly, so
+        the products are the convolved rows -tau_l * (b * nu^j), the dense
+        derivative."""
+        group = self.group
+        w = self._weights(betas)
 
         def fill(rows, dest):
             np.multiply(group.neg_tau[rows, None], w[rows, :, None], out=dest)
 
-        return group.convolve(fill, np.empty((g, k) + group.neg_tau.shape[1:]))
+        return group.convolve(fill, np.empty(w.shape[:2] + group.neg_tau.shape[1:]))
 
-    def dphi_t(self, z):
-        """dphi_l^T z = V^T (-tau_l * b * K^T z).  K^T is K: a symmetric
-        kernel (every :func:`gaussian_kernel` is) on the half-sample
-        reflection of the padding gives a symmetric matrix, also where the
-        reflection repeats.  So K^T z is z convolved, in a call of its
-        own."""
+    def products(self, beta, z):
+        """dphi_l beta as :meth:`dphi_beta` forms it, and
+        dphi_l^T z = V^T (-tau_l * b * K^T z), from one convolution call of
+        p + 1 rows per dataset: the p rows of dphi_l beta, then z.  K^T is
+        K: a symmetric kernel (every :func:`gaussian_kernel` is) on the
+        half-sample reflection of the padding gives a symmetric matrix, also
+        where the reflection repeats, so K^T z is z's row convolved."""
         group = self.group
-        bkz = group.convolve(lambda rows, dest: np.copyto(dest, z[rows]), np.empty(z.shape))
+        g, p, m = group.neg_tau.shape
+        w = self._weights(beta[:, None])  # g x 1 x m
+
+        def fill(rows, dest):
+            np.multiply(group.neg_tau[rows], w[rows], out=dest[:, :p])
+            dest[:, p] = z[rows]
+
+        out = group.convolve(fill, np.empty((g, p + 1, m)))
+        bkz = out[:, p]
         bkz *= self.base  # b * K^T z
-        return (group.neg_tau * bkz[:, None]) @ group.powers.transpose(0, 2, 1)
+        return out[:, :p], (group.neg_tau * bkz[:, None]) @ group.powers.transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -597,7 +617,7 @@ class BeerLawModel:
                    for ds, aux in zip(datasets, auxes)]
         slit = SlitConvolution(kernels) if kernels[0].size > 1 else None
         shape = (len(auxes), self.n_linear, m)
-        return BeerGroup(shape, auxes, powers, neg_tau, scale, slit)
+        return BeerGroup(shape, powers, neg_tau, scale, slit)
 
     def eval_group(self, alpha, group):
         """Beer-law basis of the datasets of a :class:`BeerGroup`.
@@ -613,10 +633,9 @@ class BeerLawModel:
         formed; a delta slit fills the C-contiguous output stack directly.
         """
         alpha = _checked_alpha(alpha, self.p)
-        # -(tau alpha) dataset by dataset is the product with -tau bit for
-        # bit, and the layout of each tau gives the same rounding as before
-        exponent = np.stack([aux.tau @ alpha for aux in group.auxes])
-        np.negative(exponent, out=exponent)
+        # -(tau alpha), g x m: one vector-matrix product per dataset with
+        # its own -tau, so a dataset's row rounds as it does alone
+        exponent = alpha @ group.neg_tau
         over = np.flatnonzero(np.max(exponent, axis=1) > EXP_OVERFLOW_LIMIT)
         if over.size:
             index = int(np.argmax(exponent[over[0]]))

@@ -20,7 +20,7 @@ import numpy as np
 from .exceptions import InvalidInputError
 from .factor import pinv_apply, thin_qr
 from .lm import LMConfig, lm_solve
-from .vpcore import FORM_GL, dataset_bases, eval_gl, eval_km, eval_naive
+from .vpcore import dataset_bases, eval_gl, eval_km, eval_naive
 
 METHOD_VP_GL = "vp-gl"
 METHOD_VP_KM = "vp-km"
@@ -56,9 +56,9 @@ class FitResult:
     wall_time: float
     method: str
     # the reduced evaluation at alpha_hat that gave beta_hat and residuals:
-    # eval_gl's for vp-gl and nls-full, eval_km's (with its groups'
-    # GroupEvals) for vp-km and eval_naive's for vp-naive; the diagnostics
-    # read their block-arrow blocks from it
+    # eval_gl's for vp-gl and nls-full, eval_km's for vp-km and
+    # eval_naive's for vp-naive; the diagnostics read their block-arrow
+    # blocks from it
     final_eval: object = field(repr=False)
 
     @property
@@ -102,7 +102,7 @@ class _JointEval:
     @cached_property
     def jac(self):
         """The Jacobian of z, as ``nls_full_jacobian`` describes it."""
-        p, n, starts = self.problem.p, self.problem.n, self.problem.block_starts[FORM_GL]
+        p, n, starts = self.problem.p, self.problem.n, self.problem.block_starts
         J = np.zeros((starts[-1], p + self.problem.s * n))
         for k, (beta, be) in enumerate(zip(self.betas, self.bases)):
             rows = slice(starts[k], starts[k + 1])

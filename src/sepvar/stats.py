@@ -14,15 +14,16 @@ F_k = B_k D_k^-1 and the p x p Schur complement S = J^T J - sum_k F_k B_k^T,
     (H^T H)^-1 = blockdiag(0, D_1^-1, ..., D_s^-1) + W^T S^-1 W,
     W = [I, -F_1, ..., -F_s].
 
-No block is formed from a per-dataset copy.  J^T J is one M x p product.
+No block is formed from a per-dataset copy.  J^T J comes from the
+p (p + 1) / 2 dot products of J's columns, which the grouped kernels store
+contiguously.
 Column l of J_k is -(P_perp dphi_l beta_k + pinv(phi_k)^T dphi_l^T z_k), and
 P_perp phi_k = 0 while pinv(phi_k) phi_k = I (phi_k = Q1 R), so
 B_k = J_k^T phi_k = -v_k, with v_k the p x n products whose row l is
-dphi_l^T z_k.  The GL form forms those for its Jacobian, and every
-GL-form evaluation keeps them (``ReducedEval.v``) with the Grams D_k
-(``ReducedEval.d``), formed as R^T R from each group's QR in one batched
-n x n product; ``eval_naive`` keeps its own dphi_l^T r and per-dataset
-phi_k^T phi_k.
+dphi_l^T z_k.  Every evaluation keeps those products (``ReducedEval.v``)
+with the Grams D_k (``ReducedEval.d``), formed as R^T R from each group's
+QR in one batched n x n product; ``eval_naive`` keeps its own
+dphi_l^T r and per-dataset phi_k^T phi_k.
 ``compute_diagnostics`` keeps S^-1, the D_k^-1 and the F_k (O(s n^2) memory,
 O(M p^2 + s (p n^2 + n^3)) time) and reads the variances off them:
 sigma^2 diag(S^-1) for alpha and sigma^2 diag(D_k^-1 + F_k^T S^-1 F_k) for
@@ -36,15 +37,13 @@ The reduced Jacobian, products and Grams come from the evaluation at
 alpha_hat that every fit carries (``FitResult.final_eval``), so the
 diagnostics never evaluate the bases: a ``vp-gl`` or ``nls-full`` fit holds
 the ``eval_gl`` evaluation itself and a ``vp-naive`` fit the literal
-``eval_naive`` one.  A ``vp-km`` fit holds an ``eval_km`` evaluation, whose
-one-term Jacobian J_km = -Q2^T dphi_l beta gives the Schur complement
-itself (Kaufman 1975; O'Leary & Rust 2013): J_km^T J_km = u^T P_perp u for
-u = dphi_l beta, the two terms of the GL Jacobian are orthogonal
-(P_perp Q1 = 0), and its second term gives sum_k v_k D_k^-1 v_k^T exactly,
-so S = J_km^T J_km, which goes to the shared tail of ``arrow_inverse`` as
-it is.  Its v_k are dphi_l^T r_k of the fit's residuals r_k, by one
-``GroupEval.dphi_t`` call per group (``vpcore.km_products``), and its D_k
-are the Grams of its factor step.
+``eval_naive`` one.  A ``vp-km`` fit holds an ``eval_km`` evaluation: the
+z, products and Grams of ``eval_gl`` with the one-term Jacobian
+J_km = -P_perp dphi_l beta, which gives the Schur complement itself
+(Kaufman 1975; O'Leary & Rust 2013).  The two terms of the GL Jacobian are
+orthogonal (P_perp Q1 = 0), and its second term gives
+sum_k v_k D_k^-1 v_k^T exactly, so S = J_km^T J_km, which goes to the
+shared tail of ``arrow_inverse`` as it is.
 ``build_H`` and ``covariance`` are the dense reference of the same
 quantities; ``build_H`` evaluates everything afresh at alpha_hat.
 """
@@ -58,7 +57,7 @@ import scipy.linalg as sl
 from scipy.special import ndtri
 
 from .exceptions import InvalidInputError
-from .vpcore import build_block_diag, eval_gl, km_products
+from .vpcore import FORM_KM, build_block_diag, eval_gl
 
 _RANK_WARNING = "H^T H is numerically rank deficient; covariance uses a pseudo-inverse"
 
@@ -236,6 +235,17 @@ def relative_error(alpha_true, alpha_fit):
     return (alpha_true - alpha_fit) / alpha_true
 
 
+def _column_gram(jac):
+    """J^T J from the dot products of J's columns, each computed once."""
+    cols = jac.T
+    p = len(cols)
+    a = np.empty((p, p))
+    for i in range(p):
+        for j in range(i, p):
+            a[i, j] = a[j, i] = cols[i].dot(cols[j])
+    return a
+
+
 def compute_diagnostics(result, problem, level=0.95):
     """Assemble the diagnostics record for a converged fit from the blocks of
     (H^T H)^-1; the dense H and covariance are never formed here."""
@@ -246,13 +256,12 @@ def compute_diagnostics(result, problem, level=0.95):
     # the model values y - residual, formed in the residual's buffer
     score = r_score(y_all, np.subtract(y_all, residual, out=residual))
     red = result.final_eval
-    km = red.v is None  # an eval_km evaluation: its J^T J is S itself
-    a = red.jac.T @ red.jac
-    # B_k = J_k^T phi_k = -v_k
-    b = np.negative(km_products(red, result.residuals) if km else red.v)
+    a = _column_gram(red.jac)
+    b = np.negative(red.v)  # B_k = J_k^T phi_k = -v_k
     if not all(np.isfinite(x).all() for x in (a, b, red.d)) or not np.isfinite(sigma):
         raise InvalidInputError("non-finite inputs to covariance")
-    inverse = arrow_inverse(a, b, red.d, schur=km)
+    # an eval_km evaluation's J^T J is S itself
+    inverse = arrow_inverse(a, b, red.d, schur=red.form == FORM_KM)
     return Diagnostics(
         sigma=sigma,
         r_score=score,

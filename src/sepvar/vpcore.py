@@ -6,9 +6,9 @@ provided:
 
 * ``eval_gl``   -- stacked per-dataset projected residuals with the full
                    (exact) Jacobian.
-* ``eval_km``   -- the smaller residual obtained by applying the trailing
-                   orthogonal factor, with the simplified one-term Jacobian
-                   (exact at the gradient level only).
+* ``eval_km``   -- the same residual with Kaufman's simplified one-term
+                   Jacobian -P_perp dphi_l beta (exact at the gradient
+                   level only).
 * ``eval_naive``-- the problem rewritten with one explicit dense
                    block-diagonal basis matrix and the single-RHS formulas
                    applied to it.
@@ -24,37 +24,32 @@ longest dataset.  A frame layout of 32 soundings gives two groups of 32,
 also when each sounding's grids are shifted; the exp quick-start problem
 of 40 and 50 points is one group.  Each group goes through two steps.  The
 factor step evaluates the stacked bases (the model's one layout, grid axis
-last, zero past each dataset's length), factors them by one stacked
-Householder QR, inverts R, screens the rank and forms the compact WY
-representation (:class:`GroupFactors`).  Zero rows leave R, the linear
-parameters and the projected residual unchanged in exact arithmetic, and
-the padded rows of the Householder vectors, residuals and Jacobian blocks
-come out zero.  The form step turns these into the linear parameters,
-residuals and Jacobian blocks of the ``gl`` or ``km`` form by batched
-products.  It reads the derivatives only through the model's two product
-kernels: dphi_l beta (``GroupEval.dphi_beta``) for both forms, and dphi_l^T
-z (``GroupEval.dphi_t``), in a call of its own, for ``gl``; the dense
-derivatives never enter the reduced path.  A non-finite product raises the
-typed error of a non-finite basis evaluation.  Every evaluation is a plain
-:class:`ReducedEval` record, filled as its groups are formed:
-residual, Jacobian, each dataset's linear parameters and its basis matrix
-as a view of the stack this evaluation allocated, which the final linear
-solve and the diagnostics read.  Each block holds its dataset's own rows
-only (``MultiProblem.block_sizes``), and each basis matrix is the unpadded
-view.  Every evaluation also keeps each dataset's Gram D_k = phi_k^T phi_k,
-formed by the factor step as R^T R in one batched n x n product, and a
-``gl``-form evaluation each dataset's products v_k = dphi_l^T z_k, which
-its Jacobian read; the diagnostics read B_k = J_k^T phi_k as -v_k and D_k
-from them.  An ``eval_km`` evaluation keeps, per group, its GroupEval
-besides the Grams, and nothing else of its factor and form steps: the
-diagnostics of a ``vp-km`` fit take the Schur complement as J_km^T J_km
-itself (P_perp Q1 = 0), and v_k as dphi_l^T r_k of the fit's residuals,
-by the call ``eval_gl`` makes for its z (:func:`km_products`).  Every
-product is computed dataset by dataset within the stack, so a group of
-equal-length datasets gives the results of each dataset alone; a padded
-dataset's match them to rounding.  The rank decisions, made on each
-dataset's unpadded rows, and the typed errors are those of the pivoted
-per-dataset ``thin_qr``.
+last, zero past each dataset's length), factors them by one batched reduced
+QR into the rows of Q1^T and R, inverts R and screens the rank
+(:class:`GroupFactors`).  Zero rows leave R, the linear parameters and the
+projected residual unchanged in exact arithmetic, and the padded rows of
+Q1, the residuals and the Jacobian blocks come out zero.  The form step,
+one for both forms, turns these into the linear parameters beta, the
+residual z = P_perp y and, from one call of the model's product kernel
+(``GroupEval.products``), u = dphi_l beta and v = dphi_l^T z together; the
+dense derivatives never enter the reduced path.  The two forms differ only
+in the Jacobian: -(P_perp u + pinv^T v) for ``gl`` and -P_perp u for
+``km`` (Kaufman 1975; O'Leary & Rust 2013), so both forms give the same z,
+beta, v and Grams bit for bit.  A non-finite product raises the typed error
+of a non-finite basis evaluation.  Every evaluation is a plain
+:class:`ReducedEval` record, filled as its groups are formed: residual,
+Jacobian, each dataset's linear parameters and its basis matrix as a view
+of the stack this evaluation allocated, which the final linear solve and
+the diagnostics read.  Each block holds its dataset's own rows, one per
+grid point (``MultiProblem.block_sizes``), and each basis matrix is the
+unpadded view.  Every evaluation also keeps each dataset's Gram
+D_k = phi_k^T phi_k, formed by the factor step as R^T R in one batched
+n x n product, and its products v_k = dphi_l^T z_k; the diagnostics read
+B_k = J_k^T phi_k as -v_k and D_k from them.  Every product is computed
+dataset by dataset within the stack, so a group of equal-length datasets
+gives the results of each dataset alone; a padded dataset's match them to
+rounding.  The rank decisions, made on each dataset's unpadded rows, and
+the typed errors are those of the pivoted per-dataset ``thin_qr``.
 
 The three residuals always share the same 2-norm; projectors are never
 materialized except inside ``eval_naive``, which is deliberately literal so
@@ -67,8 +62,7 @@ dataset, for the block-diagonal basis and for the joint reference fit.
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 
@@ -190,29 +184,24 @@ class MultiProblem:
 
     @cached_property
     def block_sizes(self):
-        """Rows of each dataset's residual block, per form."""
-        m = tuple(ds.m for ds in self.datasets)
-        return {FORM_GL: m, FORM_KM: tuple(m_k - self.n for m_k in m)}
+        """Rows of each dataset's residual block: its length, in every form."""
+        return tuple(ds.m for ds in self.datasets)
 
     @cached_property
     def block_starts(self):
         """First row of each dataset's residual block, and the total row
-        count last, per form."""
-        return {form: (0, *itertools.accumulate(sizes))
-                for form, sizes in self.block_sizes.items()}
+        count last."""
+        return (0, *itertools.accumulate(self.block_sizes))
 
 
 @dataclass(frozen=True)
 class GroupFactors:
-    """One group's basis evaluation and its stacked QR in compact WY form,
-    Q = I - V T V^T (see :func:`_wy`), with the rows of Q1^T, the inverse
-    of R, the leading n x n block, and the Grams phi^T phi = R^T R."""
+    """One group's basis evaluation and its stacked reduced QR, with the
+    rows of Q1^T, the inverse of R and the Grams phi^T phi = R^T R."""
 
     ge: object  # the model's GroupEval
     r_inv: np.ndarray  # g x n x n
     q1t: np.ndarray  # g x n x m
-    vt: np.ndarray  # g x n x m
-    t: np.ndarray  # g x n x n
     d: np.ndarray  # g x n x n
 
 
@@ -220,16 +209,15 @@ class GroupFactors:
 class ReducedEval:
     """Residual, Jacobian and per-dataset intermediates at one alpha.
 
-    ``betas`` and ``phis`` hold each dataset's linear parameters and m x n
-    basis matrix, in problem order; a grouped kernel's phis are transposed
-    views of its group's stack.  Every evaluation keeps, in problem order,
-    the Grams ``d`` = phi_k^T phi_k (s x n x n), and a ``gl``-form
-    evaluation (``eval_gl``, ``eval_naive``) the products ``v`` =
-    dphi_l^T z (s x p x n; row l of dataset k is dphi_l^T z_k) that its
-    Jacobian read; the diagnostics read both.  An ``eval_km`` evaluation
-    keeps None for ``v`` and, per group, the group and its GroupEval
-    (``groups``), whose ``dphi_t`` gives those products of any residuals
-    (:func:`km_products`).
+    ``z`` is the projected residual, one row per grid point
+    (``block_sizes``), and ``jac`` its Jacobian in the evaluation's
+    ``form``: ``gl`` (``eval_gl``, ``eval_naive``) or ``km``
+    (``eval_km``).  ``betas`` and ``phis`` hold each dataset's linear
+    parameters and m x n basis matrix, in problem order; a grouped kernel's
+    phis are transposed views of its group's stack.  Every evaluation keeps,
+    in problem order, the Grams ``d`` = phi_k^T phi_k (s x n x n) and the
+    products ``v`` = dphi_l^T z (s x p x n; row l of dataset k is
+    dphi_l^T z_k); the diagnostics read both.
     """
 
     z: np.ndarray
@@ -238,8 +226,8 @@ class ReducedEval:
     block_sizes: tuple
     phis: tuple = field(repr=False)
     d: np.ndarray = field(repr=False)
-    v: Optional[np.ndarray] = field(default=None, repr=False)
-    groups: tuple = field(default=(), repr=False)
+    v: np.ndarray = field(repr=False)
+    form: str = FORM_GL
 
 
 def _in_problem_order(parts, s):
@@ -268,34 +256,6 @@ def _raise_first_failure(alpha, problem):
             ) from err
 
 
-@cache
-def _triangles(n):
-    """The read-only n x n strictly upper triangular mask and identity."""
-    strict, eye = np.triu(np.ones((n, n), dtype=bool), 1), np.eye(n)
-    strict.flags.writeable = eye.flags.writeable = False
-    return strict, eye
-
-
-def _wy(h, tau):
-    """Compact WY form Q = I - V T V^T of stacked Householder factors.
-
-    h (g x n x m) and tau (g x n) are the raw output of np.linalg.qr, and
-    h is overwritten.  Returns V^T (g x n x m, in h's memory; reflector i is
-    row i, with a unit entry at i) and the upper triangular T (g x n x n),
-    built as LAPACK's dlarft does.
-    """
-    g, n = tau.shape
-    strict, eye = _triangles(n)
-    vt = h
-    vt[:, :, :n] = np.where(strict, vt[:, :, :n], eye)  # zero before each unit entry
-    gram = vt @ vt.transpose(0, 2, 1)
-    t = np.zeros((g, n, n))
-    t.reshape(g, n * n)[:, :: n + 1] = tau  # the diagonal
-    for i in range(1, n):
-        t[:, :i, i] = -tau[:, i, None] * (t[:, :i, :i] @ gram[:, :i, i, None])[:, :, 0]
-    return vt, t
-
-
 def _check_finite(*arrays):
     """Raise the typed error of a non-finite basis or derivative product."""
     if not all(np.isfinite(a).all() for a in arrays):
@@ -303,19 +263,17 @@ def _check_finite(*arrays):
 
 
 def _factor_group(alpha, problem, group):
-    """The factor step of one group: the model's stacked bases, one stacked
-    Householder QR without pivoting, R's inverse, the compact WY form, the
-    rows of Q1^T formed from it and the Grams phi^T phi, formed as R^T R,
-    one batched n x n product.  A
-    basis whose R may be near singular (by the bound ||R||_F ||R^-1||_F on
-    its condition number) goes through the pivoted thin_qr of its dataset's
-    own rows for the rank decision."""
+    """The factor step of one group: the model's stacked bases, one batched
+    reduced QR without pivoting (each dataset's Q1 and R as LAPACK gives
+    them for that dataset alone), R's inverse and the Grams phi^T phi,
+    formed as R^T R, one batched n x n product.  A basis whose R may be
+    near singular (by the bound ||R||_F ||R^-1||_F on its condition number)
+    goes through the pivoted thin_qr of its dataset's own rows for the rank
+    decision."""
     ge = problem.model.eval_group(alpha, group.inputs)
     _check_finite(ge.phi)
-    n = problem.n
     a = ge.phi.transpose(0, 2, 1)  # g x m x n, zero rows past each length
-    h, tau = np.linalg.qr(a, mode="raw")
-    r = np.where(_triangles(n)[0].T, 0.0, h[:, :, :n].transpose(0, 2, 1))
+    q1, r = np.linalg.qr(a)
     try:
         r_inv = np.linalg.inv(r)
         # sigma_max / sigma_min <= ||R||_F ||R^-1||_F, NaN or infinite for an
@@ -329,57 +287,39 @@ def _factor_group(alpha, problem, group):
         thin_qr(a[i, : group.datasets[i].m])
     if r_inv is None:
         raise RankDeficiencyError("a basis matrix of the group has a singular R factor")
-    vt, t = _wy(h, tau)
-    # rows of Q1^T = E^T Q^T are E^T - V[:n] T^T V^T
-    q1t = -(vt[:, :, :n].transpose(0, 2, 1) @ t.transpose(0, 2, 1)) @ vt
-    q1t.reshape(len(q1t), -1)[:, :: q1t.shape[2] + 1] += 1.0  # the diagonal
-    return GroupFactors(ge, r_inv, q1t, vt, t, r.transpose(0, 2, 1) @ r)
+    return GroupFactors(ge, r_inv, q1.transpose(0, 2, 1), r.transpose(0, 2, 1) @ r)
 
 
 def _form_group(group, f, form):
-    """The form step of one group: residual and Jacobian blocks in the
-    ``gl`` or ``km`` form, grid axis last.
+    """The form step of one group, the same for both forms but for the
+    Jacobian's second term: residual and Jacobian blocks, grid axis last.
 
-    Returns (z, jac, beta, v): z is g x m (``gl``) or g x (m - n) (``km``),
-    jac g x p x rows, beta g x n and v, for ``gl`` only (else None), the
-    products dphi_l^T z (g x p x n) that its Jacobian reads.  Dataset i's
-    block is its first m_i (``gl``) or m_i - n (``km``) rows; the rows past
-    it are zero.  The ``gl`` form reads Q1^T, the ``km`` form V^T and T
-    too.  The derivatives enter only through the model's products: dphi_l
-    beta (``ge.dphi_beta``) for both forms, and dphi_l^T z (``ge.dphi_t``)
-    for ``gl``.
+    Returns (z, jac, beta, v): z = P_perp y (g x m), jac g x p x m, beta
+    g x n and v, the products dphi_l^T z (g x p x n).  Dataset i's blocks
+    are its first m_i rows; the rows past them are zero.  The derivatives
+    enter only through one call of the model's ``ge.products``, which
+    gives u = dphi_l beta and v together.  The ``gl`` Jacobian is
+    -(P_perp u + pinv^T v), the ``km`` one -P_perp u.
     """
     r_inv, q1t, ge = f.r_inv, f.q1t, f.ge
-    n = r_inv.shape[-1]
     y = group.y
     w = (q1t @ y[:, :, None])[:, :, 0]
     beta = (r_inv @ w[:, :, None])[:, :, 0]
-    u = ge.dphi_beta(beta[:, None])[:, 0]  # g x p x m
+    z = (w[:, None, :] @ q1t)[:, 0]
+    np.subtract(y, z, out=z)
+    u, v = ge.products(beta, z)  # g x p x m and g x p x n
+    # P_perp u + pinv^T v == u + Q1 (R^-T v - Q1^T u), one row per l; its
+    # negative, formed as (Q1^T u - R^-T v) Q1^T - u, rounds the same; the
+    # km form leaves out R^-T v
+    qu = u @ q1t.transpose(0, 2, 1)
     if form == FORM_GL:
-        z = (w[:, None, :] @ q1t)[:, 0]
-        np.subtract(y, z, out=z)
-        v = ge.dphi_t(z)  # g x p x n
-        # P_perp u + pinv^T v == u + Q1 (R^-T v - Q1^T u), one row per l;
-        # its negative, formed as (Q1^T u - R^-T v) Q1^T - u, rounds the same
-        jac = (u @ q1t.transpose(0, 2, 1) - v @ r_inv) @ q1t
-        jac -= u
-    else:
-        vt, t = f.vt, f.t
-
-        # rows of Q^T c are c - c V T V^T, formed in the product's buffer;
-        # Q2^T c is their trailing part
-        def qt(c):
-            x = ((c @ vt.transpose(0, 2, 1)) @ t) @ vt
-            return np.subtract(c, x, out=x)
-
-        z = qt(y[:, None, :])[:, 0, n:]
-        v = None
-        jac = qt(u)[:, :, n:]
-        np.negative(jac, out=jac)
+        qu -= v @ r_inv
+    jac = qu @ q1t
+    jac -= u
     # a non-finite product makes its rows of jac non-finite; jac can also
     # overflow from finite products, which the engine's own check reports
     if not np.isfinite(jac).all():
-        _check_finite(u, *([] if v is None else [v]))
+        _check_finite(u, v)
     return z, jac, beta, v
 
 
@@ -402,47 +342,42 @@ def _reduce(alpha, problem, form):
     Each group is factored and formed in turn, its blocks are copied into
     the evaluation's residual and Jacobian, which are allocated first, and
     its factors and blocks are released before the next group is factored.
-    Every form keeps a view of each dataset's basis matrix and its factors'
-    Grams; the ``gl`` form also keeps its products dphi_l^T z, and the
-    ``km`` form each group's GroupEval, whose ``dphi_t`` gives them later
-    (:func:`km_products`).  Grams and products are gathered in problem
-    order at the end, by one copy per group (``DatasetGroup.rows``), or
-    none when one group holds every dataset.  Of each dataset's padded
-    blocks, only its own rows are read.
+    The evaluation keeps a view of each dataset's basis matrix, its factors'
+    Grams and its products dphi_l^T z, gathered in problem order at the end
+    by one copy per group (``DatasetGroup.rows``), or none when one group
+    holds every dataset.  Of each dataset's padded blocks, only its own
+    rows are read.
     """
     s = problem.s
-    starts = problem.block_starts[form]
+    starts = problem.block_starts
     z_all = np.empty(starts[-1])
     # column-major, like the transposed p x rows blocks copied into it
     jac_all = np.empty((problem.p, starts[-1])).T
     betas, phis = [None] * s, [None] * s
-    kept, products, grams = [], [], []
+    products, grams = [], []
     for group in problem.groups:
         f = _factor_group(alpha, problem, group)
         z, jac, beta, v = _form_group(group, f, form)
         grams.append((group.rows, f.d))
-        if form == FORM_KM:
-            kept.append((group, f.ge))
-        else:
-            products.append((group.rows, v))
+        products.append((group.rows, v))
         for i, k in enumerate(group.index):
-            size = starts[k + 1] - starts[k]
+            m = group.datasets[i].m
             rows = slice(starts[k], starts[k + 1])
-            z_all[rows] = z[i, :size]
-            jac_all[rows] = jac[i, :, :size].T
+            z_all[rows] = z[i, :m]
+            jac_all[rows] = jac[i, :, :m].T
             betas[k] = beta[i]
-            phis[k] = f.ge.phi[i, :, : group.datasets[i].m].T
+            phis[k] = f.ge.phi[i, :, :m].T
         del f, z, jac, beta, v
 
     return ReducedEval(
         z=z_all,
         jac=jac_all,
         betas=tuple(betas),
-        block_sizes=problem.block_sizes[form],
+        block_sizes=problem.block_sizes,
         phis=tuple(phis),
         d=_in_problem_order(grams, s),
-        v=_in_problem_order(products, s) if products else None,
-        groups=tuple(kept),
+        v=_in_problem_order(products, s),
+        form=form,
     )
 
 
@@ -458,27 +393,10 @@ def eval_gl(alpha, problem):
 
 
 def eval_km(alpha, problem):
-    """Kaufman reduction: shorter residual, one-term (approximate) Jacobian
-    -Q2^T dphi_l beta, with Q2 the trailing orthogonal factor.  As for
-    :func:`eval_gl`, the result owns its bases; it also keeps each group's
-    GroupEval for :func:`km_products`."""
+    """Kaufman reduction: the residual, linear parameters, products and
+    Grams of :func:`eval_gl`, bit for bit, with the one-term (approximate)
+    Jacobian -P_perp dphi_l beta (Kaufman 1975)."""
     return _evaluate(alpha, problem, FORM_KM)
-
-
-def km_products(red, residuals):
-    """The products v_k = dphi_l^T r_k (s x p x n, in problem order) of the
-    residuals r_k (one per dataset, in problem order) at the alpha of the
-    ``eval_km`` evaluation ``red``: one ``GroupEval.dphi_t`` call per kept
-    group, the call ``eval_gl`` makes for its z, and no basis evaluation."""
-    if not red.groups:
-        raise InvalidInputError("only an eval_km evaluation keeps its group evaluations")
-    parts = []
-    for group, ge in red.groups:
-        r = np.zeros(group.y.shape)  # zero past each dataset's length
-        for row, k in zip(r, group.index):
-            row[: residuals[k].size] = residuals[k]
-        parts.append((group.rows, ge.dphi_t(r)))
-    return _in_problem_order(parts, len(residuals))
 
 
 def dataset_bases(alpha, problem):
@@ -564,7 +482,7 @@ def eval_naive(alpha, problem):
         z=r,
         jac=jac,
         betas=betas,
-        block_sizes=problem.block_sizes[FORM_GL],
+        block_sizes=problem.block_sizes,
         phis=tuple(be.phi for be in bases),
         d=np.stack([be.phi.T @ be.phi for be in bases]),
         v=np.stack(v).reshape(problem.p, problem.s, problem.n).transpose(1, 0, 2),

@@ -335,8 +335,8 @@ class TestAcceptance:
             assert slope["vp-naive"] > slope["vp-gl"]
 
     def test_09_kaufman_speed(self, timing_sweep):
-        """The shorter-residual variant costs about the same per evaluation
-        as the full form."""
+        """The Kaufman variant costs about the same per evaluation as the
+        full form."""
         with criterion(9, "kaufman speed parity"):
             t = timing_sweep
             diffs = [

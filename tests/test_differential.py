@@ -16,7 +16,7 @@ import pytest
 import sepvar as sv
 from sepvar import stats
 from sepvar.solver import _final_linear_solve
-from sepvar.vpcore import eval_gl, eval_km, km_products
+from sepvar.vpcore import build_block_diag, eval_gl, eval_km
 
 # slit half-widths in grid units: the delta response, narrow kernels, and
 # 161 taps, wider than every grid of the sweep (reflected more than once)
@@ -35,12 +35,13 @@ COVARIANCE_TOL = 10.0
 # J_km^T J_km against eval_gl's Schur complement, in units of
 # eps cond(H) max |J^T J|; the sweep's worst reads 1.9 (Beer seed 27)
 SCHUR_TOL = 10.0
-# the products of the residuals against eval_gl's, in units of eps times
-# the largest product of the observations; the worst reads 27 (Beer seed 13)
-PRODUCT_TOL = 100.0
-# the two diagnostics routes against each other, in units of
-# eps cond(H)^2 ||y|| / ||r||; the worst reads 1.02 (F_k of Beer seed 30;
-# the bounds' worst is 0.055)
+# eval_km's Jacobian against -P_perp dphi_l beta formed with eval_naive's
+# literal projector, in units of eps max(1, cond(phi)) max |dphi_l beta|;
+# the sweep's worst reads 7.6 (exp27, cond(phi) = 1.2)
+KM_LITERAL_TOL = 100.0
+# the two diagnostics routes' S^-1 and bounds against each other, in units
+# of eps cond(H)^2; the worst reads 1.5 (S^-1 of exp33; the bounds' worst
+# is 0.58, also exp33)
 ROUTE_TOL = 10.0
 
 
@@ -102,31 +103,46 @@ def layout(case):
 @pytest.mark.parametrize("case", CASES)
 def test_gl_from_km_is_eval_gl(case):
     """The GL blocks that the diagnostics take from an eval_km evaluation
-    are eval_gl's.  Its J_km^T J_km is the Schur complement
-    J^T J - sum_k v_k D_k^-1 v_k^T of eval_gl's J (P_perp Q1 = 0 makes
-    them equal in exact arithmetic) within SCHUR_TOL eps cond(H) of
-    max |J^T J|; its Grams are eval_gl's bit for bit; and the products
-    dphi_l^T r_k of the residuals r_k = y_k - phi_k beta_k are eval_gl's
-    dphi_l^T z_k within PRODUCT_TOL eps of the largest product of the
-    observations, dphi_l^T y_k, the scale at which a residual rounds."""
+    are eval_gl's.  Its residual, linear parameters, products
+    dphi_l^T z_k and Grams are eval_gl's bit for bit, and its
+    J_km^T J_km is the Schur complement J^T J - sum_k v_k D_k^-1 v_k^T of
+    eval_gl's J (P_perp Q1 = 0 makes them equal in exact arithmetic)
+    within SCHUR_TOL eps cond(H) of max |J^T J|."""
     prob, alpha = layout(case)
     km, fresh = eval_km(alpha, prob), eval_gl(alpha, prob)
+    for name in ("z", "v", "d"):
+        assert getattr(km, name).tobytes() == getattr(fresh, name).tobytes(), name
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(km.betas, fresh.betas))
     _, result = diagnostics(fresh, prob, alpha)
     eps = np.finfo(float).eps
     a = fresh.jac.T @ fresh.jac
     schur = a - np.einsum("kpn,knm,kqm->pq", fresh.v, np.linalg.inv(fresh.d), fresh.v)
     cond = np.linalg.cond(stats.build_H(result, prob))
     assert np.max(np.abs(km.jac.T @ km.jac - schur)) <= SCHUR_TOL * eps * cond * np.max(np.abs(a))
-    assert km.d.tobytes() == fresh.d.tobytes()
-    v = km_products(km, _final_linear_solve(prob, km)[1])
-    data = km_products(km, [ds.y for ds in prob.datasets])
-    assert np.max(np.abs(v - fresh.v)) <= PRODUCT_TOL * eps * np.max(np.abs(data))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_km_jacobian_is_the_literal_projection(case):
+    """eval_km's Jacobian is Kaufman's -P_perp dphi_l beta, formed here as
+    eval_naive forms its first term: the projector of the pivoted QR of the
+    dense block-diagonal basis, applied to the dense derivatives times the
+    linear parameters, within KM_LITERAL_TOL eps max(1, cond(phi)) of the
+    largest product dphi_l beta."""
+    prob, alpha = layout(case)
+    km = eval_km(alpha, prob)
+    big, dbig, _ = build_block_diag(prob, alpha)
+    f = sv.thin_qr(big)
+    beta = sv.pinv_apply(f, np.concatenate([ds.y for ds in prob.datasets]))
+    u = [d @ beta for d in dbig]
+    literal = -np.column_stack([sv.proj_perp_apply(f, x) for x in u])
+    unit = np.finfo(float).eps * max(1.0, np.linalg.cond(big)) * np.max(np.abs(u))
+    assert np.max(np.abs(km.jac - literal)) <= KM_LITERAL_TOL * unit
 
 
 @pytest.mark.parametrize("case", BEER_CASES)
 def test_group_products_are_one_dataset_products(case):
-    """Each dataset's slice of a group's dphi_beta and dphi_t is that of its
-    one-dataset group, bit for bit.  (A Beer group holds one length; a
+    """Each dataset's slice of a group's dphi_beta and products is that of
+    its one-dataset group, bit for bit.  (A Beer group holds one length; a
     padded exp dataset's products match its own to rounding only.)"""
     prob, alpha = layout(case)
     model = prob.model
@@ -136,11 +152,12 @@ def test_group_products_are_one_dataset_products(case):
         g, n, m = ge.phi.shape
         betas = rng.normal(size=(g, int(rng.integers(1, 4)), n))
         z = rng.normal(size=(g, m))
-        u, v = ge.dphi_beta(betas), ge.dphi_t(z)
+        dense, (u, v) = ge.dphi_beta(betas), ge.products(betas[:, 0], z)
         for i, ds in enumerate(group.datasets):
             alone = model.eval_group(alpha, model.prepare_group((ds,)))
-            assert u[i].tobytes() == alone.dphi_beta(betas[i : i + 1])[0].tobytes()
-            assert v[i].tobytes() == alone.dphi_t(z[i : i + 1])[0].tobytes()
+            assert dense[i].tobytes() == alone.dphi_beta(betas[i : i + 1])[0].tobytes()
+            for got, want in zip((u, v), alone.products(betas[i : i + 1, 0], z[i : i + 1])):
+                assert got[i].tobytes() == want[0].tobytes()
 
 
 def diagnostics(red, prob, alpha):
@@ -155,12 +172,11 @@ def diagnostics(red, prob, alpha):
 @pytest.mark.parametrize("case", CASES)
 def test_diagnostics_routes_agree(case):
     """At the layout's alpha, the vp-km route (an eval_km evaluation, whose
-    J_km^T J_km is the Schur complement itself) gives eval_gl's sigma and
-    R-score bit for bit, and its bounds, S^-1, D_k^-1 and F_k within
-    ROUTE_TOL eps cond(H)^2 ||y|| / ||r|| of eval_gl's, relative to the
-    largest entry (each bound to itself): its products dphi_l^T r_k are
-    of the residual y_k - phi_k beta_k, which rounds at the scale of y.
-    Each route's covariance is within COVARIANCE_TOL eps cond(H)^2 of the
+    J_km^T J_km is the Schur complement itself) gives eval_gl's sigma,
+    R-score, D_k^-1 and F_k bit for bit, since both forms give the same
+    products and Grams, and its bounds and S^-1 within ROUTE_TOL
+    eps cond(H)^2 of eval_gl's, relative to the largest entry (each bound
+    to itself).  Each route's covariance is within COVARIANCE_TOL eps cond(H)^2 of the
     dense sigma^2 (H^T H)^-1, entry by entry relative to the root of the
     two variances."""
     prob, alpha = layout(case)
@@ -169,12 +185,12 @@ def test_diagnostics_routes_agree(case):
     assert km.sigma == gl.sigma and km.r_score == gl.r_score
     H = stats.build_H(result, prob)
     eps, cond = np.finfo(float).eps, np.linalg.cond(H)
-    y = np.concatenate([ds.y for ds in prob.datasets])
-    unit = eps * cond**2 * np.linalg.norm(y) / np.linalg.norm(np.concatenate(result.residuals))
+    unit = eps * cond**2
     assert np.max(np.abs(km.conf_bounds - gl.conf_bounds) / gl.conf_bounds) <= ROUTE_TOL * unit
-    for name in ("s_inv", "d_inv", "f"):
-        ours, theirs = getattr(km.gram_inverse, name), getattr(gl.gram_inverse, name)
-        assert np.max(np.abs(ours - theirs)) <= ROUTE_TOL * unit * np.max(np.abs(theirs))
+    ours, theirs = km.gram_inverse.s_inv, gl.gram_inverse.s_inv
+    assert np.max(np.abs(ours - theirs)) <= ROUTE_TOL * unit * np.max(np.abs(theirs))
+    for name in ("d_inv", "f"):
+        assert getattr(km.gram_inverse, name).tobytes() == getattr(gl.gram_inverse, name).tobytes()
     reference, _ = stats.covariance(H, gl.sigma)
     scale = np.sqrt(np.outer(np.diag(reference), np.diag(reference)))
     bound = COVARIANCE_TOL * eps * cond**2

@@ -360,21 +360,46 @@ class TestDerivativeProducts:
 
     def test_products_are_adjoint(self, rng):
         """<dphi_l beta, z> = <beta, dphi_l^T z> for every dataset, from one
-        dphi_beta and one dphi_t call per group."""
+        products call per group."""
         alpha = np.array([1.1, 0.9])
         for model, datasets in slit_groups(rng):
             ge = model.eval_group(alpha, model.prepare_group(datasets))
             g, n, m = ge.phi.shape
             beta, z = rng.normal(size=(g, n)), rng.normal(size=(g, m))
-            u, v = ge.dphi_beta(beta[:, None]), ge.dphi_t(z)
-            lhs = np.einsum("glm,gm->gl", u[:, 0], z)
+            u, v = ge.products(beta, z)
+            lhs = np.einsum("glm,gm->gl", u, z)
             rhs = np.einsum("gln,gn->gl", v, beta)
-            scale = np.linalg.norm(u[:, 0], axis=-1) * np.linalg.norm(z, axis=-1)[:, None]
+            scale = np.linalg.norm(u, axis=-1) * np.linalg.norm(z, axis=-1)[:, None]
             assert np.all(np.abs(lhs - rhs) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("g", [1, 4, 32])
+    def test_z_row_rounds_as_if_convolved_alone(self, g, rng):
+        """A Beer group's products call convolves z's row in one slit call
+        with the p rows of dphi_l beta; z's row comes out with the same
+        bits as when it is convolved alone, so dphi_l^T z is the product
+        V^T (-tau_l * b * K z) of z convolved on its own, and dphi_l beta
+        is dphi_beta's, bit for bit.  Frame-band groups of g datasets on
+        the 809- and 651-point grids (65 and 53 taps).  (On a grid of two
+        tiles, such as 40 points under 65 taps, BLAS may round z's row of
+        the 6-row product differently from the 2-row one, by an ulp.)"""
+        model = BeerLawModel(n_linear=3, p_species=2)
+        alpha = np.array([1.1, 0.9])
+        for m, lo, hi, halfwidth in [(809, 6180.0, 6280.0, 1.0), (651, 4950.0, 5050.0, 1.0)]:
+            datasets = [make_beer_dataset(rng, m=m, lo=lo, hi=hi, halfwidth=halfwidth)
+                        for _ in range(g)]
+            group = model.prepare_group(datasets)
+            ge = model.eval_group(alpha, group)
+            beta, z = rng.normal(size=(g, 3)), rng.normal(size=(g, m))
+            u, v = ge.products(beta, z)
+            kz = group.slit.apply(lambda rows, dest: np.copyto(dest, z[rows]), np.empty(z.shape))
+            kz *= ge.base
+            alone = (group.neg_tau * kz[:, None]) @ group.powers.transpose(0, 2, 1)
+            assert v.tobytes() == alone.tobytes()
+            assert np.array_equal(u, ge.dphi_beta(beta[:, None])[:, 0])
 
     @pytest.mark.parametrize("kind", ["exp", "beer"])
     def test_products_match_dense_derivatives(self, kind, rng):
-        """dphi_beta and dphi_t agree with the dense derivatives to 1e-12,
+        """products agrees with the dense derivatives to 1e-12,
         on a padded exp group and on the Beer groups above."""
         if kind == "exp":
             model = ExpDecayModel(n_terms=2)
@@ -389,9 +414,9 @@ class TestDerivativeProducts:
             for i, ds in enumerate(datasets):
                 z[i, ds.m:] = 0.0
             dense = ge.dphi  # g x p x n x m
-            for got, want in [(ge.dphi_beta(beta[:, None])[:, 0],
-                               np.einsum("glnm,gn->glm", dense, beta)),
-                              (ge.dphi_t(z), np.einsum("glnm,gm->gln", dense, z))]:
+            u, v = ge.products(beta, z)
+            for got, want in [(u, np.einsum("glnm,gn->glm", dense, beta)),
+                              (v, np.einsum("glnm,gm->gln", dense, z))]:
                 assert got.shape == want.shape
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 

@@ -365,8 +365,9 @@ class TestEvaluationCache:
     @pytest.mark.parametrize("method", ["vp-gl", "vp-km"])
     def test_final_eval_is_the_iterate_after_a_rejected_trial(self, method, monkeypatch):
         """Here the last trial is rejected, so the evaluation at alpha_hat
-        is the cached iterate's, not the latest one."""
-        prob = frame_problem(2, 11)
+        is the cached iterate's, not the latest one.  (Frame seed 24 ends on
+        a rejected trial with both methods; the first assertion checks it.)"""
+        prob = frame_problem(2, 24)
         points = []
         inner = solver._VP_EVALS[method]
 

@@ -15,7 +15,7 @@ from sepvar.exceptions import (
     RankDeficiencyError,
 )
 from sepvar.factor import pinv_transpose_apply
-from sepvar.model import BeerAux, BeerLawModel, Dataset, ExpDecayModel, GroupEval
+from sepvar.model import BeerAux, BeerLawModel, Dataset, ExpDecayModel
 from sepvar.vpcore import (
     MultiProblem,
     _factor_group,
@@ -25,7 +25,6 @@ from sepvar.vpcore import (
     eval_gl,
     eval_km,
     eval_naive,
-    km_products,
 )
 
 from conftest import central_diff_jacobian, interleaved_exp_problem, make_exp_problem
@@ -137,8 +136,8 @@ def assert_matches_reference(ev, alpha, prob, form):
         close(red.z, z)
         close(red.jac, jac)
     else:
-        # the trailing factor is fixed only up to an orthogonal change of
-        # basis, so compare what does not depend on it
+        # the reference applies Q2^T, the grouped km form P_perp = Q2 Q2^T;
+        # (Q2^T a)^T (Q2^T b) = a^T P_perp b, so compare what both share
         npt.assert_allclose(np.linalg.norm(red.z), np.linalg.norm(z), rtol=1e-12)
         close(red.jac.T @ red.z, jac.T @ z)
         close(red.jac.T @ red.jac, jac.T @ jac)
@@ -202,9 +201,10 @@ class TestGroupedKernel:
         assert len(red.phis) == prob.s
         for ds, phi in zip(prob.datasets, red.phis):
             assert np.array_equal(phi, prob.model.eval(alpha, ds).phi)
-        for group, ge in red.groups:
-            for i, k in enumerate(group.index):
-                assert np.shares_memory(red.phis[k], ge.phi[i])
+        if ev is not eval_naive:  # the literal reduction copies each basis out
+            for group in prob.groups:
+                stack = red.phis[group.index[0]].base
+                assert all(red.phis[k].base is stack for k in group.index)
 
     @pytest.mark.parametrize("bad", ["rank", "overflow"])
     def test_non_first_dataset_of_group_fails(self, bad, rng):
@@ -283,22 +283,6 @@ def shifted_beer_problem(rng, taus=None):
     return MultiProblem(datasets=tuple(datasets), model=BeerLawModel(n_linear=3, p_species=2))
 
 
-def literal_wy(h, tau):
-    """The compact WY form as dlarft builds it, row by row: V^T (in h's
-    memory) and T; the reference for ``vpcore._wy``."""
-    n = tau.shape[1]
-    diag = (slice(None), range(n), range(n))
-    for i in range(n):
-        h[:, i, : i + 1] = 0.0
-    h[diag] = 1.0
-    gram = h @ h.transpose(0, 2, 1)
-    t = np.zeros((tau.shape[0], n, n))
-    t[diag] = tau
-    for i in range(1, n):
-        t[:, :i, i] = -tau[:, i, None] * (t[:, :i, :i] @ gram[:, :i, i, None])[:, :, 0]
-    return h, t
-
-
 class SignedNoiseModel(ExpDecayModel):
     """The exp model's group layout with a basis stack of signed noise, so
     that the entries the factor step masks out take both signs."""
@@ -349,30 +333,34 @@ class TestShapeGroups:
             sizes = red.block_sizes
             assert red.z.shape == (sum(sizes),)
             assert red.jac.shape == (sum(sizes), prob.p)
-            assert sizes in (tuple(ds.m for ds in prob.datasets),
-                             tuple(ds.m - prob.n for ds in prob.datasets))
+            assert sizes == tuple(ds.m for ds in prob.datasets)
             for ds, phi in zip(prob.datasets, red.phis):
                 assert phi.shape == (ds.m, prob.n)
                 assert np.array_equal(phi, prob.model.eval(alpha, ds).phi)
 
     def test_factor_step_matches_literal_forms(self, rng):
-        """The factor step's R^-1 is the inverse of np.triu of the QR's
-        leading block, and its V^T and T are the row-by-row form's, bit for
-        bit, on padded exp, shifted Beer, two-group frame and signed-noise
-        bases; its Q1^T is LAPACK's thin Q^T to rounding."""
+        """Each dataset's slice of the factor step's Q1^T and R is
+        np.linalg.qr of that slice alone, bit for bit, its R^-1 the inverse
+        of that R and its Gram R^T R, on padded exp, shifted Beer, two-group
+        frame and signed-noise bases (noise in the padded rows too).  A
+        model's zero-padded slice factors as the dataset's own rows do:
+        the same Q1 rows and R, and zero rows past them."""
         noise = MultiProblem(ragged_exp_problem().datasets, SignedNoiseModel(n_terms=3))
         cases = (*self.problems(rng), (frame_problem(soundings=2), self.ALPHA_BEER),
                  (noise, np.array([1.0, 0.5, 0.2])))
         for prob, alpha in cases:
             for group in prob.groups:
                 f = _factor_group(alpha, prob, group)
-                h, tau = np.linalg.qr(f.ge.phi.transpose(0, 2, 1), mode="raw")
-                r_inv = np.linalg.inv(np.triu(h[:, :, : prob.n].transpose(0, 2, 1)))
-                vt, t = literal_wy(h, tau)
-                assert f.r_inv.tobytes() == r_inv.tobytes()
-                assert f.vt.tobytes() == vt.tobytes() and f.t.tobytes() == t.tobytes()
-                q = np.linalg.qr(f.ge.phi.transpose(0, 2, 1))[0]
-                npt.assert_allclose(f.q1t, q.transpose(0, 2, 1), rtol=0, atol=1e-13)
+                for i, ds in enumerate(group.datasets):
+                    q1, r = np.linalg.qr(f.ge.phi[i].T)
+                    assert f.q1t[i].tobytes() == q1.T.tobytes()
+                    assert f.r_inv[i].tobytes() == np.linalg.inv(r).tobytes()
+                    assert f.d[i].tobytes() == (r.T @ r).tobytes()
+                    if prob is not noise:
+                        own_q1, own_r = np.linalg.qr(f.ge.phi[i, :, : ds.m].T)
+                        assert q1[: ds.m].tobytes() == own_q1.tobytes()
+                        assert r.tobytes() == own_r.tobytes()
+                        assert np.all(q1[ds.m :] == 0.0)
 
     @pytest.mark.parametrize("form", ["gl", "km"])
     def test_padded_rows_are_zero(self, form):
@@ -384,10 +372,9 @@ class TestShapeGroups:
         f = _factor_group(self.ALPHA_EXP, prob, group)
         z, jac, *_ = _form_group(group, f, form)
         for i, ds in enumerate(group.datasets):
-            rows = ds.m - (prob.n if form == "km" else 0)
             assert np.all(f.ge.phi[i, :, ds.m:] == 0.0)
             assert np.all(f.ge.dphi[i, :, :, ds.m:] == 0.0)
-            assert np.all(z[i, rows:] == 0.0) and np.all(jac[i, :, rows:] == 0.0)
+            assert np.all(z[i, ds.m:] == 0.0) and np.all(jac[i, :, ds.m:] == 0.0)
 
     def test_beer_grouping_does_not_change_results(self, rng):
         """Each Beer dataset's blocks are the same in the shifted-grid group
@@ -629,10 +616,15 @@ class TestEvalKM:
             np.linalg.norm(ds.y) for ds in prob.datasets
         )
 
-    def test_residual_is_shorter(self, rng):
+    def test_residual_has_one_row_per_grid_point(self, rng):
+        """The km residual is the GL one, P_perp y, one row per grid point."""
         prob, _ = make_exp_problem(rng, s=3)
         alpha = np.array([0.8, 0.4])
-        assert eval_km(alpha, prob).z.size == prob.m_total - prob.s * prob.n
+        z = eval_km(alpha, prob).z
+        assert z.size == prob.m_total == sum(prob.block_sizes)
+        ref = [sv.proj_perp_apply(sv.thin_qr(prob.model.eval(alpha, ds).phi), ds.y)
+               for ds in prob.datasets]
+        npt.assert_allclose(z, np.concatenate(ref), rtol=0, atol=1e-14 * np.linalg.norm(z))
 
     def test_one_term_jacobian_gives_exact_cost_gradient(self, rng):
         """The one-term Jacobian drops a piece of dz, yet jac^T z must still
@@ -652,13 +644,13 @@ class TestEvalKM:
 
 
     @pytest.mark.parametrize("kind", ["exp", "interleaved", "frame"])
-    def test_kept_groups_hold_only_evaluation_and_grams(self, kind, rng):
-        """An eval_km evaluation keeps, per group, the group and its
-        GroupEval, and the Grams: no Q1^T, R^-1 or products dphi_l beta of
-        its factor and form steps.  It holds its own blocks, those
-        GroupEvals' arrays and the Grams, and no more than a few hundred
-        bytes of Python records per dataset besides; on the interleaved and
-        frame layouts, Q1^T and dphi_l beta alone would exceed that."""
+    def test_evaluation_holds_only_its_own_arrays(self, kind, rng):
+        """An eval_km evaluation, like an eval_gl one, holds its blocks,
+        betas, products and Grams and the basis stacks its phis view, and
+        no more than a few hundred bytes of Python records per dataset
+        besides: no Q1^T, R^-1, products dphi_l beta or GroupEval of its
+        factor and form steps, which on the interleaved and frame layouts
+        alone would exceed that."""
         if kind == "exp":
             prob, _ = make_exp_problem(rng, s=3, snr=50.0, seed=51)
             alpha = np.array([1.0, 0.3])
@@ -674,33 +666,32 @@ class TestEvalKM:
             held = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
-        assert [group for group, _ in km.groups] == list(prob.groups)
-        arrays = [km.z, km.jac, km.d, *km.betas]
-        for group, ge in km.groups:
-            assert isinstance(ge, GroupEval)
-            assert not {"q1t", "r_inv", "u"} & set(vars(ge))
-            inputs = [y for y in vars(group.inputs).values() if isinstance(y, np.ndarray)]
-            arrays += [x for x in vars(ge).values() if isinstance(x, np.ndarray)
-                       and not any(np.shares_memory(x, y) for y in inputs)]
+        stacks = {id(phi.base): phi.base for phi in km.phis}
+        arrays = [km.z, km.jac, km.d, km.v, *km.betas, *stacks.values()]
         own = sum(x.nbytes for x in arrays)
+        assert len(stacks) == len(prob.groups)
         # the records, tuples and array headers: 770 to 870 bytes per dataset
         assert own <= held <= own + 2048 + 1024 * prob.s
 
-    @pytest.mark.parametrize("kind", ["interleaved", "frame"])
+    @pytest.mark.parametrize("kind", ["exp-padded", "interleaved", "frame"])
     def test_km_products_are_eval_gl_products(self, kind):
-        """km_products of eval_gl's residual blocks is eval_gl's v bit for
-        bit: the same dphi_t call on the same rows of an equal GroupEval.
-        An evaluation that keeps no GroupEval is refused."""
-        if kind == "interleaved":
+        """The two forms share one form step and differ only in the
+        Jacobian's second term, so eval_km's products v = dphi_l^T z are
+        eval_gl's bit for bit, and so are its residual z, its linear
+        parameters and its Grams; its block layout is eval_gl's."""
+        if kind == "exp-padded":
+            prob, alpha = ragged_exp_problem(), TestShapeGroups.ALPHA_EXP
+        elif kind == "interleaved":
             prob, alpha = interleaved_exp_problem(), np.array([1.0, 0.3])
         else:
             prob, alpha = frame_problem(soundings=2), np.array([1.1, 0.9])
-        gl = eval_gl(alpha, prob)
-        starts = prob.block_starts["gl"]
-        z = [gl.z[starts[k] : starts[k + 1]] for k in range(prob.s)]
-        assert km_products(eval_km(alpha, prob), z).tobytes() == gl.v.tobytes()
-        with pytest.raises(InvalidInputError):
-            km_products(gl, z)
+        gl, km = eval_gl(alpha, prob), eval_km(alpha, prob)
+        assert (gl.form, km.form) == ("gl", "km")
+        assert km.block_sizes == gl.block_sizes
+        for name in ("z", "v", "d"):
+            assert getattr(km, name).tobytes() == getattr(gl, name).tobytes(), name
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(km.betas, gl.betas))
+        assert not np.array_equal(km.jac, gl.jac)
 
 
 class TestEvalNaive:

@@ -1,10 +1,12 @@
 """Fit orchestration: the three VP reductions and the joint NLS reference.
 
-VP methods minimize the reduced residual over the nonlinear parameters only
-and recover each dataset's linear parameters by one exact linear solve at the
-optimum.  The reference method stacks all linear parameters into the iterate
-and solves the joint problem, warm-starting the linear part from the linear
-solution at the initial nonlinear guess.  Every method runs through the same
+VP methods minimize the reduced residual over the nonlinear parameters only.
+Each dataset's linear parameters and residual are the exact linear solve at
+the optimum, read from the reduced evaluation there, which formed both
+(beta_k = R_k^-1 Q1^T y_k and z_k = P_perp y_k).  The reference method
+stacks all linear parameters into the iterate and solves the joint problem,
+warm-starting the linear part from the linear solution at the initial
+nonlinear guess.  Every method runs through the same
 evaluation cache (``_CachedReduced``) and one LM call; for the reference each
 point is evaluated once, by one model evaluation per group
 (``vpcore.dataset_bases``) that gives its joint residual and, when LM reads
@@ -50,6 +52,9 @@ class SolverConfig:
 @dataclass
 class FitResult:
     alpha_hat: np.ndarray
+    # dataset k's linear parameters pinv(phi_k) y_k and residual P_perp y_k
+    # at alpha_hat, as the final evaluation formed them: rows of its betas
+    # and views of its z, equal to y_k - phi_k beta_k to rounding
     beta_hat: list
     residuals: list
     lm_report: object
@@ -176,11 +181,10 @@ class _CachedReduced:
 
 def _final_linear_solve(problem, red):
     """Linear parameters and joint residuals, read from the reduced
-    evaluation ``red`` at alpha_hat, whatever the strides of its phis."""
-    residuals = [
-        ds.y - phi @ beta for ds, phi, beta in zip(problem.datasets, red.phis, red.betas)
-    ]
-    return list(red.betas), residuals
+    evaluation ``red`` at alpha_hat: the rows of its betas and the views of
+    its residual z = P_perp y, cut at ``problem.block_starts``."""
+    starts = problem.block_starts
+    return list(red.betas), [red.z[a:b] for a, b in zip(starts, starts[1:])]
 
 
 def fit(problem, cfg, alpha0):

@@ -33,9 +33,11 @@ are, so a Cholesky factorization checks each of them; one that fails
 raises a RuntimeWarning and its pseudo-inverse takes the place of its
 inverse.
 
-The reduced Jacobian, products and Grams come from the evaluation at
-alpha_hat that every fit carries (``FitResult.final_eval``), so the
-diagnostics never evaluate the bases: a ``vp-gl`` or ``nls-full`` fit holds
+The residual z = P_perp y, the reduced Jacobian, the products and the
+Grams come from the evaluation at alpha_hat that every fit carries
+(``FitResult.final_eval``), so the diagnostics never evaluate the bases:
+sigma is z's norm over the root of the degrees of freedom, and the
+R-score's model values are y - z.  A ``vp-gl`` or ``nls-full`` fit holds
 the ``eval_gl`` evaluation itself and a ``vp-naive`` fit the literal
 ``eval_naive`` one.  A ``vp-km`` fit holds an ``eval_km`` evaluation: the
 z, products and Grams of ``eval_gl`` with the one-term Jacobian
@@ -247,15 +249,15 @@ def _column_gram(jac):
 
 
 def compute_diagnostics(result, problem, level=0.95):
-    """Assemble the diagnostics record for a converged fit from the blocks of
-    (H^T H)^-1; the dense H and covariance are never formed here."""
-    residual = np.concatenate(result.residuals)
-    s, n, p, m_total = problem.s, problem.n, problem.p, problem.m_total
-    sigma = sigma_of_regression(residual, m_total, n, s, p)
-    y_all = np.concatenate([ds.y for ds in problem.datasets])
-    # the model values y - residual, formed in the residual's buffer
-    score = r_score(y_all, np.subtract(y_all, residual, out=residual))
+    """Assemble the diagnostics record for a converged fit from its final
+    evaluation: sigma and the R-score from its residual z, the variances
+    from the blocks of (H^T H)^-1; the dense H and covariance are never
+    formed here."""
     red = result.final_eval
+    s, n, p, m_total = problem.s, problem.n, problem.p, problem.m_total
+    sigma = sigma_of_regression(red.z, m_total, n, s, p)
+    y_all = np.concatenate([ds.y for ds in problem.datasets])
+    score = r_score(y_all, y_all - red.z)  # the model values y - z
     a = _column_gram(red.jac)
     b = np.negative(red.v)  # B_k = J_k^T phi_k = -v_k
     if not all(np.isfinite(x).all() for x in (a, b, red.d)) or not np.isfinite(sigma):

@@ -37,19 +37,21 @@ in the Jacobian: -(P_perp u + pinv^T v) for ``gl`` and -P_perp u for
 ``km`` (Kaufman 1975; O'Leary & Rust 2013), so both forms give the same z,
 beta, v and Grams bit for bit.  A non-finite product raises the typed error
 of a non-finite basis evaluation.  Every evaluation is a plain
-:class:`ReducedEval` record, filled as its groups are formed: residual,
-Jacobian, each dataset's linear parameters and its basis matrix as a view
-of the stack this evaluation allocated, which the final linear solve and
-the diagnostics read.  Each block holds its dataset's own rows, one per
-grid point (``MultiProblem.block_sizes``), and each basis matrix is the
-unpadded view.  Every evaluation also keeps each dataset's Gram
-D_k = phi_k^T phi_k, formed by the factor step as R^T R in one batched
-n x n product, and its products v_k = dphi_l^T z_k; the diagnostics read
-B_k = J_k^T phi_k as -v_k and D_k from them.  Every product is computed
-dataset by dataset within the stack, so a group of equal-length datasets
-gives the results of each dataset alone; a padded dataset's match them to
-rounding.  The rank decisions, made on each dataset's unpadded rows, and
-the typed errors are those of the pivoted per-dataset ``thin_qr``.
+:class:`ReducedEval` record, filled as its groups are formed: residual and
+Jacobian, each block its dataset's own rows, one per grid point (from
+``MultiProblem.block_starts``), and each dataset's basis matrix as the
+unpadded view of the stack this evaluation allocated.  The fixed-size
+per-dataset outputs are gathered in problem order by one copy per group:
+the linear parameters, the Grams D_k = phi_k^T phi_k, formed by the factor
+step as R^T R in one batched n x n product, and the products
+v_k = dphi_l^T z_k.  A fit's final linear solve reads its linear
+parameters and residual blocks from its evaluation at alpha_hat, and the
+diagnostics read B_k = J_k^T phi_k as -v_k and D_k.  Every product is
+computed dataset by dataset within the stack, so a group of equal-length
+datasets gives the results of each dataset alone; a padded dataset's match
+them to rounding.  The rank decisions, made on each dataset's unpadded
+rows, and the typed errors are those of the pivoted per-dataset
+``thin_qr``.
 
 The three residuals always share the same 2-norm; projectors are never
 materialized except inside ``eval_naive``, which is deliberately literal so
@@ -102,15 +104,6 @@ class DatasetGroup:
     datasets: tuple
     y: np.ndarray  # g x m stacked observations, zero past each dataset's length
     inputs: object = field(repr=False)  # the model's prepare_group(datasets)
-    # ``index`` as the cheaper basic index when it is evenly spaced, as in a
-    # frame layout or a run of datasets: a slice
-    rows: object = field(init=False, repr=False)
-
-    def __post_init__(self):
-        first, last, g = self.index[0], self.index[-1], len(self.index)
-        step = (last - first) // (g - 1) if g > 1 else 1
-        even = self.index == tuple(range(first, last + 1, step))
-        object.__setattr__(self, "rows", slice(first, last + 1, step) if even else list(self.index))
 
 
 def group_members(model, datasets):
@@ -165,7 +158,7 @@ class MultiProblem:
 
     @property
     def m_total(self):
-        return sum(ds.m for ds in self.datasets)
+        return self.block_starts[-1]
 
     @cached_property
     def groups(self):
@@ -209,36 +202,38 @@ class GroupFactors:
 class ReducedEval:
     """Residual, Jacobian and per-dataset intermediates at one alpha.
 
-    ``z`` is the projected residual, one row per grid point
-    (``block_sizes``), and ``jac`` its Jacobian in the evaluation's
-    ``form``: ``gl`` (``eval_gl``, ``eval_naive``) or ``km``
-    (``eval_km``).  ``betas`` and ``phis`` hold each dataset's linear
-    parameters and m x n basis matrix, in problem order; a grouped kernel's
-    phis are transposed views of its group's stack.  Every evaluation keeps,
-    in problem order, the Grams ``d`` = phi_k^T phi_k (s x n x n) and the
-    products ``v`` = dphi_l^T z (s x p x n; row l of dataset k is
-    dphi_l^T z_k); the diagnostics read both.
+    ``z`` is the projected residual P_perp y, one row per grid point, with
+    dataset k's block at ``MultiProblem.block_starts[k]``, and ``jac`` its
+    Jacobian in the evaluation's ``form``: ``gl`` (``eval_gl``,
+    ``eval_naive``) or ``km`` (``eval_km``).  At a fit's alpha_hat, z's
+    blocks are the fit's residuals and ``betas`` (s x n, row k dataset k's
+    pinv(phi_k) y_k) its linear parameters.  ``phis`` holds each dataset's
+    m x n basis matrix, in problem order; a grouped kernel's phis are
+    transposed views of its group's stack, which they keep alive.  Every
+    evaluation also keeps, in problem order, the Grams ``d`` =
+    phi_k^T phi_k (s x n x n) and the products ``v`` = dphi_l^T z
+    (s x p x n; row l of dataset k is dphi_l^T z_k); the diagnostics read
+    both.
     """
 
     z: np.ndarray
     jac: np.ndarray
-    betas: tuple = field(repr=False)
-    block_sizes: tuple
+    betas: np.ndarray = field(repr=False)
     phis: tuple = field(repr=False)
     d: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
     form: str = FORM_GL
 
 
-def _in_problem_order(parts, s):
-    """Per-group stacks, (``DatasetGroup.rows``, stack) pairs, as one stack
+def _in_problem_order(problem, parts):
+    """Per-group stacks, one per group of ``problem.groups``, as one stack
     in problem order: the only group's own when it holds every dataset,
     else one copy per group."""
     if len(parts) == 1:  # one group holds every dataset, in problem order
-        return parts[0][1]
-    out = np.empty((s, *parts[0][1].shape[1:]))
-    for rows, part in parts:
-        out[rows] = part
+        return parts[0]
+    out = np.empty((problem.s, *parts[0].shape[1:]))
+    for group, part in zip(problem.groups, parts):
+        out[list(group.index)] = part
     return out
 
 
@@ -342,41 +337,39 @@ def _reduce(alpha, problem, form):
     Each group is factored and formed in turn, its blocks are copied into
     the evaluation's residual and Jacobian, which are allocated first, and
     its factors and blocks are released before the next group is factored.
-    The evaluation keeps a view of each dataset's basis matrix, its factors'
-    Grams and its products dphi_l^T z, gathered in problem order at the end
-    by one copy per group (``DatasetGroup.rows``), or none when one group
-    holds every dataset.  Of each dataset's padded blocks, only its own
-    rows are read.
+    Of each dataset's padded blocks, only its own rows are copied.  The
+    evaluation keeps a view of each dataset's basis matrix, and its linear
+    parameters, Grams and products dphi_l^T z, gathered in problem order at
+    the end by one copy per group, or none when one group holds every
+    dataset.
     """
-    s = problem.s
     starts = problem.block_starts
     z_all = np.empty(starts[-1])
     # column-major, like the transposed p x rows blocks copied into it
     jac_all = np.empty((problem.p, starts[-1])).T
-    betas, phis = [None] * s, [None] * s
-    products, grams = [], []
+    phis = [None] * problem.s
+    betas, grams, products = [], [], []
     for group in problem.groups:
         f = _factor_group(alpha, problem, group)
         z, jac, beta, v = _form_group(group, f, form)
-        grams.append((group.rows, f.d))
-        products.append((group.rows, v))
+        betas.append(beta)
+        grams.append(f.d)
+        products.append(v)
         for i, k in enumerate(group.index):
             m = group.datasets[i].m
             rows = slice(starts[k], starts[k + 1])
             z_all[rows] = z[i, :m]
             jac_all[rows] = jac[i, :, :m].T
-            betas[k] = beta[i]
             phis[k] = f.ge.phi[i, :, :m].T
         del f, z, jac, beta, v
 
     return ReducedEval(
         z=z_all,
         jac=jac_all,
-        betas=tuple(betas),
-        block_sizes=problem.block_sizes,
+        betas=_in_problem_order(problem, betas),
         phis=tuple(phis),
-        d=_in_problem_order(grams, s),
-        v=_in_problem_order(products, s),
+        d=_in_problem_order(problem, grams),
+        v=_in_problem_order(problem, products),
         form=form,
     )
 
@@ -475,14 +468,10 @@ def eval_naive(alpha, problem):
         v.append(dbig[l].T @ r)
         term2 = pinv_transpose_apply(f, v[l])
         jac[:, l] = -(term1 + term2)
-    betas = tuple(
-        beta_all[k * problem.n : (k + 1) * problem.n] for k in range(problem.s)
-    )
     return ReducedEval(
         z=r,
         jac=jac,
-        betas=betas,
-        block_sizes=problem.block_sizes,
+        betas=beta_all.reshape(problem.s, problem.n),
         phis=tuple(be.phi for be in bases),
         d=np.stack([be.phi.T @ be.phi for be in bases]),
         v=np.stack(v).reshape(problem.p, problem.s, problem.n).transpose(1, 0, 2),

@@ -1,7 +1,9 @@
+import copy
 import json
 import os
 import subprocess
 import sys
+import traceback
 import warnings
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import numpy.testing as npt
 import pytest
 
 from sepvar import cli, synth
-from sepvar.exceptions import InvalidInputError
+from sepvar.exceptions import InvalidInputError, SepvarError
 from sepvar.inputs import FINITE, from_json, read
 from sepvar.lm import LMConfig
 from sepvar.model import BeerAux, BeerLawModel, Dataset, ExpDecayModel
@@ -518,13 +520,19 @@ sys.exit(cli.main(sys.argv[2:]))
 ADDRESS_SPACE = 2**30  # a fit of the README problems needs about 0.4 GB
 
 
-def run_capped(argv):
-    """(exit code, stderr) of ``cli.main(argv)`` in a capped child process."""
+def run_child(script, argv):
+    """The finished child process that runs ``script`` on the address-space
+    cap and ``argv``, with this package importable."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     package_root = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", CAPPED_MAIN, str(ADDRESS_SPACE), *map(str, argv)],
+    return subprocess.run([sys.executable, "-c", script, str(ADDRESS_SPACE), *map(str, argv)],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def run_capped(argv):
+    """(exit code, stderr) of ``cli.main(argv)`` in a capped child process."""
+    done = run_child(CAPPED_MAIN, argv)
     return done.returncode, done.stderr
 
 
@@ -562,6 +570,105 @@ class TestSizeLimits:
         assert rc == 2, err
         assert err.startswith("error: ") and key in err and "Traceback" not in err
         assert not out.exists()
+
+
+# the README quick-start problem and a one-sounding frame, as generate configs
+README_EXP = {"model": "exp", "n": 2, "p": 2, "seed": 7, "snr": 100,
+              "alpha_true": [1.2, 0.25], "beta_true": [[1.0, 0.8], [0.9, 1.1]],
+              "grids": [{"length": 40, "lo": 0.0, "hi": 4.0},
+                        {"length": 50, "lo": 0.0, "hi": 5.0}]}
+ONE_SOUNDING = {"model": "beer", "n": 3, "p": 2, "seed": 11, "snr": 200,
+                "alpha_true": [1.0, 1.0], "frame": {"soundings": 1}}
+# what every key of the sweep is set to in turn: null, both bools, zero, a
+# negative, a fraction, the largest finite numbers, two texts, two lists,
+# two objects, a large size, an integer too large for a float, and NaN
+WRONG_VALUES = (None, True, False, 0, -1, 1.5, 1e308, -1e308, "", "inf", [], [1.0],
+                {}, {"n": 1}, 10**9, 10**400, float("nan"))
+
+
+def json_paths(doc, prefix=()):
+    """The path of every key, nested key and list entry of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield (*prefix, key)
+        if isinstance(value, (dict, list)):
+            yield from json_paths(value, (*prefix, key))
+
+
+def with_value(doc, path, value):
+    """A deep copy of ``doc`` with the entry at ``path`` set to ``value``."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def key_sweep(kind, source):
+    """Set every key of a generate config (``kind`` "config", ``source`` its
+    JSON path) or of a bundle's manifest ("manifest", the bundle) to each of
+    WRONG_VALUES in turn, and read it as far as the input path goes before a
+    fit: ``spec_from_config``, or ``load_bundle`` and the problem's groups.
+    Returns the case count and each case that raised something other than a
+    usage error (exit 2) or a typed sepvar error (exit 1)."""
+    path = Path(source) / "manifest.json" if kind == "manifest" else Path(source)
+    base = json.loads(path.read_text())
+    cases, failures = 0, []
+    try:
+        for key in json_paths(base):
+            for value in WRONG_VALUES:
+                cases += 1
+                doc = with_value(base, key, value)
+                try:
+                    if kind == "config":
+                        cli.spec_from_config(doc)
+                    else:
+                        path.write_text(json.dumps(doc))
+                        cli.load_bundle(source)[0].groups
+                except (cli.UsageError, SepvarError):
+                    pass
+                except BaseException:  # a MemoryError too
+                    failures.append([list(key), repr(value)[:40],
+                                     traceback.format_exc(limit=-1).splitlines()[-1]])
+    finally:
+        path.write_text(json.dumps(base))
+    return cases, failures
+
+
+# a child that caps its own address space, as CAPPED_MAIN does, then runs
+# key_sweep of this module on its arguments and prints the result as JSON
+KEY_SWEEP_MAIN = """
+import json, resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.path.insert(0, sys.argv[2])
+from test_cli import key_sweep
+print(json.dumps(key_sweep(*sys.argv[3:])))
+"""
+
+
+class TestKeySweep:
+    """Every key, nested key and list entry of the README exp config, a
+    one-sounding frame config and their generated manifests, set in turn to
+    each wrong value, is refused with a usage error or a typed error before
+    anything is built from it; none raises anything else or runs out of
+    memory.  The messages of the hand-written cases are checked above."""
+
+    @pytest.mark.parametrize("kind", ["config", "manifest"])
+    @pytest.mark.parametrize("name", ["readme-exp", "one-sounding"])
+    def test_every_key_is_refused_or_read(self, tmp_path, kind, name):
+        cfg = write_config(tmp_path / "cfg.json",
+                           README_EXP if name == "readme-exp" else ONE_SOUNDING)
+        source = cfg
+        if kind == "manifest":
+            source = str(tmp_path / "bundle")
+            assert cli.main(["generate", "--config", cfg, "--out", source]) == 0
+        done = run_child(KEY_SWEEP_MAIN, [Path(__file__).resolve().parent, kind, source])
+        assert done.returncode == 0, done.stderr
+        cases, failures = json.loads(done.stdout.splitlines()[-1])
+        assert cases >= 10 * len(WRONG_VALUES)
+        assert failures == []
 
 
 class TestFormats:

@@ -16,7 +16,7 @@ import pytest
 import sepvar as sv
 from sepvar import stats
 from sepvar.solver import _final_linear_solve
-from sepvar.vpcore import build_block_diag, eval_gl, eval_km
+from sepvar.vpcore import build_block_diag, eval_gl, eval_km, eval_naive
 
 # slit half-widths in grid units: the delta response, narrow kernels, and
 # 161 taps, wider than every grid of the sweep (reflected more than once)
@@ -43,6 +43,19 @@ KM_LITERAL_TOL = 100.0
 # of eps cond(H)^2; the worst reads 1.5 (S^-1 of exp33; the bounds' worst
 # is 0.58, also exp33)
 ROUTE_TOL = 10.0
+# eval_naive against eval_gl, in units of eps max(1, cond(phi)) for the
+# dense block-diagonal phi, each quantity times its own scale (see
+# test_naive_reduction_is_eval_gl); the worst reads 4.0 (z of exp27,
+# cond(phi) = 1.2; J 1.5, beta 2.9, d 2.2 and v 1.9)
+NAIVE_TOL = 10.0
+# eval_km's gradient J^T z against eval_gl's, in units of
+# eps max(1, cond(phi)) max_l ||J_l|| ||y||; the worst reads 0.17 (Beer
+# seed 38, cond(phi) = 1.2)
+GRADIENT_TOL = 10.0
+# a residual block against y_k - phi_k beta_k formed from model.eval, in
+# units of eps max(1, cond(phi_k)) ||y_k||; the worst reads 0.95 (Beer
+# seed 49, dataset 3, cond(phi_k) = 1.0)
+RESIDUAL_TOL = 10.0
 
 
 def beer_layout(seed):
@@ -196,3 +209,60 @@ def test_diagnostics_routes_agree(case):
     bound = COVARIANCE_TOL * eps * cond**2
     for d in (gl, km):
         assert np.max(np.abs(d.covariance - reference) / scale) <= bound
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_naive_reduction_is_eval_gl(case):
+    """The literal reduction on the dense block-diagonal basis phi agrees
+    with the grouped one within NAIVE_TOL eps max(1, cond(phi)), each
+    quantity at its rounding scale: z at max |y|; J at
+    max_l ||dphi_l|| ||y|| / sigma_min(phi), which bounds both of its terms
+    (||beta|| and ||pinv^T|| are at most ||y|| / sigma_min and 1 / sigma_min);
+    beta, the Grams d and the products v = dphi_l^T z at max |beta|, max |d|
+    and max_l ||dphi_l|| ||y||."""
+    prob, alpha = layout(case)
+    gl, naive = eval_gl(alpha, prob), eval_naive(alpha, prob)
+    big, dbig, _ = build_block_diag(prob, alpha)
+    sigmas = np.linalg.svd(big, compute_uv=False)
+    unit = np.finfo(float).eps * max(1.0, sigmas[0] / sigmas[-1])
+    y = np.linalg.norm(np.concatenate([ds.y for ds in prob.datasets]))
+    dphi = max(np.linalg.norm(d, 2) for d in dbig)
+    scales = {"z": max(np.max(np.abs(ds.y)) for ds in prob.datasets),
+              "jac": dphi * y / sigmas[-1], "betas": np.max(np.abs(gl.betas)),
+              "d": np.max(np.abs(gl.d)), "v": dphi * y}
+    for name, scale in scales.items():
+        got, want = getattr(naive, name), getattr(gl, name)
+        assert got.shape == want.shape, name
+        assert np.max(np.abs(got - want)) <= NAIVE_TOL * unit * scale, name
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_km_gradient_is_eval_gl_gradient(case):
+    """Kaufman's Jacobian drops a term orthogonal to z, so eval_km's
+    gradient J_km^T z is eval_gl's J^T z within GRADIENT_TOL
+    eps max(1, cond(phi)) of max_l ||J_l|| ||y||: the dropped term meets z
+    only through Q1^T z, zero to rounding."""
+    prob, alpha = layout(case)
+    gl, km = eval_gl(alpha, prob), eval_km(alpha, prob)
+    big, _, _ = build_block_diag(prob, alpha)
+    y = np.linalg.norm(np.concatenate([ds.y for ds in prob.datasets]))
+    unit = np.finfo(float).eps * max(1.0, np.linalg.cond(big))
+    scale = np.max(np.linalg.norm(gl.jac, axis=0)) * y
+    assert np.max(np.abs(km.jac.T @ km.z - gl.jac.T @ gl.z)) <= GRADIENT_TOL * unit * scale
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("ev", [eval_gl, eval_km, eval_naive],
+                         ids=["eval_gl", "eval_km", "eval_naive"])
+def test_fit_residuals_are_the_literal_residuals(case, ev):
+    """The residuals a fit returns, z = P_perp y cut at block_starts, are
+    y_k - phi_k beta_k with phi_k from model.eval and the fit's own
+    beta_k, within RESIDUAL_TOL eps max(1, cond(phi_k)) ||y_k||."""
+    prob, alpha = layout(case)
+    betas, residuals = _final_linear_solve(prob, ev(alpha, prob))
+    eps = np.finfo(float).eps
+    for ds, beta, r in zip(prob.datasets, betas, residuals):
+        phi = prob.model.eval(alpha, ds).phi
+        literal = ds.y - phi @ beta
+        unit = eps * max(1.0, np.linalg.cond(phi)) * np.linalg.norm(ds.y)
+        assert np.max(np.abs(r - literal)) <= RESIDUAL_TOL * unit

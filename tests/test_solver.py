@@ -177,6 +177,34 @@ class TestFinalLinearSolve:
         for got, want in zip(res.beta_hat, ref):
             npt.assert_allclose(got, want, rtol=1e-10)
 
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("kind", ["exp-padded", "frame"])
+    def test_results_are_read_from_the_final_evaluation(self, method, kind):
+        """Each residual is a view of the final evaluation's z = P_perp y,
+        cut at block_starts, each beta_hat a row of its s x n betas, in
+        problem order, and sigma and the R-score are the public functions of
+        that z, all bit for bit.  The exp datasets of 40, 70, 45 and 90
+        points form two padded groups that interleave in problem order."""
+        if kind == "exp-padded":
+            prob, alpha0 = interleaved_exp_problem(), np.array([1.0, 0.3])
+        else:
+            prob, alpha0 = frame_problem(2, 11), np.array([1.1, 0.9])
+        res = fit(prob, SolverConfig(method=method), alpha0)
+        red, starts = res.final_eval, prob.block_starts
+        assert red.betas.shape == (prob.s, prob.n)
+        assert len(res.beta_hat) == len(res.residuals) == prob.s
+        ref = initial_beta(prob, res.alpha_hat)  # one pivoted QR per dataset
+        for k in range(prob.s):
+            block = red.z[starts[k] : starts[k + 1]]
+            assert np.shares_memory(res.residuals[k], block)
+            assert res.residuals[k].tobytes() == block.tobytes()
+            assert res.beta_hat[k].tobytes() == red.betas[k].tobytes()
+            assert np.linalg.norm(red.betas[k] - ref[k]) <= 1e-10 * np.linalg.norm(ref[k])
+        y = np.concatenate([ds.y for ds in prob.datasets])
+        diag = stats.compute_diagnostics(res, prob)
+        assert diag.sigma == stats.sigma_of_regression(red.z, y.size, prob.n, prob.s, prob.p)
+        assert diag.r_score == stats.r_score(y, y - red.z)
+
     def test_nls_full_evaluates_once_at_alpha_hat(self, monkeypatch, rng):
         """The joint reference reduces once, at alpha_hat, and the final
         linear solve and the diagnostics share that evaluation."""

@@ -94,6 +94,15 @@ def pinv_transpose_apply(f, w):
     return f.q1 @ sl.solve_triangular(f.r1, w[f.perm], trans="T")
 
 
+def gram_inverse(f):
+    """(phi^T phi)^-1 of the factored matrix, as P R^-1 R^-T P^T from the
+    triangular factor alone, so the Gram itself is never formed."""
+    r_inv = sl.solve_triangular(f.r1, np.eye(f.n))
+    inv = np.empty((f.n, f.n))
+    inv[np.ix_(f.perm, f.perm)] = r_inv @ r_inv.T
+    return inv
+
+
 def proj_perp_apply(f, y):
     """Project onto the orthogonal complement of the factored column space."""
     y = _check_len(f, y)

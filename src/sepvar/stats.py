@@ -21,20 +21,25 @@ Column l of J_k is -(P_perp dphi_l beta_k + pinv(phi_k)^T dphi_l^T z_k), and
 P_perp phi_k = 0 while pinv(phi_k) phi_k = I (phi_k = Q1 R), so
 B_k = J_k^T phi_k = -v_k, with v_k the p x n products whose row l is
 dphi_l^T z_k.  Every evaluation keeps those products (``ReducedEval.v``)
-with the Grams D_k (``ReducedEval.d``), formed as R^T R from each group's
-QR in one batched n x n product; ``eval_naive`` keeps its own
-dphi_l^T r and per-dataset phi_k^T phi_k.
+with the inverse Grams D_k^-1 (``ReducedEval.d_inv``), formed as
+R^-1 R^-T from the R^-1 of each group's QR in one batched n x n product;
+``eval_naive`` keeps its own dphi_l^T r and takes the D_k^-1 from the
+triangular factor of its one QR of the block-diagonal matrix.  No D_k is
+formed or factored again: a Gram squares the condition number of phi_k,
+and R^-1 R^-T does not (O'Leary & Rust 2013).
 ``compute_diagnostics`` keeps S^-1, the D_k^-1 and the F_k (O(s n^2) memory,
-O(M p^2 + s (p n^2 + n^3)) time) and reads the variances off them:
+O(M p^2 + s p n^2) time) and reads the variances off them:
 sigma^2 diag(S^-1) for alpha and sigma^2 diag(D_k^-1 + F_k^T S^-1 F_k) for
 beta_k.  The dense covariance is built only when ``Diagnostics.covariance``
 is first read.  H^T H is positive definite exactly when every D_k and S
-are, so a Cholesky factorization checks each of them; one that fails
-raises a RuntimeWarning and its pseudo-inverse takes the place of its
-inverse.
+are.  Each R the factor step inverts has passed its rank screen, so every
+D_k^-1 is positive definite; S is checked by a Cholesky factorization,
+and if that fails, a RuntimeWarning is raised and its pseudo-inverse takes
+the place of its inverse.  ``arrow_inverse``, which takes the D_k
+themselves, checks each of them the same way.
 
 The residual z = P_perp y, the reduced Jacobian, the products and the
-Grams come from the evaluation at alpha_hat that every fit carries
+inverse Grams come from the evaluation at alpha_hat that every fit carries
 (``FitResult.final_eval``), so the diagnostics never evaluate the bases:
 sigma is z's norm over the root of the degrees of freedom, and the
 R-score's model values are y - z.  A ``vp-gl`` or ``nls-full`` fit holds
@@ -59,9 +64,11 @@ import scipy.linalg as sl
 from scipy.special import ndtri
 
 from .exceptions import InvalidInputError
+from .inputs import Rule, read
 from .vpcore import FORM_KM, build_block_diag, eval_gl
 
 _RANK_WARNING = "H^T H is numerically rank deficient; covariance uses a pseudo-inverse"
+LEVEL = Rule(float, "in (0, 1)", lambda v: 0.0 < v < 1.0)
 
 
 @dataclass(frozen=True)
@@ -78,11 +85,15 @@ class ArrowInverse:
     rank_warning: bool = False
 
     def diagonal(self):
-        """diag((H^T H)^-1): alpha first, then beta_1, ..., beta_s."""
-        beta = np.diagonal(self.d_inv, axis1=1, axis2=2) + np.sum(
-            (self.s_inv @ self.f) * self.f, axis=1
-        )
-        return np.concatenate([np.diag(self.s_inv), beta.ravel()])
+        """diag((H^T H)^-1): alpha first, then beta_1, ..., beta_s, in one
+        new array."""
+        s, p, n = self.f.shape
+        out = np.empty(p + s * n)
+        out[:p] = np.diagonal(self.s_inv)
+        beta = out[p:].reshape(s, n)
+        np.einsum("kpn,kpn->kn", self.s_inv @ self.f, self.f, out=beta)
+        beta += np.diagonal(self.d_inv, axis1=1, axis2=2)
+        return out
 
     def dense(self):
         """blockdiag(0, D_1^-1, ..., D_s^-1) + W^T S^-1 W as one matrix."""
@@ -134,12 +145,12 @@ def r_score(y_all, yhat_all):
     if y_all.shape != yhat_all.shape:
         raise InvalidInputError("observation and model vectors must match in length")
     ybar = y_all.mean()
-    dev = y_all - ybar  # squared in place, then reused for yhat_all
-    denom = float(np.sum(np.square(dev, out=dev)))
+    dev = y_all - ybar  # reused for yhat_all
+    denom = float(dev @ dev)
     if denom == 0.0:
         raise InvalidInputError("observations are constant; R-score undefined")
     np.subtract(yhat_all, ybar, out=dev)
-    return float(np.sum(np.square(dev, out=dev)) / denom)
+    return float(dev @ dev) / denom
 
 
 def build_H(result, problem):
@@ -198,6 +209,13 @@ def arrow_inverse(a, b, d, schur=False):
     rank_warning = d_inv is None
     if rank_warning:
         d_inv = np.linalg.pinv(d, hermitian=True)
+    return _arrow_from_d_inv(a, b, d_inv, schur, rank_warning)
+
+
+def _arrow_from_d_inv(a, b, d_inv, schur, rank_warning=False):
+    """``arrow_inverse`` from the D_k^-1 on: F_k, S and S^-1, with S
+    checked by Cholesky factorization; a RuntimeWarning is raised if S
+    fails or ``rank_warning`` is already set."""
     f = b @ d_inv
     complement = a if schur else a - (f @ b.transpose(0, 2, 1)).sum(axis=0)
     s_inv = _spd_inverse(complement)
@@ -205,25 +223,32 @@ def arrow_inverse(a, b, d, schur=False):
         rank_warning = True
         s_inv = np.linalg.pinv(complement, hermitian=True)
     if rank_warning:
-        warnings.warn(_RANK_WARNING, RuntimeWarning, stacklevel=2)
+        warnings.warn(_RANK_WARNING, RuntimeWarning, stacklevel=3)
     return ArrowInverse(s_inv=s_inv, d_inv=d_inv, f=f, rank_warning=rank_warning)
 
 
-def _half_widths(variances, level):
-    if not np.all(np.isfinite(variances)):
+def _half_widths(variances, q):
+    """q sqrt(max(variances, 0)), in place of ``variances``."""
+    if not np.isfinite(variances).all():
         raise InvalidInputError("covariance contains non-finite entries")
-    if not (0.0 < level < 1.0):
-        raise InvalidInputError(f"confidence level must be in (0, 1), got {level}")
-    q = ndtri(0.5 + level / 2.0)  # the standard normal quantile
-    return q * np.sqrt(np.clip(variances, 0.0, None))
+    np.maximum(variances, 0.0, out=variances)
+    np.sqrt(variances, out=variances)
+    variances *= q
+    return variances
+
+
+def _quantile(level):
+    """The two-sided standard normal quantile of ``level``, read first."""
+    return ndtri(0.5 + read(level, "level", LEVEL) / 2.0)
 
 
 def confidence_bounds(C, level=0.95):
     """Two-sided normal-quantile half-widths from the covariance diagonal."""
+    q = _quantile(level)
     C = np.asarray(C, dtype=float)
     if not np.all(np.isfinite(C)):
         raise InvalidInputError("covariance contains non-finite entries")
-    return _half_widths(np.diag(C), level)
+    return _half_widths(np.diag(C).copy(), q)
 
 
 def relative_error(alpha_true, alpha_fit):
@@ -251,23 +276,36 @@ def _column_gram(jac):
 def compute_diagnostics(result, problem, level=0.95):
     """Assemble the diagnostics record for a converged fit from its final
     evaluation: sigma and the R-score from its residual z, the variances
-    from the blocks of (H^T H)^-1; the dense H and covariance are never
-    formed here."""
+    from the blocks of (H^T H)^-1, with the evaluation's own D_k^-1; the
+    dense H and covariance are never formed here.  ``level`` is read
+    first, then the fit's layout is checked against the problem's, before
+    any work."""
+    q = _quantile(level)
     red = result.final_eval
     s, n, p, m_total = problem.s, problem.n, problem.p, problem.m_total
+    if len(red.z) != m_total:
+        raise InvalidInputError(
+            f"the fit has {len(red.z)} residual rows and the problem {m_total}; "
+            "diagnose a fit with the problem it fitted")
+    if red.betas.shape != (s, n):
+        raise InvalidInputError(
+            f"the fit's linear parameters are {red.betas.shape[0]} x {red.betas.shape[1]} "
+            f"and the problem's {s} x {n}; diagnose a fit with the problem it fitted")
     sigma = sigma_of_regression(red.z, m_total, n, s, p)
     y_all = np.concatenate([ds.y for ds in problem.datasets])
     score = r_score(y_all, y_all - red.z)  # the model values y - z
     a = _column_gram(red.jac)
     b = np.negative(red.v)  # B_k = J_k^T phi_k = -v_k
-    if not all(np.isfinite(x).all() for x in (a, b, red.d)) or not np.isfinite(sigma):
+    if not all(np.isfinite(x).all() for x in (a, b, red.d_inv)) or not np.isfinite(sigma):
         raise InvalidInputError("non-finite inputs to covariance")
     # an eval_km evaluation's J^T J is S itself
-    inverse = arrow_inverse(a, b, red.d, schur=red.form == FORM_KM)
+    inverse = _arrow_from_d_inv(a, b, red.d_inv, schur=red.form == FORM_KM)
+    variances = inverse.diagonal()
+    variances *= sigma**2
     return Diagnostics(
         sigma=sigma,
         r_score=score,
-        conf_bounds=_half_widths(sigma**2 * inverse.diagonal(), level),
+        conf_bounds=_half_widths(variances, q),
         dof=m_total - s * n - p,
         gram_inverse=inverse,
     )

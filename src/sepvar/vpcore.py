@@ -35,18 +35,19 @@ residual z = P_perp y and, from one call of the model's product kernel
 dense derivatives never enter the reduced path.  The two forms differ only
 in the Jacobian: -(P_perp u + pinv^T v) for ``gl`` and -P_perp u for
 ``km`` (Kaufman 1975; O'Leary & Rust 2013), so both forms give the same z,
-beta, v and Grams bit for bit.  A non-finite product raises the typed error
+beta, v and inverse Grams bit for bit.  A non-finite product raises the typed error
 of a non-finite basis evaluation.  Every evaluation is a plain
 :class:`ReducedEval` record, filled as its groups are formed: residual and
 Jacobian, each block its dataset's own rows, one per grid point (from
 ``MultiProblem.block_starts``), and each dataset's basis matrix as the
 unpadded view of the stack this evaluation allocated.  The fixed-size
 per-dataset outputs are gathered in problem order by one copy per group:
-the linear parameters, the Grams D_k = phi_k^T phi_k, formed by the factor
-step as R^T R in one batched n x n product, and the products
-v_k = dphi_l^T z_k.  A fit's final linear solve reads its linear
-parameters and residual blocks from its evaluation at alpha_hat, and the
-diagnostics read B_k = J_k^T phi_k as -v_k and D_k.  Every product is
+the linear parameters, the inverse Grams D_k^-1 = (phi_k^T phi_k)^-1,
+formed by the factor step from the R^-1 it already holds as R^-1 R^-T in
+one batched n x n product, and the products v_k = dphi_l^T z_k.  A fit's
+final linear solve reads its linear parameters and residual blocks from
+its evaluation at alpha_hat, and the diagnostics read B_k = J_k^T phi_k as
+-v_k and D_k^-1.  Every product is
 computed dataset by dataset within the stack, so a group of equal-length
 datasets gives the results of each dataset alone; a padded dataset's match
 them to rounding.  The rank decisions, made on each dataset's unpadded
@@ -75,6 +76,7 @@ from .exceptions import (
     SepvarError,
 )
 from .factor import (
+    gram_inverse,
     pinv_apply,
     pinv_transpose_apply,
     proj_perp_apply,
@@ -190,12 +192,13 @@ class MultiProblem:
 @dataclass(frozen=True)
 class GroupFactors:
     """One group's basis evaluation and its stacked reduced QR, with the
-    rows of Q1^T, the inverse of R and the Grams phi^T phi = R^T R."""
+    rows of Q1^T, the inverse of R and the inverse Grams
+    (phi^T phi)^-1 = R^-1 R^-T."""
 
     ge: object  # the model's GroupEval
     r_inv: np.ndarray  # g x n x n
     q1t: np.ndarray  # g x n x m
-    d: np.ndarray  # g x n x n
+    d_inv: np.ndarray  # g x n x n
 
 
 @dataclass(frozen=True)
@@ -210,17 +213,18 @@ class ReducedEval:
     pinv(phi_k) y_k) its linear parameters.  ``phis`` holds each dataset's
     m x n basis matrix, in problem order; a grouped kernel's phis are
     transposed views of its group's stack, which they keep alive.  Every
-    evaluation also keeps, in problem order, the Grams ``d`` =
-    phi_k^T phi_k (s x n x n) and the products ``v`` = dphi_l^T z
-    (s x p x n; row l of dataset k is dphi_l^T z_k); the diagnostics read
-    both.
+    evaluation also keeps, in problem order, the inverse Grams ``d_inv`` =
+    (phi_k^T phi_k)^-1 (s x n x n), formed from the inverse of its own
+    triangular factor, never from phi_k^T phi_k, and the products ``v`` =
+    dphi_l^T z (s x p x n; row l of dataset k is dphi_l^T z_k); the
+    diagnostics read both.
     """
 
     z: np.ndarray
     jac: np.ndarray
     betas: np.ndarray = field(repr=False)
     phis: tuple = field(repr=False)
-    d: np.ndarray = field(repr=False)
+    d_inv: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
     form: str = FORM_GL
 
@@ -260,8 +264,10 @@ def _check_finite(*arrays):
 def _factor_group(alpha, problem, group):
     """The factor step of one group: the model's stacked bases, one batched
     reduced QR without pivoting (each dataset's Q1 and R as LAPACK gives
-    them for that dataset alone), R's inverse and the Grams phi^T phi,
-    formed as R^T R, one batched n x n product.  A basis whose R may be
+    them for that dataset alone), R's inverse and the inverse Grams
+    (phi^T phi)^-1, formed from it as R^-1 R^-T, one batched n x n product,
+    so the Gram itself, whose condition number is that of phi squared, is
+    never formed.  A basis whose R may be
     near singular (by the bound ||R||_F ||R^-1||_F on its condition number)
     goes through the pivoted thin_qr of its dataset's own rows for the rank
     decision."""
@@ -282,7 +288,7 @@ def _factor_group(alpha, problem, group):
         thin_qr(a[i, : group.datasets[i].m])
     if r_inv is None:
         raise RankDeficiencyError("a basis matrix of the group has a singular R factor")
-    return GroupFactors(ge, r_inv, q1.transpose(0, 2, 1), r.transpose(0, 2, 1) @ r)
+    return GroupFactors(ge, r_inv, q1.transpose(0, 2, 1), r_inv @ r_inv.transpose(0, 2, 1))
 
 
 def _form_group(group, f, form):
@@ -339,7 +345,7 @@ def _reduce(alpha, problem, form):
     its factors and blocks are released before the next group is factored.
     Of each dataset's padded blocks, only its own rows are copied.  The
     evaluation keeps a view of each dataset's basis matrix, and its linear
-    parameters, Grams and products dphi_l^T z, gathered in problem order at
+    parameters, inverse Grams and products dphi_l^T z, gathered in problem order at
     the end by one copy per group, or none when one group holds every
     dataset.
     """
@@ -348,12 +354,12 @@ def _reduce(alpha, problem, form):
     # column-major, like the transposed p x rows blocks copied into it
     jac_all = np.empty((problem.p, starts[-1])).T
     phis = [None] * problem.s
-    betas, grams, products = [], [], []
+    betas, gram_invs, products = [], [], []
     for group in problem.groups:
         f = _factor_group(alpha, problem, group)
         z, jac, beta, v = _form_group(group, f, form)
         betas.append(beta)
-        grams.append(f.d)
+        gram_invs.append(f.d_inv)
         products.append(v)
         for i, k in enumerate(group.index):
             m = group.datasets[i].m
@@ -368,7 +374,7 @@ def _reduce(alpha, problem, form):
         jac=jac_all,
         betas=_in_problem_order(problem, betas),
         phis=tuple(phis),
-        d=_in_problem_order(problem, grams),
+        d_inv=_in_problem_order(problem, gram_invs),
         v=_in_problem_order(problem, products),
         form=form,
     )
@@ -387,7 +393,7 @@ def eval_gl(alpha, problem):
 
 def eval_km(alpha, problem):
     """Kaufman reduction: the residual, linear parameters, products and
-    Grams of :func:`eval_gl`, bit for bit, with the one-term (approximate)
+    inverse Grams of :func:`eval_gl`, bit for bit, with the one-term (approximate)
     Jacobian -P_perp dphi_l beta (Kaufman 1975)."""
     return _evaluate(alpha, problem, FORM_KM)
 
@@ -441,7 +447,9 @@ def build_block_diag(problem, alpha):
 
 
 def eval_naive(alpha, problem):
-    """Naive reduction: single-RHS formulas on the explicit block-diagonal matrix."""
+    """Naive reduction: single-RHS formulas on the explicit block-diagonal
+    matrix.  Its inverse Grams D_k^-1 are the diagonal blocks of the inverse
+    Gram of that matrix, from the triangular factor of its one QR."""
     alpha = _checked_alpha(alpha, problem.p)
     m_total = problem.m_total
     n_total = problem.n * problem.s
@@ -461,6 +469,8 @@ def eval_naive(alpha, problem):
         ) from err
     beta_all = pinv_apply(f, y_all)
     r = proj_perp_apply(f, y_all)
+    s, n = problem.s, problem.n
+    d_inv = gram_inverse(f).reshape(s, n, s, n)[np.arange(s), :, np.arange(s)]
     jac = np.empty((m_total, problem.p))
     v = []
     for l in range(problem.p):
@@ -471,8 +481,8 @@ def eval_naive(alpha, problem):
     return ReducedEval(
         z=r,
         jac=jac,
-        betas=beta_all.reshape(problem.s, problem.n),
+        betas=beta_all.reshape(s, n),
         phis=tuple(be.phi for be in bases),
-        d=np.stack([be.phi.T @ be.phi for be in bases]),
-        v=np.stack(v).reshape(problem.p, problem.s, problem.n).transpose(1, 0, 2),
+        d_inv=d_inv,
+        v=np.stack(v).reshape(problem.p, s, n).transpose(1, 0, 2),
     )

@@ -46,12 +46,18 @@ ROUTE_TOL = 10.0
 # eval_naive against eval_gl, in units of eps max(1, cond(phi)) for the
 # dense block-diagonal phi, each quantity times its own scale (see
 # test_naive_reduction_is_eval_gl); the worst reads 4.0 (z of exp27,
-# cond(phi) = 1.2; J 1.5, beta 2.9, d 2.2 and v 1.9)
+# cond(phi) = 1.2; J 1.5, beta 2.9, d_inv 3.8 (exp24) and v 1.9)
 NAIVE_TOL = 10.0
 # eval_km's gradient J^T z against eval_gl's, in units of
 # eps max(1, cond(phi)) max_l ||J_l|| ||y||; the worst reads 0.17 (Beer
 # seed 38, cond(phi) = 1.2)
 GRADIENT_TOL = 10.0
+# each reduction's D_k^-1 against the inverse of the literal Gram
+# phi_k^T phi_k of model.eval's phi_k, in units of eps cond(phi_k)^2 (the
+# rounding of that Gram and its inverse) of max |D_k^-1|; the worst reads
+# 3.3 (eval_naive, exp24, cond(phi_k) = 1.0; eval_gl and eval_km 2.7, Beer
+# seed 35, dataset 4, cond(phi_k) = 1.0)
+GRAM_INVERSE_TOL = 10.0
 # a residual block against y_k - phi_k beta_k formed from model.eval, in
 # units of eps max(1, cond(phi_k)) ||y_k||; the worst reads 0.95 (Beer
 # seed 49, dataset 3, cond(phi_k) = 1.0)
@@ -117,19 +123,19 @@ def layout(case):
 def test_gl_from_km_is_eval_gl(case):
     """The GL blocks that the diagnostics take from an eval_km evaluation
     are eval_gl's.  Its residual, linear parameters, products
-    dphi_l^T z_k and Grams are eval_gl's bit for bit, and its
+    dphi_l^T z_k and inverse Grams are eval_gl's bit for bit, and its
     J_km^T J_km is the Schur complement J^T J - sum_k v_k D_k^-1 v_k^T of
     eval_gl's J (P_perp Q1 = 0 makes them equal in exact arithmetic)
     within SCHUR_TOL eps cond(H) of max |J^T J|."""
     prob, alpha = layout(case)
     km, fresh = eval_km(alpha, prob), eval_gl(alpha, prob)
-    for name in ("z", "v", "d"):
+    for name in ("z", "v", "d_inv"):
         assert getattr(km, name).tobytes() == getattr(fresh, name).tobytes(), name
     assert all(a.tobytes() == b.tobytes() for a, b in zip(km.betas, fresh.betas))
     _, result = diagnostics(fresh, prob, alpha)
     eps = np.finfo(float).eps
     a = fresh.jac.T @ fresh.jac
-    schur = a - np.einsum("kpn,knm,kqm->pq", fresh.v, np.linalg.inv(fresh.d), fresh.v)
+    schur = a - np.einsum("kpn,knm,kqm->pq", fresh.v, fresh.d_inv, fresh.v)
     cond = np.linalg.cond(stats.build_H(result, prob))
     assert np.max(np.abs(km.jac.T @ km.jac - schur)) <= SCHUR_TOL * eps * cond * np.max(np.abs(a))
 
@@ -218,8 +224,8 @@ def test_naive_reduction_is_eval_gl(case):
     quantity at its rounding scale: z at max |y|; J at
     max_l ||dphi_l|| ||y|| / sigma_min(phi), which bounds both of its terms
     (||beta|| and ||pinv^T|| are at most ||y|| / sigma_min and 1 / sigma_min);
-    beta, the Grams d and the products v = dphi_l^T z at max |beta|, max |d|
-    and max_l ||dphi_l|| ||y||."""
+    beta, the inverse Grams d_inv and the products v = dphi_l^T z at
+    max |beta|, max |d_inv| and max_l ||dphi_l|| ||y||."""
     prob, alpha = layout(case)
     gl, naive = eval_gl(alpha, prob), eval_naive(alpha, prob)
     big, dbig, _ = build_block_diag(prob, alpha)
@@ -229,7 +235,7 @@ def test_naive_reduction_is_eval_gl(case):
     dphi = max(np.linalg.norm(d, 2) for d in dbig)
     scales = {"z": max(np.max(np.abs(ds.y)) for ds in prob.datasets),
               "jac": dphi * y / sigmas[-1], "betas": np.max(np.abs(gl.betas)),
-              "d": np.max(np.abs(gl.d)), "v": dphi * y}
+              "d_inv": np.max(np.abs(gl.d_inv)), "v": dphi * y}
     for name, scale in scales.items():
         got, want = getattr(naive, name), getattr(gl, name)
         assert got.shape == want.shape, name
@@ -266,3 +272,34 @@ def test_fit_residuals_are_the_literal_residuals(case, ev):
         literal = ds.y - phi @ beta
         unit = eps * max(1.0, np.linalg.cond(phi)) * np.linalg.norm(ds.y)
         assert np.max(np.abs(r - literal)) <= RESIDUAL_TOL * unit
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("ev", [eval_gl, eval_km, eval_naive],
+                         ids=["eval_gl", "eval_km", "eval_naive"])
+def test_inverse_grams_are_the_literal_inverses(case, ev):
+    """Each reduction's inverse Grams, from its own triangular factor, are
+    the inverses of the literal phi_k^T phi_k within GRAM_INVERSE_TOL
+    eps cond(phi_k)^2 of max |D_k^-1|."""
+    prob, alpha = layout(case)
+    red = ev(alpha, prob)
+    assert red.d_inv.shape == (prob.s, prob.n, prob.n)
+    eps = np.finfo(float).eps
+    for ds, d_inv in zip(prob.datasets, red.d_inv):
+        phi = prob.model.eval(alpha, ds).phi
+        literal = np.linalg.inv(phi.T @ phi)
+        unit = eps * np.linalg.cond(phi) ** 2 * np.max(np.abs(literal))
+        assert np.max(np.abs(d_inv - literal)) <= GRAM_INVERSE_TOL * unit
+
+
+@pytest.mark.parametrize("case", BEER_CASES)
+def test_group_inverse_grams_are_one_dataset_inverse_grams(case):
+    """Each dataset's D_k^-1 in its group's evaluation is that of its
+    one-dataset group, bit for bit, in both forms.  (A Beer group holds one
+    length; a padded exp dataset's match its own to rounding only.)"""
+    prob, alpha = layout(case)
+    for ev in (eval_gl, eval_km):
+        red = ev(alpha, prob)
+        for k, ds in enumerate(prob.datasets):
+            alone = ev(alpha, sv.MultiProblem((ds,), prob.model))
+            assert red.d_inv[k].tobytes() == alone.d_inv[0].tobytes()

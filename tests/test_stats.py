@@ -1,4 +1,6 @@
+import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +10,7 @@ import sepvar as sv
 from sepvar import stats
 from sepvar.exceptions import InvalidInputError
 from sepvar.model import Dataset
-from sepvar.solver import SolverConfig, fit
+from sepvar.solver import SolverConfig, _final_linear_solve, fit
 from sepvar.stats import (
     arrow_inverse,
     build_H,
@@ -155,6 +157,17 @@ class TestConfidenceBounds:
         with pytest.raises(InvalidInputError):
             confidence_bounds(np.eye(2), level=1.0)
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, float("nan"), "0.95", True])
+    def test_level_is_read_before_the_covariance(self, level):
+        """A bad level is named, also when the covariance is not finite."""
+        for C in (np.eye(2), np.array([[np.nan]])):
+            with pytest.raises(InvalidInputError, match="'level' must be"):
+                confidence_bounds(C, level=level)
+
+    def test_nonfinite_covariance_named_at_a_good_level(self):
+        with pytest.raises(InvalidInputError, match="covariance contains non-finite"):
+            confidence_bounds(np.array([[np.nan]]), level=0.9)
+
     def test_tiny_negative_diagonal_clipped(self):
         C = np.array([[-1e-18]])
         b = confidence_bounds(C)
@@ -170,6 +183,13 @@ class TestRelativeError:
     def test_zero_truth_rejected(self):
         with pytest.raises(InvalidInputError):
             relative_error([0.0], [1.0])
+
+
+def readme_exp_problem():
+    """The README quick-start problem: two datasets of 40 and 50 points."""
+    return sv.generate(sv.TruthSpec(
+        kind="exp", alpha_true=[1.2, 0.25], beta_true=([1.0, 0.8], [0.9, 1.1]),
+        grids=(sv.GridSpec(40, 0.0, 4.0), sv.GridSpec(50, 0.0, 5.0)), snr=100.0, seed=7))
 
 
 class TestComputeDiagnostics:
@@ -275,6 +295,56 @@ class TestComputeDiagnostics:
         for _ in range(2):
             with pytest.raises(InvalidInputError, match="R-score undefined"):
                 compute_diagnostics(res, const)
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """Fails the test if compute_diagnostics starts on sigma."""
+        def refuse(*args):
+            raise AssertionError("diagnostics started before the refusal")
+        monkeypatch.setattr(stats, "sigma_of_regression", refuse)
+
+    def test_another_problems_layout_is_refused(self, no_work):
+        """The README exp fit diagnosed with a two-spectrum frame problem is
+        refused before any work, naming both row counts."""
+        prob = readme_exp_problem()
+        res = fit(prob, SolverConfig(), np.array([1.0, 0.3]))
+        frame = small_frame_problem(soundings=1)
+        assert frame.s == prob.s
+        with pytest.raises(InvalidInputError,
+                           match=f"fit has 90 residual rows and the problem {frame.m_total};"):
+            compute_diagnostics(res, frame)
+
+    def test_another_problems_linear_parameters_are_refused(self, no_work):
+        """Three datasets of 30 points have the README problem's 90 rows but
+        not its 2 x 2 linear parameters."""
+        prob = readme_exp_problem()
+        res = fit(prob, SolverConfig(), np.array([1.0, 0.3]))
+        y = np.concatenate([ds.y for ds in prob.datasets])
+        t = np.linspace(0.0, 3.0, 30)
+        other = sv.MultiProblem(tuple(Dataset(t=t, y=y[30 * k : 30 * (k + 1)]) for k in range(3)),
+                                prob.model)
+        assert other.m_total == prob.m_total
+        with pytest.raises(InvalidInputError, match="are 2 x 2 and the problem's 3 x 2;"):
+            compute_diagnostics(res, other)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, float("nan"), "0.95", None])
+    def test_level_is_read_first(self, no_work, level):
+        """A bad level is named before any work, also for a fit whose
+        inverse Grams are not finite or whose layout is another problem's."""
+        prob = readme_exp_problem()
+        res = fit(prob, SolverConfig(), np.array([1.0, 0.3]))
+        red = res.final_eval
+        broken = SimpleNamespace(final_eval=dataclasses.replace(red, d_inv=red.d_inv * np.inf))
+        for result, problem in ((res, prob), (broken, prob), (res, small_frame_problem(1))):
+            with pytest.raises(InvalidInputError, match="'level' must be"):
+                compute_diagnostics(result, problem, level=level)
+
+    def test_nonfinite_inputs_named_at_a_good_level(self):
+        prob = readme_exp_problem()
+        red = fit(prob, SolverConfig(), np.array([1.0, 0.3])).final_eval
+        broken = SimpleNamespace(final_eval=dataclasses.replace(red, d_inv=red.d_inv * np.inf))
+        with pytest.raises(InvalidInputError, match="non-finite inputs to covariance"):
+            compute_diagnostics(broken, prob, level=0.9)
 
     def test_bounds_shrink_with_snr(self):
         """Statistical sanity: tighter noise gives tighter intervals."""
@@ -417,7 +487,7 @@ class TestBlockArrowDiagnostics:
         km = res.final_eval
         gl = sv.eval_gl(res.alpha_hat, prob)
         a = gl.jac.T @ gl.jac
-        schur = a - np.einsum("kpn,knm,kqm->pq", gl.v, np.linalg.inv(gl.d), gl.v)
+        schur = a - np.einsum("kpn,knm,kqm->pq", gl.v, gl.d_inv, gl.v)
         # the two cases read 1.9e-16 and 6.2e-16
         assert np.max(np.abs(km.jac.T @ km.jac - schur)) <= 1e-14 * np.max(np.abs(a))
 
@@ -434,3 +504,79 @@ class TestBlockArrowDiagnostics:
             finally:
                 tracemalloc.stop()
         assert peaks[128] / peaks[32] < 6.0
+
+
+def arrow_oracle(a, b, phis, schur):
+    """diag((H^T H)^-1) at 50 digits, of H^T H assembled from the blocks the
+    diagnostics read (A, or S itself when ``schur``, and B_k) and the exact
+    Grams phi_k^T phi_k of the double-precision bases.  With A given, this is
+    H^T H in exact arithmetic, so the oracle charges a route only for what
+    it does from the D_k on."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        s, p, n = b.shape
+        grams = [mpmath.matrix(phi.tolist()) for phi in phis]
+        grams = [g.T * g for g in grams]
+        blocks = [mpmath.matrix(bk.tolist()) for bk in b]
+        top = mpmath.matrix(a.tolist())
+        if schur:  # A = S + sum_k B_k D_k^-1 B_k^T
+            for bk, g in zip(blocks, grams):
+                top += bk * mpmath.inverse(g) * bk.T
+        size = p + s * n
+        gram = mpmath.zeros(size, size)
+        for i in range(p):
+            for j in range(p):
+                gram[i, j] = top[i, j]
+        for k, (bk, g) in enumerate(zip(blocks, grams)):
+            at = p + k * n
+            for i in range(n):
+                for l in range(p):
+                    gram[l, at + i] = gram[at + i, l] = bk[l, i]
+                for j in range(n):
+                    gram[at + i, at + j] = g[i, j]
+        inv = mpmath.inverse(gram)
+        return np.array([float(inv[i, i]) for i in range(size)])
+
+
+# Ill-conditioned points of the README exp layout, where the two rates
+# nearly coincide: the collapsed-rate stop that nls-full reaches from some
+# README starts (cond(phi_k) 4.4e4), the point where it converges from
+# (2.08, 2.27) (cond(phi_k) 8e6), and four more with cond(phi_k) from 4e3
+# to 3.3e5
+COLLAPSED_RATES = [(0.43987, 0.43992), (0.3778545, 0.37785476), (0.8, 0.80001),
+                   (2.0, 2.0001), (0.3, 0.3003), (1.0, 1.001)]
+
+
+class TestInverseGramAccuracy:
+    """The D_k^-1 that the diagnostics take from R^-1 R^-T against the
+    Cholesky inverse of the Gram R^T R, which squares cond(phi_k)."""
+
+    @pytest.mark.parametrize("ev", [sv.eval_gl, sv.eval_km], ids=["gl", "km"])
+    @pytest.mark.parametrize("alpha", COLLAPSED_RATES, ids=str)
+    def test_variances_at_least_as_close_to_50_digit_inverse(self, alpha, ev):
+        """The alpha and beta variances of compute_diagnostics are at least
+        as close to a 50-digit inverse of H^T H as those of arrow_inverse
+        given the Grams R^T R of each basis's QR, or within the rounding
+        floor that both routes share.  That floor, eps max |A| ||S^-1||,
+        is the error of S^-1 from rounding S = A - sum_k F_k B_k^T at the
+        scale of A; below it, which route lands closer is chance (it is the
+        parent's at (1.0, 1.001) with the gl form: 6.5e-10 against 2.6e-9,
+        under a floor of 3.7e-9)."""
+        prob = readme_exp_problem()
+        alpha = np.array(alpha)
+        red = ev(alpha, prob)
+        betas, residuals = _final_linear_solve(prob, red)
+        result = SimpleNamespace(alpha_hat=alpha, beta_hat=betas, residuals=residuals,
+                                 final_eval=red)
+        ours = compute_diagnostics(result, prob).gram_inverse
+        a, b, schur = stats._column_gram(red.jac), -red.v, red.form == "km"
+        grams = np.stack([r.T @ r for r in (np.linalg.qr(phi)[1] for phi in red.phis)])
+        cholesky = arrow_inverse(a, b, grams, schur=schur)
+        exact = arrow_oracle(a, b, red.phis, schur)
+        floor = np.finfo(float).eps * np.max(np.abs(a)) * np.linalg.norm(ours.s_inv, 2)
+        p = prob.p
+        for part in (slice(0, p), slice(p, None)):
+            err = np.max(np.abs(ours.diagonal() - exact)[part] / exact[part])
+            parent = np.max(np.abs(cholesky.diagonal() - exact)[part] / exact[part])
+            assert err <= max(parent, floor), (err, parent, floor)

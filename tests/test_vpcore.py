@@ -342,7 +342,7 @@ class TestShapeGroups:
     def test_factor_step_matches_literal_forms(self, rng):
         """Each dataset's slice of the factor step's Q1^T and R is
         np.linalg.qr of that slice alone, bit for bit, its R^-1 the inverse
-        of that R and its Gram R^T R, on padded exp, shifted Beer, two-group
+        of that R and its inverse Gram R^-1 R^-T, on padded exp, shifted Beer, two-group
         frame and signed-noise bases (noise in the padded rows too).  A
         model's zero-padded slice factors as the dataset's own rows do:
         the same Q1 rows and R, and zero rows past them."""
@@ -355,8 +355,9 @@ class TestShapeGroups:
                 for i, ds in enumerate(group.datasets):
                     q1, r = np.linalg.qr(f.ge.phi[i].T)
                     assert f.q1t[i].tobytes() == q1.T.tobytes()
-                    assert f.r_inv[i].tobytes() == np.linalg.inv(r).tobytes()
-                    assert f.d[i].tobytes() == (r.T @ r).tobytes()
+                    r_inv = np.linalg.inv(r)
+                    assert f.r_inv[i].tobytes() == r_inv.tobytes()
+                    assert f.d_inv[i].tobytes() == (r_inv @ r_inv.T).tobytes()
                     if prob is not noise:
                         own_q1, own_r = np.linalg.qr(f.ge.phi[i, :, : ds.m].T)
                         assert q1[: ds.m].tobytes() == own_q1.tobytes()
@@ -647,7 +648,7 @@ class TestEvalKM:
     @pytest.mark.parametrize("kind", ["exp", "interleaved", "frame"])
     def test_evaluation_holds_only_its_own_arrays(self, kind, rng):
         """An eval_km evaluation, like an eval_gl one, holds its blocks,
-        betas, products and Grams and the basis stacks its phis view, and
+        betas, products and inverse Grams and the basis stacks its phis view, and
         no more than a few hundred bytes of Python records per dataset
         besides: no Q1^T, R^-1, products dphi_l beta or GroupEval of its
         factor and form steps, which on the interleaved and frame layouts
@@ -668,7 +669,7 @@ class TestEvalKM:
         finally:
             tracemalloc.stop()
         stacks = {id(phi.base): phi.base for phi in km.phis}
-        arrays = [km.z, km.jac, km.d, km.v, *km.betas, *stacks.values()]
+        arrays = [km.z, km.jac, km.d_inv, km.v, *km.betas, *stacks.values()]
         own = sum(x.nbytes for x in arrays)
         assert len(stacks) == len(prob.groups)
         # the records, tuples and array headers: 610 to 620 bytes per dataset
@@ -679,7 +680,7 @@ class TestEvalKM:
         """The two forms share one form step and differ only in the
         Jacobian's second term, so eval_km's products v = dphi_l^T z are
         eval_gl's bit for bit, and so are its residual z, its linear
-        parameters and its Grams; its block layout is eval_gl's."""
+        parameters and its inverse Grams; its block layout is eval_gl's."""
         if kind == "exp-padded":
             prob, alpha = ragged_exp_problem(), TestShapeGroups.ALPHA_EXP
         elif kind == "interleaved":
@@ -690,7 +691,7 @@ class TestEvalKM:
         assert (gl.form, km.form) == ("gl", "km")
         assert km.z.shape == gl.z.shape == (prob.block_starts[-1],)
         assert km.betas.shape == gl.betas.shape == (prob.s, prob.n)
-        for name in ("z", "betas", "v", "d"):
+        for name in ("z", "betas", "v", "d_inv"):
             assert getattr(km, name).tobytes() == getattr(gl, name).tobytes(), name
         assert not np.array_equal(km.jac, gl.jac)
 

@@ -45,7 +45,7 @@ sigma is z's norm over the root of the degrees of freedom, and the
 R-score's model values are y - z.  A ``vp-gl`` or ``nls-full`` fit holds
 the ``eval_gl`` evaluation itself and a ``vp-naive`` fit the literal
 ``eval_naive`` one.  A ``vp-km`` fit holds an ``eval_km`` evaluation: the
-z, products and Grams of ``eval_gl`` with the one-term Jacobian
+z, products and inverse Grams of ``eval_gl`` with the one-term Jacobian
 J_km = -P_perp dphi_l beta, which gives the Schur complement itself
 (Kaufman 1975; O'Leary & Rust 2013).  The two terms of the GL Jacobian are
 orthogonal (P_perp Q1 = 0), and its second term gives
@@ -85,15 +85,11 @@ class ArrowInverse:
     rank_warning: bool = False
 
     def diagonal(self):
-        """diag((H^T H)^-1): alpha first, then beta_1, ..., beta_s, in one
-        new array."""
-        s, p, n = self.f.shape
-        out = np.empty(p + s * n)
-        out[:p] = np.diagonal(self.s_inv)
-        beta = out[p:].reshape(s, n)
-        np.einsum("kpn,kpn->kn", self.s_inv @ self.f, self.f, out=beta)
-        beta += np.diagonal(self.d_inv, axis1=1, axis2=2)
-        return out
+        """diag((H^T H)^-1): alpha first, then beta_1, ..., beta_s."""
+        beta = np.diagonal(self.d_inv, axis1=1, axis2=2) + np.sum(
+            (self.s_inv @ self.f) * self.f, axis=1
+        )
+        return np.concatenate([np.diag(self.s_inv), beta.ravel()])
 
     def dense(self):
         """blockdiag(0, D_1^-1, ..., D_s^-1) + W^T S^-1 W as one matrix."""
@@ -140,17 +136,24 @@ def r_score(y_all, yhat_all):
     Note this is sum((yhat - ybar)^2) / sum((y - ybar)^2), not the
     conventional 1 - SSE/SST.
     """
-    y_all = np.asarray(y_all, dtype=float)
-    yhat_all = np.asarray(yhat_all, dtype=float)
+    y_all = np.array(y_all, dtype=float)
+    yhat_all = np.array(yhat_all, dtype=float)
     if y_all.shape != yhat_all.shape:
         raise InvalidInputError("observation and model vectors must match in length")
+    return _r_score_in_place(y_all, yhat_all)
+
+
+def _r_score_in_place(y_all, yhat_all):
+    """``r_score`` of two float arrays of one shape, each overwritten by its
+    deviations from the observation mean, whose sums of squares are dot
+    products."""
     ybar = y_all.mean()
-    dev = y_all - ybar  # reused for yhat_all
-    denom = float(dev @ dev)
+    y_all -= ybar
+    denom = float(y_all @ y_all)
     if denom == 0.0:
         raise InvalidInputError("observations are constant; R-score undefined")
-    np.subtract(yhat_all, ybar, out=dev)
-    return float(dev @ dev) / denom
+    yhat_all -= ybar
+    return float(yhat_all @ yhat_all) / denom
 
 
 def build_H(result, problem):
@@ -293,15 +296,15 @@ def compute_diagnostics(result, problem, level=0.95):
             f"and the problem's {s} x {n}; diagnose a fit with the problem it fitted")
     sigma = sigma_of_regression(red.z, m_total, n, s, p)
     y_all = np.concatenate([ds.y for ds in problem.datasets])
-    score = r_score(y_all, y_all - red.z)  # the model values y - z
+    # the model values y - z; both arrays are this call's own
+    score = _r_score_in_place(y_all, y_all - red.z)
     a = _column_gram(red.jac)
     b = np.negative(red.v)  # B_k = J_k^T phi_k = -v_k
     if not all(np.isfinite(x).all() for x in (a, b, red.d_inv)) or not np.isfinite(sigma):
         raise InvalidInputError("non-finite inputs to covariance")
     # an eval_km evaluation's J^T J is S itself
     inverse = _arrow_from_d_inv(a, b, red.d_inv, schur=red.form == FORM_KM)
-    variances = inverse.diagonal()
-    variances *= sigma**2
+    variances = sigma**2 * inverse.diagonal()
     return Diagnostics(
         sigma=sigma,
         r_score=score,

@@ -35,8 +35,8 @@ residual z = P_perp y and, from one call of the model's product kernel
 dense derivatives never enter the reduced path.  The two forms differ only
 in the Jacobian: -(P_perp u + pinv^T v) for ``gl`` and -P_perp u for
 ``km`` (Kaufman 1975; O'Leary & Rust 2013), so both forms give the same z,
-beta, v and inverse Grams bit for bit.  A non-finite product raises the typed error
-of a non-finite basis evaluation.  Every evaluation is a plain
+beta, v and inverse Grams bit for bit.  A non-finite product raises the
+typed error of a non-finite basis evaluation.  Every evaluation is a plain
 :class:`ReducedEval` record, filled as its groups are formed: residual and
 Jacobian, each block its dataset's own rows, one per grid point (from
 ``MultiProblem.block_starts``), and each dataset's basis matrix as the
@@ -288,7 +288,8 @@ def _factor_group(alpha, problem, group):
         thin_qr(a[i, : group.datasets[i].m])
     if r_inv is None:
         raise RankDeficiencyError("a basis matrix of the group has a singular R factor")
-    return GroupFactors(ge, r_inv, q1.transpose(0, 2, 1), r_inv @ r_inv.transpose(0, 2, 1))
+    d_inv = r_inv @ r_inv.transpose(0, 2, 1)
+    return GroupFactors(ge, r_inv, q1.transpose(0, 2, 1), d_inv)
 
 
 def _form_group(group, f, form):
@@ -345,9 +346,9 @@ def _reduce(alpha, problem, form):
     its factors and blocks are released before the next group is factored.
     Of each dataset's padded blocks, only its own rows are copied.  The
     evaluation keeps a view of each dataset's basis matrix, and its linear
-    parameters, inverse Grams and products dphi_l^T z, gathered in problem order at
-    the end by one copy per group, or none when one group holds every
-    dataset.
+    parameters, inverse Grams and products dphi_l^T z, gathered in problem
+    order at the end by one copy per group, or none when one group holds
+    every dataset.
     """
     starts = problem.block_starts
     z_all = np.empty(starts[-1])
@@ -393,8 +394,8 @@ def eval_gl(alpha, problem):
 
 def eval_km(alpha, problem):
     """Kaufman reduction: the residual, linear parameters, products and
-    inverse Grams of :func:`eval_gl`, bit for bit, with the one-term (approximate)
-    Jacobian -P_perp dphi_l beta (Kaufman 1975)."""
+    inverse Grams of :func:`eval_gl`, bit for bit, with the one-term
+    (approximate) Jacobian -P_perp dphi_l beta (Kaufman 1975)."""
     return _evaluate(alpha, problem, FORM_KM)
 
 

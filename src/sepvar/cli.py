@@ -230,8 +230,9 @@ def _load_dataset(bundle, entry, kind, names):
 
 def load_bundle(bundle_dir):
     """The problem and manifest of a bundle.  The manifest's ``s`` must
-    count its ``datasets`` entries, each dataset ``id`` must be its own, and
-    an ``snr`` the fit record copies is a positive number or "inf"."""
+    count its ``datasets`` entries, each dataset ``id`` must be its own, an
+    ``snr`` the fit record copies is a positive number or "inf", and a
+    ``seed`` it copies is a nonnegative integer."""
     bundle = Path(bundle_dir)
     manifest_path = bundle / "manifest.json"
     if not manifest_path.is_file():
@@ -261,6 +262,8 @@ def load_bundle(bundle_dir):
         problem = MultiProblem(datasets=datasets, model=model)
         if "snr" in manifest:  # the record copies it
             manifest["snr"] = read(_inf_text(manifest["snr"]), "snr", POSITIVE, json=True)
+        if "seed" in manifest:  # the record copies it
+            manifest["seed"] = read(manifest["seed"], "seed", NONNEGATIVE_INT, json=True)
         truth = manifest.get("truth")
         truth = {} if truth is None else json_object(truth, "truth")
         if truth.get("alpha_true") is not None:  # the record's relative errors read it

@@ -148,6 +148,8 @@ def lm_solve(residual_fn, jacobian_fn, x0, cfg=None):
     """
     cfg = cfg or LMConfig()
     x = np.asarray(x0, dtype=float).copy()
+    if x.ndim != 1:
+        raise InvalidInputError(f"x0 must be a vector, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("x0 must be finite")
 

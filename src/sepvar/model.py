@@ -13,12 +13,12 @@ not the grid), ``prepare_group`` builds what an evaluation of a group reads
 that does not depend on alpha, once per group, and ``eval_group(alpha,
 group)`` checks alpha (its length, then that it is finite) and returns a
 :class:`GroupEval`: the bases, computed with the grid axis last, and the
-model's two derivative kernels, which form the derivatives only as
-products (Kaufman 1975; O'Leary & Rust 2013): ``products(beta, z)`` gives
-dphi_l beta and dphi_l^T z together, all the reduced path reads of them,
-and ``dphi_beta`` gives dphi_l beta of any number of vectors.  The dense
-derivatives of ``eval``, the reference paths and the tests are the
-products with the n unit vectors.
+model's one derivative kernel, which forms the derivatives only as
+products (Kaufman 1975; O'Leary & Rust 2013): ``products(betas, zs)``
+gives dphi_l beta of k vectors and dphi_l^T z of q rows per dataset
+together.  The form step reads one of each; the dense derivatives of
+``eval`` and the reference paths are the products with the n unit
+vectors and no row.
 :class:`ExpDecayModel` keys a dataset by the power-of-two bucket of its
 length, and its :class:`ExpGroup` holds the abscissae padded with zero rows
 to the group's longest dataset; its products are closed forms.
@@ -35,9 +35,9 @@ group's buffer, fills the reflected tails by slice copies and convolves the
 chunk by two stacked matrix products, which BLAS carries out one dataset at
 a time with that dataset's own Toeplitz blocks (:func:`convolve_reflect`
 shares this kernel).  An evaluation convolves the n rows of the bases,
-``dphi_beta`` the p rows of dphi_l beta of each vector, and ``products``
-the p rows of dphi_l beta and the row of z in one call (the reflect-padded
-convolution is symmetric, so K^T z is K z).
+and ``products`` the p rows of dphi_l beta of each vector and the rows of
+z in one call (the reflect-padded convolution is symmetric, so K^T z is
+K z).
 Each thread reuses a buffer of its own, so one group's inputs serve several
 threads at once.  The bases, the products and the dense derivatives are
 fresh arrays on every call, and ``eval`` of one dataset is the one-dataset
@@ -160,24 +160,18 @@ class GroupEval:
     C-contiguous: for dataset i of the group, of length m_i, the view
     phi[i, :, :m_i].T is its basis matrix.  Entries past m_i are zero.
 
-    The derivatives are read through products, which is all that the
+    The derivatives are read only through products, which is all that the
     reduced path needs (Kaufman 1975; O'Leary & Rust 2013): each model
-    gives ``products``, dphi_l beta and dphi_l^T z together, and
-    ``dphi_beta``, whose products with the n unit vectors are ``dphi``, the
-    dense g x p x n x m stack.
+    gives one kernel, ``products``, of dphi_l beta and dphi_l^T z; ``dphi``,
+    the dense g x p x n x m stack, is its products with the n unit vectors.
     """
 
     phi: np.ndarray
 
-    def dphi_beta(self, betas):
-        """dphi_l betas[i, j] of dataset i for k vectors per dataset,
-        g x k x p x m, for betas g x k x n."""
-        raise NotImplementedError
-
-    def products(self, beta, z):
-        """(dphi_l beta[i], dphi_l^T z[i]) of each dataset i, g x p x m and
-        g x p x n, for beta g x n and z g x m: the two products of the form
-        step, from one call."""
+    def products(self, betas, zs):
+        """(dphi_l betas[i, j], dphi_l^T zs[i, j]) of each dataset i, from
+        one call: g x k x p x m and g x q x p x n, for k vectors betas
+        (g x k x n) and q rows zs (g x q x m) per dataset."""
         raise NotImplementedError
 
     @cached_property
@@ -185,9 +179,9 @@ class GroupEval:
         """The dense derivatives, g x p x n x m: dphi[i, l, j] is column j
         of dataset i's derivative in alpha_l, its product with the unit
         vector e_j.  The reduced path never reads it."""
-        g, n, _ = self.phi.shape
+        g, n, m = self.phi.shape
         units = np.broadcast_to(np.eye(n), (g, n, n))
-        return self.dphi_beta(units).transpose(0, 2, 1, 3)
+        return self.products(units, np.empty((g, 0, m)))[0].transpose(0, 2, 1, 3)
 
     def basis(self, i, m=None):
         """The BasisEval of the group's i-th dataset, of length ``m`` (by
@@ -251,26 +245,17 @@ class ExpGroupEval(GroupEval):
 
     neg_t: np.ndarray  # g x m
 
-    @cached_property
-    def dphi_rows(self):
-        """-t * phi, g x n x m: dphi_l is zero but for its row l, -t * phi_l,
-        which is row l here, formed once per evaluation."""
-        return self.neg_t[:, None, :] * self.phi
-
-    def dphi_beta(self, betas):
-        """Closed form: dphi_l beta is beta_l (-t * phi_l)."""
+    def products(self, betas, zs):
+        """Closed forms: dphi_l is zero but for its row l, -t * phi_l, so
+        dphi_l beta is beta_l (-t * phi_l), and dphi_l^T z is zero but for
+        its entry l, (-t * phi_l) . z."""
+        d = self.neg_t[:, None, :] * self.phi  # g x n x m, row l -t * phi_l
+        g, q, n = *zs.shape[:2], d.shape[1]
+        v = np.zeros((g, q, n, n))
+        # one n x m matrix-vector product per row of zs, the shape of dphi_l z
+        v.reshape(g, q, n * n)[:, :, :: n + 1] = (d[:, None] @ zs[..., None])[..., 0]
         # + 0.0 turns -0.0 into the +0.0 that the sum over the zero rows gave
-        return betas[..., None] * self.dphi_rows[:, None] + 0.0
-
-    def products(self, beta, z):
-        """Closed forms: dphi_l beta is beta_l (-t * phi_l), and dphi_l^T z
-        is zero but for its entry l, (-t * phi_l) . z."""
-        d = self.dphi_rows
-        g, n, _ = d.shape
-        v = np.zeros((g, n, n))
-        # one n x m matrix-vector product per dataset, the shape of dphi_l z
-        v.reshape(g, n * n)[:, :: n + 1] = (d @ z[:, :, None])[:, :, 0]
-        return self.dphi_beta(beta[:, None])[:, 0], v
+        return betas[..., None] * d[:, None] + 0.0, v
 
 
 def _half_taps(spacing, halfwidth):
@@ -468,46 +453,31 @@ class BeerGroupEval(GroupEval):
     group: BeerGroup
     base: np.ndarray  # g x m
 
-    def _weights(self, betas):
-        """b * V beta of each of the k vectors betas[i] (g x k x n), V the
-        powers of nu: g x k x m."""
-        w = betas @ self.group.powers
-        w *= self.base[:, None]
-        return w
-
-    def dphi_beta(self, betas):
-        """dphi_l beta = K(-tau_l * b * V beta), K the slit convolution,
-        reflect padding included: the p rows of each vector go through one
-        convolution call.  For a unit vector e_j, V e_j is nu^j exactly, so
-        the products are the convolved rows -tau_l * (b * nu^j), the dense
-        derivative."""
-        group = self.group
-        w = self._weights(betas)
-
-        def fill(rows, dest):
-            np.multiply(group.neg_tau[rows, None], w[rows, :, None], out=dest)
-
-        return group.convolve(fill, np.empty(w.shape[:2] + group.neg_tau.shape[1:]))
-
-    def products(self, beta, z):
-        """dphi_l beta as :meth:`dphi_beta` forms it, and
-        dphi_l^T z = V^T (-tau_l * b * K^T z), from one convolution call of
-        p + 1 rows per dataset: the p rows of dphi_l beta, then z.  K^T is
-        K: a symmetric kernel (every :func:`gaussian_kernel` is) on the
-        half-sample reflection of the padding gives a symmetric matrix, also
-        where the reflection repeats, so K^T z is z's row convolved."""
+    def products(self, betas, zs):
+        """dphi_l beta = K(-tau_l * b * V beta) and
+        dphi_l^T z = V^T (-tau_l * b * K^T z), V the powers of nu and K the
+        slit convolution, reflect padding included, from one convolution
+        call of the k p rows of dphi_l beta and the q rows of zs per
+        dataset.  V e_j is nu^j exactly, so the products with the unit
+        vectors are the dense derivatives.  K^T is K: a symmetric kernel
+        (every :func:`gaussian_kernel` is) on the half-sample reflection of
+        the padding gives a symmetric matrix, also where it repeats."""
         group = self.group
         g, p, m = group.neg_tau.shape
-        w = self._weights(beta[:, None])  # g x 1 x m
+        k, q = betas.shape[1], zs.shape[1]
+        w = betas @ group.powers  # g x k x m
+        w *= self.base[:, None]
 
         def fill(rows, dest):
-            np.multiply(group.neg_tau[rows], w[rows], out=dest[:, :p])
-            dest[:, p] = z[rows]
+            np.multiply(group.neg_tau[rows, None], w[rows, :, None],
+                        out=dest[:, : k * p].reshape(-1, k, p, m))
+            dest[:, k * p :] = zs[rows]
 
-        out = group.convolve(fill, np.empty((g, p + 1, m)))
-        bkz = out[:, p]
-        bkz *= self.base  # b * K^T z
-        return out[:, :p], (group.neg_tau * bkz[:, None]) @ group.powers.transpose(0, 2, 1)
+        out = group.convolve(fill, np.empty((g, k * p + q, m)))
+        bkz = out[:, k * p :]
+        bkz *= self.base[:, None]  # b * K^T z
+        v = (group.neg_tau[:, None] * bkz[:, :, None]) @ group.powers.transpose(0, 2, 1)[:, None]
+        return out[:, : k * p].reshape(g, k, p, m), v
 
 
 @dataclass(frozen=True)

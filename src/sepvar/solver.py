@@ -149,6 +149,7 @@ class _CachedReduced:
         if method == METHOD_NLS_FULL:
             self._eval = lambda x: _JointEval(x, problem)
         elif method == METHOD_VP_NAIVE:
+            # looked up at each call: perfbench's tracer patches solver.eval_naive
             self._eval = lambda a: eval_naive(a, problem)
         else:
             base = _VP_EVALS[method]

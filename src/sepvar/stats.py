@@ -25,18 +25,17 @@ with the inverse Grams D_k^-1 (``ReducedEval.d_inv``), formed as
 R^-1 R^-T from the R^-1 of each group's QR in one batched n x n product;
 ``eval_naive`` keeps its own dphi_l^T r and takes the D_k^-1 from the
 triangular factor of its one QR of the block-diagonal matrix.  No D_k is
-formed or factored again: a Gram squares the condition number of phi_k,
-and R^-1 R^-T does not (O'Leary & Rust 2013).
-``compute_diagnostics`` keeps S^-1, the D_k^-1 and the F_k (O(s n^2) memory,
-O(M p^2 + s p n^2) time) and reads the variances off them:
+formed or factored: a Gram squares the condition number of phi_k, and
+R^-1 R^-T does not (O'Leary & Rust 2013).  ``compute_diagnostics`` hands
+them to ``arrow_inverse``, keeps S^-1, the D_k^-1 and the F_k (O(s n^2)
+memory, O(M p^2 + s p n^2) time) and reads the variances off them:
 sigma^2 diag(S^-1) for alpha and sigma^2 diag(D_k^-1 + F_k^T S^-1 F_k) for
 beta_k.  The dense covariance is built only when ``Diagnostics.covariance``
 is first read.  H^T H is positive definite exactly when every D_k and S
 are.  Each R the factor step inverts has passed its rank screen, so every
 D_k^-1 is positive definite; S is checked by a Cholesky factorization,
 and if that fails, a RuntimeWarning is raised and its pseudo-inverse takes
-the place of its inverse.  ``arrow_inverse``, which takes the D_k
-themselves, checks each of them the same way.
+the place of its inverse.
 
 The residual z = P_perp y, the reduced Jacobian, the products and the
 inverse Grams come from the evaluation at alpha_hat that every fit carries
@@ -49,8 +48,8 @@ z, products and inverse Grams of ``eval_gl`` with the one-term Jacobian
 J_km = -P_perp dphi_l beta, which gives the Schur complement itself
 (Kaufman 1975; O'Leary & Rust 2013).  The two terms of the GL Jacobian are
 orthogonal (P_perp Q1 = 0), and its second term gives
-sum_k v_k D_k^-1 v_k^T exactly, so S = J_km^T J_km, which goes to the
-shared tail of ``arrow_inverse`` as it is.
+sum_k v_k D_k^-1 v_k^T exactly, so S = J_km^T J_km, which
+``arrow_inverse`` takes as it is.
 ``build_H`` and ``covariance`` are the dense reference of the same
 quantities; ``build_H`` evaluates everything afresh at alpha_hat.
 """
@@ -199,33 +198,22 @@ def _spd_inverse(a):
     return np.swapaxes(l_inv, -1, -2) @ l_inv
 
 
-def arrow_inverse(a, b, d, schur=False):
+def arrow_inverse(a, b, d_inv, schur=False):
     """Blocks of (H^T H)^-1 from the blocks of the block-arrow H^T H: A = J^T J
-    (p x p), the B_k = J_k^T phi_k (s x p x n) and the D_k = phi_k^T phi_k
-    (s x n x n).  With ``schur`` true, ``a`` is the Schur complement
-    S = A - sum_k B_k D_k^-1 B_k^T itself, and is taken as it is.
+    (p x p), the B_k = J_k^T phi_k (s x p x n) and the D_k^-1 of the
+    D_k = phi_k^T phi_k (s x n x n).  With ``schur`` true, ``a`` is the Schur
+    complement S = A - sum_k B_k D_k^-1 B_k^T itself, and is taken as it is.
 
-    D_k and S are checked by Cholesky factorization; if one is not positive
-    definite, a RuntimeWarning is raised and pseudo-inverses are used.
+    S is checked by Cholesky factorization; if it is not positive definite,
+    a RuntimeWarning is raised and its pseudo-inverse is used.
     """
-    d_inv = _spd_inverse(d)
-    rank_warning = d_inv is None
-    if rank_warning:
-        d_inv = np.linalg.pinv(d, hermitian=True)
-    return _arrow_from_d_inv(a, b, d_inv, schur, rank_warning)
-
-
-def _arrow_from_d_inv(a, b, d_inv, schur, rank_warning=False):
-    """``arrow_inverse`` from the D_k^-1 on: F_k, S and S^-1, with S
-    checked by Cholesky factorization; a RuntimeWarning is raised if S
-    fails or ``rank_warning`` is already set."""
     f = b @ d_inv
     complement = a if schur else a - (f @ b.transpose(0, 2, 1)).sum(axis=0)
     s_inv = _spd_inverse(complement)
-    if s_inv is None:
-        rank_warning = True
-        s_inv = np.linalg.pinv(complement, hermitian=True)
+    rank_warning = s_inv is None
     if rank_warning:
+        s_inv = np.linalg.pinv(complement, hermitian=True)
+        # stacklevel 3: the caller of compute_diagnostics
         warnings.warn(_RANK_WARNING, RuntimeWarning, stacklevel=3)
     return ArrowInverse(s_inv=s_inv, d_inv=d_inv, f=f, rank_warning=rank_warning)
 
@@ -303,7 +291,7 @@ def compute_diagnostics(result, problem, level=0.95):
     if not all(np.isfinite(x).all() for x in (a, b, red.d_inv)) or not np.isfinite(sigma):
         raise InvalidInputError("non-finite inputs to covariance")
     # an eval_km evaluation's J^T J is S itself
-    inverse = _arrow_from_d_inv(a, b, red.d_inv, schur=red.form == FORM_KM)
+    inverse = arrow_inverse(a, b, red.d_inv, schur=red.form == FORM_KM)
     variances = sigma**2 * inverse.diagonal()
     return Diagnostics(
         sigma=sigma,

@@ -30,12 +30,13 @@ QR into the rows of Q1^T and R, inverts R and screens the rank
 projected residual unchanged in exact arithmetic, and the padded rows of
 Q1, the residuals and the Jacobian blocks come out zero.  The form step,
 one for both forms, turns these into the linear parameters beta, the
-residual z = P_perp y and, from one call of the model's product kernel
-(``GroupEval.products``), u = dphi_l beta and v = dphi_l^T z together; the
-dense derivatives never enter the reduced path.  The two forms differ only
-in the Jacobian: -(P_perp u + pinv^T v) for ``gl`` and -P_perp u for
-``km`` (Kaufman 1975; O'Leary & Rust 2013), so both forms give the same z,
-beta, v and inverse Grams bit for bit.  A non-finite product raises the
+residual z = P_perp y and, from one call of the model's derivative kernel
+(``GroupEval.products``) with one vector and one row per dataset,
+u = dphi_l beta and v = dphi_l^T z; the dense derivatives never enter the
+reduced path.  The two forms differ only in the Jacobian:
+-(P_perp u + pinv^T v) for ``gl`` and -P_perp u for ``km`` (Kaufman 1975;
+O'Leary & Rust 2013), so both forms give the same z, beta, v and inverse
+Grams bit for bit.  A non-finite product raises the
 typed error of a non-finite basis evaluation.  Every evaluation is a plain
 :class:`ReducedEval` record, filled as its groups are formed: residual and
 Jacobian, each block its dataset's own rows, one per grid point (from
@@ -123,7 +124,7 @@ class MultiProblem:
 
     What no evaluation changes is computed once, on first use: the dataset
     groups with their stacked observations and model inputs (``groups``)
-    and the residual block layout (``block_sizes``, ``block_starts``).  A
+    and the residual block layout (``block_starts``).  A
     problem therefore treats its datasets as immutable: to fit changed
     data, build a new problem.
     """
@@ -178,15 +179,10 @@ class MultiProblem:
         return tuple(groups)
 
     @cached_property
-    def block_sizes(self):
-        """Rows of each dataset's residual block: its length, in every form."""
-        return tuple(ds.m for ds in self.datasets)
-
-    @cached_property
     def block_starts(self):
-        """First row of each dataset's residual block, and the total row
-        count last."""
-        return (0, *itertools.accumulate(self.block_sizes))
+        """First row of each dataset's residual block, whose rows are its
+        grid points in every form, and the total row count last."""
+        return (0, *itertools.accumulate(ds.m for ds in self.datasets))
 
 
 @dataclass(frozen=True)
@@ -299,9 +295,10 @@ def _form_group(group, f, form):
     Returns (z, jac, beta, v): z = P_perp y (g x m), jac g x p x m, beta
     g x n and v, the products dphi_l^T z (g x p x n).  Dataset i's blocks
     are its first m_i rows; the rows past them are zero.  The derivatives
-    enter only through one call of the model's ``ge.products``, which
-    gives u = dphi_l beta and v together.  The ``gl`` Jacobian is
-    -(P_perp u + pinv^T v), the ``km`` one -P_perp u.
+    enter only through one call of the model's ``ge.products``, with beta
+    and z as each dataset's one vector and row, which gives u = dphi_l beta
+    and v.  The ``gl`` Jacobian is -(P_perp u + pinv^T v), the ``km`` one
+    -P_perp u.
     """
     r_inv, q1t, ge = f.r_inv, f.q1t, f.ge
     y = group.y
@@ -309,7 +306,7 @@ def _form_group(group, f, form):
     beta = (r_inv @ w[:, :, None])[:, :, 0]
     z = (w[:, None, :] @ q1t)[:, 0]
     np.subtract(y, z, out=z)
-    u, v = ge.products(beta, z)  # g x p x m and g x p x n
+    u, v = (x[:, 0] for x in ge.products(beta[:, None], z[:, None]))  # g x p x m, g x p x n
     # P_perp u + pinv^T v == u + Q1 (R^-T v - Q1^T u), one row per l; its
     # negative, formed as (Q1^T u - R^-T v) Q1^T - u, rounds the same; the
     # km form leaves out R^-T v

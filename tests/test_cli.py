@@ -54,6 +54,14 @@ def beer_config(s=2, snr="inf", seed=3, length=120):
     }
 
 
+# the README quick-start problem
+README_EXP_CONFIG = {
+    "model": "exp", "n": 2, "p": 2, "seed": 7, "snr": 100, "alpha_true": [1.2, 0.25],
+    "beta_true": [[1.0, 0.8], [0.9, 1.1]],
+    "grids": [{"length": 40, "lo": 0.0, "hi": 4.0}, {"length": 50, "lo": 0.0, "hi": 5.0}],
+}
+
+
 class TestJsonFormatting:
     def test_deterministic_key_order(self):
         a = cli._jsonify({"b": 1, "a": 2})
@@ -103,24 +111,31 @@ class TestGenerate:
         assert "'seed' must be a nonnegative integer" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_beer_bundle_roundtrip(self, tmp_path):
-        cfg_dict = beer_config(snr=200.0)
+    @pytest.mark.parametrize("kind", ["beer", "exp"])
+    def test_bundle_roundtrip(self, tmp_path, kind):
+        """write_bundle -> load_bundle returns every array bit for bit: a
+        Beer bundle, and the README exp problem (40 and 50 points, no aux)."""
+        cfg_dict = beer_config(snr=200.0) if kind == "beer" else README_EXP_CONFIG
         cfg = write_config(tmp_path / "cfg.json", cfg_dict)
         out = tmp_path / "bundle"
         cli.main(["generate", "--config", cfg, "--out", str(out)])
         problem, manifest = cli.load_bundle(out)
         assert problem.s == 2
-        assert manifest["model"] == "beer"
-        assert problem.datasets[0].aux.tau.shape == (120, 2)
+        assert manifest["model"] == kind
         generated = synth.generate(cli.spec_from_config(cfg_dict))
         for want, got in zip(generated.datasets, problem.datasets):
             for name in ("t", "y"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert got.id == want.id
+            if kind == "exp":
+                assert got.aux is None and want.aux is None
+                continue
+            assert got.aux.tau.shape == (120, 2)
             for name in ("i0", "tau"):
                 assert getattr(got.aux, name).tobytes() == getattr(want.aux, name).tobytes()
             assert got.aux.mu_sun == want.aux.mu_sun
             assert got.aux.slit_halfwidth == want.aux.slit_halfwidth
-            assert got.id == want.id
+        assert [ds.m for ds in problem.datasets] == ([120, 120] if kind == "beer" else [40, 50])
 
     def test_model_failure_exits_1_without_a_bundle(self, tmp_path, capsys):
         """A truth whose model overflows is a solver failure, not a usage
@@ -226,12 +241,17 @@ MALFORMED = {
     "manifest-number-file": lambda b: _edit_entry(b, file=0),
     # the model kind is a text: a list raised a TypeError naming no key
     "manifest-list-model": lambda b: _edit_manifest(b, model=["beer"]),
-    # s counts the datasets, ids are each dataset's own, and the SNR the
-    # record copies is a number: each of these fitted and exited 0
+    # s counts the datasets, ids are each dataset's own, and the SNR and
+    # seed the record copies are a number and an integer: each of these
+    # fitted and exited 0
     "manifest-s-mismatch": lambda b: _edit_manifest(b, s=5),
     "manifest-duplicate-id": lambda b: _edit_entry(b, id="ds001"),
     "manifest-list-snr": lambda b: _edit_manifest(b, snr=[1]),
     "manifest-zero-snr": lambda b: _edit_manifest(b, snr=0),
+    "manifest-list-seed": lambda b: _edit_manifest(b, seed=[1]),
+    "manifest-negative-seed": lambda b: _edit_manifest(b, seed=-5),
+    "manifest-fractional-seed": lambda b: _edit_manifest(b, seed=1.5),
+    "manifest-infinite-seed": lambda b: _edit_manifest(b, seed=float("inf")),
 }
 
 # what the message must say besides the file name: the file line of the bad
@@ -260,6 +280,10 @@ MALFORMED_TEXT = {
     "manifest-duplicate-id": "'id' 'ds001' names more than one dataset",
     "manifest-list-snr": "'snr' must be a number, got [1]",
     "manifest-zero-snr": "'snr' must be positive, got 0",
+    "manifest-list-seed": "'seed' must be an integer, got [1]",
+    "manifest-negative-seed": "'seed' must be a nonnegative integer, got -5",
+    "manifest-fractional-seed": "'seed' must be an integer, got 1.5",
+    "manifest-infinite-seed": "'seed' must be an integer, got inf",
 }
 
 

@@ -160,8 +160,9 @@ def test_km_jacobian_is_the_literal_projection(case):
 
 @pytest.mark.parametrize("case", BEER_CASES)
 def test_group_products_are_one_dataset_products(case):
-    """Each dataset's slice of a group's dphi_beta and products is that of
-    its one-dataset group, bit for bit.  (A Beer group holds one length; a
+    """Each dataset's slice of one products(betas, zs) call of a group, with
+    k in 1..3 vectors and q in 0..2 rows per dataset, is that of its
+    one-dataset group, bit for bit.  (A Beer group holds one length; a
     padded exp dataset's products match its own to rounding only.)"""
     prob, alpha = layout(case)
     model = prob.model
@@ -170,12 +171,11 @@ def test_group_products_are_one_dataset_products(case):
         ge = model.eval_group(alpha, group.inputs)
         g, n, m = ge.phi.shape
         betas = rng.normal(size=(g, int(rng.integers(1, 4)), n))
-        z = rng.normal(size=(g, m))
-        dense, (u, v) = ge.dphi_beta(betas), ge.products(betas[:, 0], z)
+        zs = rng.normal(size=(g, int(rng.integers(0, 3)), m))
+        u, v = ge.products(betas, zs)
         for i, ds in enumerate(group.datasets):
             alone = model.eval_group(alpha, model.prepare_group((ds,)))
-            assert dense[i].tobytes() == alone.dphi_beta(betas[i : i + 1])[0].tobytes()
-            for got, want in zip((u, v), alone.products(betas[i : i + 1, 0], z[i : i + 1])):
+            for got, want in zip((u, v), alone.products(betas[i : i + 1], zs[i : i + 1])):
                 assert got[i].tobytes() == want[0].tobytes()
 
 

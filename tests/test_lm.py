@@ -368,8 +368,18 @@ class TestRobustness:
             lm_solve(lambda x: np.zeros(3), lambda x: np.zeros((2, 2)), np.zeros(2))
 
     def test_nonfinite_x0_rejected(self):
-        with pytest.raises(InvalidInputError):
-            lm_solve(lambda x: x, lambda x: np.eye(2), np.array([1.0, np.nan]))
+        """A non-finite x0, and one that is not a 1-d vector (2-d, or 0-d),
+        is refused before any evaluation."""
+        calls = []
+
+        def residual(x):
+            calls.append(x)
+            return x
+
+        for x0 in (np.array([1.0, np.nan]), np.array([[0.0, 0.0]]), np.array(0.0)):
+            with pytest.raises(InvalidInputError):
+                lm_solve(residual, lambda x: np.eye(2), x0)
+        assert calls == []
 
     def test_scale_invariance_of_marquardt_damping(self, rng):
         """Rescaling one parameter rescales the corresponding iterate but the

@@ -342,7 +342,8 @@ def slit_groups(rng):
 
 class TestDerivativeProducts:
     """The reduced path reads the derivatives only through dphi_l beta and
-    dphi_l^T z; the dense derivatives are the products with unit vectors."""
+    dphi_l^T z, from one products call; the dense derivatives are the
+    products with the unit vectors."""
 
     @pytest.mark.parametrize("m, halfwidth", [(40, 8.0), (5, 12.0), (809, 1.0 * 808 / 100),
                                               (651, 1.0 * 650 / 100), (33, 2.0)])
@@ -359,17 +360,19 @@ class TestDerivativeProducts:
         assert abs(np.vdot(kx, y) - np.vdot(x, ky)) <= 1e-14 * scale
 
     def test_products_are_adjoint(self, rng):
-        """<dphi_l beta, z> = <beta, dphi_l^T z> for every dataset, from one
-        products call per group."""
+        """<dphi_l beta, z> = <beta, dphi_l^T z> for every dataset and every
+        pair of its two vectors and three rows, from one products call per
+        group."""
         alpha = np.array([1.1, 0.9])
         for model, datasets in slit_groups(rng):
             ge = model.eval_group(alpha, model.prepare_group(datasets))
             g, n, m = ge.phi.shape
-            beta, z = rng.normal(size=(g, n)), rng.normal(size=(g, m))
-            u, v = ge.products(beta, z)
-            lhs = np.einsum("glm,gm->gl", u, z)
-            rhs = np.einsum("gln,gn->gl", v, beta)
-            scale = np.linalg.norm(u, axis=-1) * np.linalg.norm(z, axis=-1)[:, None]
+            betas, zs = rng.normal(size=(g, 2, n)), rng.normal(size=(g, 3, m))
+            u, v = ge.products(betas, zs)
+            lhs = np.einsum("gklm,gqm->gkql", u, zs)
+            rhs = np.einsum("gqln,gkn->gkql", v, betas)
+            scale = (np.linalg.norm(u, axis=-1)[:, :, None]
+                     * np.linalg.norm(zs, axis=-1)[:, None, :, None])
             assert np.all(np.abs(lhs - rhs) <= 1e-14 * scale)
 
     @pytest.mark.parametrize("g", [1, 4, 32])
@@ -378,10 +381,11 @@ class TestDerivativeProducts:
         with the p rows of dphi_l beta; z's row comes out with the same
         bits as when it is convolved alone, so dphi_l^T z is the product
         V^T (-tau_l * b * K z) of z convolved on its own, and dphi_l beta
-        is dphi_beta's, bit for bit.  Frame-band groups of g datasets on
-        the 809- and 651-point grids (65 and 53 taps).  (On a grid of two
-        tiles, such as 40 points under 65 taps, BLAS may round z's row of
-        the 6-row product differently from the 2-row one, by an ulp.)"""
+        is that of a call with no row, bit for bit.  Frame-band groups of g
+        datasets on the 809- and 651-point grids (65 and 53 taps).  (On a
+        grid of two tiles, such as 40 points under 65 taps, BLAS may round
+        z's row of the 6-row product differently from the 2-row one, by an
+        ulp.)"""
         model = BeerLawModel(n_linear=3, p_species=2)
         alpha = np.array([1.1, 0.9])
         for m, lo, hi, halfwidth in [(809, 6180.0, 6280.0, 1.0), (651, 4950.0, 5050.0, 1.0)]:
@@ -390,12 +394,12 @@ class TestDerivativeProducts:
             group = model.prepare_group(datasets)
             ge = model.eval_group(alpha, group)
             beta, z = rng.normal(size=(g, 3)), rng.normal(size=(g, m))
-            u, v = ge.products(beta, z)
+            u, v = ge.products(beta[:, None], z[:, None])
             kz = group.slit.apply(lambda rows, dest: np.copyto(dest, z[rows]), np.empty(z.shape))
             kz *= ge.base
             alone = (group.neg_tau * kz[:, None]) @ group.powers.transpose(0, 2, 1)
-            assert v.tobytes() == alone.tobytes()
-            assert np.array_equal(u, ge.dphi_beta(beta[:, None])[:, 0])
+            assert v[:, 0].tobytes() == alone.tobytes()
+            assert np.array_equal(u, ge.products(beta[:, None], np.empty((g, 0, m)))[0])
 
     @pytest.mark.parametrize("kind", ["exp", "beer"])
     def test_products_match_dense_derivatives(self, kind, rng):
@@ -414,23 +418,23 @@ class TestDerivativeProducts:
             for i, ds in enumerate(datasets):
                 z[i, ds.m:] = 0.0
             dense = ge.dphi  # g x p x n x m
-            u, v = ge.products(beta, z)
-            for got, want in [(u, np.einsum("glnm,gn->glm", dense, beta)),
-                              (v, np.einsum("glnm,gm->gln", dense, z))]:
+            u, v = ge.products(beta[:, None], z[:, None])
+            for got, want in [(u[:, 0], np.einsum("glnm,gn->glm", dense, beta)),
+                              (v[:, 0], np.einsum("glnm,gm->gln", dense, z))]:
                 assert got.shape == want.shape
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_dense_derivatives_are_unit_vector_products(self, rng):
-        """GroupEval.dphi is dphi_beta applied to e_1, ..., e_n, bit for
-        bit, in each dataset's slice."""
+        """GroupEval.dphi is the products with e_1, ..., e_n, each alone,
+        bit for bit, in each dataset's slice."""
         alpha = np.array([1.1, 0.9])
         for model, datasets in slit_groups(rng):
             ge = model.eval_group(alpha, model.prepare_group(datasets))
-            g, n, _ = ge.phi.shape
+            g, n, m = ge.phi.shape
             for j in range(n):
                 unit = np.zeros((g, 1, n))
                 unit[:, 0, j] = 1.0
-                u = ge.dphi_beta(unit)
+                u, _ = ge.products(unit, np.empty((g, 0, m)))
                 assert np.array_equal(u[:, 0], ge.dphi[:, :, j])
 
 

@@ -623,7 +623,7 @@ class TestEvalKM:
         prob, _ = make_exp_problem(rng, s=3)
         alpha = np.array([0.8, 0.4])
         z = eval_km(alpha, prob).z
-        assert z.size == prob.m_total == sum(prob.block_sizes)
+        assert z.size == prob.m_total == sum(ds.m for ds in prob.datasets)
         ref = [sv.proj_perp_apply(sv.thin_qr(prob.model.eval(alpha, ds).phi), ds.y)
                for ds in prob.datasets]
         npt.assert_allclose(z, np.concatenate(ref), rtol=0, atol=1e-14 * np.linalg.norm(z))
